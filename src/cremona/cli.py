@@ -87,7 +87,10 @@ def _parse_n_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
     if not sep:
         raise ValueError(f"--n-range wants a..b, got {text!r}")
-    return int(lo), int(hi)
+    lo_n, hi_n = int(lo), int(hi)
+    if lo_n > hi_n:
+        raise ValueError(f"--n-range {text!r} is empty: {lo_n} > {hi_n}")
+    return lo_n, hi_n
 
 
 def _format_word(w: WeylWord) -> str:

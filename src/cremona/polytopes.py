@@ -6,7 +6,8 @@ each contributing the inequality pairing(u, x) >= 0.  This module
 builds the named cones (the sorted cone, its truncation at x_n <= 0,
 and the further truncation by -K), classifies dihedral angles exactly,
 assembles Gram and Cartan matrices, draws Coxeter diagrams, and
-enumerates extremal rays by facet-subset kernels.
+computes extremal rays and Farkas (implied-inequality) tests from one
+integer double-description routine.
 
 Everything is exact: angles are decided through the rational invariant
 cos^2 = (u.v)^2 / (u^2 v^2), never through floating point.
@@ -18,7 +19,7 @@ import itertools
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from .lattice import (
     LightConePosition,
@@ -29,7 +30,7 @@ from .lattice import (
     pairing,
     primitive_coords,
 )
-from .linalg import kernel_basis, rank, rref, solve_unique
+from .linalg import solve_unique
 
 __all__ = [
     "Halfspace",
@@ -404,45 +405,111 @@ def _minkowski_row(u: PicClass) -> tuple[int, ...]:
     return (c[0],) + tuple(-x for x in c[1:])
 
 
-def extremal_rays(P: ConePolytope) -> list[Ray]:
-    """All extremal rays of the cone, by facet-subset kernel enumeration.
+def _primitive(v: list[int]) -> tuple[int, ...]:
+    g = gcd(*v)
+    return tuple(x // g for x in v)
 
-    For each subset of n normals of rank n, the kernel is a rational
-    line; its primitive generator joins the result if one orientation
-    satisfies every inequality.  Requires the cone to be pointed.
+
+def _dot(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _generators(
+    rows: list[tuple[int, ...]], dim: int
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """(rays, lineality) of the cone {x in Q^dim : r.x >= 0 for every row r}.
+
+    Integer double description (Motzkin et al. 1953; Fukuda & Prodon
+    1996).  Starting from the whole space (no rays, lineality = the
+    unit vectors), the rows are added one at a time:
+
+    - if the row is nonzero on some lineality vector p, that vector is
+      pivoted off: every other lineality vector and every ray is
+      combined with p to vanish on the row, and p itself, oriented to be
+      positive on it, becomes a new ray;
+    - otherwise rays are split by the sign of the row, the negative ones
+      are dropped, and each adjacent positive/negative pair contributes
+      the combination of the two on which the row vanishes.
+
+    Two rays are adjacent iff no third ray vanishes on every row that
+    both vanish on; this needs at least dim - len(lineality) - 2 common
+    zeros, which rejects most pairs early.  Zero sets are int bitmasks
+    over the row indices.  Every combination is reduced to its primitive
+    integer vector, so all arithmetic stays in small ints.
+
+    The cone is lineality + the nonnegative span of the rays; the rays
+    are its extremal rays when the lineality is empty.
+    """
+    lineality = [tuple(int(i == j) for i in range(dim)) for j in range(dim)]
+    rays: list[tuple[int, ...]] = []
+    zeros: list[int] = []  # bit k set: row k vanishes on the ray
+    for k, row in enumerate(rows):
+        bit = 1 << k
+        values = [_dot(row, w) for w in lineality]
+        pivot = next((i for i, a in enumerate(values) if a), None)
+        if pivot is not None:
+            p, a = lineality.pop(pivot), values[pivot]
+            if a < 0:
+                p, a = tuple(-x for x in p), -a
+
+            def eliminate(v: tuple[int, ...]) -> tuple[int, ...]:
+                # a*v - b*p vanishes on the row and equals a*v modulo p
+                b = _dot(row, v)
+                return _primitive([a * x - b * y for x, y in zip(v, p)]) if b else v
+
+            lineality = [eliminate(w) for w in lineality]
+            rays = [eliminate(r) for r in rays]
+            zeros = [z | bit for z in zeros]
+            rays.append(p)
+            zeros.append(bit - 1)
+            continue
+        values = [_dot(row, r) for r in rays]
+        need = dim - len(lineality) - 2
+        kept = [i for i, b in enumerate(values) if b >= 0]
+        new_rays = [rays[i] for i in kept]
+        new_zeros = [zeros[i] | (bit if values[i] == 0 else 0) for i in kept]
+        negative = [i for i, b in enumerate(values) if b < 0]
+        for i in (i for i, b in enumerate(values) if b > 0):
+            for j in negative:
+                common = zeros[i] & zeros[j]
+                if common.bit_count() < need:
+                    continue
+                if any(
+                    z & common == common and t != i and t != j
+                    for t, z in enumerate(zeros)
+                ):
+                    continue
+                a, b = values[i], -values[j]
+                new_rays.append(
+                    _primitive([a * x + b * y for x, y in zip(rays[j], rays[i])])
+                )
+                new_zeros.append(common | bit)
+        rays, zeros = new_rays, new_zeros
+    return rays, lineality
+
+
+def extremal_rays(P: ConePolytope) -> list[Ray]:
+    """All extremal rays of the cone, sorted by generator coordinates.
+
+    Computed by integer double description over the Minkowski rows of
+    P's normals.  Requires the cone to be pointed.
     """
     normals = P.all_normals
-    dim = P.n + 1
     rows = [_minkowski_row(u) for u in normals]
-    if kernel_basis(rows, dim):
+    rays, lineality = _generators(rows, P.n + 1)
+    if lineality:
         raise ValueError(
             "cone is not pointed: it contains a line, so extremal rays "
             "do not determine it"
         )
-    found: dict[tuple[int, ...], Ray] = {}
-    for subset in itertools.combinations(range(len(normals)), P.n):
-        sub_rows = [rows[i] for i in subset]
-        kern = kernel_basis(sub_rows, dim)
-        if len(kern) != 1:
-            continue
-        vec = primitive_coords(kern[0])
-        if vec[0] < 0:
-            vec = tuple(-x for x in vec)
-        for cand in (vec, tuple(-x for x in vec)):
-            gen = PicClass(n=P.n, coords=cand)
-            if all(pairing(u, gen) >= 0 for u in normals):
-                if cand not in found:
-                    active = tuple(
-                        i for i, u in enumerate(normals) if pairing(u, gen) == 0
-                    )
-                    assert rank([rows[i] for i in active]) == P.n
-                    found[cand] = Ray(
-                        generator=gen,
-                        position=light_cone_position(gen),
-                        active_set=active,
-                    )
-                break
-    return [found[key] for key in sorted(found)]
+    out = []
+    for coords in sorted(rays):
+        gen = PicClass(n=P.n, coords=coords)
+        active = tuple(i for i, r in enumerate(rows) if _dot(r, coords) == 0)
+        out.append(
+            Ray(generator=gen, position=light_cone_position(gen), active_set=active)
+        )
+    return out
 
 
 def boundary_rays(P: ConePolytope) -> list[Ray]:
@@ -463,52 +530,47 @@ def finite_volume(P: ConePolytope) -> bool:
 # minimality audit
 
 
-def _nonnegative_combination(target: PicClass, among: list[PicClass]) -> bool:
-    """Is target = sum lambda_i u_i with lambda_i >= 0 over some subset?
+def _implied(target: PicClass, among: tuple[PicClass, ...]) -> bool:
+    """Is target a nonnegative combination of the normals in among?
 
-    By Caratheodory it suffices to scan linearly independent subsets,
-    but at these sizes scanning every subset is cheap enough.
+    Farkas: exactly when pairing(target, x) >= 0 on the cone they cut
+    out, i.e. when target vanishes on its lineality and is >= 0 on every
+    ray of its double description.
     """
-    dim = target.n + 1
-    cols = [u.coords for u in among]
-    for size in range(1, len(cols) + 1):
-        for subset in itertools.combinations(cols, size):
-            matrix = [[subset[j][i] for j in range(size)] for i in range(dim)]
-            aug = [row + [target.coords[i]] for i, row in enumerate(matrix)]
-            m, pivots = rref(aug)
-            if size in pivots:  # inconsistent
-                continue
-            if pivots != list(range(size)):  # dependent columns; a smaller subset covers it
-                continue
-            coeffs = [m[i][size] for i in range(size)]
-            if all(c >= 0 for c in coeffs):
-                return True
-    return False
+    row = _minkowski_row(target)
+    rays, lineality = _generators([_minkowski_row(u) for u in among], target.n + 1)
+    return all(_dot(row, w) == 0 for w in lineality) and all(
+        _dot(row, r) >= 0 for r in rays
+    )
 
 
 def is_implied(P: ConePolytope, normal: PicClass) -> bool:
     """Does the inequality pairing(normal, x) >= 0 follow from P's?
 
     True exactly when normal is a nonnegative combination of P's normals
-    (Farkas).  Accepts any integer normal, including square >= 0 ones
-    that could not join the halfspace list themselves.
+    (Farkas), which is read off the double description of P: normal
+    vanishes on its lineality space and pairs >= 0 with every ray.
+    Accepts any integer normal, including square >= 0 ones that could
+    not join the halfspace list themselves.
     """
-    return _nonnegative_combination(normal, list(P.all_normals))
+    if normal.n != P.n:
+        raise ValueError(f"rank mismatch: cone has n = {P.n}, normal has n = {normal.n}")
+    return _implied(normal, P.all_normals)
 
 
 def redundant_constraints(P: ConePolytope) -> tuple[int, ...]:
     """Indices (into all_normals) of inequalities implied by the others.
 
     An inequality pairing(u, x) >= 0 follows from the rest exactly when
-    u is a nonnegative combination of the remaining normals (Farkas).
+    u is a nonnegative combination of the remaining normals (Farkas);
+    each normal is tested against the double description of the others.
     """
-    normals = list(P.all_normals)
-    out = []
-    for i, u in enumerate(normals):
-        others = normals[:i] + normals[i + 1 :]
-        if _nonnegative_combination(u, others):
-            out.append(i)
-    return tuple(out)
+    normals = P.all_normals
+    return tuple(
+        i
+        for i, u in enumerate(normals)
+        if _implied(u, normals[:i] + normals[i + 1 :])
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +629,7 @@ class VertexFormulaReport:
 
 
 def verify_vertex_formulas(n: int) -> VertexFormulaReport:
-    """Check the closed-form families against facet-subset enumeration.
+    """Check the closed-form families against the computed extremal rays.
 
     The families should produce exactly the 9n-71 extremal rays of the
     -K-truncated cone.  Desk scale only (10 <= n <= 14).

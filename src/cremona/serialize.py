@@ -16,14 +16,19 @@ Schemas (all stable, all round-trippable):
 Integers whose magnitude reaches 2^53 are emitted as decimal strings so
 that consumers reading JSON numbers as doubles never lose digits; the
 decoders accept either form.
+
+Decoding is strict: a float, a bool, a missing key or a wrong shape
+raises ValueError rather than being coerced, so no value is ever
+silently rounded on its way in.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .lattice import PicClass, pairing
-from .nef import METHOD_CURVE_CHECK, METHOD_REDUCTION, NefVerdict
+from .nef import METHOD_CURVE_CHECK, METHOD_REDUCTION, NEF, NOT_NEF, NefVerdict
 from .polytopes import CartanEntry, Ray
 from .weyl import Generator, Phi, ReductionResult, Sigma, WeylWord
 
@@ -44,6 +49,7 @@ __all__ = [
 ]
 
 _SAFE = 1 << 53  # doubles represent integers exactly below this
+_DECIMAL = re.compile(r"-?[0-9]+")
 
 
 def encode_int(x: int) -> int | str:
@@ -51,7 +57,30 @@ def encode_int(x: int) -> int | str:
 
 
 def decode_int(x: int | str) -> int:
-    return int(x)
+    """An exact integer from a JSON int (not a bool) or a decimal string."""
+    if isinstance(x, str) and _DECIMAL.fullmatch(x):
+        return int(x)
+    return _int(x, "an integer or a decimal string")
+
+
+def _int(x, what: str) -> int:
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise ValueError(f"expected {what}, got {x!r}")
+    return x
+
+
+def _field(obj, schema: str, key: str, kind: type | tuple[type, ...]):
+    """obj[key], checked to be a kind, with obj checked to be an object."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{schema} must be a JSON object, got {obj!r}")
+    if key not in obj:
+        raise ValueError(f"{schema} is missing {key!r}")
+    value = obj[key]
+    if kind is int:
+        return _int(value, f"an integer for {schema} {key!r}")
+    if not isinstance(value, kind):
+        raise ValueError(f"{schema} {key!r} has the wrong type: {value!r}")
+    return value
 
 
 def encode_class(v: PicClass) -> dict:
@@ -59,7 +88,9 @@ def encode_class(v: PicClass) -> dict:
 
 
 def decode_class(obj: dict) -> PicClass:
-    return PicClass(n=obj["n"], coords=tuple(decode_int(c) for c in obj["coords"]))
+    n = _field(obj, "class", "n", int)
+    coords = _field(obj, "class", "coords", list)
+    return PicClass(n=n, coords=tuple(decode_int(c) for c in coords))
 
 
 def _encode_generator(g: Generator) -> dict:
@@ -69,10 +100,14 @@ def _encode_generator(g: Generator) -> dict:
 
 
 def _decode_generator(obj: dict) -> Generator:
-    if "phi" in obj:
-        i, j, k = obj["phi"]
-        return Phi(i, j, k)
-    return Sigma(obj["sigma"])
+    if isinstance(obj, dict) and len(obj) == 1:
+        if "phi" in obj:
+            idx = _field(obj, "generator", "phi", list)
+            if len(idx) == 3:
+                return Phi(*(_int(i, "phi index") for i in idx))
+        elif "sigma" in obj:
+            return Sigma(_field(obj, "generator", "sigma", int))
+    raise ValueError(f"generator must be {{'phi': [i, j, k]}} or {{'sigma': i}}, got {obj!r}")
 
 
 def encode_word(w: WeylWord) -> list:
@@ -80,6 +115,8 @@ def encode_word(w: WeylWord) -> list:
 
 
 def decode_word(obj: list) -> WeylWord:
+    if not isinstance(obj, list):
+        raise ValueError(f"word must be a JSON list, got {obj!r}")
     return WeylWord(tuple(_decode_generator(g) for g in obj))
 
 
@@ -94,12 +131,16 @@ def encode_reduction(r: ReductionResult) -> dict:
 
 
 def decode_reduction(obj: dict) -> ReductionResult:
+    status = _field(obj, "reduction", "status", str)
+    if status not in (ReductionResult.IN_CONE, ReductionResult.NOT_NEF):
+        raise ValueError(f"unknown reduction status {status!r}")
+    violated = _field(obj, "reduction", "violated", (dict, type(None)))
     return ReductionResult(
-        status=obj["status"],
-        reduced=decode_class(obj["reduced"]),
-        witness=decode_word(obj["witness"]),
-        violated=decode_class(obj["violated"]) if obj["violated"] is not None else None,
-        iterations=obj["iterations"],
+        status=status,
+        reduced=decode_class(_field(obj, "reduction", "reduced", dict)),
+        witness=decode_word(_field(obj, "reduction", "witness", list)),
+        violated=decode_class(violated) if violated is not None else None,
+        iterations=_field(obj, "reduction", "iterations", int),
     )
 
 
@@ -119,12 +160,17 @@ def encode_verdict(v: NefVerdict) -> dict:
 
 
 def decode_verdict(obj: dict) -> NefVerdict:
-    method = obj["method"]
+    verdict = _field(obj, "verdict", "verdict", str)
+    if verdict not in (NEF, NOT_NEF):
+        raise ValueError(f"unknown verdict {verdict!r}")
+    method = _field(obj, "verdict", "method", str)
     max_degree = None
-    if method.startswith(METHOD_CURVE_CHECK):
+    if method != METHOD_REDUCTION:
         method, _, bound = method.partition(":")
+        if method != METHOD_CURVE_CHECK or not re.fullmatch(r"[0-9]+", bound):
+            raise ValueError(f"unknown method {obj['method']!r}")
         max_degree = int(bound)
-    w = obj["witness"]
+    w = _field(obj, "verdict", "witness", (list, dict, type(None)))
     if w is None:
         witness = None
     elif isinstance(w, list):
@@ -132,7 +178,7 @@ def decode_verdict(obj: dict) -> NefVerdict:
     else:
         witness = decode_class(w)
     return NefVerdict(
-        verdict=obj["verdict"], method=method, witness=witness, max_degree=max_degree
+        verdict=verdict, method=method, witness=witness, max_degree=max_degree
     )
 
 
@@ -142,11 +188,18 @@ def encode_cartan(matrix: tuple[tuple[CartanEntry, ...], ...]) -> list:
     ]
 
 
+def _decode_cartan_entry(obj: dict) -> CartanEntry:
+    sign = _field(obj, "cartan entry", "sign", int)
+    cos2 = _field(obj, "cartan entry", "cos2", str)
+    if sign not in (-1, 0, 1) or not re.fullmatch(r"[0-9]+(/[0-9]*[1-9][0-9]*)?", cos2):
+        raise ValueError(f"malformed cartan entry {obj!r}")
+    return CartanEntry(sign=sign, cos2=Fraction(cos2))
+
+
 def decode_cartan(obj: list) -> tuple[tuple[CartanEntry, ...], ...]:
-    return tuple(
-        tuple(CartanEntry(sign=e["sign"], cos2=Fraction(e["cos2"])) for e in row)
-        for row in obj
-    )
+    if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
+        raise ValueError(f"cartan matrix must be a JSON list of lists, got {obj!r}")
+    return tuple(tuple(_decode_cartan_entry(e) for e in row) for row in obj)
 
 
 def encode_ray(r: Ray) -> dict:

@@ -216,10 +216,23 @@ def _check_rays_p9(ctx: _Ctx) -> CheckResult:
 
 
 def _check_vertex_formulas(ctx: _Ctx) -> CheckResult:
+    claim = (
+        "closed-form vertex families reproduce all 9n-71 extremal rays of "
+        "the -K-truncated cone; 2 boundary rays; finite volume"
+    )
+    n_values = ctx.n_values(10, 14)
+    if not n_values:  # a check over no n proves nothing
+        return _result(
+            "vertex_formulas",
+            claim,
+            False,
+            "at least one n in 10..14",
+            f"n-range {ctx.n_lo}..{ctx.n_hi} covers none",
+        )
     expected_parts = []
     computed_parts = []
     ok = True
-    for n in ctx.n_values(10, 14):
+    for n in n_values:
         rep = verify_vertex_formulas(n)
         bnd = sorted(r.generator.coords for r in boundary_rays(build_P_minus(n)))
         expected_bnd = sorted([(1, -1) + (0,) * (n - 1), (3,) + (-1,) * 9 + (0,) * (n - 9)])
@@ -233,8 +246,7 @@ def _check_vertex_formulas(ctx: _Ctx) -> CheckResult:
         )
     return _result(
         "vertex_formulas",
-        "closed-form vertex families reproduce all 9n-71 extremal rays of "
-        "the -K-truncated cone; 2 boundary rays; finite volume",
+        claim,
         ok,
         "; ".join(expected_parts),
         "; ".join(computed_parts),

@@ -75,6 +75,38 @@ def brute_force_rays(minkowski_rows) -> set[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
+# brute-force Farkas test
+#
+# target is a nonnegative combination of the normals iff (Caratheodory)
+# it is one of some linearly independent subset of them, and then also
+# of every basis of their span that contains that subset.  The oracle
+# scans every subset of size rank(normals) and solves each full-rank
+# one with sympy.
+
+
+def brute_force_implied(target: PicClass, normals) -> bool:
+    """Is target = sum lambda_i u_i with every lambda_i >= 0?"""
+    t = sympy.Matrix(target.coords)
+    if t.is_zero_matrix:
+        return True
+    cols = [sympy.Matrix(u.coords) for u in normals]
+    if not cols:
+        return False
+    r = sympy.Matrix.hstack(*cols).rank()
+    for subset in itertools.combinations(cols, r):
+        basis = sympy.Matrix.hstack(*subset)
+        if basis.rank() < r:
+            continue
+        try:
+            solution, _ = basis.gauss_jordan_solve(t)
+        except ValueError:  # target outside the span
+            return False
+        if all(x >= 0 for x in solution):
+            return True
+    return False
+
+
+# ---------------------------------------------------------------------------
 # brute-force (-1)-classes
 #
 # Straight search over multiplicity vectors in order, with nothing smarter

@@ -251,6 +251,11 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--suite", "quick", "--n-range", "ten")
         assert code == 2
 
+    def test_reversed_n_range_exits_two(self, capsys):
+        code, _, err = run(capsys, "verify", "--suite", "quick", "--n-range", "14..10")
+        assert code == 2
+        assert "empty" in err
+
 
 class TestParser:
     def test_unknown_command_raises_system_exit(self, capsys):

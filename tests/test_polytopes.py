@@ -5,7 +5,7 @@ and the region-R table."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cremona.lattice import (
     PicClass,
@@ -42,7 +42,7 @@ from cremona.polytopes import (
     verify_vertex_formulas,
     vertex_formula_families,
 )
-from oracles import brute_force_rays, tree_canonical_form
+from oracles import brute_force_implied, brute_force_rays, tree_canonical_form
 
 
 def minkowski_rows(P):
@@ -446,6 +446,62 @@ class TestMinimality:
         u = P.halfspaces[0].normal + 2 * P.halfspaces[1].normal
         assert is_implied(P, u)
 
+    def test_implied_rejects_rank_mismatch(self):
+        with pytest.raises(ValueError, match="rank mismatch"):
+            is_implied(build_P(9), basis_vector(10, 1))
+
+
+def drop_facet(P, i):
+    return ConePolytope(n=P.n, halfspaces=P.halfspaces[:i] + P.halfspaces[i + 1 :])
+
+
+class TestFarkasAgainstOracle:
+    """is_implied against the sympy subset scan in tests/oracles.py."""
+
+    @pytest.mark.parametrize(
+        "P",
+        [build_P(9), build_P_tilde(7), build_P_minus(10)],
+        ids=["P9", "P_tilde7", "P_minus10"],
+    )
+    def test_single_facet_drops(self, P):
+        for i, h in enumerate(P.halfspaces):
+            rest = drop_facet(P, i)
+            assert is_implied(rest, h.normal) == brute_force_implied(
+                h.normal, rest.all_normals
+            )
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.lists(st.integers(0, 5), min_size=12, max_size=12))
+    def test_nonnegative_combinations_are_implied(self, coeffs):
+        P = build_P_minus(10)
+        u = PicClass(10, (0,) * 11)
+        for k, h in zip(coeffs, P.halfspaces):
+            u = u + k * h.normal
+        assert brute_force_implied(u, P.all_normals)
+        assert is_implied(P, u)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.lists(st.integers(-2, 4), min_size=12, max_size=12))
+    def test_signed_combinations_agree(self, coeffs):
+        P = build_P_minus(10)
+        u = PicClass(10, (0,) * 11)
+        for k, h in zip(coeffs, P.halfspaces):
+            u = u + k * h.normal
+        assert is_implied(P, u) == brute_force_implied(u, P.all_normals)
+
+    @pytest.mark.parametrize(
+        "P, u, verdict",
+        [
+            (build_P(9), anticanonical_class(9), True),
+            (build_P(10), anticanonical_class(10), False),
+            (build_P_tilde(9), basis_vector(9, 9), False),
+        ],
+        ids=["minus_k_at_9", "minus_k_at_10", "truncation"],
+    )
+    def test_pinned_verdicts(self, P, u, verdict):
+        assert brute_force_implied(u, P.all_normals) is verdict
+        assert is_implied(P, u) is verdict
+
 
 class TestVertexFamilies:
     def test_family_counts(self):
@@ -470,6 +526,13 @@ class TestVertexFamilies:
         assert rep.ok()
         assert rep.expected_count == 9 * n - 71
         assert len(rep.computed_rays) == rep.expected_count
+
+    @pytest.mark.parametrize("n", range(15, 31))
+    def test_rays_are_the_families_beyond_the_window(self, n):
+        rays = {r.generator.coords for r in extremal_rays(build_P_minus(n))}
+        families = {v.coords for vs in vertex_formula_families(n).values() for v in vs}
+        assert rays == families
+        assert len(rays) == 9 * n - 71
 
     def test_out_of_window_rejected(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cremona.lattice import PicClass, basis_vector
 from cremona.nef import curve_check, is_nef_K_nonpositive
@@ -46,6 +47,97 @@ class TestIntegers:
             assert decode_int(json_round(encode_int(x))) == x
 
 
+class TestStrictDecoding:
+    def test_float_coordinate_rejected(self):
+        with pytest.raises(ValueError):
+            decode_class({"n": 9, "coords": [1.5] + [0] * 9})
+        with pytest.raises(ValueError):
+            decode_class({"n": 1, "coords": [1.0, 0]})
+
+    def test_bool_rejected(self):
+        with pytest.raises(ValueError):
+            decode_class({"n": True, "coords": [1, 0]})
+        with pytest.raises(ValueError):
+            decode_int(False)
+
+    def test_decode_int_forms(self):
+        assert decode_int(-12) == -12
+        assert decode_int("-12") == -12
+        for bad in ("1.0", "1e3", " 7", "1_000", "", "0x10", None, 2.0, [1]):
+            with pytest.raises(ValueError):
+                decode_int(bad)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [{"coords": [1, 0]}, {"n": 1}, [1, 0], None, {"n": 1, "coords": "10"}],
+    )
+    def test_malformed_class(self, obj):
+        with pytest.raises(ValueError):
+            decode_class(obj)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            [{"phi": [1, 2]}],
+            [{"phi": [1, 2, 3, 4]}],
+            [{"phi": "123"}],
+            [{"sigma": "1"}],
+            [{"sigma": True}],
+            [{"tau": 1}],
+            [{"phi": [1, 2, 3], "sigma": 1}],
+            [[1, 2, 3]],
+            {"phi": [1, 2, 3]},
+        ],
+    )
+    def test_malformed_word(self, obj):
+        with pytest.raises(ValueError):
+            decode_word(obj)
+
+
+json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["n", "coords", "phi", "sigma", "status", "reduced", "witness",
+                         "violated", "iterations", "verdict", "method", "sign", "cos2"]),
+        inner,
+        max_size=5,
+    ),
+    max_leaves=12,
+)
+DECODERS = (decode_int, decode_class, decode_word, decode_reduction, decode_verdict,
+            decode_cartan)
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(json_values)
+    def test_decoders_raise_only_value_error(self, obj):
+        for decode in DECODERS:
+            try:
+                decode(obj)
+            except ValueError:
+                pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(["n", "coords"]),
+        json_values,
+        st.integers(1, 12).flatmap(
+            lambda n: st.tuples(st.just(n), st.lists(st.integers(), min_size=n + 1, max_size=n + 1))
+        ),
+    )
+    def test_one_bad_field_in_a_class(self, key, value, class_data):
+        n, coords = class_data
+        obj = {"n": n, "coords": coords, key: value}
+        try:
+            v = decode_class(obj)
+        except ValueError:
+            return
+        assert all(type(c) is int for c in v.coords)  # never a coerced float
+
+
 class TestClasses:
     def test_round_trip(self):
         v = PicClass(4, (3, -1, -1, 0, 2))
@@ -57,10 +149,36 @@ class TestClasses:
         assert decode_class(out) == v
         assert out["coords"][0] == str(BIG)
 
+    @given(
+        st.integers(1, 20).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.integers(-(2**80), 2**80), min_size=n + 1, max_size=n + 1),
+            )
+        )
+    )
+    def test_hypothesis_round_trip(self, data):
+        n, coords = data
+        v = PicClass(n, tuple(coords))
+        assert decode_class(json_round(encode_class(v))) == v
+
 
 class TestWords:
     def test_round_trip(self):
         w = WeylWord((Phi(1, 2, 3), Sigma(2), Phi(2, 4, 5), Sigma(1)))
+        assert decode_word(json_round(encode_word(w))) == w
+
+    @given(
+        st.lists(
+            st.integers(1, 30).map(Sigma)
+            | st.lists(st.integers(1, 30), min_size=3, max_size=3, unique=True).map(
+                lambda ijk: Phi(*sorted(ijk))
+            ),
+            max_size=20,
+        )
+    )
+    def test_hypothesis_round_trip(self, gens):
+        w = WeylWord(tuple(gens))
         assert decode_word(json_round(encode_word(w))) == w
 
     def test_empty_word(self):

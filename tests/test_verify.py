@@ -1,7 +1,9 @@
 """The named check registry: determinism, thread independence, and the
 documented expected failure."""
 
-from cremona.verify import FAIL, PASS, XFAIL, check_names, run_suite
+import pytest
+
+from cremona.verify import FAIL, PASS, XFAIL, _check_vertex_formulas, _Ctx, check_names, run_suite
 
 
 def test_quick_suite_passes():
@@ -51,7 +53,13 @@ def test_registry_names_unique():
 
 
 def test_unknown_suite_rejected():
-    import pytest
-
     with pytest.raises(ValueError):
         run_suite(suite="everything")
+
+
+@pytest.mark.parametrize("n_range", [(14, 10), (15, 30), (3, 9)])
+def test_vertex_formulas_fail_when_no_n_is_covered(n_range):
+    # a check over an empty set of n would pass vacuously
+    result = _check_vertex_formulas(_Ctx(seed=0, n_lo=n_range[0], n_hi=n_range[1], scale=1))
+    assert result.status == FAIL
+    assert result.computed == f"n-range {n_range[0]}..{n_range[1]} covers none"
