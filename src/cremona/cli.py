@@ -9,22 +9,22 @@ precondition errors (K-positive input, unsupported n, parse failures),
 3 negative mathematical verdicts (not nef, not Coxeter, failed
 verification).
 
+``rays`` and ``curves`` refuse (exit 2) sizes past fixed work caps,
+RAYS_MAX_N and CURVES_MAX_DEGREE / CURVES_MAX_CLASSES, rather than run
+for hours or fill memory.
+
 Only integer classes are handled.  Rays of the nef boundary with
 irrational coordinates cannot be entered and are out of scope.
-
-CREMONA_THREADS sets the worker count for the verify suite (results
-are identical at any setting; order is fixed by the check registry).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 
-from .curves import enumerate_minus_one
+from .curves import _count_minus_one, enumerate_minus_one
 from .lattice import PicClass, pairing
 from .nef import NEF, curve_check, fundamental_cone, is_nef_K_nonpositive
 from .polytopes import (
@@ -56,6 +56,16 @@ _POLYTOPES = {
     "p_minus": build_P_minus,
     "fundamental": fundamental_cone,
 }
+
+
+# Work caps: past them ``rays`` and ``curves`` exit 2.  rays --n 100
+# --polytope p_minus takes about 0.8 s (829 rays).  curves --n 10
+# --max-degree 8 gives 117,754 classes (22 MB of JSON), and degree 9
+# would give 224,629.  For n <= 8 the classes run out (240 at n = 8),
+# so there only CURVES_MAX_DEGREE bounds the loop over degrees.
+RAYS_MAX_N = 100
+CURVES_MAX_DEGREE = 100
+CURVES_MAX_CLASSES = 150_000
 
 
 @dataclass(frozen=True)
@@ -137,6 +147,13 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 def _cmd_curves(args: argparse.Namespace) -> int:
     cfg = _config(args)
+    if args.max_degree > CURVES_MAX_DEGREE:
+        raise ValueError(f"--max-degree {args.max_degree} is past the cap {CURVES_MAX_DEGREE}")
+    if _count_minus_one(cfg.n, args.max_degree, CURVES_MAX_CLASSES) > CURVES_MAX_CLASSES:
+        raise ValueError(
+            f"curves --n {cfg.n} --max-degree {args.max_degree} gives more than "
+            f"{CURVES_MAX_CLASSES} classes"
+        )
     classes = enumerate_minus_one(cfg.n, args.max_degree)
     if cfg.fmt == "json":
         _emit_json(
@@ -202,6 +219,8 @@ def _cmd_diagram(args: argparse.Namespace) -> int:
 
 def _cmd_rays(args: argparse.Namespace) -> int:
     cfg = _config(args)
+    if cfg.n > RAYS_MAX_N:
+        raise ValueError(f"--n {cfg.n} is past the cap {RAYS_MAX_N} for rays")
     P = _build_polytope(args, cfg.n)
     rays = extremal_rays(P)
     boundary = [r for r in rays if r.position.tag == "boundary"]
@@ -310,18 +329,10 @@ def _cmd_region_r(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    threads = 1
-    env = os.environ.get("CREMONA_THREADS")
-    if env:
-        try:
-            threads = max(1, int(env))
-        except ValueError:
-            raise ValueError(f"CREMONA_THREADS must be an integer, got {env!r}")
     report = run_suite(
         suite=args.suite,
         n_range=_parse_n_range(args.n_range),
         seed=args.seed,
-        threads=threads,
     )
     fmt = getattr(args, "format", "text")
     if fmt == "json":

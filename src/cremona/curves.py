@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from math import factorial
 from typing import Iterator
 
 from .lattice import PicClass, basis_vector, canonical_class, pairing
@@ -46,10 +47,10 @@ class Decomposition:
         return self.cubics + (self.conic,)
 
     def total(self) -> PicClass:
-        out = self.conic
         for c in self.cubics:
-            out = out + c
-        return out
+            self.conic._check_same_lattice(c)
+        columns = zip(*(p.coords for p in self.parts()))
+        return PicClass._trusted(self.conic.n, tuple(map(sum, columns)))
 
 
 def is_minus_one_class(v: PicClass) -> bool:
@@ -136,10 +137,28 @@ def enumerate_minus_one(n: int, max_degree: int) -> list[PicClass]:
         block: list[PicClass] = []
         for multiset in _multiplicity_multisets(d, n):
             for placement in _placements(multiset, n):
-                block.append(PicClass(n, (d,) + tuple(-m for m in placement)))
+                block.append(PicClass._trusted(n, (d,) + tuple(-m for m in placement)))
         block.sort(key=lambda c: c.coords)
         out.extend(block)
     return out
+
+
+def _count_minus_one(n: int, max_degree: int, limit: int) -> int:
+    """How many classes ``enumerate_minus_one(n, max_degree)`` returns,
+    counted from the multisets without building a class; the count
+    stops at the first degree that takes it past ``limit``."""
+    total = n
+    for d in range(1, max_degree + 1):
+        if total > limit:
+            break
+        for multiset in _multiplicity_multisets(d, n):
+            counts = Counter(multiset)
+            counts[0] = n - len(multiset)
+            placements = factorial(n)
+            for k in counts.values():
+                placements //= factorial(k)
+            total += placements
+    return total
 
 
 def decompose_inequality(c: PicClass) -> Decomposition:
@@ -160,15 +179,16 @@ def decompose_inequality(c: PicClass) -> Decomposition:
     m = [-x for x in c.coords[1:]]  # multiplicities, m[i] for point i+1
     cubics: list[PicClass] = []
     while d > 1:
-        picks = sorted(range(n), key=lambda l: (-m[l], l))[:3]
+        # a stable sort, so reverse=True still breaks ties to the smallest index
+        picks = sorted(range(n), key=m.__getitem__, reverse=True)[:3]
         coords = [0] * (n + 1)
         coords[0] = 1
         for l in picks:
             coords[l + 1] = -1
             m[l] -= 1
-        cubics.append(PicClass(n, tuple(coords)))
+        cubics.append(PicClass._trusted(n, tuple(coords)))
         d -= 1
-        if any(x > d for x in m) or any(x < 0 for x in m):
+        if max(m) > d or min(m) < 0:
             raise AssertionError("greedy invariant m_l <= d broke; not a (-1)-class?")
     support = [l for l in range(n) if m[l] > 0]
     if len(support) != 2 or any(m[l] != 1 for l in support):
@@ -177,4 +197,4 @@ def decompose_inequality(c: PicClass) -> Decomposition:
     coords[0] = 1
     for l in support:
         coords[l + 1] = -1
-    return Decomposition(tuple(cubics), PicClass(n, tuple(coords)))
+    return Decomposition(tuple(cubics), PicClass._trusted(n, tuple(coords)))

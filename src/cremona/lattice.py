@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -34,10 +35,25 @@ class PicClass:
     ``n`` is the number of blown-up points; ``coords`` has length n+1.
     Instances are immutable and hashable, so they can be collected in
     sets (orbits) and used as dict keys.
+
+    The public constructor validates its input; the library's own
+    arithmetic builds results with :meth:`_trusted`, whose invariants
+    already hold.
     """
 
     n: int
     coords: tuple[int, ...]
+
+    @classmethod
+    def _trusted(cls, n: int, coords: tuple[int, ...]) -> "PicClass":
+        """Build without validation: ``n >= 1`` and ``coords`` a tuple of
+        n + 1 ints are the caller's promise."""
+        obj = object.__new__(cls)
+        # as the frozen dataclass's own __init__ does; writing through
+        # obj.__dict__ instead would cost every instance a dict (+64 bytes)
+        object.__setattr__(obj, "n", n)
+        object.__setattr__(obj, "coords", coords)
+        return obj
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -56,19 +72,19 @@ class PicClass:
 
     def __add__(self, other: "PicClass") -> "PicClass":
         self._check_same_lattice(other)
-        return PicClass(self.n, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return PicClass._trusted(self.n, tuple(map(add, self.coords, other.coords)))
 
     def __sub__(self, other: "PicClass") -> "PicClass":
         self._check_same_lattice(other)
-        return PicClass(self.n, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return PicClass._trusted(self.n, tuple(map(sub, self.coords, other.coords)))
 
     def __neg__(self) -> "PicClass":
-        return PicClass(self.n, tuple(-a for a in self.coords))
+        return PicClass._trusted(self.n, tuple(-a for a in self.coords))
 
     def __mul__(self, k: int) -> "PicClass":
         if not isinstance(k, int):
             return NotImplemented
-        return PicClass(self.n, tuple(k * a for a in self.coords))
+        return PicClass._trusted(self.n, tuple(k * a for a in self.coords))
 
     __rmul__ = __mul__
 
@@ -130,7 +146,9 @@ def pairing(u: PicClass, v: PicClass) -> int:
     if u.n != v.n:
         raise ValueError(f"lattice rank mismatch: n={u.n} vs n={v.n}")
     uc, vc = u.coords, v.coords
-    return uc[0] * vc[0] - sum(a * b for a, b in zip(uc[1:], vc[1:]))
+    # the full Euclidean dot product counts u_0*v_0 with the wrong sign;
+    # correcting for it here saves copying the tails
+    return 2 * uc[0] * vc[0] - sum(map(mul, uc, vc))
 
 
 def basis_vector(n: int, i: int) -> PicClass:
@@ -144,7 +162,7 @@ def canonical_class(n: int) -> PicClass:
     """K = (-3, 1, ..., 1); K^2 = 9 - n."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    return PicClass(n, (-3,) + (1,) * n)
+    return PicClass._trusted(n, (-3,) + (1,) * n)
 
 
 def anticanonical_class(n: int) -> PicClass:

@@ -21,8 +21,8 @@ from functools import lru_cache
 
 from .curves import enumerate_minus_one
 from .lattice import PicClass, pairing
-from .polytopes import ConePolytope, build_P, build_P_minus
-from .weyl import ReductionResult, WeylWord, reduce_class
+from .polytopes import ConePolytope, build_P, build_P_minus, membership
+from .weyl import ReductionResult, WeylWord, apply_word, reduce_class
 
 __all__ = [
     "NEF",
@@ -33,6 +33,7 @@ __all__ = [
     "fundamental_cone",
     "is_nef_K_nonpositive",
     "curve_check",
+    "check_certificate",
 ]
 
 NEF = "nef"
@@ -80,6 +81,23 @@ def is_nef_K_nonpositive(v: PicClass) -> NefVerdict:
     if result.status == ReductionResult.IN_CONE:
         return NefVerdict(verdict=NEF, method=METHOD_REDUCTION, witness=result.witness)
     return NefVerdict(verdict=NOT_NEF, method=METHOD_REDUCTION, witness=result.violated)
+
+
+def check_certificate(v: PicClass, verdict: NefVerdict) -> bool:
+    """Check a verdict on v against its witness alone, without trusting
+    the code that produced it.
+
+    A "nef" verdict is certified by a WeylWord that moves v into
+    ``fundamental_cone(n)``; a "not_nef" verdict by a class that pairs
+    negatively with v.  A clean curve check has no witness, so it is
+    never certified.
+    """
+    w = verdict.witness
+    if verdict.verdict == NEF:
+        return isinstance(w, WeylWord) and bool(
+            membership(fundamental_cone(v.n), apply_word(w, v))
+        )
+    return isinstance(w, PicClass) and pairing(w, v) < 0
 
 
 @lru_cache(maxsize=8)

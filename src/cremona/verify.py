@@ -10,8 +10,7 @@ actually present is pi/4.  The xfail status records that the claimed
 value is unattainable rather than silently substituting the true one.
 
 Checks are pure and deterministic given (seed, n_range); the runner
-may execute them on a thread pool, but output order follows registry
-order regardless.
+executes them one after another, in registry order.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from __future__ import annotations
 import random
 import warnings
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -620,17 +618,11 @@ def run_suite(
     suite: str = "paper",
     n_range: tuple[int, int] = (10, 14),
     seed: int = 0,
-    threads: int = 1,
 ) -> VerificationReport:
     """Run the named checks; ``quick`` is a fast subset with lean samples."""
     if suite not in ("paper", "quick"):
         raise ValueError(f"unknown suite {suite!r}")
     scale = 20 if suite == "quick" else 1
     ctx = _Ctx(seed=seed, n_lo=n_range[0], n_hi=n_range[1], scale=scale)
-    selected = [(name, fn) for name, fn, quick in _REGISTRY if suite == "paper" or quick]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda item: item[1](ctx), selected))
-    else:
-        results = [fn(ctx) for _, fn in selected]
+    results = [fn(ctx) for _, fn, quick in _REGISTRY if suite == "paper" or quick]
     return VerificationReport(checks=tuple(results))

@@ -5,11 +5,14 @@ The group W is generated by the quadratic transformations phi_{ijk}
 transpositions sigma_i = (i, i+1).  Every generator is an involutive
 isometry of the pairing and fixes the canonical class K.
 
-``reduce`` is the workhorse: it moves any K-nonpositive integer class
-into the fundamental cone by sorting coordinates and applying phi_123
-while x_0 + x_1 + x_2 + x_3 < 0 (each application strictly decreases
-x_0, so the loop terminates), or else produces a violated curve class
-proving the input is not nef.
+``reduce_class`` is the workhorse: it moves any K-nonpositive integer
+class into the fundamental cone, or else produces a violated curve
+class proving the input is not nef.  It leaves the coordinates where
+they are and tracks the order of the tail x_1..x_n instead: while
+x_0 plus the three smallest tail coordinates is negative, it applies
+phi at the indices of those three (each application strictly
+decreases x_0, so the loop terminates).  The witness is those phi
+steps followed by one word of transpositions that sorts the tail.
 """
 
 from __future__ import annotations
@@ -109,7 +112,7 @@ def apply_generator(g: Generator, v: PicClass) -> PicClass:
         if g.i + 1 > v.n:
             raise ValueError(f"{g!r} out of range for n={v.n}")
         x[g.i], x[g.i + 1] = x[g.i + 1], x[g.i]
-    return PicClass(v.n, tuple(x))
+    return PicClass._trusted(v.n, tuple(x))
 
 
 def apply_word(w: WeylWord | Iterable[Generator], v: PicClass) -> PicClass:
@@ -146,18 +149,25 @@ def sort_coordinates(v: PicClass) -> tuple[PicClass, WeylWord]:
     being the bubble-sort decomposition it is a canonical reduced
     expression of the sorting permutation.
     """
-    x = list(v.coords)
-    n = v.n
-    word: list[Generator] = []
+    tail = list(v.coords[1:])
+    word = _bubble_sort_word(tail)
+    return PicClass._trusted(v.n, (v.coords[0], *tail)), WeylWord(tuple(word))
+
+
+def _bubble_sort_word(keys: list) -> list[Sigma]:
+    """Sort ``keys`` in place by stable bubble sort and return its swaps,
+    keys[i - 1] being coordinate i: swapping keys[i - 1] and keys[i] is
+    Sigma(i)."""
+    word: list[Sigma] = []
     changed = True
     while changed:
         changed = False
-        for i in range(1, n):
-            if x[i] > x[i + 1]:
-                x[i], x[i + 1] = x[i + 1], x[i]
+        for i in range(1, len(keys)):
+            if keys[i - 1] > keys[i]:
+                keys[i - 1], keys[i] = keys[i], keys[i - 1]
                 word.append(Sigma(i))
                 changed = True
-    return PicClass(n, tuple(x)), WeylWord(tuple(word))
+    return word
 
 
 @dataclass(frozen=True)
@@ -165,10 +175,12 @@ class ReductionResult:
     """Outcome of the fundamental-cone reduction.
 
     ``status`` is "in_cone" or "not_nef".  ``reduced`` is the final
-    state, ``witness`` the word with apply_word(witness, input) ==
-    reduced.  For "not_nef", ``violated`` is a class c with
-    pairing(c, input) < 0 (the violated constraint pulled back to the
-    input by the reversed witness word).
+    state, with sorted tail, and ``witness`` the word with
+    apply_word(witness, input) == reduced: ``iterations`` phi steps,
+    each at some sorted triple Phi(i, j, k), then one word of at most
+    n(n-1)/2 transpositions that sorts the tail.  For "not_nef",
+    ``violated`` is a class c with pairing(c, input) < 0 (the violated
+    constraint pulled back to the input by the reversed witness word).
     """
 
     status: str
@@ -194,14 +206,19 @@ def _in_fundamental_cone_sorted(v: PicClass) -> bool:
 def reduce_class(v: PicClass) -> ReductionResult:
     """Reduce a K-nonpositive integer class into the fundamental cone.
 
-    Loop: sort the tail coordinates (recording transpositions); stop
-    with "in_cone" once x_0 + x_1 + x_2 + x_3 >= 0 and x_n <= 0 (the
+    The tail coordinates stay in place; ``order`` lists the indices
+    1..n by value, ties kept in their previous order (so the sorted view
+    is the one a stable sort of the tail would give).  Loop: while
+    x_0 > 0 and x_0 plus the three smallest tail coordinates is
+    negative, apply phi at those three indices, which strictly
+    decreases x_0, and re-sort ``order``.  Then sort the tail with one
+    transposition word.  The result is "in_cone" once
+    x_0 + x_1 + x_2 + x_3 >= 0 and x_n <= 0 in sorted coordinates (the
     remaining cone inequality 3x_0 >= -sum x_i holds throughout because
-    it is W-invariant and holds on the input); otherwise apply phi_123
-    while the first inequality fails, which strictly decreases x_0.  If
-    x_0 falls to <= 0, or the sorted vector has x_n > 0, no translate of
-    the cone contains v; report "not_nef" with a violated class that
-    pairs negatively with the original input.
+    it is W-invariant and holds on the input).  If x_0 fell to <= 0, or
+    the sorted vector has x_n > 0, no translate of the cone contains v;
+    report "not_nef" with a violated class that pairs negatively with
+    the original input.
     """
     if v.n < 3:
         raise ValueError(f"reduction needs n >= 3, got n={v.n}")
@@ -214,39 +231,44 @@ def reduce_class(v: PicClass) -> ReductionResult:
         )
 
     n = v.n
-    current = v
-    word: list = []
-    phi_count = 0
+    x = list(v.coords)
+    order = sorted(range(1, n + 1), key=x.__getitem__)
+    word: list[Generator] = []
     while True:
-        current, sort_word = sort_coordinates(current)
-        word.extend(sort_word.gens)
-        x = current.coords
-        if _in_fundamental_cone_sorted(current):
-            return ReductionResult(
-                ReductionResult.IN_CONE, current, WeylWord(tuple(word)),
-                iterations=phi_count,
-            )
-        if x[0] <= 0:
-            # x_0 can only keep decreasing; the input misses every
-            # translate of the cone.  Pick a constraint the current
-            # state violates and pull it back to the input.
-            if x[n] > 0:
-                culprit = basis_vector(n, n)  # pairing = -x_n < 0
-            elif x[0] < 0:
-                culprit = basis_vector(n, 0)  # pairing = x_0 < 0
-            else:
-                # x_0 = 0 with x_1 + x_2 + x_3 < 0, so x_1 < 0
-                culprit = basis_vector(n, 0) - basis_vector(n, 1)
-            return _not_nef(v, current, WeylWord(tuple(word)), culprit, phi_count)
-        if x[0] + x[1] + x[2] + x[3] < 0:
-            current = apply_generator(Phi(1, 2, 3), current)
-            word.append(Phi(1, 2, 3))
-            phi_count += 1
-            continue
-        # sorted, x_0 > 0, x_0 + x_1 + x_2 + x_3 >= 0, so x_n > 0 is the
-        # failing inequality: e_n (a -1-curve) separates.
-        culprit = basis_vector(n, n)
-        return _not_nef(v, current, WeylWord(tuple(word)), culprit, phi_count)
+        x0 = x[0]
+        i, j, k = order[0], order[1], order[2]
+        xi, xj, xk = x[i], x[j], x[k]
+        if x0 <= 0 or x0 + xi + xj + xk >= 0:
+            break
+        x[0] = 2 * x0 + xi + xj + xk
+        x[i] = -x0 - xj - xk
+        x[j] = -x0 - xi - xk
+        x[k] = -x0 - xi - xj
+        word.append(Phi(*sorted((i, j, k))))
+        order.sort(key=x.__getitem__)
+    phi_count = len(word)
+    rank = [0] * n  # rank[i - 1]: the sorted position of index i
+    for position, i in enumerate(order):
+        rank[i - 1] = position
+    word.extend(_bubble_sort_word(rank))
+    reduced = PicClass._trusted(n, (x[0], *map(x.__getitem__, order)))
+    witness = WeylWord(tuple(word))
+    if _in_fundamental_cone_sorted(reduced):
+        return ReductionResult(
+            ReductionResult.IN_CONE, reduced, witness, iterations=phi_count
+        )
+    # x_0 can only keep decreasing, or the three smallest coordinates
+    # already pass and x_n > 0 fails: pick a constraint the reduced
+    # state violates and pull it back to the input.
+    y = reduced.coords
+    if y[n] > 0:
+        culprit = basis_vector(n, n)  # pairing = -x_n < 0, a (-1)-curve
+    elif y[0] < 0:
+        culprit = basis_vector(n, 0)  # pairing = x_0 < 0
+    else:
+        # x_0 = 0 with x_1 + x_2 + x_3 < 0, so x_1 < 0
+        culprit = basis_vector(n, 0) - basis_vector(n, 1)
+    return _not_nef(v, reduced, witness, culprit, phi_count)
 
 
 def _not_nef(

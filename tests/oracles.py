@@ -141,6 +141,75 @@ def brute_force_minus_one(n: int, max_degree: int) -> set[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
+# reference reduction
+#
+# The reduction loop in its plainest form: stable bubble sort of
+# x_1..x_n, then phi at the first three coordinates while
+# x_0 + x_1 + x_2 + x_3 < 0, and repeat.  Plain lists of ints and its own
+# generator arithmetic; the violated class is pulled back through every
+# recorded step.
+
+
+def _reference_phi(x: list[int], i: int, j: int, k: int) -> None:
+    x0, xi, xj, xk = x[0], x[i], x[j], x[k]
+    x[0] = 2 * x0 + xi + xj + xk
+    x[i] = -x0 - xj - xk
+    x[j] = -x0 - xi - xk
+    x[k] = -x0 - xi - xj
+
+
+def reference_reduce(coords) -> tuple:
+    """(status, reduced, phi steps, violated) for a nonzero K-nonpositive
+    class, as plain tuples; violated is None for "in_cone"."""
+    x = list(coords)
+    n = len(x) - 1
+    steps: list[int] = []  # 0 is phi_123, i >= 1 swaps x_i and x_{i+1}
+    while True:
+        swapped = True
+        while swapped:
+            swapped = False
+            for i in range(1, n):
+                if x[i] > x[i + 1]:
+                    x[i], x[i + 1] = x[i + 1], x[i]
+                    steps.append(i)
+                    swapped = True
+        low = x[0] + x[1] + x[2] + x[3]
+        if low >= 0 and x[n] <= 0:
+            return "in_cone", tuple(x), steps.count(0), None
+        if x[0] <= 0 or low >= 0:
+            break
+        _reference_phi(x, 1, 2, 3)
+        steps.append(0)
+    culprit = [0] * (n + 1)
+    if x[n] > 0:
+        culprit[n] = 1
+    elif x[0] < 0:
+        culprit[0] = 1
+    else:
+        culprit[0], culprit[1] = 1, -1
+    for step in reversed(steps):
+        if step == 0:
+            _reference_phi(culprit, 1, 2, 3)
+        else:
+            culprit[step], culprit[step + 1] = culprit[step + 1], culprit[step]
+    return "not_nef", tuple(x), steps.count(0), tuple(culprit)
+
+
+def reference_random_move(coords, length: int, rng) -> tuple[int, ...]:
+    """coords moved by ``length`` random generators: phi at a random
+    triple of points, or a random adjacent transposition."""
+    x = list(coords)
+    n = len(x) - 1
+    for _ in range(length):
+        if rng.random() < 0.5:
+            _reference_phi(x, *rng.sample(range(1, n + 1), 3))
+        else:
+            i = rng.randint(1, n - 1)
+            x[i], x[i + 1] = x[i + 1], x[i]
+    return tuple(x)
+
+
+# ---------------------------------------------------------------------------
 # tree canonical form (AHU), for comparing diagrams up to isomorphism
 #
 # Every diagram we care about is a tree whose edges carry a label.  Two

@@ -22,7 +22,7 @@ import pytest
 
 from cremona.curves import decompose_inequality, enumerate_minus_one
 from cremona.lattice import PicClass, canonical_class, pairing
-from cremona.nef import curve_check, is_nef_K_nonpositive
+from cremona.nef import check_certificate, curve_check, is_nef_K_nonpositive
 from cremona.polytopes import (
     EDGE_DASHED,
     EDGE_PLAIN,
@@ -340,6 +340,7 @@ def test_criterion_13_reduction_agrees_with_curve_check():
             continue
         checked += 1
         exact = is_nef_K_nonpositive(v)
+        assert check_certificate(v, exact), v.coords
         bounded = curve_check(v, max_degree=8)
         assert exact.verdict == bounded.verdict, v.coords
         if exact.is_nef():

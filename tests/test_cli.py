@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from cremona.cli import main
+from cremona.cli import CURVES_MAX_CLASSES, CURVES_MAX_DEGREE, RAYS_MAX_N, main
+from cremona.curves import _count_minus_one, enumerate_minus_one
 
 
 def run(capsys, *argv):
@@ -82,6 +83,38 @@ class TestCurves:
         code, _, err = run(capsys, "curves", "--n", "2")
         assert code == 2
 
+    def test_past_class_cap_exits_two(self, capsys):
+        # degree 9 at n = 10 would print 224,629 classes
+        code, out, err = run(capsys, "curves", "--n", "10", "--max-degree", "9")
+        assert code == 2 and out == ""
+        assert f"more than {CURVES_MAX_CLASSES} classes" in err
+
+    def test_huge_n_exits_two_at_once(self, capsys):
+        code, _, err = run(capsys, "curves", "--n", str(10**12), "--max-degree", "1")
+        assert code == 2
+        assert "classes" in err
+
+    def test_past_degree_cap_exits_two(self, capsys):
+        # n = 8 has only 240 classes, so only the degree cap stops the loop
+        code, _, err = run(capsys, "curves", "--n", "8",
+                           "--max-degree", str(CURVES_MAX_DEGREE + 1))
+        assert code == 2
+        assert "cap" in err
+        code, out, _ = run(capsys, "curves", "--n", "8",
+                           "--max-degree", str(CURVES_MAX_DEGREE))
+        assert code == 0 and "total: 240" in out
+
+    def test_caps_admit_the_documented_sizes(self):
+        # curves --n 10 --max-degree 8 (117,754 classes) and the benchmark's
+        # --max-degree 6, without running the enumeration here
+        assert _count_minus_one(10, 8, CURVES_MAX_CLASSES) == 117_754 <= CURVES_MAX_CLASSES
+        assert _count_minus_one(10, 6, CURVES_MAX_CLASSES) <= CURVES_MAX_CLASSES
+        assert CURVES_MAX_DEGREE >= 8
+
+    @pytest.mark.parametrize("n, max_degree", [(3, 4), (6, 5), (9, 4), (10, 3), (12, 2)])
+    def test_class_count_matches_enumeration(self, n, max_degree):
+        assert _count_minus_one(n, max_degree, 10**9) == len(enumerate_minus_one(n, max_degree))
+
 
 class TestCartan:
     def test_text_matrix(self, capsys):
@@ -145,6 +178,19 @@ class TestRays:
         code, _, err = run(capsys, "rays", "--n", "9", "--polytope", "p_tilde")
         assert code == 2
         assert "not pointed" in err
+
+    def test_past_cap_exits_two(self, capsys):
+        code, out, err = run(capsys, "rays", "--n", str(RAYS_MAX_N + 1),
+                             "--polytope", "p_minus")
+        assert code == 2 and out == ""
+        assert "cap" in err
+
+    def test_cap_admits_n_30(self, capsys):
+        # 9n - 71 rays for p_minus
+        assert RAYS_MAX_N >= 30
+        code, out, _ = run(capsys, "rays", "--n", "30", "--polytope", "p_minus")
+        assert code == 0
+        assert "rays: 199," in out
 
 
 class TestOrbit:
@@ -236,16 +282,6 @@ class TestVerify:
         statuses = {c["name"]: c["status"] for c in blob}
         assert statuses["diagram_p_minus_11_triple_edge"] == "xfail"
         assert all(s in ("pass", "xfail") for s in statuses.values())
-
-    def test_threads_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("CREMONA_THREADS", "3")
-        code, out, _ = run(capsys, "verify", "--suite", "quick")
-        assert code == 0
-
-    def test_bad_threads_env_exits_two(self, capsys, monkeypatch):
-        monkeypatch.setenv("CREMONA_THREADS", "many")
-        code, _, err = run(capsys, "verify", "--suite", "quick")
-        assert code == 2
 
     def test_bad_n_range_exits_two(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "quick", "--n-range", "ten")

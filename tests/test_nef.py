@@ -10,6 +10,8 @@ from cremona.lattice import PicClass, anticanonical_class, basis_vector, canonic
 from cremona.nef import (
     NEF,
     NOT_NEF,
+    NefVerdict,
+    check_certificate,
     curve_check,
     fundamental_cone,
     is_nef_K_nonpositive,
@@ -41,6 +43,7 @@ class TestReductionVerdict:
         assert res.method == "reduction_exact"
         assert isinstance(res.witness, WeylWord)
         assert apply_word(res.witness, v) == v
+        assert check_certificate(v, res)
 
     def test_nef_witness_lands_in_cone(self):
         v = PicClass(9, (6, -3, -2, -2, -1, -1, -1, -1, -1, -1))
@@ -53,6 +56,7 @@ class TestReductionVerdict:
         assert not res.is_nef() and res.verdict == NOT_NEF
         assert isinstance(res.witness, PicClass)
         assert pairing(res.witness, basis_vector(9, 1)) < 0
+        assert check_certificate(basis_vector(9, 1), res)
 
     def test_k_positive_propagates(self):
         with pytest.raises(KPositiveError):
@@ -63,6 +67,46 @@ class TestReductionVerdict:
         # -K . K = n - 9 > 0 from n = 10 on: the K-positive side is refused
         with pytest.raises(KPositiveError):
             is_nef_K_nonpositive(anticanonical_class(10))
+
+
+class TestCheckCertificate:
+    def test_every_reduction_verdict_is_certified(self):
+        rng = random.Random(5)
+        seen = set()
+        for _ in range(300):
+            n = rng.choice((4, 6, 9, 10, 13))
+            # a large degree makes nef classes common, and a random
+            # word hides them from a glance at the coordinates
+            v = PicClass(n, (rng.randint(0, 4 * n),) + tuple(rng.randint(-4, 1) for _ in range(n)))
+            v = apply_word(WeylWord(tuple(rng.choice(all_generators(n)) for _ in range(8))), v)
+            if v.is_zero() or pairing(v, canonical_class(n)) > 0:
+                continue
+            res = is_nef_K_nonpositive(v)
+            seen.add(res.verdict)
+            assert check_certificate(v, res), v.coords
+        assert seen == {NEF, NOT_NEF}
+
+    def test_nef_certificate_replays_the_word(self):
+        v = PicClass(9, (2, -1, -1, -1, 0, 0, 0, 0, 0, 0))
+        res = is_nef_K_nonpositive(v)
+        assert check_certificate(v, res)
+        # the empty word leaves v outside the fundamental cone
+        forged = NefVerdict(verdict=NEF, method=res.method, witness=WeylWord())
+        assert not check_certificate(v, forged)
+
+    def test_not_nef_certificate_must_pair_negatively(self):
+        v = basis_vector(9, 1)
+        res = is_nef_K_nonpositive(v)
+        assert check_certificate(v, res)
+        forged = NefVerdict(verdict=NOT_NEF, method=res.method, witness=basis_vector(9, 2))
+        assert not check_certificate(v, forged)
+
+    def test_curve_check_verdicts(self):
+        # a violated curve certifies "not nef"; a clean pass certifies nothing
+        v = basis_vector(6, 1)
+        assert check_certificate(v, curve_check(v))
+        line = basis_vector(6, 0)
+        assert not check_certificate(line, curve_check(line))
 
 
 class TestCurveCheck:

@@ -1,5 +1,5 @@
-"""The named check registry: determinism, thread independence, and the
-documented expected failure."""
+"""The named check registry: determinism and the documented expected
+failure."""
 
 import pytest
 
@@ -39,12 +39,6 @@ def test_deterministic_given_seed():
 
 def test_other_seeds_also_pass():
     assert run_suite(suite="quick", seed=12345).passed()
-
-
-def test_threads_do_not_change_results():
-    serial = run_suite(suite="quick", seed=3, threads=1)
-    threaded = run_suite(suite="quick", seed=3, threads=4)
-    assert serial == threaded
 
 
 def test_registry_names_unique():

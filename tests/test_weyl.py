@@ -20,6 +20,7 @@ from cremona.weyl import (
     reduce_class,
     sort_coordinates,
 )
+from oracles import reference_random_move, reference_reduce
 
 
 def vectors(n: int, lo: int = -30, hi: int = 30):
@@ -202,6 +203,50 @@ class TestReduce:
                 continue
             res = reduce_class(v)
             assert apply_word(res.witness, v) == res.reduced
+
+
+def k_nonpositive(n: int, lo: int = -30, hi: int = 30):
+    return vectors(n, lo, hi).filter(
+        lambda v: not v.is_zero() and pairing(v, canonical_class(n)) <= 0
+    )
+
+
+def assert_matches_reference(v: PicClass) -> None:
+    res = reduce_class(v)
+    status, reduced, iterations, violated = reference_reduce(v.coords)
+    assert res.status == status
+    assert res.reduced.coords == reduced
+    assert res.iterations == iterations
+    assert (None if res.violated is None else res.violated.coords) == violated
+    # the witness is the phi steps plus one word that sorts the tail
+    assert apply_word(res.witness, v) == res.reduced
+    assert len(res.witness) <= res.iterations + v.n * (v.n - 1) // 2
+
+
+class TestReduceAgainstReference:
+    @given(st.integers(3, 14).flatmap(k_nonpositive))
+    @settings(max_examples=300)
+    def test_random_classes(self, v):
+        assert_matches_reference(v)
+
+    @given(st.integers(3, 14).flatmap(lambda n: k_nonpositive(n, -3, 3)))
+    @settings(max_examples=200)
+    def test_small_coordinates_with_ties(self, v):
+        # narrow boxes make equal tail coordinates, where the order of
+        # ties decides which generator word (and violated class) comes out
+        assert_matches_reference(v)
+
+    @given(st.integers(0, 2**32))
+    @settings(max_examples=30, deadline=None)
+    def test_deep_words(self, seed):
+        rng = random.Random(seed)
+        n = 12
+        # a tail in -3..0 under a degree >= 12 lies in the fundamental
+        # cone once sorted; a positive tail coordinate makes it not nef
+        top = rng.choice((0, 1))
+        base = (rng.randint(12, 40),) + tuple(rng.randint(-3, top) for _ in range(n))
+        v = PicClass(n, reference_random_move(base, 500, rng))
+        assert_matches_reference(v)
 
 
 class TestOrbit:
