@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .curves import _count_minus_one, enumerate_minus_one
 from .lattice import PicClass, pairing
@@ -66,21 +65,6 @@ _POLYTOPES = {
 RAYS_MAX_N = 100
 CURVES_MAX_DEGREE = 100
 CURVES_MAX_CLASSES = 150_000
-
-
-@dataclass(frozen=True)
-class CommandConfig:
-    n: int
-    fmt: str
-    seed: int
-
-
-def _config(args: argparse.Namespace) -> CommandConfig:
-    n = getattr(args, "n", 3)
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
-    return CommandConfig(n=n, fmt=getattr(args, "format", "text"),
-                         seed=getattr(args, "seed", 0))
 
 
 def _parse_vector(text: str, n: int) -> PicClass:
@@ -130,10 +114,9 @@ def _emit_json(obj) -> None:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    v = _parse_vector(args.vector, cfg.n)
+    v = _parse_vector(args.vector, args.n)
     result = reduce_class(v)
-    if cfg.fmt == "json":
+    if args.format == "json":
         _emit_json(encode_reduction(result))
     else:
         _emit(f"status: {result.status}")
@@ -146,25 +129,24 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_curves(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     if args.max_degree > CURVES_MAX_DEGREE:
         raise ValueError(f"--max-degree {args.max_degree} is past the cap {CURVES_MAX_DEGREE}")
-    if _count_minus_one(cfg.n, args.max_degree, CURVES_MAX_CLASSES) > CURVES_MAX_CLASSES:
+    if _count_minus_one(args.n, args.max_degree, CURVES_MAX_CLASSES) > CURVES_MAX_CLASSES:
         raise ValueError(
-            f"curves --n {cfg.n} --max-degree {args.max_degree} gives more than "
+            f"curves --n {args.n} --max-degree {args.max_degree} gives more than "
             f"{CURVES_MAX_CLASSES} classes"
         )
-    classes = enumerate_minus_one(cfg.n, args.max_degree)
-    if cfg.fmt == "json":
+    classes = enumerate_minus_one(args.n, args.max_degree)
+    if args.format == "json":
         _emit_json(
             {
-                "n": cfg.n,
+                "n": args.n,
                 "max_degree": args.max_degree,
                 "count": len(classes),
                 "classes": [encode_class(c) for c in classes],
             }
         )
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         _emit("degree,multiplicities,coords")
         for c in classes:
             mults = " ".join(str(-x) for x in c.coords[1:])
@@ -180,18 +162,17 @@ def _cmd_curves(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_polytope(args: argparse.Namespace, n: int) -> ConePolytope:
-    return _POLYTOPES[args.polytope](n)
+def _build_polytope(args: argparse.Namespace) -> ConePolytope:
+    return _POLYTOPES[args.polytope](args.n)
 
 
 def _cmd_cartan(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    matrix = cartan_matrix(_build_polytope(args, cfg.n))
-    if cfg.fmt == "json":
+    matrix = cartan_matrix(_build_polytope(args))
+    if args.format == "json":
         _emit_json(encode_cartan(matrix))
         return 0
     tokens = [[render_cartan_entry(e) for e in row] for row in matrix]
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         for row in tokens:
             _emit(",".join(row))
         return 0
@@ -202,8 +183,7 @@ def _cmd_cartan(args: argparse.Namespace) -> int:
 
 
 def _cmd_diagram(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    P = _build_polytope(args, cfg.n)
+    P = _build_polytope(args)
     check = is_coxeter(P)
     if not check:
         for i, j, ang in check.offending:
@@ -213,28 +193,27 @@ def _cmd_diagram(args: argparse.Namespace) -> int:
             )
         return 3
     diagram = coxeter_diagram(P)
-    _emit(diagram.to_dot() if cfg.fmt == "dot" else diagram.to_ascii())
+    _emit(diagram.to_dot() if args.format == "dot" else diagram.to_ascii())
     return 0
 
 
 def _cmd_rays(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    if cfg.n > RAYS_MAX_N:
-        raise ValueError(f"--n {cfg.n} is past the cap {RAYS_MAX_N} for rays")
-    P = _build_polytope(args, cfg.n)
+    if args.n > RAYS_MAX_N:
+        raise ValueError(f"--n {args.n} is past the cap {RAYS_MAX_N} for rays")
+    P = _build_polytope(args)
     rays = extremal_rays(P)
     boundary = [r for r in rays if r.position.tag == "boundary"]
-    if cfg.fmt == "json":
+    if args.format == "json":
         _emit_json(
             {
-                "n": cfg.n,
+                "n": args.n,
                 "polytope": args.polytope,
                 "count": len(rays),
                 "boundary": len(boundary),
                 "rays": [encode_ray(r) for r in rays],
             }
         )
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         _emit("coords,square,position")
         for r in rays:
             coords = " ".join(str(x) for x in r.generator.coords)
@@ -248,12 +227,11 @@ def _cmd_rays(args: argparse.Namespace) -> int:
 
 
 def _cmd_orbit(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    v = _parse_vector(args.vector, cfg.n)
+    v = _parse_vector(args.vector, args.n)
     if args.max_degree is None and args.max_count is None:
         raise ValueError("orbit needs --max-degree and/or --max-count")
     result = orbit(v, max_degree=args.max_degree, max_count=args.max_count)
-    if cfg.fmt == "json":
+    if args.format == "json":
         _emit_json(
             {
                 "count": len(result.classes),
@@ -261,7 +239,7 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
                 "classes": [encode_class(c) for c in result.classes],
             }
         )
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         _emit("coords")
         for c in result.classes:
             _emit(" ".join(str(x) for x in c.coords))
@@ -273,13 +251,12 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
 
 
 def _cmd_nef_test(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    v = _parse_vector(args.vector, cfg.n)
+    v = _parse_vector(args.vector, args.n)
     if args.method == "curves":
         verdict = curve_check(v, max_degree=args.max_degree)
     else:
         verdict = is_nef_K_nonpositive(v)
-    if cfg.fmt == "json":
+    if args.format == "json":
         _emit_json(encode_verdict(verdict))
     else:
         _emit(f"verdict: {verdict.verdict}")
@@ -295,9 +272,8 @@ def _cmd_nef_test(args: argparse.Namespace) -> int:
 
 
 def _cmd_region_r(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    report = verify_region_R(cfg.n)
-    if cfg.fmt == "json":
+    report = verify_region_R(args.n)
+    if args.format == "json":
         _emit_json(
             {
                 "n": report.n,
@@ -334,8 +310,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         n_range=_parse_n_range(args.n_range),
         seed=args.seed,
     )
-    fmt = getattr(args, "format", "text")
-    if fmt == "json":
+    if args.format == "json":
         _emit_json(
             [
                 {
@@ -373,7 +348,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _add_common(sub: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
     sub.add_argument("--n", type=int, default=9, help="number of blown-up points")
     sub.add_argument("--format", choices=formats, default="text")
-    sub.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -441,6 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "n", 3) < 3:  # every command with --n
+            raise ValueError(f"need n >= 3, got {args.n}")
         return args.handler(args)
     except ValueError as exc:  # includes KPositiveError and parse problems
         sys.stderr.write(f"error: {exc}\n")

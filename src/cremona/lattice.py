@@ -3,20 +3,16 @@
 The lattice models the Picard group of the plane blown up at n points:
 basis e_0 (line class) and e_1, ..., e_n (exceptional classes), with
 e_0^2 = 1, e_i^2 = -1 and all mixed products zero.  Everything here is
-integer or rational arithmetic; no floats, ever.
+integer arithmetic; no fractions and no floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
 from operator import add, mul, sub
-from typing import Iterable, Sequence
 
 __all__ = [
     "PicClass",
-    "RationalRay",
     "LightConePosition",
     "pairing",
     "canonical_class",
@@ -24,7 +20,6 @@ __all__ = [
     "basis_vector",
     "degree",
     "light_cone_position",
-    "primitive",
 ]
 
 
@@ -88,9 +83,6 @@ class PicClass:
 
     __rmul__ = __mul__
 
-    def dot(self, other: "PicClass") -> int:
-        return pairing(self, other)
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
@@ -100,33 +92,6 @@ class PicClass:
 
     def __repr__(self) -> str:
         return f"PicClass({self.n}, {self.coords})"
-
-
-@dataclass(frozen=True)
-class RationalRay:
-    """A nonzero rational vector understood projectively (up to positive scale).
-
-    Stored in canonical form: denominators cleared, coordinates divided
-    by their gcd, and the sign fixed so that x_0 > 0 whenever x_0 != 0
-    (otherwise the first nonzero coordinate is positive).
-    """
-
-    n: int
-    coords: tuple[Fraction, ...]
-
-    @classmethod
-    def from_coords(cls, n: int, coords: Iterable) -> "RationalRay":
-        fracs = tuple(Fraction(c) for c in coords)
-        if len(fracs) != n + 1:
-            raise ValueError(f"expected {n + 1} coordinates for n={n}")
-        if all(c == 0 for c in fracs):
-            raise ValueError("the zero vector does not span a ray")
-        ints = _clear_denominators(fracs)
-        ints = _canonical_sign(ints)
-        return cls(n, tuple(Fraction(c) for c in ints))
-
-    def as_pic_class(self) -> PicClass:
-        return PicClass(self.n, tuple(int(c) for c in self.coords))
 
 
 @dataclass(frozen=True)
@@ -186,52 +151,3 @@ def light_cone_position(v: PicClass) -> LightConePosition:
     else:
         tag = LightConePosition.OUTSIDE
     return LightConePosition(tag, v.coords[0] > 0)
-
-
-def primitive(v: PicClass | RationalRay) -> PicClass:
-    """The primitive integer vector with canonical sign on the line spanned by v.
-
-    Canonical sign means x_0 > 0 whenever x_0 != 0, otherwise the first
-    nonzero coordinate is positive.
-    """
-    if isinstance(v, RationalRay):
-        coords: Sequence = v.coords
-        n = v.n
-    else:
-        coords = v.coords
-        n = v.n
-    if all(c == 0 for c in coords):
-        raise ValueError("the zero vector has no primitive representative")
-    ints = _clear_denominators(tuple(Fraction(c) for c in coords))
-    return PicClass(n, _canonical_sign(ints))
-
-
-def primitive_coords(coords: Sequence[Fraction | int]) -> tuple[int, ...]:
-    """Clear denominators and divide by the gcd, keeping the input's sign.
-
-    Unlike :func:`primitive` this does not canonicalize sign; ray
-    enumeration orients by feasibility instead.
-    """
-    fracs = tuple(Fraction(c) for c in coords)
-    if all(c == 0 for c in fracs):
-        raise ValueError("zero vector")
-    return _clear_denominators(fracs)
-
-
-def _clear_denominators(fracs: tuple[Fraction, ...]) -> tuple[int, ...]:
-    lcm = 1
-    for c in fracs:
-        d = c.denominator
-        lcm = lcm * d // gcd(lcm, d)
-    ints = [int(c * lcm) for c in fracs]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    return tuple(c // g for c in ints)
-
-
-def _canonical_sign(ints: tuple[int, ...]) -> tuple[int, ...]:
-    lead = ints[0] if ints[0] != 0 else next(c for c in ints if c != 0)
-    if lead < 0:
-        return tuple(-c for c in ints)
-    return ints

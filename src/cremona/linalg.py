@@ -1,9 +1,8 @@
-"""Small exact linear algebra over the rationals.
+"""Exact solution of the small square systems of region R.
 
-Plain Gaussian elimination on fractions.Fraction.  The matrices here
-are tiny (at most ~16 rows/columns: facet normals of the cones at desk
-scale), so there is nothing to optimize; the point is exactness and
-zero dependencies.
+Plain Gauss-Jordan elimination on fractions.Fraction.  The systems are
+3x3 (three facet planes of region R), so there is nothing to optimize;
+the point is exactness and zero dependencies.
 """
 
 from __future__ import annotations
@@ -13,10 +12,10 @@ from typing import Sequence
 
 Row = Sequence[int | Fraction]
 
-__all__ = ["rref", "rank", "kernel_basis", "solve_unique"]
+__all__ = ["solve_unique"]
 
 
-def rref(rows: Sequence[Row]) -> tuple[list[list[Fraction]], list[int]]:
+def _rref(rows: Sequence[Row]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (matrix, pivot column indices)."""
     m = [[Fraction(x) for x in row] for row in rows]
     if not m:
@@ -42,34 +41,11 @@ def rref(rows: Sequence[Row]) -> tuple[list[list[Fraction]], list[int]]:
     return m, pivots
 
 
-def rank(rows: Sequence[Row]) -> int:
-    return len(rref(rows)[1])
-
-
-def kernel_basis(rows: Sequence[Row], ncols: int) -> list[tuple[Fraction, ...]]:
-    """A basis of {x : row . x = 0 for every row} (standard dot product)."""
-    if not rows:
-        return [
-            tuple(Fraction(1 if i == j else 0) for i in range(ncols))
-            for j in range(ncols)
-        ]
-    m, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            vec[p] = -m[r][f]
-        basis.append(tuple(vec))
-    return basis
-
-
 def solve_unique(rows: Sequence[Row], rhs: Sequence[int | Fraction]) -> tuple[Fraction, ...] | None:
     """Solve a square system with a unique solution; None if singular."""
     n = len(rows)
     aug = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
-    m, pivots = rref(aug)
+    m, pivots = _rref(aug)
     if pivots != list(range(n)):
         return None
     return tuple(m[i][n] for i in range(n))

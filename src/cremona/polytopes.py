@@ -16,7 +16,6 @@ cos^2 = (u.v)^2 / (u^2 v^2), never through floating point.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
@@ -28,7 +27,6 @@ from .lattice import (
     basis_vector,
     light_cone_position,
     pairing,
-    primitive_coords,
 )
 from .linalg import solve_unique
 
@@ -86,11 +84,7 @@ class Halfspace:
 
 @dataclass(frozen=True)
 class ConePolytope:
-    """A cone cut out by halfspaces, with optional extra inequalities.
-
-    ``extra_constraints`` are normals exempt from the negative-square
-    requirement; they exist for toy cones in affine-style coordinates
-    and play no role in the named hyperbolic polytopes.
+    """A cone cut out by halfspaces.
 
     The halfspace list is *meant* to be minimal (no inequality implied
     by the rest); this is not enforced on construction.  Use
@@ -99,7 +93,6 @@ class ConePolytope:
 
     n: int
     halfspaces: tuple[Halfspace, ...]
-    extra_constraints: tuple[PicClass, ...] = ()
 
     def __post_init__(self) -> None:
         for u in self.all_normals:
@@ -108,7 +101,7 @@ class ConePolytope:
 
     @property
     def all_normals(self) -> tuple[PicClass, ...]:
-        return tuple(h.normal for h in self.halfspaces) + self.extra_constraints
+        return tuple(h.normal for h in self.halfspaces)
 
 
 @dataclass(frozen=True)
@@ -132,12 +125,6 @@ def build_P_tilde(n: int) -> ConePolytope:
     """
     if n < 3:
         raise ValueError(f"need n >= 3 for the sorted cone, got {n}")
-    if n == 3:
-        warnings.warn(
-            "the sorted cone with n = 3 has only the v_0 facet and two "
-            "transpositions; minimality checks are degenerate",
-            stacklevel=2,
-        )
     e = [basis_vector(n, i) for i in range(n + 1)]
     normals = [e[0] - e[1] - e[2] - e[3]]
     normals += [e[i] - e[i + 1] for i in range(1, n)]
@@ -171,17 +158,12 @@ def build_P_minus(n: int) -> ConePolytope:
 # membership and Gram data
 
 
-def _as_pic_class(v) -> PicClass:
-    return v.as_pic_class() if hasattr(v, "as_pic_class") else v
-
-
-def membership(P: ConePolytope, v) -> MembershipResult:
+def membership(P: ConePolytope, v: PicClass) -> MembershipResult:
     """Does v satisfy every inequality of P?  Reports the first violated normal."""
-    w = _as_pic_class(v)
-    if w.n != P.n:
-        raise ValueError(f"rank mismatch: cone has n = {P.n}, vector has n = {w.n}")
+    if v.n != P.n:
+        raise ValueError(f"rank mismatch: cone has n = {P.n}, vector has n = {v.n}")
     for u in P.all_normals:
-        if pairing(u, w) < 0:
+        if pairing(u, v) < 0:
             return MembershipResult(contains=False, violated=u)
     return MembershipResult(contains=True, violated=None)
 
@@ -366,13 +348,9 @@ class CoxeterDiagram:
 def coxeter_diagram(P: ConePolytope) -> CoxeterDiagram:
     """Nodes per halfspace, m-2 strands for angle pi/m, dashed for zero angle,
     dotted for divergent.  Undefined (error) if P is not a Coxeter polytope."""
-    check = is_coxeter(P)
-    if not check:
-        pairs = ", ".join(f"({i},{j}) cos2={a.cos2}" for i, j, a in check.offending)
-        raise ValueError(f"diagram undefined: non-submultiple angles at {pairs}")
     normals = P.all_normals
-    labels = tuple(f"v{i}" for i in range(len(normals)))
     edges = []
+    bad = []
     for i, j in itertools.combinations(range(len(normals)), 2):
         ang = classify_angle(normals[i], normals[j])
         if ang.kind == PI_OVER:
@@ -382,6 +360,11 @@ def coxeter_diagram(P: ConePolytope) -> CoxeterDiagram:
             edges.append(DiagramEdge(i, j, EDGE_DASHED, 1, None))
         elif ang.kind == DIVERGENT:
             edges.append(DiagramEdge(i, j, EDGE_DOTTED, 1, None))
+        else:
+            bad.append(f"({i},{j}) cos2={ang.cos2}")
+    if bad:
+        raise ValueError(f"diagram undefined: non-submultiple angles at {', '.join(bad)}")
+    labels = tuple(f"v{i}" for i in range(len(normals)))
     return CoxeterDiagram(labels=labels, edges=tuple(edges))
 
 
@@ -578,8 +561,7 @@ def redundant_constraints(P: ConePolytope) -> tuple[int, ...]:
 
 
 def _vec(n: int, head: int, tail: list[int]) -> PicClass:
-    coords = (head, *tail, *([0] * (n - len(tail))))
-    return PicClass(n=n, coords=primitive_coords(coords))
+    return PicClass(n=n, coords=_primitive([head, *tail, *([0] * (n - len(tail)))]))
 
 
 def vertex_formula_families(n: int) -> dict[str, list[PicClass]]:

@@ -16,7 +16,6 @@ executes them one after another, in registry order.
 from __future__ import annotations
 
 import random
-import warnings
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
@@ -99,9 +98,6 @@ def _result(name: str, claim: str, ok: bool, expected: str, computed: str) -> Ch
 
 # ---------------------------------------------------------------------------
 # expected data, stated independently of the code under test
-
-def _vec(*coords: int) -> tuple[int, ...]:
-    return coords
 
 def _deg3(n: int, k: int) -> tuple[int, ...]:
     return (3,) + (-1,) * k + (0,) * (n - k)
@@ -566,10 +562,7 @@ def _check_fundamental_cone_membership(ctx: _Ctx) -> CheckResult:
     ok = True
     parts = []
     for n in (3, 6, 9, 10, 14):
-        with warnings.catch_warnings():
-            # n = 3 warns about its degenerate facet list by design
-            warnings.simplefilter("ignore")
-            P = fundamental_cone(n)
+        P = fundamental_cone(n)
         count = len(P.all_normals)
         want = n + 1 if n <= 9 else n + 2
         inside = all(pairing(u, basis_vector(n, 0)) >= 0 for u in P.all_normals)

@@ -292,6 +292,11 @@ class TestVerify:
         assert code == 2
         assert "empty" in err
 
+    def test_seed_accepted(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "quick", "--seed", "7")
+        assert code == 0
+        assert "0 failed" in out
+
 
 class TestParser:
     def test_unknown_command_raises_system_exit(self, capsys):
@@ -308,3 +313,16 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["cartan", "--n", "9", "--format", "dot"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "command",
+        ["reduce", "curves", "cartan", "diagram", "rays", "orbit", "nef-test", "region-r"],
+    )
+    def test_seed_only_for_verify(self, capsys, command):
+        argv = [command, "--n", "10", "--seed", "1"]
+        if command in ("reduce", "orbit", "nef-test"):
+            argv += ["--vector", "1" + ",0" * 10]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err

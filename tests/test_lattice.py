@@ -1,6 +1,4 @@
-"""Lattice basics: the pairing, named classes, primitivization."""
-
-from fractions import Fraction
+"""Lattice basics: the pairing, named classes, light-cone positions."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,14 +6,12 @@ from hypothesis import given, strategies as st
 from cremona.lattice import (
     LightConePosition,
     PicClass,
-    RationalRay,
     anticanonical_class,
     basis_vector,
     canonical_class,
     degree,
     light_cone_position,
     pairing,
-    primitive,
 )
 
 
@@ -115,28 +111,3 @@ class TestLightCone:
     def test_zero_has_no_position(self):
         with pytest.raises(ValueError):
             light_cone_position(PicClass(3, (0, 0, 0, 0)))
-
-
-class TestPrimitive:
-    def test_divides_out_gcd(self):
-        assert primitive(PicClass(3, (6, -2, -4, 0))).coords == (3, -1, -2, 0)
-
-    def test_canonical_sign(self):
-        assert primitive(PicClass(3, (-6, 2, 4, 0))).coords == (3, -1, -2, 0)
-        assert primitive(PicClass(3, (0, -5, 10, 0))).coords == (0, 1, -2, 0)
-
-    def test_rational_ray_round_trip(self):
-        ray = RationalRay.from_coords(3, [Fraction(1, 2), Fraction(-1, 3), 0, 1])
-        assert ray.as_pic_class().coords == (3, -2, 0, 6)
-        assert primitive(ray).coords == (3, -2, 0, 6)
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            primitive(PicClass(3, (0, 0, 0, 0)))
-        with pytest.raises(ValueError):
-            RationalRay.from_coords(3, [0, 0, 0, 0])
-
-    @given(vectors(5), st.integers(1, 7))
-    def test_scale_invariant(self, v, k):
-        if not v.is_zero():
-            assert primitive(k * v) == primitive(v)

@@ -1,18 +1,22 @@
-"""Exact linear algebra, cross-checked against sympy."""
+"""Exact solution of region R's square systems, cross-checked against sympy.
+
+``solve_unique`` reads singularity off the pivots of the private
+elimination ``_rref``; TestRank and TestRref check that elimination
+directly."""
 
 import random
 from fractions import Fraction
 
-from cremona.linalg import kernel_basis, rank, rref, solve_unique
-from oracles import sympy_kernel, sympy_rank
+from cremona.linalg import _rref, solve_unique
+from oracles import sympy_rank
 
 
 def random_matrix(rng, rows, cols, lo=-6, hi=6):
     return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
 
 
-def span_dim(vectors, ncols):
-    return rank([list(v) for v in vectors]) if vectors else 0
+def rank(rows):
+    return len(_rref(rows)[1])
 
 
 class TestRank:
@@ -34,40 +38,15 @@ class TestRref:
         rng = random.Random(5)
         for _ in range(100):
             m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 5))
-            red, pivots = rref(m)
+            red, pivots = _rref(m)
             for r, c in enumerate(pivots):
                 assert red[r][c] == 1
                 assert all(red[i][c] == 0 for i in range(len(red)) if i != r)
 
     def test_exact_fractions(self):
-        red, pivots = rref([[2, 1], [0, 3]])
+        red, pivots = _rref([[2, 1], [0, 3]])
         assert red[0] == [Fraction(1), Fraction(0)]
         assert red[1] == [Fraction(0), Fraction(1)]
-
-
-class TestKernel:
-    def test_empty_matrix_kernel_is_everything(self):
-        basis = kernel_basis([], 3)
-        assert len(basis) == 3
-        assert span_dim(basis, 3) == 3
-
-    def test_full_rank_kernel_is_trivial(self):
-        assert kernel_basis([[1, 0], [0, 1]], 2) == []
-
-    def test_random_against_sympy(self):
-        rng = random.Random(23)
-        for _ in range(150):
-            cols = rng.randint(1, 5)
-            m = random_matrix(rng, rng.randint(1, 5), cols)
-            mine = kernel_basis(m, cols)
-            theirs = sympy_kernel(m, cols)
-            assert len(mine) == len(theirs)
-            # same dimension and every basis vector actually in the kernel
-            for vec in mine:
-                for row in m:
-                    assert sum(a * x for a, x in zip(row, vec)) == 0
-            joint = list(mine) + list(theirs)
-            assert span_dim(joint, cols) == len(mine)
 
 
 class TestSolveUnique:

@@ -2,6 +2,7 @@
 agreement on K-nonpositive classes."""
 
 import random
+import warnings
 
 import pytest
 
@@ -107,6 +108,15 @@ class TestCheckCertificate:
         assert check_certificate(v, curve_check(v))
         line = basis_vector(6, 0)
         assert not check_certificate(line, curve_check(line))
+
+    def test_n3_is_certified_without_warnings(self):
+        # the sorted cone at n = 3 is small but a valid fundamental cone
+        v = PicClass(3, (2, -1, -1, 0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = is_nef_K_nonpositive(v)
+            assert res.verdict == NEF
+            assert check_certificate(v, res)
 
 
 class TestCurveCheck:

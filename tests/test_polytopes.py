@@ -2,6 +2,7 @@
 (against the brute-force oracle), minimality audits, vertex families,
 and the region-R table."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -77,10 +78,6 @@ class TestBuilders:
         for builder in (build_P_tilde, build_P):
             with pytest.raises(ValueError):
                 builder(2)
-
-    def test_n3_warns_about_degenerate_facets(self):
-        with pytest.warns(UserWarning):
-            build_P_tilde(3)
 
     def test_minus_k_truncation_needs_ten_points(self):
         # at n = 9 the -K normal has square 0 and the cut is implied
@@ -306,7 +303,8 @@ class TestDiagrams:
         assert [(e.i, e.j) for e in double] == [(12, 13)]
 
     def test_non_coxeter_diagram_raises(self):
-        with pytest.raises(ValueError):
+        message = "diagram undefined: non-submultiple angles at (12,13) cos2=1/3"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             coxeter_diagram(build_P_minus(12))
 
     def test_dot_output(self):
@@ -324,19 +322,20 @@ class TestDiagrams:
 
 
 def toy_quadrant():
-    # rank-1 lattice (n = 1): inequalities x_1 <= 0 (a genuine halfspace,
-    # normal e_1 with square -1) and x_0 >= 0 (extra constraint, square +1)
+    # rank-1 lattice (n = 1): inequalities x_1 <= 0 (normal e_1, square -1)
+    # and x_0 >= 2x_1 (normal (1, 2), square -3), a quadrant up to a
+    # linear change of coordinates
     return ConePolytope(
         n=1,
-        halfspaces=(Halfspace(basis_vector(1, 1)),),
-        extra_constraints=(basis_vector(1, 0),),
+        halfspaces=(Halfspace(basis_vector(1, 1)), Halfspace(PicClass(1, (1, 2)))),
     )
 
 
 class TestExtremalRays:
     def test_toy_quadrant(self):
         rays = extremal_rays(toy_quadrant())
-        assert [r.generator.coords for r in rays] == [(0, -1), (1, 0)]
+        assert [r.generator.coords for r in rays] == [(-2, -1), (1, 0)]
+        assert [r.active_set for r in rays] == [(1,), (0,)]
 
     def test_sorted_cone_not_pointed(self):
         # it contains the line spanned by K
