@@ -285,13 +285,8 @@ class CoxeterCheck:
 
 def is_coxeter(P: ConePolytope) -> CoxeterCheck:
     """All pairwise angles submultiples of pi, zero, or divergent?"""
-    normals = P.all_normals
-    bad = []
-    for i, j in itertools.combinations(range(len(normals)), 2):
-        ang = classify_angle(normals[i], normals[j])
-        if ang.kind == NON_SUBMULTIPLE:
-            bad.append((i, j, ang))
-    return CoxeterCheck(is_coxeter=not bad, offending=tuple(bad))
+    _, bad = _coxeter_pass(P)
+    return CoxeterCheck(is_coxeter=not bad, offending=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +340,11 @@ class CoxeterDiagram:
         return "\n".join(lines)
 
 
-def coxeter_diagram(P: ConePolytope) -> CoxeterDiagram:
-    """Nodes per halfspace, m-2 strands for angle pi/m, dashed for zero angle,
-    dotted for divergent.  Undefined (error) if P is not a Coxeter polytope."""
+def _coxeter_pass(
+    P: ConePolytope,
+) -> tuple[CoxeterDiagram | None, tuple[tuple[int, int, AngleClass], ...]]:
+    """Classify each pair of normals once: the Coxeter diagram (None if
+    some angle is not a submultiple of pi) and the offending pairs."""
     normals = P.all_normals
     edges = []
     bad = []
@@ -361,11 +358,21 @@ def coxeter_diagram(P: ConePolytope) -> CoxeterDiagram:
         elif ang.kind == DIVERGENT:
             edges.append(DiagramEdge(i, j, EDGE_DOTTED, 1, None))
         else:
-            bad.append(f"({i},{j}) cos2={ang.cos2}")
+            bad.append((i, j, ang))
     if bad:
-        raise ValueError(f"diagram undefined: non-submultiple angles at {', '.join(bad)}")
+        return None, tuple(bad)
     labels = tuple(f"v{i}" for i in range(len(normals)))
-    return CoxeterDiagram(labels=labels, edges=tuple(edges))
+    return CoxeterDiagram(labels=labels, edges=tuple(edges)), ()
+
+
+def coxeter_diagram(P: ConePolytope) -> CoxeterDiagram:
+    """Nodes per halfspace, m-2 strands for angle pi/m, dashed for zero angle,
+    dotted for divergent.  Undefined (error) if P is not a Coxeter polytope."""
+    diagram, bad = _coxeter_pass(P)
+    if bad:
+        pairs = ", ".join(f"({i},{j}) cos2={ang.cos2}" for i, j, ang in bad)
+        raise ValueError(f"diagram undefined: non-submultiple angles at {pairs}")
+    return diagram
 
 
 # ---------------------------------------------------------------------------

@@ -449,14 +449,16 @@ def _check_group_action(ctx: _Ctx) -> CheckResult:
     rng = ctx.rng("group_action")
     trials = ctx.count(10_000)
     problems = 0
+    ns = (9, 10, 13)
+    gens_of = {n: all_generators(n) for n in ns}
+    k_of = {n: canonical_class(n) for n in ns}
+    sigma_word = WeylWord((Phi(1, 3, 4), Phi(2, 3, 4), Phi(1, 3, 4)))
     for t in range(trials):
-        n = rng.choice((9, 10, 13))
-        gens = all_generators(n)
+        n = rng.choice(ns)
         u = PicClass(n, tuple(rng.randint(-9, 9) for _ in range(n + 1)))
         v = PicClass(n, tuple(rng.randint(-9, 9) for _ in range(n + 1)))
-        g = rng.choice(gens)
-        k = canonical_class(n)
-        sigma_word = WeylWord((Phi(1, 3, 4), Phi(2, 3, 4), Phi(1, 3, 4)))
+        g = rng.choice(gens_of[n])
+        k = k_of[n]
         if pairing(apply_generator(g, u), apply_generator(g, v)) != pairing(u, v):
             problems += 1
         elif apply_generator(g, apply_generator(g, u)) != u:
@@ -492,10 +494,13 @@ def _check_round_trip(ctx: _Ctx) -> CheckResult:
     rng = ctx.rng("round_trip")
     trials = ctx.count(1_000)
     problems = []
+    ns = (9, 12)
+    gens_of = {n: all_generators(n) for n in ns}
+    k_of = {n: canonical_class(n) for n in ns}
     for t in range(trials):
-        n = rng.choice((9, 12))
+        n = rng.choice(ns)
         v = _interior_point(n, rng)
-        gens = all_generators(n)
+        gens = gens_of[n]
         word = WeylWord(tuple(rng.choice(gens) for _ in range(rng.randint(0, 30))))
         moved = apply_word(word, v)
         res = reduce_class(moved)
@@ -510,9 +515,9 @@ def _check_round_trip(ctx: _Ctx) -> CheckResult:
     t = 0
     while checked < trials:
         t += 1
-        n = rng.choice((9, 12))
+        n = rng.choice(ns)
         v = PicClass(n, tuple(rng.randint(-10, 10) for _ in range(n + 1)))
-        if v.is_zero() or pairing(v, canonical_class(n)) > 0:
+        if v.is_zero() or pairing(v, k_of[n]) > 0:
             continue
         res = reduce_class(v)
         if res.status != ReductionResult.NOT_NEF:

@@ -5,8 +5,10 @@ import json
 
 import pytest
 
+from cremona import polytopes
 from cremona.cli import CURVES_MAX_CLASSES, CURVES_MAX_DEGREE, RAYS_MAX_N, main
 from cremona.curves import _count_minus_one, enumerate_minus_one
+from cremona.polytopes import build_P_minus, classify_angle
 
 
 def run(capsys, *argv):
@@ -152,6 +154,19 @@ class TestDiagram:
         code, _, err = run(capsys, "diagram", "--n", "12", "--polytope", "p_minus")
         assert code == 3
         assert "cos^2 = 1/3" in err
+
+    @pytest.mark.parametrize("n, code", [(13, 0), (12, 3)])
+    def test_classifies_each_pair_once(self, capsys, monkeypatch, n, code):
+        calls = []
+
+        def counted(u, v):
+            calls.append((u, v))
+            return classify_angle(u, v)
+
+        monkeypatch.setattr(polytopes, "classify_angle", counted)
+        assert run(capsys, "diagram", "--n", str(n), "--polytope", "p_minus")[0] == code
+        normals = len(build_P_minus(n).all_normals)
+        assert len(calls) == len(set(calls)) == normals * (normals - 1) // 2
 
 
 class TestRays:

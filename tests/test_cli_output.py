@@ -1,0 +1,170 @@
+"""The CLI's streamed output: byte for byte what json.dumps(indent=2)
+gives, in constant memory for the bulk commands."""
+
+import hashlib
+import io
+import json
+import math
+import os
+import random
+import subprocess
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cremona.cli import _Output, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def written(obj) -> str:
+    out = _Output()
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        out.json(obj)
+        out.flush()
+    return buf.getvalue()
+
+
+def fed(obj, rnd: random.Random):
+    """obj with some of its lists (at any depth) replaced by iterators."""
+    if isinstance(obj, dict):
+        return {k: fed(v, rnd) for k, v in obj.items()}
+    if isinstance(obj, list):
+        items = [fed(x, rnd) for x in obj]
+        return iter(items) if rnd.random() < 0.5 else items
+    return obj
+
+
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**53).map(lambda x: x * 10**30)
+    | st.floats()
+    | st.text()
+    | st.sampled_from(['"', "\\", "\n", "\x00\x1f\x7f", "é", "🂡", "\ud800", "'quoted'"])
+)
+keys = st.text() | st.integers() | st.booleans() | st.none() | st.floats()
+trees = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(keys, inner, max_size=5),
+    max_leaves=30,
+)
+
+
+class TestWriter:
+    @settings(max_examples=400, deadline=None)
+    @given(trees)
+    def test_matches_json_dumps(self, obj):
+        assert written(obj) == json.dumps(obj, indent=2) + "\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(trees, st.randoms(use_true_random=False))
+    def test_iterators_stand_for_lists(self, obj, rnd):
+        assert written(fed(obj, rnd)) == json.dumps(obj, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "obj, text",
+        [
+            (iter(()), "[]"),
+            ({"a": iter([])}, '{\n  "a": []\n}'),
+            ((x for x in [{}, []]), "[\n  {},\n  []\n]"),
+            ({"n": 1, "m": [float("nan"), -math.inf]}, '{\n  "n": 1,\n  "m": [\n    NaN,\n    -Infinity\n  ]\n}'),
+        ],
+    )
+    def test_small_cases(self, obj, text):
+        assert written(obj) == text + "\n"
+
+    @pytest.mark.parametrize("obj", [{"a": {1, 2}}, [b"x"], {(1, 2): 3}, [object()]])
+    def test_rejects_what_json_rejects(self, obj):
+        with pytest.raises(TypeError):
+            json.dumps(obj, indent=2)
+        with pytest.raises(TypeError):
+            written(obj)
+
+    def test_batches_writes(self):
+        writes = []
+
+        class Sink:
+            def write(self, text):
+                writes.append(len(text))
+
+        out = _Output()
+        with redirect_stdout(Sink()):
+            out.json({"classes": ({"coords": list(range(11))} for _ in range(20_000))})
+            for _ in range(20_000):
+                out.line("a line of text output")
+            out.flush()
+        assert sum(writes) > 3_000_000
+        assert len(writes) < sum(writes) / 50_000
+
+
+JSON_COMMANDS = [
+    ["reduce", "--n", "9", "--vector", "2,-1,-1,-1,0,0,0,0,0,0"],
+    ["reduce", "--n", "9", "--vector", "0,1,0,0,0,0,0,0,0,0"],
+    ["curves", "--n", "6"],
+    ["cartan", "--n", "10", "--polytope", "p_minus"],
+    ["rays", "--n", "12", "--polytope", "p_minus"],
+    ["orbit", "--n", "6", "--vector", "0,0,0,0,0,0,1", "--max-degree", "3"],
+    ["orbit", "--n", "6", "--vector", "0,0,0,0,0,0,1", "--max-count", "0"],
+    ["nef-test", "--n", "9", "--vector", "0,1,0,0,0,0,0,0,0,0"],
+    ["nef-test", "--n", "6", "--vector", "1,0,0,0,0,0,0", "--method", "curves"],
+    ["region-r", "--n", "12"],
+    ["verify", "--suite", "quick"],
+]
+
+
+@pytest.mark.parametrize("argv", JSON_COMMANDS, ids=lambda argv: " ".join(argv[:3]))
+def test_json_output_is_indent_2(capsys, argv):
+    code = main(argv + ["--format", "json"])
+    out = capsys.readouterr().out
+    assert code in (0, 3)
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+# sha256 of stdout at the commit before the streamed writer, where the
+# output was one json.dumps(..., indent=2) string.
+CURVES_SHA256 = {
+    "json": "269c151ebb9c6fe29eb13b3312c5d420ec4721919cf052b3879b2b12f9a2cab9",
+    "csv": "402723c69187d82253d1b26b1e92e1dc99c1fc21a6191d43c8f301bfa5775a85",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(CURVES_SHA256))
+def test_curves_output_is_pinned(capsys, fmt):
+    assert main(["curves", "--n", "10", "--max-degree", "6", "--format", fmt]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == CURVES_SHA256[fmt]
+
+
+# The child's peak RSS is read in a fresh wrapper interpreter: on Linux a
+# child forked from a large process (pytest) reports at least that
+# process's RSS.  Before streaming, this command peaked at 69 MiB.
+PEAK_RSS_BOUND_MIB = 40
+WRAPPER = """
+import resource, subprocess, sys
+subprocess.run([sys.executable, "-m", "cremona", *sys.argv[1:]],
+               stdout=subprocess.DEVNULL, check=True)
+peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+print(peak / 2**20 if sys.platform == "darwin" else peak / 2**10)
+"""
+
+
+def test_curves_json_peak_rss():
+    pytest.importorskip("resource")
+    argv = ["curves", "--n", "10", "--max-degree", "6", "--format", "json"]
+    proc = subprocess.run(
+        [sys.executable, "-c", WRAPPER, *argv],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    peak_mib = float(proc.stdout)
+    assert peak_mib < PEAK_RSS_BOUND_MIB, f"peak RSS {peak_mib:.1f} MiB"
