@@ -9,9 +9,9 @@ precondition errors (K-positive input, unsupported n, parse failures),
 3 negative mathematical verdicts (not nef, not Coxeter, failed
 verification).
 
-``rays`` and ``curves`` refuse (exit 2) sizes past fixed work caps,
-RAYS_MAX_N and CURVES_MAX_DEGREE / CURVES_MAX_CLASSES, rather than run
-for hours or fill memory.
+``rays``, ``curves`` and ``nef-test --method curves`` refuse (exit 2)
+sizes past fixed work caps, RAYS_MAX_N and CURVES_MAX_DEGREE /
+CURVES_MAX_CLASSES, rather than run for hours or fill memory.
 
 Only integer classes are handled.  Rays of the nef boundary with
 irrational coordinates cannot be entered and are out of scope.
@@ -66,11 +66,12 @@ _POLYTOPES = {
 }
 
 
-# Work caps: past them ``rays`` and ``curves`` exit 2.  rays --n 100
-# --polytope p_minus takes about 0.8 s (829 rays).  curves --n 10
-# --max-degree 8 gives 117,754 classes (22 MB of JSON), and degree 9
-# would give 224,629.  For n <= 8 the classes run out (240 at n = 8),
-# so there only CURVES_MAX_DEGREE bounds the loop over degrees.
+# Work caps: past them ``rays``, ``curves`` and ``nef-test --method
+# curves`` exit 2.  rays --n 100 --polytope p_minus takes about 0.8 s
+# (829 rays).  curves --n 10 --max-degree 8 gives 117,754 classes
+# (22 MB of JSON), and degree 9 would give 224,629.  For n <= 8 the
+# classes run out (240 at n = 8), so there only CURVES_MAX_DEGREE
+# bounds the loop over degrees.
 RAYS_MAX_N = 100
 CURVES_MAX_DEGREE = 100
 CURVES_MAX_CLASSES = 150_000
@@ -216,14 +217,21 @@ def _cmd_reduce(args: argparse.Namespace, out: _Output) -> int:
     return 0 if result.status == ReductionResult.IN_CONE else 3
 
 
-def _cmd_curves(args: argparse.Namespace, out: _Output) -> int:
-    if args.max_degree > CURVES_MAX_DEGREE:
-        raise ValueError(f"--max-degree {args.max_degree} is past the cap {CURVES_MAX_DEGREE}")
-    if _count_minus_one(args.n, args.max_degree, CURVES_MAX_CLASSES) > CURVES_MAX_CLASSES:
+def _check_curves_caps(n: int, max_degree: int) -> None:
+    """Refuse an enumeration of the (-1)-classes past the work caps;
+    counting the classes from their multiplicity multisets takes under
+    1 ms even at n = 14, degree 8 (91.8 M classes)."""
+    if max_degree > CURVES_MAX_DEGREE:
+        raise ValueError(f"--max-degree {max_degree} is past the cap {CURVES_MAX_DEGREE}")
+    if _count_minus_one(n, max_degree, CURVES_MAX_CLASSES) > CURVES_MAX_CLASSES:
         raise ValueError(
-            f"curves --n {args.n} --max-degree {args.max_degree} gives more than "
+            f"--n {n} --max-degree {max_degree} gives more than "
             f"{CURVES_MAX_CLASSES} classes"
         )
+
+
+def _cmd_curves(args: argparse.Namespace, out: _Output) -> int:
+    _check_curves_caps(args.n, args.max_degree)
     classes = enumerate_minus_one(args.n, args.max_degree)
     if args.format == "json":
         out.json(
@@ -339,6 +347,7 @@ def _cmd_orbit(args: argparse.Namespace, out: _Output) -> int:
 def _cmd_nef_test(args: argparse.Namespace, out: _Output) -> int:
     v = _parse_vector(args.vector, args.n)
     if args.method == "curves":
+        _check_curves_caps(args.n, args.max_degree)
         verdict = curve_check(v, max_degree=args.max_degree)
     else:
         verdict = is_nef_K_nonpositive(v)

@@ -56,6 +56,14 @@ def encode_int(x: int) -> int | str:
     return x if -_SAFE < x < _SAFE else str(x)
 
 
+def _encode_ints(xs: tuple[int, ...]) -> list:
+    """encode_int of each of xs, with one range test for the usual case
+    where all of them are safe."""
+    if -_SAFE < min(xs) and max(xs) < _SAFE:
+        return list(xs)
+    return [encode_int(x) for x in xs]
+
+
 def decode_int(x: int | str) -> int:
     """An exact integer from a JSON int (not a bool) or a decimal string."""
     if isinstance(x, str) and _DECIMAL.fullmatch(x):
@@ -84,7 +92,7 @@ def _field(obj, schema: str, key: str, kind: type | tuple[type, ...]):
 
 
 def encode_class(v: PicClass) -> dict:
-    return {"n": v.n, "coords": [encode_int(c) for c in v.coords]}
+    return {"n": v.n, "coords": _encode_ints(v.coords)}
 
 
 def decode_class(obj: dict) -> PicClass:
@@ -204,7 +212,7 @@ def decode_cartan(obj: list) -> tuple[tuple[CartanEntry, ...], ...]:
 
 def encode_ray(r: Ray) -> dict:
     return {
-        "coords": [encode_int(c) for c in r.generator.coords],
+        "coords": _encode_ints(r.generator.coords),
         "square": encode_int(pairing(r.generator, r.generator)),
         "position": r.position.tag,
         "forward": r.position.forward,

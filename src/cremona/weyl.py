@@ -17,10 +17,12 @@ steps followed by one word of transpositions that sorts the tail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import insort_left
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .lattice import PicClass, basis_vector, canonical_class, pairing
+from .lattice import PicClass, canonical_class, pairing
 
 __all__ = [
     "Generator",
@@ -97,28 +99,53 @@ class WeylWord:
         return WeylWord(self.gens[::-1])
 
 
+# Shared generator instances for the reduction.  A phi step is keyed by
+# its sorted triple: C(n, 3) keys, 1,140 at n = 20, where the unsorted
+# triple would give up to six times as many.  The bounds keep a
+# long-lived process that reduces at many n from growing without limit.
+@lru_cache(maxsize=8192)
+def _phi(i: int, j: int, k: int) -> Phi:
+    return Phi(i, j, k)
+
+
+@lru_cache(maxsize=1024)
+def _sigma(i: int) -> Sigma:
+    return Sigma(i)
+
+
+def _apply_in_place(x: list[int], gens: Iterable[Generator], n: int) -> None:
+    """Apply ``gens`` left to right to the coordinates ``x`` of a class in
+    Z^{1,n}, overwriting them; raise ValueError at the first generator
+    out of range for n."""
+    for g in gens:
+        if isinstance(g, Phi):
+            i, j, k = g.i, g.j, g.k
+            if k > n:
+                raise ValueError(f"{g!r} out of range for n={n}")
+            x0, xi, xj, xk = x[0], x[i], x[j], x[k]
+            x[0] = 2 * x0 + xi + xj + xk
+            x[i] = -x0 - xj - xk
+            x[j] = -x0 - xi - xk
+            x[k] = -x0 - xi - xj
+        else:
+            i = g.i
+            if i + 1 > n:
+                raise ValueError(f"{g!r} out of range for n={n}")
+            x[i], x[i + 1] = x[i + 1], x[i]
+
+
 def apply_generator(g: Generator, v: PicClass) -> PicClass:
     """Apply a single generator to a class."""
     x = list(v.coords)
-    if isinstance(g, Phi):
-        if g.k > v.n:
-            raise ValueError(f"{g!r} out of range for n={v.n}")
-        x0, xi, xj, xk = x[0], x[g.i], x[g.j], x[g.k]
-        x[0] = 2 * x0 + xi + xj + xk
-        x[g.i] = -x0 - xj - xk
-        x[g.j] = -x0 - xi - xk
-        x[g.k] = -x0 - xi - xj
-    else:
-        if g.i + 1 > v.n:
-            raise ValueError(f"{g!r} out of range for n={v.n}")
-        x[g.i], x[g.i + 1] = x[g.i + 1], x[g.i]
+    _apply_in_place(x, (g,), v.n)
     return PicClass._trusted(v.n, tuple(x))
 
 
 def apply_word(w: WeylWord | Iterable[Generator], v: PicClass) -> PicClass:
-    for g in w:
-        v = apply_generator(g, v)
-    return v
+    """Apply the generators of ``w`` left to right to a class."""
+    x = list(v.coords)
+    _apply_in_place(x, w, v.n)
+    return PicClass._trusted(v.n, tuple(x))
 
 
 def fixed_hyperplane_normal(g: Generator, n: int) -> PicClass:
@@ -157,7 +184,7 @@ def sort_coordinates(v: PicClass) -> tuple[PicClass, WeylWord]:
 def _bubble_sort_word(keys: list) -> list[Sigma]:
     """Sort ``keys`` in place by stable bubble sort and return its swaps,
     keys[i - 1] being coordinate i: swapping keys[i - 1] and keys[i] is
-    Sigma(i)."""
+    Sigma(i).  Every Sigma(i) in the word is one shared instance."""
     word: list[Sigma] = []
     changed = True
     while changed:
@@ -165,7 +192,7 @@ def _bubble_sort_word(keys: list) -> list[Sigma]:
         for i in range(1, len(keys)):
             if keys[i - 1] > keys[i]:
                 keys[i - 1], keys[i] = keys[i], keys[i - 1]
-                word.append(Sigma(i))
+                word.append(_sigma(i))
                 changed = True
     return word
 
@@ -211,8 +238,13 @@ def reduce_class(v: PicClass) -> ReductionResult:
     is the one a stable sort of the tail would give).  Loop: while
     x_0 > 0 and x_0 plus the three smallest tail coordinates is
     negative, apply phi at those three indices, which strictly
-    decreases x_0, and re-sort ``order``.  Then sort the tail with one
-    transposition word.  The result is "in_cone" once
+    decreases x_0, then take the three off the front of ``order`` and
+    re-insert them by bisection, the largest first, each ahead of any
+    equal value: the order a stable re-sort would give, ties included.
+    The witness word and the violated class depend on that tie order.
+    Each step's Phi, and each Sigma of the sort word, is a shared
+    instance.  Then sort the tail with one transposition word.  The
+    result is "in_cone" once
     x_0 + x_1 + x_2 + x_3 >= 0 and x_n <= 0 in sorted coordinates (the
     remaining cone inequality 3x_0 >= -sum x_i holds throughout because
     it is W-invariant and holds on the input).  If x_0 fell to <= 0, or
@@ -232,7 +264,8 @@ def reduce_class(v: PicClass) -> ReductionResult:
 
     n = v.n
     x = list(v.coords)
-    order = sorted(range(1, n + 1), key=x.__getitem__)
+    value = x.__getitem__
+    order = sorted(range(1, n + 1), key=value)
     word: list[Generator] = []
     while True:
         x0 = x[0]
@@ -244,14 +277,17 @@ def reduce_class(v: PicClass) -> ReductionResult:
         x[i] = -x0 - xj - xk
         x[j] = -x0 - xi - xk
         x[k] = -x0 - xi - xj
-        word.append(Phi(*sorted((i, j, k))))
-        order.sort(key=x.__getitem__)
+        word.append(_phi(*sorted((i, j, k))))
+        del order[:3]
+        insort_left(order, k, key=value)
+        insort_left(order, j, key=value)
+        insort_left(order, i, key=value)
     phi_count = len(word)
     rank = [0] * n  # rank[i - 1]: the sorted position of index i
     for position, i in enumerate(order):
         rank[i - 1] = position
     word.extend(_bubble_sort_word(rank))
-    reduced = PicClass._trusted(n, (x[0], *map(x.__getitem__, order)))
+    reduced = PicClass._trusted(n, (x[0], *map(value, order)))
     witness = WeylWord(tuple(word))
     if _in_fundamental_cone_sorted(reduced):
         return ReductionResult(
@@ -259,30 +295,22 @@ def reduce_class(v: PicClass) -> ReductionResult:
         )
     # x_0 can only keep decreasing, or the three smallest coordinates
     # already pass and x_n > 0 fails: pick a constraint the reduced
-    # state violates and pull it back to the input.
+    # state violates and pull it back to the input.  The generators are
+    # involutive isometries, so pairing(culprit, reduced) equals the
+    # pairing of the pulled-back culprit with the input.
     y = reduced.coords
+    culprit = [0] * (n + 1)
     if y[n] > 0:
-        culprit = basis_vector(n, n)  # pairing = -x_n < 0, a (-1)-curve
+        culprit[n] = 1  # e_n: pairing = -x_n < 0, a (-1)-curve
     elif y[0] < 0:
-        culprit = basis_vector(n, 0)  # pairing = x_0 < 0
+        culprit[0] = 1  # e_0: pairing = x_0 < 0
     else:
-        # x_0 = 0 with x_1 + x_2 + x_3 < 0, so x_1 < 0
-        culprit = basis_vector(n, 0) - basis_vector(n, 1)
-    return _not_nef(v, reduced, witness, culprit, phi_count)
-
-
-def _not_nef(
-    original: PicClass,
-    reduced: PicClass,
-    witness: WeylWord,
-    culprit: PicClass,
-    phi_count: int,
-) -> ReductionResult:
-    # pairing(culprit, reduced) = pairing(pulled_back, original) since
-    # the generators are involutive isometries.
-    pulled_back = apply_word(reversed(witness.gens), culprit)
+        # e_0 - e_1: x_0 = 0 with x_1 + x_2 + x_3 < 0, so x_1 < 0
+        culprit[0], culprit[1] = 1, -1
+    _apply_in_place(culprit, reversed(word), n)
+    violated = PicClass._trusted(n, tuple(culprit))
     return ReductionResult(
-        ReductionResult.NOT_NEF, reduced, witness, pulled_back, phi_count
+        ReductionResult.NOT_NEF, reduced, witness, violated, phi_count
     )
 
 

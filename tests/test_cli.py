@@ -2,6 +2,7 @@
 (0 success/nef, 2 usage or precondition error, 3 negative verdict)."""
 
 import json
+import time
 
 import pytest
 
@@ -261,6 +262,24 @@ class TestNefTest:
         blob = json.loads(out)
         assert code == 3
         assert blob["verdict"] == "not_nef"
+
+    def test_curves_method_past_class_cap_exits_two_at_once(self, capsys):
+        # 91.8 M classes up to degree 8 at n = 14; the count alone refuses it
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "nef-test", "--n", "14", "--vector", ",".join(["1"] + ["0"] * 14),
+            "--method", "curves", "--max-degree", "8",
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert f"more than {CURVES_MAX_CLASSES} classes" in err
+
+    def test_curves_method_past_degree_cap_exits_two(self, capsys):
+        code, _, err = run(
+            capsys, "nef-test", "--n", "8", "--vector", "1,0,0,0,0,0,0,0,0",
+            "--method", "curves", "--max-degree", str(CURVES_MAX_DEGREE + 1),
+        )
+        assert code == 2 and "cap" in err
 
 
 class TestRegionR:

@@ -1,11 +1,15 @@
 """Group action: generators, words, sorting, reduction, orbits."""
 
+import hashlib
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cremona.lattice import PicClass, basis_vector, canonical_class, pairing
+from cremona.nef import is_nef_K_nonpositive
+from cremona.serialize import encode_reduction, encode_verdict
 from cremona.weyl import (
     KPositiveError,
     Phi,
@@ -114,6 +118,22 @@ class TestWords:
     def test_iterates_in_order(self):
         word = WeylWord((Sigma(2), Sigma(1)))
         assert list(word) == [Sigma(2), Sigma(1)]
+
+    @given(vectors(6), st.lists(generators(6), max_size=40))
+    def test_word_is_generators_in_turn(self, v, gens):
+        expected = v
+        for g in gens:
+            expected = apply_generator(g, expected)
+        assert apply_word(WeylWord(tuple(gens)), v) == expected
+        assert apply_word(iter(gens), v) == expected
+
+    def test_out_of_range_mid_word_raises(self):
+        v = PicClass(4, (3, -1, 0, -1, 0))
+        word = WeylWord((Sigma(1), Phi(1, 2, 3), Phi(2, 3, 5), Sigma(9)))
+        with pytest.raises(ValueError, match=r"^Phi\(2,3,5\) out of range for n=4$"):
+            apply_word(word, v)
+        with pytest.raises(ValueError, match=r"^Sigma\(4\) out of range for n=4$"):
+            apply_word([Phi(1, 2, 4), Sigma(4), Phi(1, 2, 3)], v)
 
 
 class TestSortCoordinates:
@@ -247,6 +267,47 @@ class TestReduceAgainstReference:
         base = (rng.randint(12, 40),) + tuple(rng.randint(-3, top) for _ in range(n))
         v = PicClass(n, reference_random_move(base, 500, rng))
         assert_matches_reference(v)
+
+
+def pinned_batch() -> list[PicClass]:
+    """K-nonpositive classes for n = 9..20: nef and not-nef interior
+    points moved by up to 3000 random generators, and narrow-box classes
+    (coordinates in -2..2, so many tail coordinates tie) moved the same
+    way."""
+    rng = random.Random(2026)
+    batch = []
+    for n in range(9, 21):
+        for length in (0, 10, 100, 1000, 3000):
+            for top in (0, 1):  # top = 1 allows a positive tail: not nef
+                base = (rng.randint(n, 3 * n),) + tuple(
+                    rng.randint(-3, top) for _ in range(n)
+                )
+                batch.append(PicClass(n, reference_random_move(base, length, rng)))
+            while True:
+                base = tuple(rng.randint(-2, 2) for _ in range(n + 1))
+                if any(base) and 3 * base[0] + sum(base[1:]) >= 0:
+                    break
+            batch.append(PicClass(n, reference_random_move(base, length, rng)))
+    return batch
+
+
+# sha256 of the verdicts and reductions of pinned_batch(), frozen from the
+# phi loop that re-sorted the whole tail after each step and built every
+# generator afresh.  The witness word depends on how ties are broken, so
+# this pins the exact words, not only their validity.
+PINNED_SHA256 = "978352ea416066ffbc7352b1be86b2ca915db80f1162f548a95da528d3a832f2"
+
+
+def test_witnesses_are_pinned():
+    batch = pinned_batch()
+    assert len(batch) == 180
+    doc = [
+        [encode_verdict(is_nef_K_nonpositive(v)), encode_reduction(reduce_class(v))]
+        for v in batch
+    ]
+    assert {d[0]["verdict"] for d in doc} == {"nef", "not_nef"}
+    text = json.dumps(doc, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SHA256
 
 
 class TestOrbit:
