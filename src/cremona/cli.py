@@ -9,9 +9,10 @@ precondition errors (K-positive input, unsupported n, parse failures),
 3 negative mathematical verdicts (not nef, not Coxeter, failed
 verification).
 
-``rays``, ``curves`` and ``nef-test --method curves`` refuse (exit 2)
-sizes past fixed work caps, RAYS_MAX_N and CURVES_MAX_DEGREE /
-CURVES_MAX_CLASSES, rather than run for hours or fill memory.
+``cartan``, ``diagram``, ``rays``, ``curves`` and ``nef-test --method
+curves`` refuse (exit 2) sizes past fixed work caps, POLYTOPE_MAX_N and
+CURVES_MAX_DEGREE / CURVES_MAX_CLASSES, rather than run for hours or
+fill memory.
 
 Only integer classes are handled.  Rays of the nef boundary with
 irrational coordinates cannot be entered and are out of scope.
@@ -27,6 +28,7 @@ where one ``json.dumps`` of the whole document peaked at 260 MiB.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import io
 import json
@@ -66,13 +68,14 @@ _POLYTOPES = {
 }
 
 
-# Work caps: past them ``rays``, ``curves`` and ``nef-test --method
-# curves`` exit 2.  rays --n 100 --polytope p_minus takes about 0.8 s
-# (829 rays).  curves --n 10 --max-degree 8 gives 117,754 classes
-# (22 MB of JSON), and degree 9 would give 224,629.  For n <= 8 the
-# classes run out (240 at n = 8), so there only CURVES_MAX_DEGREE
-# bounds the loop over degrees.
-RAYS_MAX_N = 100
+# Work caps: past them the polytope commands (``cartan``, ``diagram``,
+# ``rays``), ``curves`` and ``nef-test --method curves`` exit 2.  At
+# n = 100 rays --polytope p_minus takes about 0.8 s (829 rays) and
+# cartan about 0.25 s, growing about 6x per doubling of n.  curves --n
+# 10 --max-degree 8 gives 117,754 classes (22 MB of JSON), and degree 9
+# would give 224,629.  For n <= 8 the classes run out (240 at n = 8),
+# so there only CURVES_MAX_DEGREE bounds the loop over degrees.
+POLYTOPE_MAX_N = 100
 CURVES_MAX_DEGREE = 100
 CURVES_MAX_CLASSES = 150_000
 
@@ -85,16 +88,6 @@ def _parse_vector(text: str, n: int) -> PicClass:
     if len(coords) != n + 1:
         raise ValueError(f"expected {n + 1} coordinates for n={n}, got {len(coords)}")
     return PicClass(n=n, coords=coords)
-
-
-def _parse_n_range(text: str) -> tuple[int, int]:
-    lo, sep, hi = text.partition("..")
-    if not sep:
-        raise ValueError(f"--n-range wants a..b, got {text!r}")
-    lo_n, hi_n = int(lo), int(hi)
-    if lo_n > hi_n:
-        raise ValueError(f"--n-range {text!r} is empty: {lo_n} > {hi_n}")
-    return lo_n, hi_n
 
 
 def _format_word(w: WeylWord) -> str:
@@ -259,6 +252,8 @@ def _cmd_curves(args: argparse.Namespace, out: _Output) -> int:
 
 
 def _build_polytope(args: argparse.Namespace) -> ConePolytope:
+    if args.n > POLYTOPE_MAX_N:
+        raise ValueError(f"--n {args.n} is past the cap {POLYTOPE_MAX_N} for {args.command}")
     return _POLYTOPES[args.polytope](args.n)
 
 
@@ -292,10 +287,7 @@ def _cmd_diagram(args: argparse.Namespace, out: _Output) -> int:
 
 
 def _cmd_rays(args: argparse.Namespace, out: _Output) -> int:
-    if args.n > RAYS_MAX_N:
-        raise ValueError(f"--n {args.n} is past the cap {RAYS_MAX_N} for rays")
-    P = _build_polytope(args)
-    rays = extremal_rays(P)
+    rays = extremal_rays(_build_polytope(args))
     boundary = [r for r in rays if r.position.tag == "boundary"]
     if args.format == "json":
         out.json(
@@ -400,24 +392,9 @@ def _cmd_region_r(args: argparse.Namespace, out: _Output) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace, out: _Output) -> int:
-    report = run_suite(
-        suite=args.suite,
-        n_range=_parse_n_range(args.n_range),
-        seed=args.seed,
-    )
+    report = run_suite(suite=args.suite, seed=args.seed)
     if args.format == "json":
-        out.json(
-            [
-                {
-                    "name": c.name,
-                    "status": c.status,
-                    "claim": c.claim,
-                    "expected": c.expected,
-                    "computed": c.computed,
-                }
-                for c in report.checks
-            ]
-        )
+        out.json([dataclasses.asdict(c) for c in report.checks])  # field order is JSON order
     else:
         for c in report.checks:
             out.line(f"{c.status.upper():5s} {c.name}")
@@ -499,7 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the named verification checks")
     p.add_argument("--suite", choices=("paper", "quick"), default="paper")
-    p.add_argument("--n-range", default="10..14", help="a..b range for family checks")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_verify)

@@ -124,6 +124,17 @@ def _placements(multiset: tuple[int, ...], n: int) -> Iterator[tuple[int, ...]]:
     yield from rec(n)
 
 
+def _orbit_size(multiset: tuple[int, ...], n: int) -> int:
+    """How many length-n vectors ``_placements(multiset, n)`` yields: n!
+    over the factorial of each value's count, zeros included."""
+    counts = Counter(multiset)
+    counts[0] = n - len(multiset)
+    size = factorial(n)
+    for k in counts.values():
+        size //= factorial(k)
+    return size
+
+
 def enumerate_minus_one(n: int, max_degree: int) -> list[PicClass]:
     """All (-1)-classes of degree 0..max_degree, sorted by (degree, coords)."""
     if n < 3:
@@ -151,13 +162,7 @@ def _count_minus_one(n: int, max_degree: int, limit: int) -> int:
     for d in range(1, max_degree + 1):
         if total > limit:
             break
-        for multiset in _multiplicity_multisets(d, n):
-            counts = Counter(multiset)
-            counts[0] = n - len(multiset)
-            placements = factorial(n)
-            for k in counts.values():
-                placements //= factorial(k)
-            total += placements
+        total += sum(_orbit_size(m, n) for m in _multiplicity_multisets(d, n))
     return total
 
 

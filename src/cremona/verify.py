@@ -9,8 +9,10 @@ irrational, so no pair of integer normals can realize it; the angle
 actually present is pi/4.  The xfail status records that the claimed
 value is unattainable rather than silently substituting the true one.
 
-Checks are pure and deterministic given (seed, n_range); the runner
-executes them one after another, in registry order.
+Checks are pure and deterministic given the seed; the runner executes
+them one after another, in registry order.  Each covers a fixed window
+of n.  ``decomposition`` checks one class per S_n orbit: 51 orbits
+stand for the 125,653 (-1)-classes of degree 1..8 with n = 3..10.
 """
 
 from __future__ import annotations
@@ -21,7 +23,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .curves import decompose_inequality, enumerate_minus_one
+from .curves import (
+    _multiplicity_multisets,
+    _orbit_size,
+    decompose_inequality,
+    enumerate_minus_one,
+)
 from .lattice import PicClass, basis_vector, canonical_class, pairing
 from .nef import NEF, curve_check, fundamental_cone, is_nef_K_nonpositive
 from .polytopes import (
@@ -78,8 +85,6 @@ class VerificationReport:
 @dataclass(frozen=True)
 class _Ctx:
     seed: int
-    n_lo: int
-    n_hi: int
     scale: int  # divides the big sample sizes (quick suite runs leaner)
 
     def rng(self, name: str) -> random.Random:
@@ -87,9 +92,6 @@ class _Ctx:
 
     def count(self, full: int) -> int:
         return max(1, full // self.scale)
-
-    def n_values(self, lo: int, hi: int) -> range:
-        return range(max(lo, self.n_lo), min(hi, self.n_hi) + 1)
 
 
 def _result(name: str, claim: str, ok: bool, expected: str, computed: str) -> CheckResult:
@@ -210,23 +212,10 @@ def _check_rays_p9(ctx: _Ctx) -> CheckResult:
 
 
 def _check_vertex_formulas(ctx: _Ctx) -> CheckResult:
-    claim = (
-        "closed-form vertex families reproduce all 9n-71 extremal rays of "
-        "the -K-truncated cone; 2 boundary rays; finite volume"
-    )
-    n_values = ctx.n_values(10, 14)
-    if not n_values:  # a check over no n proves nothing
-        return _result(
-            "vertex_formulas",
-            claim,
-            False,
-            "at least one n in 10..14",
-            f"n-range {ctx.n_lo}..{ctx.n_hi} covers none",
-        )
     expected_parts = []
     computed_parts = []
     ok = True
-    for n in n_values:
+    for n in range(10, 15):
         rep = verify_vertex_formulas(n)
         bnd = sorted(r.generator.coords for r in boundary_rays(build_P_minus(n)))
         expected_bnd = sorted([(1, -1) + (0,) * (n - 1), (3,) + (-1,) * 9 + (0,) * (n - 9)])
@@ -240,7 +229,8 @@ def _check_vertex_formulas(ctx: _Ctx) -> CheckResult:
         )
     return _result(
         "vertex_formulas",
-        claim,
+        "closed-form vertex families reproduce all 9n-71 extremal rays of "
+        "the -K-truncated cone; 2 boundary rays; finite volume",
         ok,
         "; ".join(expected_parts),
         "; ".join(computed_parts),
@@ -292,37 +282,42 @@ def _check_coxeter_classification(ctx: _Ctx) -> CheckResult:
     )
 
 
-def _plain_edges(diagram) -> set[tuple[int, int, int]]:
-    return {
-        (e.i, e.j, e.multiplicity) for e in diagram.edges if e.style == EDGE_PLAIN
-    }
+def _branched_chain(k: int, *tail: tuple[int, int, int]) -> set[tuple[int, int, int]]:
+    # single edges v_1 - ... - v_k, the branch v_0 - v_3, then the tail edges
+    return {(0, 3, 1)} | {(i, i + 1, 1) for i in range(1, k)} | set(tail)
+
+
+def _diagram_check(name: str, claim: str, P, plain: set, dashed: set = frozenset()) -> CheckResult:
+    # plain edges are (i, j, multiplicity), dashed ones (i, j); a dotted edge fails
+    edges = coxeter_diagram(P).edges
+    got_plain = sorted((e.i, e.j, e.multiplicity) for e in edges if e.style == EDGE_PLAIN)
+    got_dashed = sorted((e.i, e.j) for e in edges if e.style == EDGE_DASHED)
+    ok = (got_plain, got_dashed) == (sorted(plain), sorted(dashed))
+    ok = ok and len(edges) == len(plain) + len(dashed)
+    expected, computed = str(sorted(plain)), str(got_plain)
+    if dashed:
+        expected = f"dashed {dashed}, plain {expected}"
+        computed = f"dashed {got_dashed}, plain {computed}"
+    return _result(name, claim, ok, expected, computed)
 
 
 def _check_diagram_p9(ctx: _Ctx) -> CheckResult:
-    dia = coxeter_diagram(build_P(9))
-    expected = {(0, 3, 1), (8, 9, 2)} | {(i, i + 1, 1) for i in range(1, 8)}
-    ok = _plain_edges(dia) == expected and all(e.style == EDGE_PLAIN for e in dia.edges)
-    return _result(
+    return _diagram_check(
         "diagram_p9",
         "n=9 diagram: path of 8 single edges with a branch at the third "
         "node and one terminal double edge",
-        ok,
-        str(sorted(expected)),
-        str(sorted(_plain_edges(dia))),
+        build_P(9),
+        _branched_chain(8, (8, 9, 2)),
     )
 
 
 def _check_diagram_p_minus_10(ctx: _Ctx) -> CheckResult:
-    dia = coxeter_diagram(build_P_minus(10))
-    dashed = {(e.i, e.j) for e in dia.edges if e.style == EDGE_DASHED}
-    expected_plain = {(0, 3, 1), (9, 10, 2)} | {(i, i + 1, 1) for i in range(1, 9)}
-    ok = dashed == {(10, 11)} and _plain_edges(dia) == expected_plain
-    return _result(
+    return _diagram_check(
         "diagram_p_minus_10",
         "n=10 diagram: one dashed edge (e_10, -K) for the zero angle",
-        ok,
-        f"dashed {{(10, 11)}}, plain {sorted(expected_plain)}",
-        f"dashed {sorted(dashed)}, plain {sorted(_plain_edges(dia))}",
+        build_P_minus(10),
+        _branched_chain(9, (9, 10, 2)),
+        dashed={(10, 11)},
     )
 
 
@@ -342,34 +337,22 @@ def _check_diagram_p_minus_11_triple(ctx: _Ctx) -> CheckResult:
 
 
 def _check_diagram_p_minus_11_true(ctx: _Ctx) -> CheckResult:
-    dia = coxeter_diagram(build_P_minus(11))
-    expected = {(0, 3, 1), (10, 11, 2), (11, 12, 2)} | {
-        (i, i + 1, 1) for i in range(1, 10)
-    }
-    ok = _plain_edges(dia) == expected and all(e.style == EDGE_PLAIN for e in dia.edges)
-    return _result(
+    return _diagram_check(
         "diagram_p_minus_11",
         "n=11 diagram as computed: two double edges (v_10,v_11) and "
         "(v_11,v_12), both angles pi/4",
-        ok,
-        str(sorted(expected)),
-        str(sorted(_plain_edges(dia))),
+        build_P_minus(11),
+        _branched_chain(10, (10, 11, 2), (11, 12, 2)),
     )
 
 
 def _check_diagram_p_minus_13(ctx: _Ctx) -> CheckResult:
-    dia = coxeter_diagram(build_P_minus(13))
-    expected = {(0, 3, 1), (12, 13, 2), (13, 14, 1)} | {
-        (i, i + 1, 1) for i in range(1, 12)
-    }
-    ok = _plain_edges(dia) == expected and all(e.style == EDGE_PLAIN for e in dia.edges)
-    return _result(
+    return _diagram_check(
         "diagram_p_minus_13",
         "n=13 diagram: chain with the branch, one double edge "
         "(v_12,v_13), and a single edge to the -K node (angle pi/3)",
-        ok,
-        str(sorted(expected)),
-        str(sorted(_plain_edges(dia))),
+        build_P_minus(13),
+        _branched_chain(12, (12, 13, 2), (13, 14, 1)),
     )
 
 
@@ -386,12 +369,10 @@ def _check_region_r(ctx: _Ctx) -> CheckResult:
                 problems.append(f"n={n} {row.triple}: vertex={row.is_vertex}")
             elif want_vertex and row.f_value != want_f:
                 problems.append(f"n={n} {row.triple}: f={row.f_value}!={want_f}")
-        vertex_max = max(r.f_value for r in rep.rows if r.is_vertex)
-        at_zero = all(
-            r.point[2] == 0 for r in rep.rows if r.is_vertex and r.f_value == vertex_max
-        )
-        if vertex_max != 1 or not at_zero:
-            problems.append(f"n={n}: max f {vertex_max} (x_n=0: {at_zero})")
+        # ok() gives f <= 1 at every vertex and f < 1 off x_n = 0, so a
+        # maximum of 1 is attained, and only with x_n = 0
+        if rep.max_f_at_vertices != 1:
+            problems.append(f"n={n}: max f {rep.max_f_at_vertices}")
     return _result(
         "region_r_table",
         "region-R vertex classification and exact f-values for n=10 and "
@@ -423,24 +404,30 @@ def _check_curve_counts(ctx: _Ctx) -> CheckResult:
 
 
 def _check_decomposition(ctx: _Ctx) -> CheckResult:
+    # One class per S_n orbit suffices.  Permuting the points maps cubic
+    # normals to cubic normals and conic normals to conic normals, so it
+    # maps a decomposition of c to one of the permuted class; and the
+    # orbit of a (-1)-class is the set of placements of its multiplicity
+    # multiset, which therefore stands for _orbit_size classes.
     problems = []
-    total = 0
+    orbits = total = 0
     for n in range(3, 11):
-        for c in enumerate_minus_one(n, 8):
-            d = c.coords[0]
-            if d < 1:
-                continue
-            total += 1
-            dec = decompose_inequality(c)
-            if len(dec.cubics) != d - 1 or dec.total() != c:
-                problems.append(f"{c.coords}")
+        for d in range(1, 9):
+            for multiset in _multiplicity_multisets(d, n):
+                tail = tuple(-m for m in multiset) + (0,) * (n - len(multiset))
+                c = PicClass._trusted(n, (d,) + tail)
+                orbits += 1
+                total += _orbit_size(multiset, n)
+                dec = decompose_inequality(c)
+                if len(dec.cubics) != d - 1 or dec.total() != c:
+                    problems.append(f"{c.coords}")
     return _result(
         "decomposition",
         "every (-1)-class of degree 1..8 splits as d-1 cubic normals "
         "plus one conic normal, summing back coordinatewise",
         not problems,
         "d-1 cubics + conic for all classes",
-        f"{total} classes decomposed"
+        f"{orbits} orbits, {total} classes decomposed"
         + ("" if not problems else f"; failures {problems[:3]}"),
     )
 
@@ -612,15 +599,15 @@ def check_names(suite: str = "paper") -> list[str]:
     return [name for name, _, quick in _REGISTRY if suite == "paper" or quick]
 
 
-def run_suite(
-    suite: str = "paper",
-    n_range: tuple[int, int] = (10, 14),
-    seed: int = 0,
-) -> VerificationReport:
-    """Run the named checks; ``quick`` is a fast subset with lean samples."""
+def run_suite(suite: str = "paper", seed: int = 0) -> VerificationReport:
+    """Run the named checks in registry order.
+
+    ``paper`` runs all 18; ``quick`` runs the 14 fast ones, with the
+    random samples cut 20-fold.  ``seed`` fixes those samples.
+    """
     if suite not in ("paper", "quick"):
         raise ValueError(f"unknown suite {suite!r}")
     scale = 20 if suite == "quick" else 1
-    ctx = _Ctx(seed=seed, n_lo=n_range[0], n_hi=n_range[1], scale=scale)
+    ctx = _Ctx(seed=seed, scale=scale)
     results = [fn(ctx) for _, fn, quick in _REGISTRY if suite == "paper" or quick]
     return VerificationReport(checks=tuple(results))

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from cremona import polytopes
-from cremona.cli import CURVES_MAX_CLASSES, CURVES_MAX_DEGREE, RAYS_MAX_N, main
+from cremona.cli import CURVES_MAX_CLASSES, CURVES_MAX_DEGREE, POLYTOPE_MAX_N, main
 from cremona.curves import _count_minus_one, enumerate_minus_one
 from cremona.polytopes import build_P_minus, classify_angle
 
@@ -196,17 +196,32 @@ class TestRays:
         assert "not pointed" in err
 
     def test_past_cap_exits_two(self, capsys):
-        code, out, err = run(capsys, "rays", "--n", str(RAYS_MAX_N + 1),
+        code, out, err = run(capsys, "rays", "--n", str(POLYTOPE_MAX_N + 1),
                              "--polytope", "p_minus")
         assert code == 2 and out == ""
         assert "cap" in err
 
     def test_cap_admits_n_30(self, capsys):
         # 9n - 71 rays for p_minus
-        assert RAYS_MAX_N >= 30
+        assert POLYTOPE_MAX_N >= 30
         code, out, _ = run(capsys, "rays", "--n", "30", "--polytope", "p_minus")
         assert code == 0
         assert "rays: 199," in out
+
+
+@pytest.mark.parametrize("command", ["cartan", "diagram", "rays"])
+class TestPolytopeCap:
+    def test_past_cap_exits_two_at_once(self, capsys, command):
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--n", "101")
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert err == f"error: --n 101 is past the cap 100 for {command}\n"
+
+    def test_cap_admits_n_100(self, capsys, command):
+        assert POLYTOPE_MAX_N == 100
+        code, out, _ = run(capsys, command, "--n", "100")
+        assert code == 0 and out
 
 
 class TestOrbit:
@@ -230,6 +245,15 @@ class TestOrbit:
         blob = json.loads(out)
         assert code == 0
         assert blob["truncated"] is True and blob["count"] == 5
+
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_max_count_below_one_exits_two(self, capsys, count):
+        code, out, err = run(
+            capsys, "orbit", "--n", "9", "--vector", "0,0,0,0,0,0,0,0,0,1",
+            "--max-count", count,
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: max_count must be >= 1, got {count}\n"
 
 
 class TestNefTest:
@@ -317,14 +341,11 @@ class TestVerify:
         assert statuses["diagram_p_minus_11_triple_edge"] == "xfail"
         assert all(s in ("pass", "xfail") for s in statuses.values())
 
-    def test_bad_n_range_exits_two(self, capsys):
-        code, _, err = run(capsys, "verify", "--suite", "quick", "--n-range", "ten")
-        assert code == 2
-
-    def test_reversed_n_range_exits_two(self, capsys):
-        code, _, err = run(capsys, "verify", "--suite", "quick", "--n-range", "14..10")
-        assert code == 2
-        assert "empty" in err
+    def test_n_range_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--n-range", "10..14"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --n-range 10..14" in capsys.readouterr().err
 
     def test_seed_accepted(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "quick", "--seed", "7")

@@ -112,7 +112,7 @@ JSON_COMMANDS = [
     ["cartan", "--n", "10", "--polytope", "p_minus"],
     ["rays", "--n", "12", "--polytope", "p_minus"],
     ["orbit", "--n", "6", "--vector", "0,0,0,0,0,0,1", "--max-degree", "3"],
-    ["orbit", "--n", "6", "--vector", "0,0,0,0,0,0,1", "--max-count", "0"],
+    ["orbit", "--n", "6", "--vector", "0,0,0,0,0,0,1", "--max-count", "1"],
     ["nef-test", "--n", "9", "--vector", "0,1,0,0,0,0,0,0,0,0"],
     ["nef-test", "--n", "6", "--vector", "1,0,0,0,0,0,0", "--method", "curves"],
     ["region-r", "--n", "12"],

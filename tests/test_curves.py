@@ -1,9 +1,14 @@
 """(-1)-classes: predicate, enumeration (against the brute-force oracle),
 and the cubic/conic decomposition."""
 
+import itertools
+
 import pytest
 
 from cremona.curves import (
+    _multiplicity_multisets,
+    _orbit_size,
+    _placements,
     decompose_inequality,
     enumerate_minus_one,
     is_minus_one_class,
@@ -96,6 +101,22 @@ class TestEnumeration:
             enumerate_minus_one(2, 5)
         with pytest.raises(ValueError):
             enumerate_minus_one(5, -1)
+
+
+class TestOrbitSize:
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_counts_the_distinct_permutations(self, n):
+        multisets = [m for d in range(1, 7) for m in _multiplicity_multisets(d, n)]
+        assert multisets
+        for m in multisets:
+            padded = m + (0,) * (n - len(m))
+            orbit = set(itertools.permutations(padded))
+            assert _orbit_size(m, n) == len(orbit)
+            assert set(_placements(m, n)) == orbit
+
+    def test_all_values_equal(self):
+        assert _orbit_size((1, 1, 1), 3) == 1
+        assert _orbit_size((), 4) == 1
 
 
 class TestDecomposition:

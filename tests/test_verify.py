@@ -1,9 +1,15 @@
 """The named check registry: determinism and the documented expected
 failure."""
 
+import dataclasses
+import hashlib
+import json
+
 import pytest
 
-from cremona.verify import FAIL, PASS, XFAIL, _check_vertex_formulas, _Ctx, check_names, run_suite
+from cremona import verify
+from cremona.curves import Decomposition, decompose_inequality
+from cremona.verify import FAIL, PASS, XFAIL, check_names, run_suite
 
 
 def test_quick_suite_passes():
@@ -51,9 +57,54 @@ def test_unknown_suite_rejected():
         run_suite(suite="everything")
 
 
-@pytest.mark.parametrize("n_range", [(14, 10), (15, 30), (3, 9)])
-def test_vertex_formulas_fail_when_no_n_is_covered(n_range):
-    # a check over an empty set of n would pass vacuously
-    result = _check_vertex_formulas(_Ctx(seed=0, n_lo=n_range[0], n_hi=n_range[1], scale=1))
+# sha256 of the paper suite's checks as JSON, with decomposition's
+# ``computed`` left out; frozen from the per-class decomposition check
+# that ran before the check went to one class per orbit
+PAPER_SHA256 = "75ebd0563ab9907c56a5ccbe7d69611f68edf7b2fd38201213a6f4649c818dd1"
+
+PAPER_NAMES = [
+    "cartan_p9",
+    "cartan_sorted_cone",
+    "rays_p9",
+    "vertex_formulas",
+    "p10_infinite_volume",
+    "coxeter_classification",
+    "diagram_p9",
+    "diagram_p_minus_10",
+    "diagram_p_minus_11_triple_edge",
+    "diagram_p_minus_11",
+    "diagram_p_minus_13",
+    "region_r_table",
+    "curve_counts",
+    "decomposition",
+    "group_action",
+    "round_trip",
+    "cross_method",
+    "fundamental_cone",
+]
+
+
+def test_paper_suite_passes_unchanged():
+    report = run_suite("paper")
+    assert report.passed()
+    assert [c.name for c in report.checks] == PAPER_NAMES
+    by_name = {c.name: c for c in report.checks}
+    # 125,653 is the count of (-1)-classes of degree 1..8 for n = 3..10
+    assert by_name["decomposition"].computed == "51 orbits, 125653 classes decomposed"
+    assert by_name["vertex_formulas"].computed.startswith("n=10: 19 rays")
+    assert "n=14: 55 rays" in by_name["vertex_formulas"].computed
+    rows = [dataclasses.asdict(c) for c in report.checks]
+    del rows[PAPER_NAMES.index("decomposition")]["computed"]
+    text = json.dumps(rows, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PAPER_SHA256
+
+
+def test_decomposition_reports_a_failing_orbit(monkeypatch):
+    def one_cubic_short(c):
+        dec = decompose_inequality(c)
+        return Decomposition(dec.cubics[1:], dec.conic)
+
+    monkeypatch.setattr(verify, "decompose_inequality", one_cubic_short)
+    result = verify._check_decomposition(verify._Ctx(seed=0, scale=1))
     assert result.status == FAIL
-    assert result.computed == f"n-range {n_range[0]}..{n_range[1]} covers none"
+    assert result.computed.startswith("51 orbits, 125653 classes decomposed; failures [")

@@ -12,6 +12,7 @@ from cremona.nef import is_nef_K_nonpositive
 from cremona.serialize import encode_reduction, encode_verdict
 from cremona.weyl import (
     KPositiveError,
+    OrbitResult,
     Phi,
     ReductionResult,
     Sigma,
@@ -330,6 +331,15 @@ class TestOrbit:
         b = orbit(basis_vector(6, 6), max_count=10)
         assert a == b
         assert a.truncated and len(a.classes) == 10
+
+    @pytest.mark.parametrize("max_count", [0, -5])
+    def test_max_count_below_one_rejected(self, max_count):
+        with pytest.raises(ValueError, match=f"max_count must be >= 1, got {max_count}"):
+            orbit(basis_vector(9, 9), max_count=max_count)
+
+    def test_max_count_one_keeps_the_start(self):
+        v = basis_vector(9, 9)
+        assert orbit(v, max_count=1) == OrbitResult((v,), True)
 
     def test_degree_prune_excludes_high_degree_start(self):
         v = PicClass(4, (5, -2, -2, -2, -2))
