@@ -70,8 +70,9 @@ _POLYTOPES = {
 
 # Work caps: past them the polytope commands (``cartan``, ``diagram``,
 # ``rays``), ``curves`` and ``nef-test --method curves`` exit 2.  At
-# n = 100 rays --polytope p_minus takes about 0.8 s (829 rays) and
-# cartan about 0.25 s, growing about 6x per doubling of n.  curves --n
+# n = 100 rays --polytope p_minus takes about 0.8 s (829 rays), growing
+# about 6x per doubling of n; cartan takes about 0.16 s, nearly all of
+# it start-up, as the matrix itself takes about 3 ms.  curves --n
 # 10 --max-degree 8 gives 117,754 classes (22 MB of JSON), and degree 9
 # would give 224,629.  For n <= 8 the classes run out (240 at n = 8),
 # so there only CURVES_MAX_DEGREE bounds the loop over degrees.

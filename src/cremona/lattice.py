@@ -120,7 +120,7 @@ def basis_vector(n: int, i: int) -> PicClass:
     """e_i in Z^{1,n}; i = 0 is the line class, i >= 1 the exceptional ones."""
     if not 0 <= i <= n:
         raise ValueError(f"basis index {i} out of range for n={n}")
-    return PicClass(n, tuple(1 if j == i else 0 for j in range(n + 1)))
+    return PicClass(n, (0,) * i + (1,) + (0,) * (n - i))
 
 
 def canonical_class(n: int) -> PicClass:
@@ -132,7 +132,9 @@ def canonical_class(n: int) -> PicClass:
 
 def anticanonical_class(n: int) -> PicClass:
     """-K = (3, -1, ..., -1), the class the cone constructions actually use."""
-    return -canonical_class(n)
+    if n < 3:
+        raise ValueError(f"need n >= 3, got {n}")
+    return PicClass._trusted(n, (3,) + (-1,) * n)
 
 
 def degree(v: PicClass) -> int:

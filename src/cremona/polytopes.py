@@ -30,6 +30,15 @@ from .lattice import (
 )
 from .linalg import solve_unique
 
+# Tuples here are built from lists, tuple([...]), not from generators.
+# CPython 3.11 grows a tuple built from an iterator by resizing it, and
+# when it is freed it joins the free list of its length without one
+# having been taken off.  Only a full garbage collection empties those
+# lists, so a caller that makes little garbage, such as a loop over
+# build_P_minus, cartan_matrix and coxeter_diagram, keeps up to 2000
+# dead tuples of each length up to 20 (2.3 MB after 440 rounds of the
+# three over n = 10..20 on Python 3.11.7).
+
 __all__ = [
     "Halfspace",
     "ConePolytope",
@@ -101,7 +110,7 @@ class ConePolytope:
 
     @property
     def all_normals(self) -> tuple[PicClass, ...]:
-        return tuple(h.normal for h in self.halfspaces)
+        return tuple([h.normal for h in self.halfspaces])
 
 
 @dataclass(frozen=True)
@@ -125,10 +134,11 @@ def build_P_tilde(n: int) -> ConePolytope:
     """
     if n < 3:
         raise ValueError(f"need n >= 3 for the sorted cone, got {n}")
-    e = [basis_vector(n, i) for i in range(n + 1)]
-    normals = [e[0] - e[1] - e[2] - e[3]]
-    normals += [e[i] - e[i + 1] for i in range(1, n)]
-    return ConePolytope(n=n, halfspaces=tuple(Halfspace(u) for u in normals))
+    normals = [PicClass._trusted(n, (1, -1, -1, -1) + (0,) * (n - 3))]
+    normals += [
+        PicClass._trusted(n, (0,) * i + (1, -1) + (0,) * (n - 1 - i)) for i in range(1, n)
+    ]
+    return ConePolytope(n=n, halfspaces=tuple([Halfspace(u) for u in normals]))
 
 
 def build_P(n: int) -> ConePolytope:
@@ -168,10 +178,39 @@ def membership(P: ConePolytope, v: PicClass) -> MembershipResult:
     return MembershipResult(contains=True, violated=None)
 
 
+def _gram_upper(normals: tuple[PicClass, ...]) -> list[list[int]]:
+    """The upper triangle of the Gram matrix: row i holds pairing(u_i, u_j)
+    for j = i, i+1, ...
+
+    Each product runs over the nonzero entries of u_i only (its sparse
+    Minkowski row), so it costs 2 multiplications for a normal
+    e_i - e_{i+1} and n + 1 only for a dense one such as -K.
+    """
+    coords = [u.coords for u in normals]
+    out = []
+    for i, c in enumerate(coords):
+        row = [(k, x if k == 0 else -x) for k, x in enumerate(c) if x]
+        if len(row) == 2:  # the common case, without the inner loop
+            (k, r), (l, s) = row
+            out.append([r * d[k] + s * d[l] for d in coords[i:]])
+        else:
+            out.append([sum([r * d[k] for k, r in row]) for d in coords[i:]])
+    return out
+
+
+def _symmetric(upper: list[list]) -> tuple[tuple, ...]:
+    """The full symmetric matrix from its upper triangle (row i from column i)."""
+    m = len(upper)
+    full = [[None] * m for _ in range(m)]
+    for i, row in enumerate(upper):
+        for j, x in enumerate(row, i):
+            full[i][j] = full[j][i] = x
+    return tuple([tuple(row) for row in full])
+
+
 def gram_matrix(P: ConePolytope) -> tuple[tuple[int, ...], ...]:
     """G_ij = pairing(u_i, u_j) over the unnormalized normals."""
-    normals = P.all_normals
-    return tuple(tuple(pairing(u, v) for v in normals) for u in normals)
+    return _symmetric(_gram_upper(P.all_normals))
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +221,14 @@ def gram_matrix(P: ConePolytope) -> tuple[tuple[int, ...], ...]:
 # multiples of pi are 0, 1/4, 1/2, 3/4, 1 — so pi/2, pi/3, pi/4, pi/6
 # are the only proper submultiples a lattice polytope can realize, and
 # the classification below is complete.
+#
+# The class of a pair depends only on the integers (u.v, u^2, v^2), and
+# a polytope's normals realize very few of these triples: 9 among the
+# 253 pairs i <= j of P_minus(20).  So cartan_matrix, is_coxeter and
+# coxeter_diagram share one pass, _angle_pass, which takes the Gram
+# products from _gram_upper (the kernel gram_matrix uses) and classifies
+# each distinct triple once per call, building one Fraction for it.
+# Nothing is cached across calls.
 
 PI_OVER = "pi_over"
 ZERO_ANGLE = "zero_angle"
@@ -212,9 +259,14 @@ def classify_angle(u: Halfspace | PicClass, v: Halfspace | PicClass) -> AngleCla
     a = u.normal if isinstance(u, Halfspace) else u
     b = v.normal if isinstance(v, Halfspace) else v
     a2, b2 = pairing(a, a), pairing(b, b)
+    # a bad square is reported before a rank mismatch of a and b
+    return _classify(pairing(a, b) if a2 < 0 and b2 < 0 else 0, a2, b2)
+
+
+def _classify(p: int, a2: int, b2: int) -> AngleClass:
+    """The class of the angle between normals with u.v = p, u^2 = a2, v^2 = b2."""
     if a2 >= 0 or b2 >= 0:
         raise ValueError("angle classification needs normals of negative square")
-    p = pairing(a, b)
     sign = (p > 0) - (p < 0)
     cos2 = Fraction(p * p, a2 * b2)
     if cos2 > 1:
@@ -228,6 +280,26 @@ def classify_angle(u: Halfspace | PicClass, v: Halfspace | PicClass) -> AngleCla
     if p > 0 and cos2 in _COS2_TO_M:
         return AngleClass(PI_OVER, cos2, sign, m=_COS2_TO_M[cos2])
     return AngleClass(NON_SUBMULTIPLE, cos2, sign)
+
+
+def _angle_pass(P: ConePolytope, make) -> list[list]:
+    """Upper triangle of make(angle class) over the pairs of P's normals,
+    laid out as _gram_upper's.  Pairs with the same integer triple
+    (u.v, u^2, v^2) share one classification and one make() result."""
+    upper = _gram_upper(P.all_normals)
+    squares = [row[0] for row in upper]
+    memo = {}
+    out = []
+    for i, row in enumerate(upper):
+        a2, line = squares[i], []
+        for p, b2 in zip(row, squares[i:]):
+            key = (p, a2, b2)
+            value = memo.get(key)
+            if value is None:
+                value = memo[key] = make(_classify(p, a2, b2))
+            line.append(value)
+        out.append(line)
+    return out
 
 
 @dataclass(frozen=True)
@@ -245,15 +317,7 @@ def cartan_matrix(P: ConePolytope) -> tuple[tuple[CartanEntry, ...], ...]:
     pair (sign of pairing, cos^2), from which the value -2*sign*sqrt(cos2)
     is recovered symbolically.  Diagonal entries are always 2.
     """
-    normals = P.all_normals
-    out = []
-    for u in normals:
-        row = []
-        for v in normals:
-            ang = classify_angle(u, v)
-            row.append(CartanEntry(sign=ang.sign, cos2=ang.cos2))
-        out.append(tuple(row))
-    return tuple(out)
+    return _symmetric(_angle_pass(P, lambda ang: CartanEntry(ang.sign, ang.cos2)))
 
 
 def render_cartan_entry(entry: CartanEntry) -> str:
@@ -343,25 +407,25 @@ class CoxeterDiagram:
 def _coxeter_pass(
     P: ConePolytope,
 ) -> tuple[CoxeterDiagram | None, tuple[tuple[int, int, AngleClass], ...]]:
-    """Classify each pair of normals once: the Coxeter diagram (None if
-    some angle is not a submultiple of pi) and the offending pairs."""
-    normals = P.all_normals
+    """One _angle_pass over the pairs of normals: the Coxeter diagram (None
+    if some angle is not a submultiple of pi) and the offending pairs."""
+    upper = _angle_pass(P, lambda ang: ang)
     edges = []
     bad = []
-    for i, j in itertools.combinations(range(len(normals)), 2):
-        ang = classify_angle(normals[i], normals[j])
-        if ang.kind == PI_OVER:
-            if ang.m > 2:
-                edges.append(DiagramEdge(i, j, EDGE_PLAIN, ang.m - 2, ang.m))
-        elif ang.kind == ZERO_ANGLE:
-            edges.append(DiagramEdge(i, j, EDGE_DASHED, 1, None))
-        elif ang.kind == DIVERGENT:
-            edges.append(DiagramEdge(i, j, EDGE_DOTTED, 1, None))
-        else:
-            bad.append((i, j, ang))
+    for i, row in enumerate(upper):
+        for j, ang in enumerate(row[1:], i + 1):
+            if ang.kind == PI_OVER:
+                if ang.m > 2:
+                    edges.append(DiagramEdge(i, j, EDGE_PLAIN, ang.m - 2, ang.m))
+            elif ang.kind == ZERO_ANGLE:
+                edges.append(DiagramEdge(i, j, EDGE_DASHED, 1, None))
+            elif ang.kind == DIVERGENT:
+                edges.append(DiagramEdge(i, j, EDGE_DOTTED, 1, None))
+            else:
+                bad.append((i, j, ang))
     if bad:
         return None, tuple(bad)
-    labels = tuple(f"v{i}" for i in range(len(normals)))
+    labels = tuple([f"v{i}" for i in range(len(upper))])
     return CoxeterDiagram(labels=labels, edges=tuple(edges)), ()
 
 
@@ -392,12 +456,12 @@ class Ray:
 def _minkowski_row(u: PicClass) -> tuple[int, ...]:
     """Standard-dot row r with r.x = pairing(u, x)."""
     c = u.coords
-    return (c[0],) + tuple(-x for x in c[1:])
+    return tuple([c[0]] + [-x for x in c[1:]])
 
 
 def _primitive(v: list[int]) -> tuple[int, ...]:
     g = gcd(*v)
-    return tuple(x // g for x in v)
+    return tuple([x // g for x in v])
 
 
 def _dot(a: tuple[int, ...], b: tuple[int, ...]) -> int:
@@ -430,7 +494,7 @@ def _generators(
     The cone is lineality + the nonnegative span of the rays; the rays
     are its extremal rays when the lineality is empty.
     """
-    lineality = [tuple(int(i == j) for i in range(dim)) for j in range(dim)]
+    lineality = [tuple([int(i == j) for i in range(dim)]) for j in range(dim)]
     rays: list[tuple[int, ...]] = []
     zeros: list[int] = []  # bit k set: row k vanishes on the ray
     for k, row in enumerate(rows):
@@ -440,7 +504,7 @@ def _generators(
         if pivot is not None:
             p, a = lineality.pop(pivot), values[pivot]
             if a < 0:
-                p, a = tuple(-x for x in p), -a
+                p, a = tuple([-x for x in p]), -a
 
             def eliminate(v: tuple[int, ...]) -> tuple[int, ...]:
                 # a*v - b*p vanishes on the row and equals a*v modulo p
@@ -495,7 +559,7 @@ def extremal_rays(P: ConePolytope) -> list[Ray]:
     out = []
     for coords in sorted(rays):
         gen = PicClass(n=P.n, coords=coords)
-        active = tuple(i for i, r in enumerate(rows) if _dot(r, coords) == 0)
+        active = tuple([i for i, r in enumerate(rows) if _dot(r, coords) == 0])
         out.append(
             Ray(generator=gen, position=light_cone_position(gen), active_set=active)
         )

@@ -342,12 +342,14 @@ def orbit(
     With ``max_degree`` set, only classes of degree <= max_degree are
     kept or expanded (the closure within the degree-bounded subgraph).
     With ``max_count``, BFS layers are filled in lexicographic order
-    until the budget is hit, and the result is flagged truncated; a
-    ``max_count`` below 1 raises ValueError.
+    until the budget is hit, and the result is flagged truncated.  A
+    ``max_degree`` below 0 or a ``max_count`` below 1 raises ValueError.
     The returned classes are sorted lexicographically.
     """
     if max_degree is None and max_count is None:
         raise ValueError("need max_degree or max_count to bound the orbit")
+    if max_degree is not None and max_degree < 0:
+        raise ValueError(f"max_degree must be >= 0, got {max_degree}")
     if max_count is not None and max_count < 1:
         raise ValueError(f"max_count must be >= 1, got {max_count}")
     if max_degree is not None and v.coords[0] > max_degree:

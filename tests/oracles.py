@@ -251,6 +251,74 @@ def tree_canonical_form(nodes, labelled_edges) -> str:
 
 
 # ---------------------------------------------------------------------------
+# reference angle classification
+#
+# Straight from the definitions, on plain coordinate tuples and with its
+# own Minkowski product.  For normals of negative square, cos^2 of the
+# angle is (u.v)^2 / (u^2 v^2), a rational.  The angle is pi/m exactly
+# when cos(pi/m) = u.v / sqrt(u^2 v^2), which needs u.v > 0 for m > 2;
+# by Niven's theorem the rational values of cos^2(pi/m) are the ones in
+# the table.  Past cos^2 = 1 the hyperplanes do not meet.
+
+
+NIVEN_COS2 = {2: Fraction(0), 3: Fraction(1, 4), 4: Fraction(1, 2), 6: Fraction(3, 4)}
+
+
+def minkowski(a, b) -> int:
+    return a[0] * b[0] - sum(x * y for x, y in zip(a[1:], b[1:]))
+
+
+def reference_angle(a, b) -> tuple:
+    """(kind, cos2, sign of u.v, m) for two coordinate tuples; ValueError
+    when a square is >= 0."""
+    p, a2, b2 = minkowski(a, b), minkowski(a, a), minkowski(b, b)
+    if a2 >= 0 or b2 >= 0:
+        raise ValueError(f"normals need negative squares, got {a2} and {b2}")
+    cos2 = Fraction(p * p, a2 * b2)
+    sign = (p > 0) - (p < 0)
+    if cos2 > 1:
+        return "divergent", cos2, sign, None
+    if cos2 == 1:
+        return ("zero_angle" if p > 0 else "non_submultiple"), cos2, sign, None
+    for m, value in NIVEN_COS2.items():
+        if cos2 == value and (p > 0 or m == 2):
+            return "pi_over", cos2, sign, m
+    return "non_submultiple", cos2, sign, None
+
+
+def reference_angles(normals) -> dict:
+    """The angle data of a list of normals (coordinate tuples):
+
+    gram       the Minkowski products, every ordered pair;
+    angles     reference_angle of every ordered pair;
+    offending  (i, j, angle) for i < j whose angle is not pi/m, zero or
+               divergent;
+    edges      the Coxeter diagram as (i, j, style, strands, m) for i < j,
+               or None when some pair is offending.
+    """
+    gram = [[minkowski(a, b) for b in normals] for a in normals]
+    angles = [[reference_angle(a, b) for b in normals] for a in normals]
+    offending, edges = [], []
+    for i in range(len(normals)):
+        for j in range(i + 1, len(normals)):
+            kind, _, _, m = angle = angles[i][j]
+            if kind == "non_submultiple":
+                offending.append((i, j, angle))
+            elif kind == "divergent":
+                edges.append((i, j, "dotted", 1, None))
+            elif kind == "zero_angle":
+                edges.append((i, j, "dashed", 1, None))
+            elif m > 2:
+                edges.append((i, j, "plain", m - 2, m))
+    return {
+        "gram": gram,
+        "angles": angles,
+        "offending": offending,
+        "edges": None if offending else edges,
+    }
+
+
+# ---------------------------------------------------------------------------
 # misc
 
 

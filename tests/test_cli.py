@@ -9,7 +9,8 @@ import pytest
 from cremona import polytopes
 from cremona.cli import CURVES_MAX_CLASSES, CURVES_MAX_DEGREE, POLYTOPE_MAX_N, main
 from cremona.curves import _count_minus_one, enumerate_minus_one
-from cremona.polytopes import build_P_minus, classify_angle
+from cremona.lattice import pairing
+from cremona.polytopes import build_P_minus
 
 
 def run(capsys, *argv):
@@ -157,17 +158,25 @@ class TestDiagram:
         assert "cos^2 = 1/3" in err
 
     @pytest.mark.parametrize("n, code", [(13, 0), (12, 3)])
-    def test_classifies_each_pair_once(self, capsys, monkeypatch, n, code):
+    def test_classifies_each_distinct_triple_once(self, capsys, monkeypatch, n, code):
         calls = []
+        classify = polytopes._classify
 
-        def counted(u, v):
-            calls.append((u, v))
-            return classify_angle(u, v)
+        def counted(p, a2, b2):
+            calls.append((p, a2, b2))
+            return classify(p, a2, b2)
 
-        monkeypatch.setattr(polytopes, "classify_angle", counted)
+        monkeypatch.setattr(polytopes, "_classify", counted)
         assert run(capsys, "diagram", "--n", str(n), "--polytope", "p_minus")[0] == code
-        normals = len(build_P_minus(n).all_normals)
-        assert len(calls) == len(set(calls)) == normals * (normals - 1) // 2
+        normals = build_P_minus(n).all_normals
+        triples = {
+            (pairing(u, v), pairing(u, u), pairing(v, v))
+            for i, u in enumerate(normals)
+            for v in normals[i:]
+        }
+        assert len(calls) == len(set(calls)) == len(triples)
+        assert set(calls) == triples
+        assert len(triples) < len(normals)  # against n(n+1)/2 pairs
 
 
 class TestRays:
@@ -254,6 +263,14 @@ class TestOrbit:
         )
         assert code == 2 and out == ""
         assert err == f"error: max_count must be >= 1, got {count}\n"
+
+    def test_negative_max_degree_exits_two(self, capsys):
+        code, out, err = run(
+            capsys, "orbit", "--n", "6", "--vector", "0,0,0,0,0,0,1",
+            "--max-degree", "-1",
+        )
+        assert code == 2 and out == ""
+        assert err == "error: max_degree must be >= 0, got -1\n"
 
 
 class TestNefTest:

@@ -9,7 +9,7 @@ import os
 import random
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -141,6 +141,45 @@ def test_curves_output_is_pinned(capsys, fmt):
     assert main(["curves", "--n", "10", "--max-degree", "6", "--format", fmt]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == CURVES_SHA256[fmt]
+
+
+# sha256 over a window of n of `cartan` and `diagram` as run by
+# polytope_transcript: exit code, stdout and stderr of each call.  Frozen
+# at the commit before the shared angle pass; the windows include the
+# non-Coxeter P_minus(n), whose diagram exits 3 with the pairs on stderr.
+POLYTOPE_WINDOWS = {"p_tilde": range(3, 31), "p": range(3, 31), "p_minus": range(10, 41)}
+POLYTOPE_SHA256 = {
+    ("cartan", "json", "p_tilde"): "8bfb04769838dcd7a552b9cdb366fdc2767f530098951cd7483fae95a9d0885b",
+    ("cartan", "json", "p"): "f4ef99df5ab844f88b47d8f2f64acbf95dfb274a60d1931c26fd53ff45f63961",
+    ("cartan", "json", "p_minus"): "1a31221f42550c9c709d5d8c46b193dde7d87dfdf626ece948f78e421acce791",
+    ("cartan", "csv", "p_tilde"): "c9b85a84c56564b69b9d4cec5765dfd353c1016a166568a51ec84f3b22f6d17d",
+    ("cartan", "csv", "p"): "1b27402328f5ad8676d34fce1b5e4ddbcd754594ac3503577c319b55d244f62e",
+    ("cartan", "csv", "p_minus"): "178873b209bbeba49e5bdc1f08cf4c43f25c84af58785ea6b88c5fcc0b329153",
+    ("cartan", "text", "p_tilde"): "6a93743b957d994421f0106a445193bb8a5024781000974e96c708374be185de",
+    ("cartan", "text", "p"): "af8f5b0a1c7c412798b2d29b57b8966be126772f4fcff2c222c422fed7a3be27",
+    ("cartan", "text", "p_minus"): "6f70248c9155a9ac86f945de15b583b4f923a7cf3c3a49f90e7d8a6be34e4b7b",
+    ("diagram", "dot", "p_tilde"): "053aeac2aee8dae2811742488167424b2bbc9358048a3f3acb9c78f77e3c6137",
+    ("diagram", "dot", "p"): "0688e0b0e923f7b524fa46fe725142d532000a1bfeef596452e637b48da3121b",
+    ("diagram", "dot", "p_minus"): "b96e9450dec7beee95a912e43f2afb0c22daa8a546ef42ebdf90724b59e7f2e8",
+    ("diagram", "text", "p_tilde"): "87b00cdd5903aac0bd25f6b2bf6efe604ccd6a2044600b599aacd92d00e2d473",
+    ("diagram", "text", "p"): "ca9d47634e76965260346ef3de37372a0e99a5d6f7ddfa047d975909e544ba1f",
+    ("diagram", "text", "p_minus"): "007c23f0d75058d975767c61e3180d8b3058dffbe02fcf9eee45114283721893",
+}
+
+
+def polytope_transcript(command: str, fmt: str, polytope: str) -> str:
+    digest = hashlib.sha256()
+    for n in POLYTOPE_WINDOWS[polytope]:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([command, "--n", str(n), "--polytope", polytope, "--format", fmt])
+        digest.update(f"n={n} exit={code}\n{out.getvalue()}\0{err.getvalue()}\0".encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("key", sorted(POLYTOPE_SHA256), ids=" ".join)
+def test_polytope_output_is_pinned(key):
+    assert polytope_transcript(*key) == POLYTOPE_SHA256[key]
 
 
 # The child's peak RSS is read in a fresh wrapper interpreter: on Linux a

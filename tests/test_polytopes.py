@@ -6,7 +6,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cremona.lattice import (
     PicClass,
@@ -43,7 +43,13 @@ from cremona.polytopes import (
     verify_vertex_formulas,
     vertex_formula_families,
 )
-from oracles import brute_force_implied, brute_force_rays, tree_canonical_form
+from oracles import (
+    brute_force_implied,
+    brute_force_rays,
+    reference_angle,
+    reference_angles,
+    tree_canonical_form,
+)
 
 
 def minkowski_rows(P):
@@ -579,3 +585,105 @@ class TestRegionR:
             rep = verify_region_R(n)
             assert rep.ok()
             assert rep.max_f_at_vertices == 1
+
+
+# ---------------------------------------------------------------------------
+# the angle layer against the reference classification in oracles.py
+
+ANGLE_WINDOWS = {
+    "P_tilde": (build_P_tilde, range(3, 31)),
+    "P": (build_P, range(3, 31)),
+    "P_minus": (build_P_minus, range(10, 41)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANGLE_WINDOWS))
+def test_angle_layer_matches_reference(name):
+    build, window = ANGLE_WINDOWS[name]
+    verdicts = set()
+    for n in window:
+        P = build(n)
+        ref = reference_angles([u.coords for u in P.all_normals])
+        assert [list(row) for row in gram_matrix(P)] == ref["gram"]
+        assert [[(e.sign, e.cos2) for e in row] for row in cartan_matrix(P)] == [
+            [(sign, cos2) for _, cos2, sign, _ in row] for row in ref["angles"]
+        ]
+        check = is_coxeter(P)
+        assert [
+            (i, j, (a.kind, a.cos2, a.sign, a.m)) for i, j, a in check.offending
+        ] == ref["offending"]
+        assert bool(check) == (ref["edges"] is not None)
+        if ref["edges"] is None:
+            with pytest.raises(ValueError, match="diagram undefined"):
+                coxeter_diagram(P)
+        else:
+            edges = coxeter_diagram(P).edges
+            assert [(e.i, e.j, e.style, e.multiplicity, e.m) for e in edges] == ref["edges"]
+        verdicts.add(bool(check))
+    # P_minus is Coxeter only at n = 10, 11, 13: both branches are compared
+    assert verdicts == ({True, False} if name == "P_minus" else {True})
+
+
+# One pair per outcome the classification can reach, run by every
+# hypothesis session as an explicit example.
+ANGLE_EXAMPLES = {
+    "divergent": ((0, 1, 0), (1, 2, 0)),
+    "zero_angle": ((0, 1, 0), (0, -1, 0)),
+    "cos2 = 1 with u.v < 0": ((0, 1, 0), (0, 2, 0)),
+    "pi/3": ((0, 1, -1, 0), (0, 0, 1, -1)),
+    "pi/4": ((0, 0, 1, -1), (0, 0, 0, 1)),
+    "obtuse": ((0, 1, -1, 0), (0, 0, -1, 1)),
+    "square >= 0": ((1, 0, 0), (0, 1, 0)),
+}
+
+
+@pytest.mark.parametrize("label", sorted(ANGLE_EXAMPLES))
+def test_angle_examples_reach_their_outcome(label):
+    a, b = ANGLE_EXAMPLES[label]
+    if label == "square >= 0":
+        with pytest.raises(ValueError):
+            reference_angle(a, b)
+        return
+    kind, cos2, sign, m = reference_angle(a, b)
+    expected = {
+        "divergent": kind == DIVERGENT and cos2 > 1,
+        "zero_angle": kind == ZERO_ANGLE and cos2 == 1 and sign > 0,
+        "cos2 = 1 with u.v < 0": kind == NON_SUBMULTIPLE and cos2 == 1 and sign < 0,
+        "pi/3": kind == PI_OVER and m == 3,
+        "pi/4": kind == PI_OVER and m == 4,
+        "obtuse": kind == NON_SUBMULTIPLE and sign < 0 and cos2 < 1,
+    }
+    assert expected[label]
+
+
+@st.composite
+def angle_pairs(draw):
+    n = draw(st.integers(2, 6))
+    vector = st.tuples(*[st.integers(-6, 6)] * (n + 1))
+    a = draw(vector)
+    if draw(st.booleans()):  # parallel normals: cos^2 = 1 of either sign
+        k = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+        return a, tuple(k * x for x in a)
+    return a, draw(vector)
+
+
+def _with_examples(test):
+    for pair in ANGLE_EXAMPLES.values():
+        test = example(pair)(test)
+    return test
+
+
+@_with_examples
+@settings(max_examples=300, deadline=None)
+@given(angle_pairs())
+def test_classify_angle_matches_reference(pair):
+    a, b = pair
+    u, v = PicClass(len(a) - 1, a), PicClass(len(b) - 1, b)
+    try:
+        want = reference_angle(a, b)
+    except ValueError:
+        with pytest.raises(ValueError, match="negative square"):
+            classify_angle(u, v)
+        return
+    got = classify_angle(u, v)
+    assert (got.kind, got.cos2, got.sign, got.m) == want

@@ -337,6 +337,13 @@ class TestOrbit:
         with pytest.raises(ValueError, match=f"max_count must be >= 1, got {max_count}"):
             orbit(basis_vector(9, 9), max_count=max_count)
 
+    @pytest.mark.parametrize("max_degree", [-1, -7])
+    def test_negative_max_degree_rejected(self, max_degree):
+        with pytest.raises(ValueError, match=f"max_degree must be >= 0, got {max_degree}"):
+            orbit(basis_vector(6, 6), max_degree=max_degree)
+        with pytest.raises(ValueError, match="max_degree must be >= 0"):
+            orbit(basis_vector(6, 6), max_degree=max_degree, max_count=10)
+
     def test_max_count_one_keeps_the_start(self):
         v = basis_vector(9, 9)
         assert orbit(v, max_count=1) == OrbitResult((v,), True)
