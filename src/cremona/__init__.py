@@ -5,150 +5,130 @@ reducing classes into an explicit rational polyhedral fundamental cone
 under the Cremona group, enumerates (-1)-classes, and analyzes the
 fundamental cone itself: Cartan matrices, Coxeter diagrams, extremal
 rays, and finite-volume criteria.  All arithmetic is integer/rational.
+
+``import cremona`` registers the submodules without running them: each
+is in ``sys.modules`` and bound here, and its body runs on first
+attribute access (``importlib.util.LazyLoader``).  A public name such as
+``cremona.build_P`` is looked up in its home module on first use and
+then kept here.  So a command that never touches ``polytopes`` never
+runs it, and an error in a module's body surfaces at its first use.
 """
 
-from .curves import (
-    Decomposition,
-    MinusOneClass,
-    decompose_inequality,
-    enumerate_minus_one,
-    is_minus_one_class,
-)
-from .lattice import (
-    LightConePosition,
-    PicClass,
-    anticanonical_class,
-    basis_vector,
-    canonical_class,
-    degree,
-    light_cone_position,
-    pairing,
-)
-from .nef import (
-    NEF,
-    NOT_NEF,
-    NefVerdict,
-    check_certificate,
-    curve_check,
-    fundamental_cone,
-    is_nef_K_nonpositive,
-)
-from .polytopes import (
-    AngleClass,
-    CartanEntry,
-    ConePolytope,
-    CoxeterCheck,
-    CoxeterDiagram,
-    DiagramEdge,
-    Halfspace,
-    MembershipResult,
-    Ray,
-    RegionRReport,
-    VertexFormulaReport,
-    boundary_rays,
-    build_P,
-    build_P_minus,
-    build_P_tilde,
-    cartan_matrix,
-    classify_angle,
-    coxeter_diagram,
-    extremal_rays,
-    finite_volume,
-    gram_matrix,
-    is_coxeter,
-    is_implied,
-    membership,
-    redundant_constraints,
-    render_cartan_entry,
-    verify_region_R,
-    verify_vertex_formulas,
-    vertex_formula_families,
-)
-from .verify import CheckResult, VerificationReport, check_names, run_suite
-from .weyl import (
-    KPositiveError,
-    OrbitResult,
-    Phi,
-    ReductionResult,
-    Sigma,
-    WeylWord,
-    all_generators,
-    apply_generator,
-    apply_word,
-    fixed_hyperplane_normal,
-    orbit,
-    reduce_class,
-    sort_coordinates,
-)
+import importlib.util as _importlib_util
+import sys as _sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "PicClass",
-    "LightConePosition",
-    "pairing",
-    "basis_vector",
-    "canonical_class",
-    "anticanonical_class",
-    "degree",
-    "light_cone_position",
-    "Phi",
-    "Sigma",
-    "WeylWord",
-    "ReductionResult",
-    "OrbitResult",
-    "KPositiveError",
-    "apply_generator",
-    "apply_word",
-    "fixed_hyperplane_normal",
-    "sort_coordinates",
-    "reduce_class",
-    "all_generators",
-    "orbit",
-    "is_minus_one_class",
-    "enumerate_minus_one",
-    "decompose_inequality",
-    "Decomposition",
-    "MinusOneClass",
-    "Halfspace",
-    "ConePolytope",
-    "MembershipResult",
-    "AngleClass",
-    "CartanEntry",
-    "CoxeterCheck",
-    "CoxeterDiagram",
-    "DiagramEdge",
-    "Ray",
-    "VertexFormulaReport",
-    "RegionRReport",
-    "build_P_tilde",
-    "build_P",
-    "build_P_minus",
-    "membership",
-    "gram_matrix",
-    "classify_angle",
-    "cartan_matrix",
-    "render_cartan_entry",
-    "is_coxeter",
-    "coxeter_diagram",
-    "extremal_rays",
-    "boundary_rays",
-    "finite_volume",
-    "is_implied",
-    "redundant_constraints",
-    "vertex_formula_families",
-    "verify_vertex_formulas",
-    "verify_region_R",
-    "NEF",
-    "NOT_NEF",
-    "NefVerdict",
-    "fundamental_cone",
-    "is_nef_K_nonpositive",
-    "curve_check",
-    "check_certificate",
-    "CheckResult",
-    "VerificationReport",
-    "run_suite",
-    "check_names",
-    "__version__",
-]
+
+def _register(short: str):
+    """The submodule ``cremona.<short>``, in sys.modules, its body not yet run."""
+    spec = _importlib_util.find_spec(f"{__name__}.{short}")
+    spec.loader = _importlib_util.LazyLoader(spec.loader)
+    module = _importlib_util.module_from_spec(spec)
+    _sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+lattice = _register("lattice")
+linalg = _register("linalg")
+weyl = _register("weyl")
+curves = _register("curves")
+polytopes = _register("polytopes")
+nef = _register("nef")
+serialize = _register("serialize")
+verify = _register("verify")
+
+# home module -> the names the package exports from it, in __all__ order
+_EXPORTS = {
+    "lattice": (
+        "PicClass",
+        "LightConePosition",
+        "pairing",
+        "basis_vector",
+        "canonical_class",
+        "anticanonical_class",
+        "degree",
+        "light_cone_position",
+    ),
+    "weyl": (
+        "Phi",
+        "Sigma",
+        "WeylWord",
+        "ReductionResult",
+        "OrbitResult",
+        "KPositiveError",
+        "apply_generator",
+        "apply_word",
+        "fixed_hyperplane_normal",
+        "sort_coordinates",
+        "reduce_class",
+        "all_generators",
+        "orbit",
+    ),
+    "curves": (
+        "is_minus_one_class",
+        "enumerate_minus_one",
+        "decompose_inequality",
+        "Decomposition",
+        "MinusOneClass",
+    ),
+    "polytopes": (
+        "Halfspace",
+        "ConePolytope",
+        "MembershipResult",
+        "AngleClass",
+        "CartanEntry",
+        "CoxeterCheck",
+        "CoxeterDiagram",
+        "DiagramEdge",
+        "Ray",
+        "VertexFormulaReport",
+        "RegionRReport",
+        "build_P_tilde",
+        "build_P",
+        "build_P_minus",
+        "membership",
+        "gram_matrix",
+        "classify_angle",
+        "cartan_matrix",
+        "render_cartan_entry",
+        "is_coxeter",
+        "coxeter_diagram",
+        "extremal_rays",
+        "boundary_rays",
+        "finite_volume",
+        "is_implied",
+        "redundant_constraints",
+        "vertex_formula_families",
+        "verify_vertex_formulas",
+        "verify_region_R",
+    ),
+    "nef": (
+        "NEF",
+        "NOT_NEF",
+        "NefVerdict",
+        "fundamental_cone",
+        "is_nef_K_nonpositive",
+        "curve_check",
+        "check_certificate",
+    ),
+    "verify": ("CheckResult", "VerificationReport", "run_suite", "check_names"),
+}
+_HOME = {name: home for home, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name: str):
+    """A public name from its home module, stored here for later lookups."""
+    try:
+        home = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(globals()[home], name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOME})

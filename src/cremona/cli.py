@@ -2,6 +2,9 @@
 
 Commands: reduce, curves, cartan, diagram, rays, orbit, nef-test,
 region-r, verify.  Vectors are comma-separated integers (x_0,...,x_n).
+Every integer on the command line, in a vector or an option, is
+optional whitespace, an optional sign and ASCII digits; anything else
+("1_0", non-ASCII digits) exits 2.
 Formats: text (default), json, csv, and dot for diagrams.
 
 Exit codes: 0 success (and "nef"/"in cone" verdicts), 2 usage or
@@ -9,10 +12,10 @@ precondition errors (K-positive input, unsupported n, parse failures),
 3 negative mathematical verdicts (not nef, not Coxeter, failed
 verification).
 
-``cartan``, ``diagram``, ``rays``, ``curves`` and ``nef-test --method
-curves`` refuse (exit 2) sizes past fixed work caps, POLYTOPE_MAX_N and
-CURVES_MAX_DEGREE / CURVES_MAX_CLASSES, rather than run for hours or
-fill memory.
+``cartan``, ``diagram``, ``rays``, ``curves``, ``nef-test --method
+curves`` and ``orbit`` refuse (exit 2) sizes past fixed work caps,
+POLYTOPE_MAX_N, CURVES_MAX_DEGREE / CURVES_MAX_CLASSES and
+ORBIT_MAX_CLASSES, rather than run for hours or fill memory.
 
 Only integer classes are handled.  Rays of the nef boundary with
 irrational coordinates cannot be entered and are out of scope.
@@ -32,24 +35,13 @@ import dataclasses
 import functools
 import io
 import json
+import re
 import sys
 from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 
-from .curves import _count_minus_one, enumerate_minus_one
+from . import curves, nef, polytopes, verify
 from .lattice import PicClass, pairing
-from .nef import NEF, curve_check, fundamental_cone, is_nef_K_nonpositive
-from .polytopes import (
-    ConePolytope,
-    _coxeter_pass,
-    build_P,
-    build_P_minus,
-    build_P_tilde,
-    cartan_matrix,
-    extremal_rays,
-    render_cartan_entry,
-    verify_region_R,
-)
 from .serialize import (
     encode_cartan,
     encode_class,
@@ -57,35 +49,53 @@ from .serialize import (
     encode_reduction,
     encode_verdict,
 )
-from .verify import FAIL, XFAIL, run_suite
 from .weyl import Phi, ReductionResult, WeylWord, orbit, reduce_class
 
+# The builders are looked up when a command runs: importing cli runs
+# neither polytopes nor nef, so reduce and orbit never run them.
 _POLYTOPES = {
-    "p_tilde": build_P_tilde,
-    "p": build_P,
-    "p_minus": build_P_minus,
-    "fundamental": fundamental_cone,
+    "p_tilde": lambda n: polytopes.build_P_tilde(n),
+    "p": lambda n: polytopes.build_P(n),
+    "p_minus": lambda n: polytopes.build_P_minus(n),
+    "fundamental": lambda n: nef.fundamental_cone(n),
 }
 
 
 # Work caps: past them the polytope commands (``cartan``, ``diagram``,
-# ``rays``), ``curves`` and ``nef-test --method curves`` exit 2.  At
-# n = 100 rays --polytope p_minus takes about 0.8 s (829 rays), growing
-# about 6x per doubling of n; cartan takes about 0.16 s, nearly all of
-# it start-up, as the matrix itself takes about 3 ms.  curves --n
+# ``rays``), ``curves``, ``nef-test --method curves`` and ``orbit`` exit
+# 2.  At n = 100 rays --polytope p_minus takes about 1 s (829 rays),
+# growing about 6x per doubling of n; cartan takes about 0.19 s, nearly
+# all of it start-up (the interpreter, and the modules cli and
+# polytopes run), as the matrix itself takes about 3 ms.  curves --n
 # 10 --max-degree 8 gives 117,754 classes (22 MB of JSON), and degree 9
 # would give 224,629.  For n <= 8 the classes run out (240 at n = 8),
-# so there only CURVES_MAX_DEGREE bounds the loop over degrees.
+# so there only CURVES_MAX_DEGREE bounds the loop over degrees.  The
+# orbit of the line class at n = 10 has 6,421 classes of degree <= 4
+# (about 3 s) and 23,521 of degree <= 5 (about 14 s); weyl.orbit
+# expands a whole BFS layer before it truncates, so with --max-degree
+# 60 it is refused after about 6 s.
 POLYTOPE_MAX_N = 100
 CURVES_MAX_DEGREE = 100
 CURVES_MAX_CLASSES = 150_000
+ORBIT_MAX_CLASSES = 10_000
+
+# One rule for every integer on the command line.  int() alone would also
+# take "1_0" and non-ASCII digits such as "١٠".
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
+
+
+def _int_option(text: str) -> int:
+    """argparse type of the integer options."""
+    if _INTEGER.fullmatch(text) is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 def _parse_vector(text: str, n: int) -> PicClass:
-    try:
-        coords = tuple(int(part) for part in text.split(","))
-    except ValueError:
+    parts = text.split(",")
+    if not all(map(_INTEGER.fullmatch, parts)):
         raise ValueError(f"vector must be comma-separated integers, got {text!r}")
+    coords = tuple(map(int, parts))
     if len(coords) != n + 1:
         raise ValueError(f"expected {n + 1} coordinates for n={n}, got {len(coords)}")
     return PicClass(n=n, coords=coords)
@@ -217,7 +227,7 @@ def _check_curves_caps(n: int, max_degree: int) -> None:
     1 ms even at n = 14, degree 8 (91.8 M classes)."""
     if max_degree > CURVES_MAX_DEGREE:
         raise ValueError(f"--max-degree {max_degree} is past the cap {CURVES_MAX_DEGREE}")
-    if _count_minus_one(n, max_degree, CURVES_MAX_CLASSES) > CURVES_MAX_CLASSES:
+    if curves._count_minus_one(n, max_degree, CURVES_MAX_CLASSES) > CURVES_MAX_CLASSES:
         raise ValueError(
             f"--n {n} --max-degree {max_degree} gives more than "
             f"{CURVES_MAX_CLASSES} classes"
@@ -226,7 +236,7 @@ def _check_curves_caps(n: int, max_degree: int) -> None:
 
 def _cmd_curves(args: argparse.Namespace, out: _Output) -> int:
     _check_curves_caps(args.n, args.max_degree)
-    classes = enumerate_minus_one(args.n, args.max_degree)
+    classes = curves.enumerate_minus_one(args.n, args.max_degree)
     if args.format == "json":
         out.json(
             {
@@ -252,18 +262,18 @@ def _cmd_curves(args: argparse.Namespace, out: _Output) -> int:
     return 0
 
 
-def _build_polytope(args: argparse.Namespace) -> ConePolytope:
+def _build_polytope(args: argparse.Namespace) -> polytopes.ConePolytope:
     if args.n > POLYTOPE_MAX_N:
         raise ValueError(f"--n {args.n} is past the cap {POLYTOPE_MAX_N} for {args.command}")
     return _POLYTOPES[args.polytope](args.n)
 
 
 def _cmd_cartan(args: argparse.Namespace, out: _Output) -> int:
-    matrix = cartan_matrix(_build_polytope(args))
+    matrix = polytopes.cartan_matrix(_build_polytope(args))
     if args.format == "json":
         out.json(encode_cartan(matrix))
         return 0
-    tokens = [[render_cartan_entry(e) for e in row] for row in matrix]
+    tokens = [[polytopes.render_cartan_entry(e) for e in row] for row in matrix]
     if args.format == "csv":
         for row in tokens:
             out.line(",".join(row))
@@ -275,7 +285,7 @@ def _cmd_cartan(args: argparse.Namespace, out: _Output) -> int:
 
 
 def _cmd_diagram(args: argparse.Namespace, out: _Output) -> int:
-    diagram, offending = _coxeter_pass(_build_polytope(args))
+    diagram, offending = polytopes._coxeter_pass(_build_polytope(args))
     if diagram is None:
         for i, j, ang in offending:
             sys.stderr.write(
@@ -288,7 +298,7 @@ def _cmd_diagram(args: argparse.Namespace, out: _Output) -> int:
 
 
 def _cmd_rays(args: argparse.Namespace, out: _Output) -> int:
-    rays = extremal_rays(_build_polytope(args))
+    rays = polytopes.extremal_rays(_build_polytope(args))
     boundary = [r for r in rays if r.position.tag == "boundary"]
     if args.format == "json":
         out.json(
@@ -317,7 +327,15 @@ def _cmd_orbit(args: argparse.Namespace, out: _Output) -> int:
     v = _parse_vector(args.vector, args.n)
     if args.max_degree is None and args.max_count is None:
         raise ValueError("orbit needs --max-degree and/or --max-count")
-    result = orbit(v, max_degree=args.max_degree, max_count=args.max_count)
+    if args.max_count is not None and args.max_count > ORBIT_MAX_CLASSES:
+        raise ValueError(f"--max-count {args.max_count} is past the cap {ORBIT_MAX_CLASSES}")
+    max_count = ORBIT_MAX_CLASSES + 1 if args.max_count is None else args.max_count
+    result = orbit(v, max_degree=args.max_degree, max_count=max_count)
+    if len(result.classes) > ORBIT_MAX_CLASSES:
+        raise ValueError(
+            f"the orbit within --max-degree {args.max_degree} has more than "
+            f"{ORBIT_MAX_CLASSES} classes"
+        )
     if args.format == "json":
         out.json(
             {
@@ -341,9 +359,9 @@ def _cmd_nef_test(args: argparse.Namespace, out: _Output) -> int:
     v = _parse_vector(args.vector, args.n)
     if args.method == "curves":
         _check_curves_caps(args.n, args.max_degree)
-        verdict = curve_check(v, max_degree=args.max_degree)
+        verdict = nef.curve_check(v, max_degree=args.max_degree)
     else:
-        verdict = is_nef_K_nonpositive(v)
+        verdict = nef.is_nef_K_nonpositive(v)
     if args.format == "json":
         out.json(encode_verdict(verdict))
     else:
@@ -356,11 +374,11 @@ def _cmd_nef_test(args: argparse.Namespace, out: _Output) -> int:
             out.line(f"witness: {_format_word(verdict.witness)}")
         elif isinstance(verdict.witness, PicClass):
             out.line(f"witness: {_coords_str(verdict.witness)}")
-    return 0 if verdict.verdict == NEF else 3
+    return 0 if verdict.verdict == nef.NEF else 3
 
 
 def _cmd_region_r(args: argparse.Namespace, out: _Output) -> int:
-    report = verify_region_R(args.n)
+    report = polytopes.verify_region_R(args.n)
     if args.format == "json":
         out.json(
             {
@@ -393,20 +411,20 @@ def _cmd_region_r(args: argparse.Namespace, out: _Output) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace, out: _Output) -> int:
-    report = run_suite(suite=args.suite, seed=args.seed)
+    report = verify.run_suite(suite=args.suite, seed=args.seed)
     if args.format == "json":
         out.json([dataclasses.asdict(c) for c in report.checks])  # field order is JSON order
     else:
         for c in report.checks:
             out.line(f"{c.status.upper():5s} {c.name}")
-            if c.status == FAIL:
+            if c.status == verify.FAIL:
                 out.line(f"      claim:    {c.claim}")
                 out.line(f"      expected: {c.expected}")
                 out.line(f"      computed: {c.computed}")
-            elif c.status == XFAIL:
+            elif c.status == verify.XFAIL:
                 out.line(f"      {c.claim}")
-        failed = sum(1 for c in report.checks if c.status == FAIL)
-        xfailed = sum(1 for c in report.checks if c.status == XFAIL)
+        failed = sum(1 for c in report.checks if c.status == verify.FAIL)
+        xfailed = sum(1 for c in report.checks if c.status == verify.XFAIL)
         summary = f"{len(report.checks)} checks, {failed} failed"
         if xfailed:
             summary += f", {xfailed} expected failures (documented)"
@@ -419,7 +437,7 @@ def _cmd_verify(args: argparse.Namespace, out: _Output) -> int:
 
 
 def _add_common(sub: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
-    sub.add_argument("--n", type=int, default=9, help="number of blown-up points")
+    sub.add_argument("--n", type=_int_option, default=9, help="number of blown-up points")
     sub.add_argument("--format", choices=formats, default="text")
 
 
@@ -439,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curves", help="enumerate (-1)-classes up to a degree")
     _add_common(p, ("text", "json", "csv"))
-    p.add_argument("--max-degree", type=int, default=6)
+    p.add_argument("--max-degree", type=_int_option, default=6)
     p.set_defaults(handler=_cmd_curves)
 
     p = sub.add_parser("cartan", help="exact Cartan matrix of a named polytope")
@@ -460,15 +478,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orbit", help="bounded group orbit of a class")
     _add_common(p, ("text", "json", "csv"))
     p.add_argument("--vector", required=True)
-    p.add_argument("--max-degree", type=int, default=None)
-    p.add_argument("--max-count", type=int, default=None)
+    p.add_argument("--max-degree", type=_int_option, default=None)
+    p.add_argument("--max-count", type=_int_option, default=None)
     p.set_defaults(handler=_cmd_orbit)
 
     p = sub.add_parser("nef-test", help="decide nef membership (K-nonpositive side)")
     _add_common(p, ("text", "json"))
     p.add_argument("--vector", required=True)
     p.add_argument("--method", choices=("reduction", "curves"), default="reduction")
-    p.add_argument("--max-degree", type=int, default=6, help="bound for --method curves")
+    p.add_argument("--max-degree", type=_int_option, default=6, help="bound for --method curves")
     p.set_defaults(handler=_cmd_nef_test)
 
     p = sub.add_parser("region-r", help="triple intersections of the region-R planes")
@@ -478,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the named verification checks")
     p.add_argument("--suite", choices=("paper", "quick"), default="paper")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_option, default=0)
     p.set_defaults(handler=_cmd_verify)
 
     return parser

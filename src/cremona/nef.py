@@ -19,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .curves import enumerate_minus_one
+from . import curves, polytopes
 from .lattice import PicClass, pairing
-from .polytopes import ConePolytope, build_P, build_P_minus, membership
 from .weyl import ReductionResult, WeylWord, apply_word, reduce_class
 
 __all__ = [
@@ -62,13 +61,13 @@ class NefVerdict:
         return self.verdict == NEF
 
 
-def fundamental_cone(n: int) -> ConePolytope:
+def fundamental_cone(n: int) -> polytopes.ConePolytope:
     """The rational polyhedral cone whose W-translates cover the
     K-nonpositive nef classes: the sorted cone truncated at x_n <= 0,
     and additionally by -K once that normal has negative square."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    return build_P(n) if n <= 9 else build_P_minus(n)
+    return polytopes.build_P(n) if n <= 9 else polytopes.build_P_minus(n)
 
 
 def is_nef_K_nonpositive(v: PicClass) -> NefVerdict:
@@ -95,14 +94,14 @@ def check_certificate(v: PicClass, verdict: NefVerdict) -> bool:
     w = verdict.witness
     if verdict.verdict == NEF:
         return isinstance(w, WeylWord) and bool(
-            membership(fundamental_cone(v.n), apply_word(w, v))
+            polytopes.membership(fundamental_cone(v.n), apply_word(w, v))
         )
     return isinstance(w, PicClass) and pairing(w, v) < 0
 
 
 @lru_cache(maxsize=8)
 def _curves(n: int, max_degree: int) -> tuple[PicClass, ...]:
-    return tuple(enumerate_minus_one(n, max_degree))
+    return tuple(curves.enumerate_minus_one(n, max_degree))
 
 
 def curve_check(v: PicClass, max_degree: int = 6) -> NefVerdict:

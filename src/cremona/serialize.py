@@ -27,9 +27,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from . import nef, polytopes
 from .lattice import PicClass, pairing
-from .nef import METHOD_CURVE_CHECK, METHOD_REDUCTION, NEF, NOT_NEF, NefVerdict
-from .polytopes import CartanEntry, Ray
 from .weyl import Generator, Phi, ReductionResult, Sigma, WeylWord
 
 __all__ = [
@@ -152,11 +151,11 @@ def decode_reduction(obj: dict) -> ReductionResult:
     )
 
 
-def encode_verdict(v: NefVerdict) -> dict:
+def encode_verdict(v: nef.NefVerdict) -> dict:
     method = (
-        METHOD_REDUCTION
-        if v.method == METHOD_REDUCTION
-        else f"{METHOD_CURVE_CHECK}:{v.max_degree}"
+        nef.METHOD_REDUCTION
+        if v.method == nef.METHOD_REDUCTION
+        else f"{nef.METHOD_CURVE_CHECK}:{v.max_degree}"
     )
     if v.witness is None:
         witness = None
@@ -167,15 +166,15 @@ def encode_verdict(v: NefVerdict) -> dict:
     return {"verdict": v.verdict, "method": method, "witness": witness}
 
 
-def decode_verdict(obj: dict) -> NefVerdict:
+def decode_verdict(obj: dict) -> nef.NefVerdict:
     verdict = _field(obj, "verdict", "verdict", str)
-    if verdict not in (NEF, NOT_NEF):
+    if verdict not in (nef.NEF, nef.NOT_NEF):
         raise ValueError(f"unknown verdict {verdict!r}")
     method = _field(obj, "verdict", "method", str)
     max_degree = None
-    if method != METHOD_REDUCTION:
+    if method != nef.METHOD_REDUCTION:
         method, _, bound = method.partition(":")
-        if method != METHOD_CURVE_CHECK or not re.fullmatch(r"[0-9]+", bound):
+        if method != nef.METHOD_CURVE_CHECK or not re.fullmatch(r"[0-9]+", bound):
             raise ValueError(f"unknown method {obj['method']!r}")
         max_degree = int(bound)
     w = _field(obj, "verdict", "witness", (list, dict, type(None)))
@@ -185,32 +184,32 @@ def decode_verdict(obj: dict) -> NefVerdict:
         witness = decode_word(w)
     else:
         witness = decode_class(w)
-    return NefVerdict(
+    return nef.NefVerdict(
         verdict=verdict, method=method, witness=witness, max_degree=max_degree
     )
 
 
-def encode_cartan(matrix: tuple[tuple[CartanEntry, ...], ...]) -> list:
+def encode_cartan(matrix: tuple[tuple[polytopes.CartanEntry, ...], ...]) -> list:
     return [
         [{"sign": e.sign, "cos2": str(e.cos2)} for e in row] for row in matrix
     ]
 
 
-def _decode_cartan_entry(obj: dict) -> CartanEntry:
+def _decode_cartan_entry(obj: dict) -> polytopes.CartanEntry:
     sign = _field(obj, "cartan entry", "sign", int)
     cos2 = _field(obj, "cartan entry", "cos2", str)
     if sign not in (-1, 0, 1) or not re.fullmatch(r"[0-9]+(/[0-9]*[1-9][0-9]*)?", cos2):
         raise ValueError(f"malformed cartan entry {obj!r}")
-    return CartanEntry(sign=sign, cos2=Fraction(cos2))
+    return polytopes.CartanEntry(sign=sign, cos2=Fraction(cos2))
 
 
-def decode_cartan(obj: list) -> tuple[tuple[CartanEntry, ...], ...]:
+def decode_cartan(obj: list) -> tuple[tuple[polytopes.CartanEntry, ...], ...]:
     if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
         raise ValueError(f"cartan matrix must be a JSON list of lists, got {obj!r}")
     return tuple(tuple(_decode_cartan_entry(e) for e in row) for row in obj)
 
 
-def encode_ray(r: Ray) -> dict:
+def encode_ray(r: polytopes.Ray) -> dict:
     return {
         "coords": _encode_ints(r.generator.coords),
         "square": encode_int(pairing(r.generator, r.generator)),

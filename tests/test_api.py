@@ -1,8 +1,14 @@
 """The public surface: every exported name resolves, and the names removed
-with the rational-arithmetic layer are neither exported nor present."""
+with the rational-arithmetic layer are neither exported nor present.  The
+package surface is the same as when every submodule ran at import, and
+each CLI command runs only the submodules it uses."""
 
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -42,3 +48,107 @@ def test_removed_names_are_gone(name):
     for attr in REMOVED[name]:
         assert attr not in module.__all__
         assert not hasattr(module, attr)
+
+
+# __all__ as it was when the package imported every submodule eagerly
+ALL = [
+    "PicClass", "LightConePosition", "pairing", "basis_vector", "canonical_class",
+    "anticanonical_class", "degree", "light_cone_position", "Phi", "Sigma", "WeylWord",
+    "ReductionResult", "OrbitResult", "KPositiveError", "apply_generator", "apply_word",
+    "fixed_hyperplane_normal", "sort_coordinates", "reduce_class", "all_generators", "orbit",
+    "is_minus_one_class", "enumerate_minus_one", "decompose_inequality", "Decomposition",
+    "MinusOneClass", "Halfspace", "ConePolytope", "MembershipResult", "AngleClass",
+    "CartanEntry", "CoxeterCheck", "CoxeterDiagram", "DiagramEdge", "Ray",
+    "VertexFormulaReport", "RegionRReport", "build_P_tilde", "build_P", "build_P_minus",
+    "membership", "gram_matrix", "classify_angle", "cartan_matrix", "render_cartan_entry",
+    "is_coxeter", "coxeter_diagram", "extremal_rays", "boundary_rays", "finite_volume",
+    "is_implied", "redundant_constraints", "vertex_formula_families", "verify_vertex_formulas",
+    "verify_region_R", "NEF", "NOT_NEF", "NefVerdict", "fundamental_cone",
+    "is_nef_K_nonpositive", "curve_check", "check_certificate", "CheckResult",
+    "VerificationReport", "run_suite", "check_names", "__version__",
+]
+
+
+class TestPackageSurface:
+    def test_all_keeps_its_content_and_order(self):
+        assert cremona.__all__ == ALL
+
+    def test_star_import_binds_exactly_all(self):
+        namespace: dict = {}
+        exec("from cremona import *", namespace)
+        del namespace["__builtins__"]
+        assert sorted(namespace) == sorted(ALL)
+
+    def test_every_name_is_the_object_in_its_home_module(self):
+        submodules = [importlib.import_module(m) for m in MODULES if m not in ("cremona", "cremona.cli")]
+        for name in ALL[:-1]:
+            value = getattr(cremona, name)
+            holders = [m for m in submodules if name in vars(m)]
+            assert holders and all(vars(m)[name] is value for m in holders), name
+        assert cremona.__version__ == "0.1.0"
+
+    def test_dir_covers_all(self):
+        assert set(ALL) <= set(dir(cremona))
+
+    def test_unknown_names_raise_attribute_error(self):
+        # RationalRay and primitive are covered by test_removed_names_are_gone
+        with pytest.raises(AttributeError, match="has no attribute 'nonexistent'"):
+            cremona.nonexistent  # noqa: B018
+
+
+# Run in a fresh interpreter: record the code objects of the package that
+# are executed (the "exec" audit event) while argv[1:] runs, and print the
+# file names.  "import" only imports the package; anything else is a
+# command line for cli.main.
+EXEC_PROBE = """
+import contextlib, io, json, os, sys
+
+executed = []
+
+def hook(event, args):
+    if event == "exec":
+        executed.append(getattr(args[0], "co_filename", ""))
+
+sys.addaudithook(hook)
+import cremona
+if sys.argv[1:] != ["import"]:
+    from cremona import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(sys.argv[1:])
+root = os.path.dirname(cremona.__file__)
+print(json.dumps(sorted({os.path.basename(f) for f in executed if os.path.dirname(f) == root})))
+"""
+LEAN = ["__init__.py", "cli.py", "lattice.py", "serialize.py", "weyl.py"]
+VECTOR = "--vector=10,-3,-3,-3,-3,-2,-2,-1,-1,-1,0"
+
+
+def executed_modules(*argv: str) -> list[str]:
+    src = os.path.dirname(os.path.dirname(cremona.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", EXEC_PROBE, *argv], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestStartUp:
+    """Each command runs only the modules it uses."""
+
+    def test_import_runs_only_the_package_file(self):
+        assert executed_modules("import") == ["__init__.py"]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_reduce_and_orbit_run_the_lean_modules(self, fmt):
+        assert executed_modules("reduce", "--n", "10", VECTOR, "--format", fmt) == LEAN
+        orbit = ("orbit", "--n", "6", "--vector", "0,0,0,0,0,0,1", "--max-degree", "2")
+        assert executed_modules(*orbit, "--format", fmt) == LEAN
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_nef_test_adds_nef(self, fmt):
+        assert executed_modules("nef-test", "--n", "10", VECTOR, "--format", fmt) == sorted(
+            LEAN + ["nef.py"])
+
+    def test_verify_runs_every_module(self):
+        executed = executed_modules("verify", "--suite", "quick")
+        assert {"polytopes.py", "curves.py", "linalg.py", "verify.py", "nef.py"} <= set(executed)

@@ -1,13 +1,20 @@
 """CLI contract: commands, formats, and the exit-code mapping
 (0 success/nef, 2 usage or precondition error, 3 negative verdict)."""
 
+import hashlib
 import json
 import time
 
 import pytest
 
 from cremona import polytopes
-from cremona.cli import CURVES_MAX_CLASSES, CURVES_MAX_DEGREE, POLYTOPE_MAX_N, main
+from cremona.cli import (
+    CURVES_MAX_CLASSES,
+    CURVES_MAX_DEGREE,
+    ORBIT_MAX_CLASSES,
+    POLYTOPE_MAX_N,
+    main,
+)
 from cremona.curves import _count_minus_one, enumerate_minus_one
 from cremona.lattice import pairing
 from cremona.polytopes import build_P_minus
@@ -272,6 +279,44 @@ class TestOrbit:
         assert code == 2 and out == ""
         assert err == "error: max_degree must be >= 0, got -1\n"
 
+    def test_degree_bound_past_class_cap_exits_two(self, capsys):
+        # the orbit of the line class at n = 10 has 148,050 classes in its
+        # third BFS layer; without the cap this ran for more than 30 s
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "orbit", "--n", "10", "--vector", "1" + ",0" * 10, "--max-degree", "60",
+        )
+        assert time.perf_counter() - start < 15
+        assert code == 2 and out == ""
+        assert err == "error: the orbit within --max-degree 60 has more than 10000 classes\n"
+
+    def test_class_cap_admits_degree_4(self, capsys):
+        # 6,421 classes; the sha256 of the text output was taken before
+        # the cap was added
+        assert ORBIT_MAX_CLASSES == 10_000
+        code, out, _ = run(
+            capsys, "orbit", "--n", "10", "--vector", "1" + ",0" * 10, "--max-degree", "4",
+        )
+        assert code == 0
+        assert out.endswith("count: 6421, truncated: False\n")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "369bf0469021cbd4a3489e87eadf4a4110ceb258e0062ae36bf5bb3229a6189e")
+
+    def test_max_count_past_class_cap_exits_two(self, capsys):
+        code, out, err = run(
+            capsys, "orbit", "--n", "6", "--vector", "0,0,0,0,0,0,1", "--max-count", "10001",
+        )
+        assert code == 2 and out == ""
+        assert err == "error: --max-count 10001 is past the cap 10000\n"
+
+    def test_max_count_at_class_cap_is_admitted(self, capsys):
+        code, out, _ = run(
+            capsys, "orbit", "--n", "6", "--vector", "0,0,0,0,0,0,1", "--max-count", "10000",
+            "--max-degree", "3",
+        )
+        assert code == 0
+        assert out.endswith(", truncated: False\n")
+
 
 class TestNefTest:
     def test_nef_exits_zero(self, capsys):
@@ -368,6 +413,46 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "quick", "--seed", "7")
         assert code == 0
         assert "0 failed" in out
+
+
+class TestStrictIntegers:
+    """Every integer on the command line is optional whitespace, an
+    optional sign and ASCII digits; int() alone took more than that."""
+
+    @pytest.mark.parametrize("text", ["1_0", "١٠", "１０", "10.0", "1e1", "0x10", "", "+", "- 10"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reduce", "--n", "{}", "--vector", "10" + ",0" * 10],
+            ["rays", "--n", "{}"],
+            ["curves", "--n", "9", "--max-degree", "{}"],
+            ["orbit", "--n", "6", "--vector", "0,0,0,0,0,0,1", "--max-count", "{}"],
+            ["orbit", "--n", "6", "--vector", "0,0,0,0,0,0,1", "--max-degree", "{}"],
+            ["nef-test", "--n", "6", "--vector", "0,0,0,0,0,0,1", "--max-degree", "{}"],
+            ["verify", "--suite", "quick", "--seed", "{}"],
+        ],
+        ids=lambda argv: " ".join(a for a in argv if a.startswith("-") or a.isalpha()),
+    )
+    def test_options_refuse_non_plain_integers(self, capsys, argv, text):
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(text) for a in argv])
+        assert exc.value.code == 2
+        assert f"invalid int value: {text!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "vector", ["1_0,-1,-1,-1", "١,0,0,0", "1,0,0,0.0", "1,,0,0", "1,0,0,0,", "1, +-1,0,0"]
+    )
+    def test_vector_refuses_non_plain_integers(self, capsys, vector):
+        code, out, err = run(capsys, "reduce", "--n", "3", f"--vector={vector}")
+        assert code == 2 and out == ""
+        assert err == f"error: vector must be comma-separated integers, got {vector!r}\n"
+
+    def test_whitespace_and_signs_are_accepted(self, capsys):
+        plain = run(capsys, "rays", "--n", "10")
+        assert run(capsys, "rays", "--n", " +10 ") == plain
+        plain = run(capsys, "reduce", "--n", "3", "--vector=3,-1,-1,0")
+        assert run(capsys, "reduce", "--n", "3", "--vector= +3 , -1,-1\t,0 ") == plain
+        assert plain[0] == 0
 
 
 class TestParser:
