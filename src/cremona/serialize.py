@@ -100,12 +100,6 @@ def decode_class(obj: dict) -> PicClass:
     return PicClass(n=n, coords=tuple(decode_int(c) for c in coords))
 
 
-def _encode_generator(g: Generator) -> dict:
-    if isinstance(g, Phi):
-        return {"phi": [g.i, g.j, g.k]}
-    return {"sigma": g.i}
-
-
 def _decode_generator(obj: dict) -> Generator:
     if isinstance(obj, dict) and len(obj) == 1:
         if "phi" in obj:
@@ -118,7 +112,10 @@ def _decode_generator(obj: dict) -> Generator:
 
 
 def encode_word(w: WeylWord) -> list:
-    return [_encode_generator(g) for g in w.gens]
+    return [
+        {"phi": [g.i, g.j, g.k]} if type(g) is Phi else {"sigma": g.i}
+        for g in w.gens
+    ]
 
 
 def decode_word(obj: list) -> WeylWord:

@@ -7,19 +7,22 @@ isometry of the pairing and fixes the canonical class K.
 
 ``reduce_class`` is the workhorse: it moves any K-nonpositive integer
 class into the fundamental cone, or else produces a violated curve
-class proving the input is not nef.  It leaves the coordinates where
-they are and tracks the order of the tail x_1..x_n instead: while
-x_0 plus the three smallest tail coordinates is negative, it applies
-phi at the indices of those three (each application strictly
-decreases x_0, so the loop terminates).  The witness is those phi
-steps followed by one word of transpositions that sorts the tail.
+class proving the input is not nef.  It keeps the tail x_1..x_n as two
+parallel lists, the values in sorted order and their indices: while
+x_0 plus the three smallest values is negative, it applies phi at the
+indices of those three (each application strictly decreases x_0, so
+the loop terminates) and bisects the three new values back in.  The
+witness is those phi steps followed by one word of transpositions that
+sorts the tail.  A not-nef verdict pulls the violated class back by
+replaying the recorded index triples in integer arithmetic.
 """
 
 from __future__ import annotations
 
-from bisect import insort_left
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import starmap
 from typing import Iterable, Iterator
 
 from .lattice import PicClass, canonical_class, pairing
@@ -116,7 +119,8 @@ def _sigma(i: int) -> Sigma:
 def _apply_in_place(x: list[int], gens: Iterable[Generator], n: int) -> None:
     """Apply ``gens`` left to right to the coordinates ``x`` of a class in
     Z^{1,n}, overwriting them; raise ValueError at the first generator
-    out of range for n."""
+    out of range for n, and TypeError at the first item that is not a
+    generator."""
     for g in gens:
         if isinstance(g, Phi):
             i, j, k = g.i, g.j, g.k
@@ -127,11 +131,13 @@ def _apply_in_place(x: list[int], gens: Iterable[Generator], n: int) -> None:
             x[i] = -x0 - xj - xk
             x[j] = -x0 - xi - xk
             x[k] = -x0 - xi - xj
-        else:
+        elif isinstance(g, Sigma):
             i = g.i
             if i + 1 > n:
                 raise ValueError(f"{g!r} out of range for n={n}")
             x[i], x[i + 1] = x[i + 1], x[i]
+        else:
+            raise TypeError(f"not a Phi or Sigma generator: {g!r}")
 
 
 def apply_generator(g: Generator, v: PicClass) -> PicClass:
@@ -152,7 +158,8 @@ def fixed_hyperplane_normal(g: Generator, n: int) -> PicClass:
     """The integer normal of the hyperplane the generator reflects across.
 
     phi_{ijk} fixes (e_0 - e_i - e_j - e_k)^perp, sigma_i fixes
-    (e_i - e_{i+1})^perp; both normals have square -2.
+    (e_i - e_{i+1})^perp; both normals have square -2.  Anything else
+    raises TypeError.
     """
     if isinstance(g, Phi):
         if g.k > n:
@@ -161,6 +168,8 @@ def fixed_hyperplane_normal(g: Generator, n: int) -> PicClass:
         coords[0] = 1
         coords[g.i] = coords[g.j] = coords[g.k] = -1
         return PicClass(n, tuple(coords))
+    if not isinstance(g, Sigma):
+        raise TypeError(f"not a Phi or Sigma generator: {g!r}")
     if g.i + 1 > n:
         raise ValueError(f"{g!r} out of range for n={n}")
     coords = [0] * (n + 1)
@@ -224,33 +233,33 @@ class KPositiveError(ValueError):
     """Raised for inputs on the K-positive side, where reduction says nothing."""
 
 
-def _in_fundamental_cone_sorted(v: PicClass) -> bool:
-    # assumes x_1 <= ... <= x_n already
-    x = v.coords
-    return x[0] + x[1] + x[2] + x[3] >= 0 and x[v.n] <= 0
-
-
 def reduce_class(v: PicClass) -> ReductionResult:
     """Reduce a K-nonpositive integer class into the fundamental cone.
 
-    The tail coordinates stay in place; ``order`` lists the indices
-    1..n by value, ties kept in their previous order (so the sorted view
-    is the one a stable sort of the tail would give).  Loop: while
-    x_0 > 0 and x_0 plus the three smallest tail coordinates is
-    negative, apply phi at those three indices, which strictly
-    decreases x_0, then take the three off the front of ``order`` and
-    re-insert them by bisection, the largest first, each ahead of any
-    equal value: the order a stable re-sort would give, ties included.
+    The tail is kept as two parallel lists: ``vals``, the tail values in
+    sorted order, and ``order``, the index 1..n of each, ties kept in
+    their previous order (so the sorted view is the one a stable sort of
+    the tail would give).  Loop: while x_0 > 0 and s = x_0 + a + b + c
+    is negative, where a <= b <= c are the three smallest values, apply
+    phi at their indices: x_0 gains s, which strictly decreases it, and
+    a, b, c each lose s.  Take the three off the front of both lists and
+    bisect c - s, b - s, a - s back into ``vals``, in that order and each
+    ahead of any equal value, putting each index at the same place in
+    ``order``: the order a stable re-sort would give, ties included.
     The witness word and the violated class depend on that tie order.
-    Each step's Phi, and each Sigma of the sort word, is a shared
-    instance.  Then sort the tail with one transposition word.  The
+    Each step records its sorted index triple, and after the loop each
+    triple becomes its shared Phi instance; each Sigma of the sort word
+    is shared too.  Then sort the tail with one transposition word.  The
     result is "in_cone" once
     x_0 + x_1 + x_2 + x_3 >= 0 and x_n <= 0 in sorted coordinates (the
     remaining cone inequality 3x_0 >= -sum x_i holds throughout because
     it is W-invariant and holds on the input).  If x_0 fell to <= 0, or
     the sorted vector has x_n > 0, no translate of the cone contains v;
     report "not_nef" with a violated class that pairs negatively with
-    the original input.
+    the original input: e_n if x_n > 0, else e_0 if x_0 < 0, else
+    e_0 - e_1 (in sorted coordinates), pulled back by putting it in index
+    order through ``order`` (the inverse of the sort word) and then
+    replaying the recorded triples backwards in integer arithmetic.
     """
     if v.n < 3:
         raise ValueError(f"reduction needs n >= 3, got n={v.n}")
@@ -263,33 +272,50 @@ def reduce_class(v: PicClass) -> ReductionResult:
         )
 
     n = v.n
-    x = list(v.coords)
-    value = x.__getitem__
-    order = sorted(range(1, n + 1), key=value)
-    word: list[Generator] = []
-    while True:
-        x0 = x[0]
-        i, j, k = order[0], order[1], order[2]
-        xi, xj, xk = x[i], x[j], x[k]
-        if x0 <= 0 or x0 + xi + xj + xk >= 0:
+    x = v.coords
+    x0 = x[0]
+    order = sorted(range(1, n + 1), key=x.__getitem__)
+    vals = [x[i] for i in order]
+    steps: list[int] = []  # the sorted index triples of the phi steps, flat
+    while x0 > 0:
+        a = vals[0]
+        b = vals[1]
+        c = vals[2]
+        s = x0 + a + b + c
+        if s >= 0:
             break
-        x[0] = 2 * x0 + xi + xj + xk
-        x[i] = -x0 - xj - xk
-        x[j] = -x0 - xi - xk
-        x[k] = -x0 - xi - xj
-        word.append(_phi(*sorted((i, j, k))))
-        del order[:3]
-        insort_left(order, k, key=value)
-        insort_left(order, j, key=value)
-        insort_left(order, i, key=value)
+        i = order[0]
+        j = order[1]
+        k = order[2]
+        triple = [i, j, k]
+        triple.sort()
+        steps += triple
+        del vals[:3], order[:3]
+        # phi adds s to x_0 and subtracts it from each of a <= b <= c,
+        # which keep their order: each search ends where the last began
+        x0 += s
+        c -= s
+        p = bisect_left(vals, c)
+        vals.insert(p, c)
+        order.insert(p, k)
+        b -= s
+        p = bisect_left(vals, b, 0, p)
+        vals.insert(p, b)
+        order.insert(p, j)
+        a -= s
+        p = bisect_left(vals, a, 0, p)
+        vals.insert(p, a)
+        order.insert(p, i)
+    triples = iter(steps)
+    word: list[Generator] = list(starmap(_phi, zip(triples, triples, triples)))
     phi_count = len(word)
     rank = [0] * n  # rank[i - 1]: the sorted position of index i
     for position, i in enumerate(order):
         rank[i - 1] = position
     word.extend(_bubble_sort_word(rank))
-    reduced = PicClass._trusted(n, (x[0], *map(value, order)))
+    reduced = PicClass._trusted(n, (x0, *vals))
     witness = WeylWord(tuple(word))
-    if _in_fundamental_cone_sorted(reduced):
+    if x0 + vals[0] + vals[1] + vals[2] >= 0 and vals[-1] <= 0:
         return ReductionResult(
             ReductionResult.IN_CONE, reduced, witness, iterations=phi_count
         )
@@ -297,17 +323,24 @@ def reduce_class(v: PicClass) -> ReductionResult:
     # already pass and x_n > 0 fails: pick a constraint the reduced
     # state violates and pull it back to the input.  The generators are
     # involutive isometries, so pairing(culprit, reduced) equals the
-    # pairing of the pulled-back culprit with the input.
-    y = reduced.coords
+    # pairing of the pulled-back culprit with the input.  ``order`` is
+    # the inverse of the sort word, so the pull-back puts the culprit in
+    # index order through it, then undoes the phi steps last to first.
     culprit = [0] * (n + 1)
-    if y[n] > 0:
-        culprit[n] = 1  # e_n: pairing = -x_n < 0, a (-1)-curve
-    elif y[0] < 0:
+    if vals[-1] > 0:
+        culprit[order[-1]] = 1  # e_n: pairing = -x_n < 0, a (-1)-curve
+    elif x0 < 0:
         culprit[0] = 1  # e_0: pairing = x_0 < 0
     else:
         # e_0 - e_1: x_0 = 0 with x_1 + x_2 + x_3 < 0, so x_1 < 0
-        culprit[0], culprit[1] = 1, -1
-    _apply_in_place(culprit, reversed(word), n)
+        culprit[0], culprit[order[0]] = 1, -1
+    back = reversed(steps)
+    for k, j, i in zip(back, back, back):
+        t = culprit[0] + culprit[i] + culprit[j] + culprit[k]
+        culprit[0] += t
+        culprit[i] -= t
+        culprit[j] -= t
+        culprit[k] -= t
     violated = PicClass._trusted(n, tuple(culprit))
     return ReductionResult(
         ReductionResult.NOT_NEF, reduced, witness, violated, phi_count

@@ -182,7 +182,36 @@ class TestWords:
         assert decode_word(json_round(encode_word(w))) == w
 
     def test_empty_word(self):
+        assert encode_word(WeylWord()) == []
         assert decode_word(json_round(encode_word(WeylWord()))) == WeylWord()
+
+    def test_mixed_word_shape(self):
+        w = WeylWord((Sigma(3), Phi(1, 2, 3), Phi(2, 4, 5), Sigma(1), Sigma(1)))
+        assert encode_word(w) == [
+            {"sigma": 3},
+            {"phi": [1, 2, 3]},
+            {"phi": [2, 4, 5]},
+            {"sigma": 1},
+            {"sigma": 1},
+        ]
+        assert decode_word(encode_word(w)) == w
+
+    @given(
+        st.lists(
+            st.integers(1, 30).map(lambda i: {"sigma": i})
+            | st.lists(st.integers(1, 30), min_size=3, max_size=3, unique=True).map(
+                lambda ijk: {"phi": sorted(ijk)}
+            ),
+            max_size=20,
+        )
+    )
+    def test_encodes_each_generator_in_order(self, items):
+        # the expected JSON is drawn first and the word built from it
+        w = WeylWord(
+            tuple(Phi(*d["phi"]) if "phi" in d else Sigma(d["sigma"]) for d in items)
+        )
+        assert encode_word(w) == items
+        assert decode_word(encode_word(w)) == w
 
 
 class TestReduction:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -135,6 +136,17 @@ class TestWords:
             apply_word(word, v)
         with pytest.raises(ValueError, match=r"^Sigma\(4\) out of range for n=4$"):
             apply_word([Phi(1, 2, 4), Sigma(4), Phi(1, 2, 3)], v)
+
+    @pytest.mark.parametrize("item", [object(), "x", (1, 2, 3)])
+    def test_non_generator_raises_type_error(self, item):
+        v = PicClass(4, (3, -1, 0, -1, 0))
+        message = f"^not a Phi or Sigma generator: {re.escape(repr(item))}$"
+        with pytest.raises(TypeError, match=message):
+            apply_word([Sigma(1), item], v)
+        with pytest.raises(TypeError, match=message):
+            apply_generator(item, v)
+        with pytest.raises(TypeError, match=message):
+            fixed_hyperplane_normal(item, 4)
 
 
 class TestSortCoordinates:
@@ -297,6 +309,42 @@ def pinned_batch() -> list[PicClass]:
 # generator afresh.  The witness word depends on how ties are broken, so
 # this pins the exact words, not only their validity.
 PINNED_SHA256 = "978352ea416066ffbc7352b1be86b2ca915db80f1162f548a95da528d3a832f2"
+
+
+def culprit_of(res: ReductionResult) -> PicClass:
+    """The violated constraint of the reduced state, chosen as
+    ``reduce_class`` documents it: e_n if x_n > 0, else e_0 if x_0 < 0,
+    else e_0 - e_1."""
+    y, n = res.reduced.coords, res.reduced.n
+    if y[n] > 0:
+        return basis_vector(n, n)
+    if y[0] < 0:
+        return basis_vector(n, 0)
+    return basis_vector(n, 0) - basis_vector(n, 1)
+
+
+def assert_pull_back_is_the_word(v: PicClass) -> bool:
+    """For a not-nef result, the violated class is the culprit moved by
+    the reversed public witness word; True if v was not nef."""
+    res = reduce_class(v)
+    if res.status != ReductionResult.NOT_NEF:
+        return False
+    assert res.violated == apply_word(res.witness.reversed(), culprit_of(res))
+    assert pairing(res.violated, v) < 0
+    return True
+
+
+def test_pull_back_matches_the_witness_word_on_the_pinned_batch():
+    # 115 of the 180 pinned classes are not nef
+    assert sum(map(assert_pull_back_is_the_word, pinned_batch())) == 115
+
+
+@given(st.integers(3, 16).flatmap(lambda n: k_nonpositive(n, -2, 2)))
+@settings(max_examples=300)
+def test_pull_back_matches_the_witness_word_with_ties(v):
+    # coordinates in -2..2 make many equal tail values, where the tie
+    # order decides both the sort word and the pulled-back class
+    assert_pull_back_is_the_word(v)
 
 
 def test_witnesses_are_pinned():
