@@ -31,7 +31,6 @@ where one ``json.dumps`` of the whole document peaked at 260 MiB.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import io
 import json
@@ -63,10 +62,11 @@ _POLYTOPES = {
 
 # Work caps: past them the polytope commands (``cartan``, ``diagram``,
 # ``rays``), ``curves``, ``nef-test --method curves`` and ``orbit`` exit
-# 2.  At n = 100 rays --polytope p_minus takes about 1 s (829 rays),
-# growing about 6x per doubling of n; cartan takes about 0.19 s, nearly
-# all of it start-up (the interpreter, and the modules cli and
-# polytopes run), as the matrix itself takes about 3 ms.  curves --n
+# 2.  At n = 100 rays --polytope p_minus takes about 0.5 s (829 rays),
+# growing about 6x per doubling of n; cartan takes about 0.08 s, nearly
+# all of it start-up (the interpreter alone about 0.04 s, then the
+# modules cli and polytopes run), as the matrix itself takes about 3 ms
+# (2-vCPU Linux machine, Python 3.11.7, no cached bytecode).  curves --n
 # 10 --max-degree 8 gives 117,754 classes (22 MB of JSON), and degree 9
 # would give 224,629.  For n <= 8 the classes run out (240 at n = 8),
 # so there only CURVES_MAX_DEGREE bounds the loop over degrees.  The
@@ -413,7 +413,8 @@ def _cmd_region_r(args: argparse.Namespace, out: _Output) -> int:
 def _cmd_verify(args: argparse.Namespace, out: _Output) -> int:
     report = verify.run_suite(suite=args.suite, seed=args.seed)
     if args.format == "json":
-        out.json([dataclasses.asdict(c) for c in report.checks])  # field order is JSON order
+        # a row per check: its fields, in order, as keys
+        out.json([{name: getattr(c, name) for name in c.__slots__} for c in report.checks])
     else:
         for c in report.checks:
             out.line(f"{c.status.upper():5s} {c.name}")

@@ -19,11 +19,10 @@ multiplicities at each step.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterator
 from math import factorial
-from typing import Iterator
 
-from .lattice import PicClass, basis_vector, canonical_class, pairing
+from .lattice import PicClass, Record, basis_vector, canonical_class, pairing, set_field
 
 __all__ = [
     "MinusOneClass",
@@ -36,12 +35,14 @@ __all__ = [
 MinusOneClass = PicClass  # alias: a PicClass that passes is_minus_one_class
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """d-1 cubic normals plus one conic normal summing to the class."""
 
-    cubics: tuple[PicClass, ...]
-    conic: PicClass
+    __slots__ = ("cubics", "conic")
+
+    def __init__(self, cubics: tuple[PicClass, ...], conic: PicClass) -> None:
+        set_field(self, "cubics", cubics)
+        set_field(self, "conic", conic)
 
     def parts(self) -> tuple[PicClass, ...]:
         return self.cubics + (self.conic,)

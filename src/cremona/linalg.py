@@ -7,8 +7,8 @@ the point is exactness and zero dependencies.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 Row = Sequence[int | Fraction]
 

@@ -16,11 +16,10 @@ no approximation is attempted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import curves, polytopes
-from .lattice import PicClass, pairing
+from .lattice import PicClass, Record, pairing, set_field
 from .weyl import ReductionResult, WeylWord, apply_word, reduce_class
 
 __all__ = [
@@ -41,8 +40,7 @@ METHOD_REDUCTION = "reduction_exact"
 METHOD_CURVE_CHECK = "curve_check"
 
 
-@dataclass(frozen=True)
-class NefVerdict:
+class NefVerdict(Record):
     """Outcome of a nef test.
 
     method is METHOD_REDUCTION (unconditional on the K <= 0 side) or
@@ -52,10 +50,19 @@ class NefVerdict:
     not-nef, and None for a clean curve check.
     """
 
-    verdict: str
-    method: str
-    witness: WeylWord | PicClass | None
-    max_degree: int | None = None
+    __slots__ = ("verdict", "method", "witness", "max_degree")
+
+    def __init__(
+        self,
+        verdict: str,
+        method: str,
+        witness: WeylWord | PicClass | None,
+        max_degree: int | None = None,
+    ) -> None:
+        set_field(self, "verdict", verdict)
+        set_field(self, "method", method)
+        set_field(self, "witness", witness)
+        set_field(self, "max_degree", max_degree)
 
     def is_nef(self) -> bool:
         return self.verdict == NEF

@@ -16,17 +16,18 @@ cos^2 = (u.v)^2 / (u^2 v^2), never through floating point.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
 
 from .lattice import (
     LightConePosition,
     PicClass,
+    Record,
     anticanonical_class,
     basis_vector,
     light_cone_position,
     pairing,
+    set_field,
 )
 from .linalg import solve_unique
 
@@ -73,26 +74,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Halfspace:
+class Halfspace(Record):
     """The halfspace {x : pairing(normal, x) >= 0}.
 
     The normal is an unnormalized integer vector with normal^2 < 0, so
     that the bounding hyperplane actually meets hyperbolic space.
     """
 
-    normal: PicClass
+    __slots__ = ("normal",)
 
-    def __post_init__(self) -> None:
-        if pairing(self.normal, self.normal) >= 0:
+    def __init__(self, normal: PicClass) -> None:
+        square = pairing(normal, normal)
+        if square >= 0:
             raise ValueError(
                 f"halfspace normal must have negative self-pairing, "
-                f"got {pairing(self.normal, self.normal)} for {self.normal.coords}"
+                f"got {square} for {normal.coords}"
             )
+        set_field(self, "normal", normal)
 
 
-@dataclass(frozen=True)
-class ConePolytope:
+class ConePolytope(Record):
     """A cone cut out by halfspaces.
 
     The halfspace list is *meant* to be minimal (no inequality implied
@@ -100,23 +101,28 @@ class ConePolytope:
     redundant_constraints() to audit it.
     """
 
-    n: int
-    halfspaces: tuple[Halfspace, ...]
+    __slots__ = ("n", "halfspaces")
 
-    def __post_init__(self) -> None:
-        for u in self.all_normals:
-            if u.n != self.n:
-                raise ValueError(f"normal {u.coords} does not live in rank {self.n + 1}")
+    def __init__(self, n: int, halfspaces: tuple[Halfspace, ...]) -> None:
+        for h in halfspaces:
+            if h.normal.n != n:
+                raise ValueError(f"normal {h.normal.coords} does not live in rank {n + 1}")
+        set_field(self, "n", n)
+        set_field(self, "halfspaces", halfspaces)
 
     @property
     def all_normals(self) -> tuple[PicClass, ...]:
         return tuple([h.normal for h in self.halfspaces])
 
 
-@dataclass(frozen=True)
-class MembershipResult:
-    contains: bool
-    violated: PicClass | None
+class MembershipResult(Record):
+    """Whether a class lies in a cone, and else the first normal it violates."""
+
+    __slots__ = ("contains", "violated")
+
+    def __init__(self, contains: bool, violated: PicClass | None) -> None:
+        set_field(self, "contains", contains)
+        set_field(self, "violated", violated)
 
     def __bool__(self) -> bool:
         return self.contains
@@ -238,8 +244,7 @@ NON_SUBMULTIPLE = "non_submultiple"
 _COS2_TO_M = {Fraction(1, 4): 3, Fraction(1, 2): 4, Fraction(3, 4): 6}
 
 
-@dataclass(frozen=True)
-class AngleClass:
+class AngleClass(Record):
     """Exact classification of the angle between two halfspaces.
 
     kind is one of PI_OVER (with m >= 2), ZERO_ANGLE (parallel at the
@@ -248,10 +253,13 @@ class AngleClass:
     they determine the exact Cartan entry -2*sign*sqrt(cos2).
     """
 
-    kind: str
-    cos2: Fraction
-    sign: int
-    m: int | None = None
+    __slots__ = ("kind", "cos2", "sign", "m")
+
+    def __init__(self, kind: str, cos2: Fraction, sign: int, m: int | None = None) -> None:
+        set_field(self, "kind", kind)
+        set_field(self, "cos2", cos2)
+        set_field(self, "sign", sign)
+        set_field(self, "m", m)
 
 
 def classify_angle(u: Halfspace | PicClass, v: Halfspace | PicClass) -> AngleClass:
@@ -302,12 +310,14 @@ def _angle_pass(P: ConePolytope, make) -> list[list]:
     return out
 
 
-@dataclass(frozen=True)
-class CartanEntry:
+class CartanEntry(Record):
     """Exact Cartan matrix entry a_ij = -2*sign*sqrt(cos2)."""
 
-    sign: int
-    cos2: Fraction
+    __slots__ = ("sign", "cos2")
+
+    def __init__(self, sign: int, cos2: Fraction) -> None:
+        set_field(self, "sign", sign)
+        set_field(self, "cos2", cos2)
 
 
 def cartan_matrix(P: ConePolytope) -> tuple[tuple[CartanEntry, ...], ...]:
@@ -338,10 +348,17 @@ def render_cartan_entry(entry: CartanEntry) -> str:
     return f"-{mag}" if entry.sign > 0 else mag
 
 
-@dataclass(frozen=True)
-class CoxeterCheck:
-    is_coxeter: bool
-    offending: tuple[tuple[int, int, AngleClass], ...]
+class CoxeterCheck(Record):
+    """Whether every angle is a submultiple of pi, zero or divergent, and
+    the pairs (i, j, angle class) where one is not."""
+
+    __slots__ = ("is_coxeter", "offending")
+
+    def __init__(
+        self, is_coxeter: bool, offending: tuple[tuple[int, int, AngleClass], ...]
+    ) -> None:
+        set_field(self, "is_coxeter", is_coxeter)
+        set_field(self, "offending", offending)
 
     def __bool__(self) -> bool:
         return self.is_coxeter
@@ -361,19 +378,29 @@ EDGE_DASHED = "dashed"
 EDGE_DOTTED = "dotted"
 
 
-@dataclass(frozen=True)
-class DiagramEdge:
-    i: int
-    j: int
-    style: str  # plain / dashed / dotted
-    multiplicity: int  # parallel strands to draw (m-2 for angle pi/m)
-    m: int | None  # angle denominator, None for dashed/dotted
+class DiagramEdge(Record):
+    """An edge between nodes i and j: ``style`` is plain, dashed or dotted,
+    ``multiplicity`` the parallel strands to draw (m-2 for angle pi/m),
+    and ``m`` the angle denominator, None for dashed and dotted edges."""
+
+    __slots__ = ("i", "j", "style", "multiplicity", "m")
+
+    def __init__(self, i: int, j: int, style: str, multiplicity: int, m: int | None) -> None:
+        set_field(self, "i", i)
+        set_field(self, "j", j)
+        set_field(self, "style", style)
+        set_field(self, "multiplicity", multiplicity)
+        set_field(self, "m", m)
 
 
-@dataclass(frozen=True)
-class CoxeterDiagram:
-    labels: tuple[str, ...]
-    edges: tuple[DiagramEdge, ...]
+class CoxeterDiagram(Record):
+    """Node labels, one per halfspace, and the edges between them."""
+
+    __slots__ = ("labels", "edges")
+
+    def __init__(self, labels: tuple[str, ...], edges: tuple[DiagramEdge, ...]) -> None:
+        set_field(self, "labels", labels)
+        set_field(self, "edges", edges)
 
     def to_dot(self) -> str:
         lines = ["graph coxeter {", "  node [shape=circle];"]
@@ -443,14 +470,18 @@ def coxeter_diagram(P: ConePolytope) -> CoxeterDiagram:
 # extremal rays
 
 
-@dataclass(frozen=True)
-class Ray:
+class Ray(Record):
     """An extremal ray: primitive generator, light-cone position, and the
     indices (into all_normals) of the inequalities vanishing on it."""
 
-    generator: PicClass
-    position: LightConePosition
-    active_set: tuple[int, ...]
+    __slots__ = ("generator", "position", "active_set")
+
+    def __init__(
+        self, generator: PicClass, position: LightConePosition, active_set: tuple[int, ...]
+    ) -> None:
+        set_field(self, "generator", generator)
+        set_field(self, "position", position)
+        set_field(self, "active_set", active_set)
 
 
 def _minkowski_row(u: PicClass) -> tuple[int, ...]:
@@ -668,14 +699,28 @@ def vertex_formula_families(n: int) -> dict[str, list[PicClass]]:
     return fams
 
 
-@dataclass(frozen=True)
-class VertexFormulaReport:
-    n: int
-    expected_count: int
-    formula_rays: tuple[PicClass, ...]
-    computed_rays: tuple[PicClass, ...]
-    count_ok: bool
-    sets_equal: bool
+class VertexFormulaReport(Record):
+    """The closed-form vertex families against the computed extremal rays."""
+
+    __slots__ = (
+        "n", "expected_count", "formula_rays", "computed_rays", "count_ok", "sets_equal"
+    )
+
+    def __init__(
+        self,
+        n: int,
+        expected_count: int,
+        formula_rays: tuple[PicClass, ...],
+        computed_rays: tuple[PicClass, ...],
+        count_ok: bool,
+        sets_equal: bool,
+    ) -> None:
+        set_field(self, "n", n)
+        set_field(self, "expected_count", expected_count)
+        set_field(self, "formula_rays", formula_rays)
+        set_field(self, "computed_rays", computed_rays)
+        set_field(self, "count_ok", count_ok)
+        set_field(self, "sets_equal", sets_equal)
 
     def ok(self) -> bool:
         return self.count_ok and self.sets_equal
@@ -712,23 +757,55 @@ def verify_vertex_formulas(n: int) -> VertexFormulaReport:
 # the -K-truncated cone with a tail of equal middle coordinates.
 
 
-@dataclass(frozen=True)
-class RegionRRow:
-    triple: tuple[int, int, int]
-    point: tuple[Fraction, Fraction, Fraction] | None
-    is_vertex: bool
-    f_value: Fraction | None
+class RegionRRow(Record):
+    """One triple of facet planes: where they meet (None if they do not),
+    whether that point is a vertex of R, and f there."""
+
+    __slots__ = ("triple", "point", "is_vertex", "f_value")
+
+    def __init__(
+        self,
+        triple: tuple[int, int, int],
+        point: tuple[Fraction, Fraction, Fraction] | None,
+        is_vertex: bool,
+        f_value: Fraction | None,
+    ) -> None:
+        set_field(self, "triple", triple)
+        set_field(self, "point", point)
+        set_field(self, "is_vertex", is_vertex)
+        set_field(self, "f_value", f_value)
 
 
-@dataclass(frozen=True)
-class RegionRReport:
-    n: int
-    rows: tuple[RegionRRow, ...]
-    all_triples_meet: bool
-    vertex_count: int
-    max_f_at_vertices: Fraction
-    f_le_1_at_vertices: bool
-    f_lt_1_when_xn_negative: bool
+class RegionRReport(Record):
+    """The ten triple intersections of region R and the f <= 1 summary."""
+
+    __slots__ = (
+        "n",
+        "rows",
+        "all_triples_meet",
+        "vertex_count",
+        "max_f_at_vertices",
+        "f_le_1_at_vertices",
+        "f_lt_1_when_xn_negative",
+    )
+
+    def __init__(
+        self,
+        n: int,
+        rows: tuple[RegionRRow, ...],
+        all_triples_meet: bool,
+        vertex_count: int,
+        max_f_at_vertices: Fraction,
+        f_le_1_at_vertices: bool,
+        f_lt_1_when_xn_negative: bool,
+    ) -> None:
+        set_field(self, "n", n)
+        set_field(self, "rows", rows)
+        set_field(self, "all_triples_meet", all_triples_meet)
+        set_field(self, "vertex_count", vertex_count)
+        set_field(self, "max_f_at_vertices", max_f_at_vertices)
+        set_field(self, "f_le_1_at_vertices", f_le_1_at_vertices)
+        set_field(self, "f_lt_1_when_xn_negative", f_lt_1_when_xn_negative)
 
     def ok(self) -> bool:
         return (

@@ -25,7 +25,6 @@ silently rounded on its way in.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from . import nef, polytopes
 from .lattice import PicClass, pairing
@@ -197,6 +196,10 @@ def _decode_cartan_entry(obj: dict) -> polytopes.CartanEntry:
     cos2 = _field(obj, "cartan entry", "cos2", str)
     if sign not in (-1, 0, 1) or not re.fullmatch(r"[0-9]+(/[0-9]*[1-9][0-9]*)?", cos2):
         raise ValueError(f"malformed cartan entry {obj!r}")
+    # imported here: fractions (and the decimal it imports) would cost
+    # every reduce and nef-test process about 3 ms at start-up
+    from fractions import Fraction
+
     return polytopes.CartanEntry(sign=sign, cos2=Fraction(cos2))
 
 

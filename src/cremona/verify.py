@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable
 
 from .curves import (
     _multiplicity_multisets,
@@ -29,7 +28,7 @@ from .curves import (
     decompose_inequality,
     enumerate_minus_one,
 )
-from .lattice import PicClass, basis_vector, canonical_class, pairing
+from .lattice import PicClass, Record, basis_vector, canonical_class, pairing, set_field
 from .nef import NEF, curve_check, fundamental_cone, is_nef_K_nonpositive
 from .polytopes import (
     EDGE_DASHED,
@@ -65,27 +64,41 @@ FAIL = "fail"
 XFAIL = "xfail"
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    status: str
-    claim: str
-    expected: str
-    computed: str
+class CheckResult(Record):
+    """One check's outcome; its fields, in order, are the keys of a row of
+    ``verify --format json``."""
+
+    __slots__ = ("name", "status", "claim", "expected", "computed")
+
+    def __init__(self, name: str, status: str, claim: str, expected: str, computed: str) -> None:
+        set_field(self, "name", name)
+        set_field(self, "status", status)
+        set_field(self, "claim", claim)
+        set_field(self, "expected", expected)
+        set_field(self, "computed", computed)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    checks: tuple[CheckResult, ...]
+class VerificationReport(Record):
+    """The results of a suite's checks, in registry order."""
+
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: tuple[CheckResult, ...]) -> None:
+        set_field(self, "checks", checks)
 
     def passed(self) -> bool:
         return all(c.status != FAIL for c in self.checks)
 
 
-@dataclass(frozen=True)
-class _Ctx:
-    seed: int
-    scale: int  # divides the big sample sizes (quick suite runs leaner)
+class _Ctx(Record):
+    """The seed of a run's random samples, and ``scale``, which divides
+    the big sample sizes (the quick suite runs leaner)."""
+
+    __slots__ = ("seed", "scale")
+
+    def __init__(self, seed: int, scale: int) -> None:
+        set_field(self, "seed", seed)
+        set_field(self, "scale", scale)
 
     def rng(self, name: str) -> random.Random:
         return random.Random(self.seed ^ zlib.crc32(name.encode()))

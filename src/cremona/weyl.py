@@ -20,12 +20,11 @@ replaying the recorded index triples in integer arithmetic.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from itertools import starmap
-from typing import Iterable, Iterator
 
-from .lattice import PicClass, canonical_class, pairing
+from .lattice import PicClass, Record, canonical_class, pairing, set_field
 
 __all__ = [
     "Generator",
@@ -44,31 +43,31 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Phi:
+class Phi(Record):
     """phi_{ijk}: the lattice action of the quadratic map based at points i<j<k."""
 
-    i: int
-    j: int
-    k: int
+    __slots__ = ("i", "j", "k")
 
-    def __post_init__(self) -> None:
-        if not (0 < self.i < self.j < self.k):
-            raise ValueError(f"Phi indices must satisfy 0 < i < j < k, got {self}")
+    def __init__(self, i: int, j: int, k: int) -> None:
+        if not 0 < i < j < k:
+            raise ValueError(f"Phi indices must satisfy 0 < i < j < k, got Phi({i},{j},{k})")
+        set_field(self, "i", i)
+        set_field(self, "j", j)
+        set_field(self, "k", k)
 
     def __repr__(self) -> str:
         return f"Phi({self.i},{self.j},{self.k})"
 
 
-@dataclass(frozen=True)
-class Sigma:
+class Sigma(Record):
     """sigma_i: the transposition of coordinates x_i and x_{i+1}."""
 
-    i: int
+    __slots__ = ("i",)
 
-    def __post_init__(self) -> None:
-        if self.i < 1:
-            raise ValueError(f"Sigma index must be >= 1, got {self.i}")
+    def __init__(self, i: int) -> None:
+        if i < 1:
+            raise ValueError(f"Sigma index must be >= 1, got {i}")
+        set_field(self, "i", i)
 
     def __repr__(self) -> str:
         return f"Sigma({self.i})"
@@ -77,15 +76,13 @@ class Sigma:
 Generator = Phi | Sigma
 
 
-@dataclass(frozen=True)
-class WeylWord:
+class WeylWord(Record):
     """A finite sequence of generators, applied left to right."""
 
-    gens: tuple[Generator, ...] = ()
+    __slots__ = ("gens",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.gens, tuple):
-            object.__setattr__(self, "gens", tuple(self.gens))
+    def __init__(self, gens: tuple[Generator, ...] = ()) -> None:
+        set_field(self, "gens", gens if isinstance(gens, tuple) else tuple(gens))
 
     def __len__(self) -> int:
         return len(self.gens)
@@ -206,8 +203,7 @@ def _bubble_sort_word(keys: list) -> list[Sigma]:
     return word
 
 
-@dataclass(frozen=True)
-class ReductionResult:
+class ReductionResult(Record):
     """Outcome of the fundamental-cone reduction.
 
     ``status`` is "in_cone" or "not_nef".  ``reduced`` is the final
@@ -219,11 +215,21 @@ class ReductionResult:
     constraint pulled back to the input by the reversed witness word).
     """
 
-    status: str
-    reduced: PicClass
-    witness: WeylWord
-    violated: PicClass | None = None
-    iterations: int = 0
+    __slots__ = ("status", "reduced", "witness", "violated", "iterations")
+
+    def __init__(
+        self,
+        status: str,
+        reduced: PicClass,
+        witness: WeylWord,
+        violated: PicClass | None = None,
+        iterations: int = 0,
+    ) -> None:
+        set_field(self, "status", status)
+        set_field(self, "reduced", reduced)
+        set_field(self, "witness", witness)
+        set_field(self, "violated", violated)
+        set_field(self, "iterations", iterations)
 
     IN_CONE = "in_cone"
     NOT_NEF = "not_nef"
@@ -253,11 +259,10 @@ def reduce_class(v: PicClass) -> ReductionResult:
     result is "in_cone" once
     x_0 + x_1 + x_2 + x_3 >= 0 and x_n <= 0 in sorted coordinates (the
     remaining cone inequality 3x_0 >= -sum x_i holds throughout because
-    it is W-invariant and holds on the input).  If x_0 fell to <= 0, or
-    the sorted vector has x_n > 0, no translate of the cone contains v;
-    report "not_nef" with a violated class that pairs negatively with
-    the original input: e_n if x_n > 0, else e_0 if x_0 < 0, else
-    e_0 - e_1 (in sorted coordinates), pulled back by putting it in index
+    it is W-invariant and holds on the input).  Otherwise the sorted
+    vector has x_n > 0, and no translate of the cone contains v: report
+    "not_nef" with the violated class e_n (in sorted coordinates), which
+    pairs to -x_n < 0, pulled back to the input by putting it in index
     order through ``order`` (the inverse of the sort word) and then
     replaying the recorded triples backwards in integer arithmetic.
     """
@@ -319,21 +324,20 @@ def reduce_class(v: PicClass) -> ReductionResult:
         return ReductionResult(
             ReductionResult.IN_CONE, reduced, witness, iterations=phi_count
         )
-    # x_0 can only keep decreasing, or the three smallest coordinates
-    # already pass and x_n > 0 fails: pick a constraint the reduced
-    # state violates and pull it back to the input.  The generators are
-    # involutive isometries, so pairing(culprit, reduced) equals the
-    # pairing of the pulled-back culprit with the input.  ``order`` is
-    # the inverse of the sort word, so the pull-back puts the culprit in
-    # index order through it, then undoes the phi steps last to first.
+    # Not in the cone means x_n > 0.  The input is K-nonpositive,
+    # 3x_0 + sum x_i >= 0, and W keeps it so.  If the sorted tail ended
+    # <= 0, that would force x_0 > 0, since x_0 <= 0 would leave only the
+    # zero class, which was refused and which W never reaches.  With
+    # x_0 > 0 the loop stops only at s >= 0, and that is in the cone.
+    assert vals[-1] > 0
+    # So the violated constraint is e_n, pairing to -x_n < 0, a (-1)-curve.
+    # The generators are involutive isometries, so pairing(culprit,
+    # reduced) equals the pairing of the pulled-back culprit with the
+    # input.  ``order`` is the inverse of the sort word, so the pull-back
+    # puts the culprit in index order through it, then undoes the phi
+    # steps last to first.
     culprit = [0] * (n + 1)
-    if vals[-1] > 0:
-        culprit[order[-1]] = 1  # e_n: pairing = -x_n < 0, a (-1)-curve
-    elif x0 < 0:
-        culprit[0] = 1  # e_0: pairing = x_0 < 0
-    else:
-        # e_0 - e_1: x_0 = 0 with x_1 + x_2 + x_3 < 0, so x_1 < 0
-        culprit[0], culprit[order[0]] = 1, -1
+    culprit[order[-1]] = 1
     back = reversed(steps)
     for k, j, i in zip(back, back, back):
         t = culprit[0] + culprit[i] + culprit[j] + culprit[k]
@@ -359,10 +363,14 @@ def all_generators(n: int) -> list[Generator]:
     return gens
 
 
-@dataclass(frozen=True)
-class OrbitResult:
-    classes: tuple[PicClass, ...]
-    truncated: bool
+class OrbitResult(Record):
+    """The classes of a bounded orbit, and whether a bound cut it short."""
+
+    __slots__ = ("classes", "truncated")
+
+    def __init__(self, classes: tuple[PicClass, ...], truncated: bool) -> None:
+        set_field(self, "classes", classes)
+        set_field(self, "truncated", truncated)
 
 
 def orbit(

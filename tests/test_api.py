@@ -98,8 +98,9 @@ class TestPackageSurface:
 
 # Run in a fresh interpreter: record the code objects of the package that
 # are executed (the "exec" audit event) while argv[1:] runs, and print the
-# file names.  "import" only imports the package; anything else is a
-# command line for cli.main.
+# file names, then which of five heavy stdlib modules the run loaded.
+# "import" only imports the package; anything else is a command line for
+# cli.main.  The probe itself loads none of the five.
 EXEC_PROBE = """
 import contextlib, io, json, os, sys
 
@@ -117,23 +118,54 @@ if sys.argv[1:] != ["import"]:
         cli.main(sys.argv[1:])
 root = os.path.dirname(cremona.__file__)
 print(json.dumps(sorted({os.path.basename(f) for f in executed if os.path.dirname(f) == root})))
+heavy = {"dataclasses", "inspect", "fractions", "decimal", "typing"}
+print(json.dumps(sorted(heavy & set(sys.modules))))
 """
 LEAN = ["__init__.py", "cli.py", "lattice.py", "serialize.py", "weyl.py"]
 VECTOR = "--vector=10,-3,-3,-3,-3,-2,-2,-1,-1,-1,0"
 
 
-def executed_modules(*argv: str) -> list[str]:
+def probe(*argv: str) -> tuple[list[str], list[str]]:
+    """(the package files executed, the heavy modules loaded) for argv,
+    in an interpreter run with -S, so that no .pth file of the host's
+    site-packages can load a module first and hide an import."""
     src = os.path.dirname(os.path.dirname(cremona.__file__))
     proc = subprocess.run(
-        [sys.executable, "-c", EXEC_PROBE, *argv], capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=src),
+        [sys.executable, "-S", "-c", EXEC_PROBE, *argv], capture_output=True, text=True,
+        timeout=120, env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    executed, heavy = proc.stdout.splitlines()
+    return json.loads(executed), json.loads(heavy)
+
+
+def executed_modules(*argv: str) -> list[str]:
+    return probe(*argv)[0]
+
+
+def heavy_modules(*argv: str) -> list[str]:
+    return probe(*argv)[1]
+
+
+LEAN_COMMANDS = [
+    ("reduce", "--n", "10", VECTOR),
+    ("orbit", "--n", "6", "--vector", "0,0,0,0,0,0,1", "--max-degree", "2"),
+    ("nef-test", "--n", "10", VECTOR),
+]
+OTHER_COMMANDS = [
+    ("rays", "--n", "12", "--polytope", "p_minus", "--format", "json"),
+    ("cartan", "--n", "10", "--polytope", "p_minus", "--format", "json"),
+    ("diagram", "--n", "13", "--polytope", "p_minus", "--format", "dot"),
+    ("region-r", "--n", "10", "--format", "json"),
+    ("curves", "--n", "6", "--max-degree", "3", "--format", "json"),
+    ("verify", "--suite", "quick"),
+]
 
 
 class TestStartUp:
-    """Each command runs only the modules it uses."""
+    """Each command runs only the modules it uses.  No command loads
+    dataclasses, inspect or typing, and reduce, orbit and nef-test load no
+    fractions or decimal either."""
 
     def test_import_runs_only_the_package_file(self):
         assert executed_modules("import") == ["__init__.py"]
@@ -152,3 +184,12 @@ class TestStartUp:
     def test_verify_runs_every_module(self):
         executed = executed_modules("verify", "--suite", "quick")
         assert {"polytopes.py", "curves.py", "linalg.py", "verify.py", "nef.py"} <= set(executed)
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("argv", LEAN_COMMANDS, ids=lambda argv: argv[0])
+    def test_lean_commands_load_none_of_the_heavy_modules(self, argv, fmt):
+        assert heavy_modules(*argv, "--format", fmt) == []
+
+    @pytest.mark.parametrize("argv", OTHER_COMMANDS, ids=lambda argv: argv[0])
+    def test_no_command_loads_dataclasses_inspect_or_typing(self, argv):
+        assert set(heavy_modules(*argv)) <= {"fractions", "decimal"}

@@ -312,15 +312,11 @@ PINNED_SHA256 = "978352ea416066ffbc7352b1be86b2ca915db80f1162f548a95da528d3a832f
 
 
 def culprit_of(res: ReductionResult) -> PicClass:
-    """The violated constraint of the reduced state, chosen as
-    ``reduce_class`` documents it: e_n if x_n > 0, else e_0 if x_0 < 0,
-    else e_0 - e_1."""
+    """The violated constraint of the reduced state, as ``reduce_class``
+    documents it: e_n, since every not-nef result has x_n > 0."""
     y, n = res.reduced.coords, res.reduced.n
-    if y[n] > 0:
-        return basis_vector(n, n)
-    if y[0] < 0:
-        return basis_vector(n, 0)
-    return basis_vector(n, 0) - basis_vector(n, 1)
+    assert y[n] > 0
+    return basis_vector(n, n)
 
 
 def assert_pull_back_is_the_word(v: PicClass) -> bool:
@@ -345,6 +341,25 @@ def test_pull_back_matches_the_witness_word_with_ties(v):
     # coordinates in -2..2 make many equal tail values, where the tie
     # order decides both the sort word and the pulled-back class
     assert_pull_back_is_the_word(v)
+
+
+@given(
+    st.integers(3, 16).flatmap(
+        lambda n: st.sampled_from([2, 5, 30]).flatmap(lambda r: k_nonpositive(n, -r, r))
+    )
+)
+@settings(max_examples=500)
+def test_not_nef_means_a_positive_last_coordinate(v):
+    # the input is K-nonpositive and W keeps it so: a reduced state with
+    # x_n <= 0 and x_0 <= 0 would be the zero class, and with x_0 > 0 the
+    # loop stops only inside the cone; so e_n is always the culprit
+    res = reduce_class(v)
+    if res.status == ReductionResult.NOT_NEF:
+        assert res.reduced.coords[-1] > 0
+        e_n = basis_vector(v.n, v.n)
+        assert res.violated == apply_word(res.witness.reversed(), e_n)
+    else:
+        assert res.reduced.coords[-1] <= 0
 
 
 def test_witnesses_are_pinned():
