@@ -34,6 +34,7 @@ import argparse
 import functools
 import io
 import json
+import os
 import re
 import sys
 from collections.abc import Iterator
@@ -69,7 +70,11 @@ _POLYTOPES = {
 # (2-vCPU Linux machine, Python 3.11.7, no cached bytecode).  curves --n
 # 10 --max-degree 8 gives 117,754 classes (22 MB of JSON), and degree 9
 # would give 224,629.  For n <= 8 the classes run out (240 at n = 8),
-# so there only CURVES_MAX_DEGREE bounds the loop over degrees.  The
+# so there only CURVES_MAX_DEGREE bounds the loop over degrees.
+# nef-test --method curves builds no class (one sorted pairing per
+# multiplicity multiset, about 0.3 ms at n = 10, degree 8), but it keeps
+# the class cap: for large n the multisets grow without bound in the
+# degree (16,358 at n = 100, degree 24; 61,082 at degree 28).  The
 # orbit of the line class at n = 10 has 6,421 classes of degree <= 4
 # (about 3 s) and 23,521 of degree <= 5 (about 14 s); weyl.orbit
 # expands a whole BFS layer before it truncates, so with --max-degree
@@ -507,14 +512,22 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     out = _Output()
     try:
-        if getattr(args, "n", 3) < 3:  # every command with --n
-            raise ValueError(f"need n >= 3, got {args.n}")
-        return args.handler(args, out)
-    except ValueError as exc:  # includes KPositiveError and parse problems
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    finally:
-        out.flush()
+        try:
+            if getattr(args, "n", 3) < 3:  # every command with --n
+                raise ValueError(f"need n >= 3, got {args.n}")
+            return args.handler(args, out)
+        except ValueError as exc:  # includes KPositiveError and parse problems
+            sys.stderr.write(f"error: {exc}\n")
+            return 2
+        finally:
+            out.flush()
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (as `| head` does): exit 1 without
+        # a traceback, and point stdout at os.devnull so that the flush at
+        # interpreter shutdown has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -7,8 +7,10 @@ verdict always carries a machine-checkable witness — a group word for
 nef inputs, a violated constraint class otherwise.
 
 ``curve_check`` is the complementary necessary condition: pair against
-every (-1)-class up to a degree bound.  A clean pass is *not* a proof
-of nefness (the bound is finite); verdicts are labeled with the bound.
+every (-1)-class up to a degree bound, one S_n orbit (multiplicity
+multiset) at a time and without listing the classes.  A clean pass is
+*not* a proof of nefness (the bound is finite); verdicts are labeled
+with the bound.
 
 The K-positive side is rejected outright: nothing here decides it, and
 no approximation is attempted.
@@ -16,7 +18,7 @@ no approximation is attempted.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from operator import mul
 
 from . import curves, polytopes
 from .lattice import PicClass, Record, pairing, set_field
@@ -106,26 +108,46 @@ def check_certificate(v: PicClass, verdict: NefVerdict) -> bool:
     return isinstance(w, PicClass) and pairing(w, v) < 0
 
 
-@lru_cache(maxsize=8)
-def _curves(n: int, max_degree: int) -> tuple[PicClass, ...]:
-    return tuple(curves.enumerate_minus_one(n, max_degree))
+def _least_pairing(ms, xs) -> int:
+    # the largest m meet the smallest x (rearrangement inequality)
+    return sum(map(mul, sorted(ms, reverse=True), sorted(xs)))
+
+
+def _last_violation(base: int, tail: tuple[int, ...], ms: list[int]) -> tuple[int, ...] | None:
+    """The lexicographically largest placement p of ms with base + sum
+    p_l x_l < 0, or None: the largest m whose rest can still go negative."""
+    if base + _least_pairing(ms, tail) >= 0:
+        return None
+    placed = []
+    for l, x in enumerate(tail):
+        for m in sorted(set(ms), reverse=True):
+            ms.remove(m)
+            if base + m * x + _least_pairing(ms, tail[l + 1 :]) < 0:
+                break
+            ms.append(m)
+        base += m * x
+        placed.append(m)
+    return tuple(placed)
 
 
 def curve_check(v: PicClass, max_degree: int = 6) -> NefVerdict:
     """Necessary nef conditions: v^2 >= 0 and v.c >= 0 for every
-    (-1)-class c of degree <= max_degree.  Reports the first failure."""
+    (-1)-class c = (d, -m) of degree <= max_degree, where v.c = d x_0 +
+    sum m_l x_l.  Reports the first failure by (degree, coords): the
+    largest violating placement of the first multiset with one ((-1,)
+    stands for the e_i).  No other multiset of that degree has one.  For
+    c != c' of one degree, c.c' >= 0 (Cauchy-Schwarz), and c.c' = 0 makes
+    c - c' a root e_i - e_j, a swap within one multiset; so c + c' is in
+    the closed positive cone, where v.(c + c') >= 0 once v^2 >= 0 and
+    x_0 > 0.  If x_0 < 0, an e_i or a line fails first."""
     if pairing(v, v) < 0:
-        return NefVerdict(
-            verdict=NOT_NEF, method=METHOD_CURVE_CHECK, witness=v, max_degree=max_degree
-        )
-    for c in _curves(v.n, max_degree):
-        if pairing(v, c) < 0:
-            return NefVerdict(
-                verdict=NOT_NEF,
-                method=METHOD_CURVE_CHECK,
-                witness=c,
-                max_degree=max_degree,
-            )
-    return NefVerdict(
-        verdict=NEF, method=METHOD_CURVE_CHECK, witness=None, max_degree=max_degree
-    )
+        return NefVerdict(NOT_NEF, METHOD_CURVE_CHECK, v, max_degree)
+    n, x0, tail = v.n, v.coords[0], v.coords[1:]
+    if n < 3 or max_degree < 0:
+        raise ValueError(f"need n >= 3, got {n}" if n < 3 else "max_degree must be >= 0")
+    for d in range(max_degree + 1):
+        for ms in curves._multiplicity_multisets(d, n) if d else [(-1,)]:
+            if p := _last_violation(d * x0, tail, [*ms] + [0] * (n - len(ms))):
+                c = PicClass._trusted(n, (d,) + tuple(-m for m in p))
+                return NefVerdict(NOT_NEF, METHOD_CURVE_CHECK, c, max_degree)
+    return NefVerdict(NEF, METHOD_CURVE_CHECK, None, max_degree)

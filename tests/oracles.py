@@ -9,6 +9,7 @@ under test, so agreement is meaningful.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from math import gcd
 
@@ -316,6 +317,39 @@ def reference_angles(normals) -> dict:
         "offending": offending,
         "edges": None if offending else edges,
     }
+
+
+# ---------------------------------------------------------------------------
+# reference curve check
+#
+# The bounded curve test as a plain scan: a negative square first, then
+# the classes of brute_force_minus_one in sorted order, which is by
+# (degree, coords).  The sorted list is kept per n at the largest bound
+# asked for so far, and a smaller bound reads its prefix.
+
+_SORTED_MINUS_ONE: dict[int, tuple[int, list]] = {}
+
+
+def reference_curve_check(coords, max_degree: int):
+    """The first failure as a coordinate tuple (coords itself when its
+    square is negative), or None when every class up to max_degree
+    pairs nonnegatively with coords."""
+    coords = tuple(coords)
+    if minkowski(coords, coords) < 0:
+        return coords
+    n = len(coords) - 1
+    bound, classes = _SORTED_MINUS_ONE.get(n, (-1, []))
+    if bound < max_degree:
+        classes = sorted(brute_force_minus_one(n, max_degree))
+        _SORTED_MINUS_ONE[n] = max_degree, classes
+    # the Minkowski product with coords, as a dot product with these weights
+    weights = (coords[0],) + tuple(-x for x in coords[1:])
+    for c in classes:
+        if c[0] > max_degree:
+            break
+        if sum(map(operator.mul, weights, c)) < 0:
+            return c
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -332,16 +332,35 @@ def test_criterion_12_round_trip():
 
 def test_criterion_13_reduction_agrees_with_curve_check():
     rng = random.Random(0)
-    checked = 0
-    while checked < 1_000:
+    classes = []
+    while len(classes) < 1_000:
         n = rng.choice((9, 10))
         v = PicClass(n, tuple(rng.randint(-10, 10) for _ in range(n + 1)))
         if v.is_zero() or pairing(v, canonical_class(n)) > 0:
             continue
-        checked += 1
+        classes.append(v)
+    # those draws all but never reach the curve scan (v^2 < 0 stops
+    # curve_check first), so as many again that do: nef classes moved by
+    # a word, and every second one pushed off a (-1)-class c of degree
+    # >= 2 by k c with k = v.c + 1, which keeps v^2 >= 0
+    deep = {n: [c for c in curves(n, 8) if c.coords[0] >= 2] for n in (9, 10)}
+    for t in range(1_000):
+        n = rng.choice((9, 10))
+        gens = all_generators(n)
+        word = WeylWord(tuple(rng.choice(gens) for _ in range(rng.randint(0, 30))))
+        v = apply_word(word, interior_point(n, rng))
+        if t % 2:
+            c = rng.choice(deep[n])
+            k = pairing(v, c) + 1
+            v = PicClass(n, tuple(a + k * b for a, b in zip(v.coords, c.coords)))
+        classes.append(v)
+    scanned = 0
+    for v in classes:
+        scanned += pairing(v, v) >= 0
         exact = is_nef_K_nonpositive(v)
         assert check_certificate(v, exact), v.coords
         bounded = curve_check(v, max_degree=8)
         assert exact.verdict == bounded.verdict, v.coords
         if exact.is_nef():
             assert bounded.witness is None
+    assert scanned >= 1_000, f"only {scanned} of 2000 classes reached the curve scan"

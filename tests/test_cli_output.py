@@ -207,3 +207,21 @@ def test_curves_json_peak_rss():
     )
     peak_mib = float(proc.stdout)
     assert peak_mib < PEAK_RSS_BOUND_MIB, f"peak RSS {peak_mib:.1f} MiB"
+
+
+def test_closed_stdout_exits_quietly():
+    # the reader stops after 10 bytes, as `| head -c 10` does; the 135 kB
+    # of the Cartan matrix cannot all fit in the pipe before it closes
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cremona", "cartan", "--n", "100", "--polytope", "p_minus"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
+    assert len(head) == 10

@@ -119,6 +119,19 @@ class TestOrbitSize:
         assert _orbit_size((), 4) == 1
 
 
+class TestMultisetsOfOneDegree:
+    # nef.curve_check takes the first multiset of a degree that has a
+    # violating placement as the only one; this is the pairing fact its
+    # proof uses
+    @pytest.mark.parametrize("n", [9, 10, 12, 20])
+    def test_distinct_multisets_pair_to_at_least_one(self, n):
+        for d in range(1, 11):
+            multisets = list(_multiplicity_multisets(d, n))
+            for a, b in itertools.combinations(multisets, 2):
+                # the least pairing over placements: the sorted product
+                assert d * d - sum(x * y for x, y in zip(a, b)) >= 1, (a, b)
+
+
 class TestDecomposition:
     def test_conic_example(self):
         c = PicClass(5, (2, -1, -1, -1, -1, -1))

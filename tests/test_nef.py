@@ -19,6 +19,7 @@ from cremona.nef import (
 )
 from cremona.polytopes import extremal_rays, membership
 from cremona.weyl import KPositiveError, WeylWord, all_generators, apply_word
+from oracles import minkowski, reference_curve_check
 
 
 class TestFundamentalCone:
@@ -148,6 +149,82 @@ class TestCurveCheck:
         v = -basis_vector(6, 1)
         res = curve_check(v)
         assert res.verdict == NOT_NEF  # v^2 = -1 < 0
+
+
+def push(v, c, j):
+    """v + k c with k = v.c + j: then v.c becomes -j."""
+    k = pairing(v, PicClass(v.n, c)) + j
+    return PicClass(v.n, tuple(a + k * b for a, b in zip(v.coords, c)))
+
+
+class TestCurveCheckAgainstReference:
+    # the largest bound at each n: the reference lists the (-1)-classes by
+    # brute force once per n, in about 2 s at (9, 8), 3 s at (10, 7) and
+    # 1 s at (11, 5); (10, 8) would take 8 s, and (11, 8) 35 s for 971,333
+    # classes
+    TOP = {9: 8, 10: 7, 11: 5}
+
+    def draws(self, n, top, rng):
+        """(class, bound) pairs: a box (mostly negative squares), a nef
+        class moved by a word, and twice that class plus k c for a
+        (-1)-class c of degree <= bound (2..bound every second time),
+        k > v.c; half of these are pushed off a second class c' of that
+        degree with c.c' = 0 too, so that two placements fail there."""
+        rays = [r.generator.coords for r in extremal_rays(fundamental_cone(n))]
+        gens = all_generators(n)
+        by_degree = {d: [] for d in range(top + 1)}
+        for c in enumerate_minus_one(n, top):
+            by_degree[c.coords[0]].append(c.coords)
+        for t in range(128):
+            max_degree = rng.randint(4, top)
+            if t % 4 == 0:
+                yield PicClass(n, tuple(rng.randint(-10, 10) for _ in range(n + 1))), max_degree
+                continue
+            coeffs = [rng.randint(0, 3) for _ in rays]
+            coeffs[rng.randrange(len(rays))] += 1
+            v = PicClass(n, tuple(sum(a * r[i] for a, r in zip(coeffs, rays)) for i in range(n + 1)))
+            v = apply_word(WeylWord(tuple(rng.choice(gens) for _ in range(rng.randint(0, 8)))), v)
+            if t % 4 > 1:
+                d = rng.randint(2 * (t % 4 == 3), max_degree)
+                c = rng.choice(by_degree[d])
+                v = push(v, c, rng.randint(1, 3))
+                # swapping two multiplicities that differ by one gives c'
+                swaps = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)
+                         if abs(c[i] - c[j]) == 1]
+                if swaps and rng.random() < 0.5:
+                    i, j = rng.choice(swaps)
+                    twin = list(c)
+                    twin[i], twin[j] = c[j], c[i]
+                    assert minkowski(c, twin) == 0
+                    v = push(v, twin, 1)
+            yield v, max_degree
+
+    def test_matches_reference(self):
+        rng = random.Random(2024)
+        first_degrees = []
+        for n, top in self.TOP.items():
+            # the highest bound first: the reference lists the classes once
+            for v, max_degree in sorted(self.draws(n, top, rng), key=lambda p: -p[1]):
+                res = curve_check(v, max_degree)
+                want = reference_curve_check(v.coords, max_degree)
+                assert res.max_degree == max_degree and res.method == "curve_check"
+                assert res.verdict == (NEF if want is None else NOT_NEF), v.coords
+                got = None if res.witness is None else res.witness.coords
+                assert got == want, (v.coords, max_degree)
+                if want is not None and want != v.coords:
+                    first_degrees.append(want[0])
+        # the draws reach first failures at every degree, most of them past 1
+        assert set(first_degrees) == set(range(9))
+        assert sum(d >= 2 for d in first_degrees) >= 100
+
+    def test_rejects_what_enumeration_rejects(self):
+        v = basis_vector(6, 0)
+        with pytest.raises(ValueError, match="max_degree must be >= 0"):
+            curve_check(v, max_degree=-1)
+        with pytest.raises(ValueError, match="need n >= 3, got 2"):
+            curve_check(PicClass(2, (1, 0, 0)))
+        # a negative square is reported before either check
+        assert curve_check(-basis_vector(6, 1), max_degree=-1).witness == -basis_vector(6, 1)
 
 
 class TestAgreement:

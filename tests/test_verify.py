@@ -8,6 +8,8 @@ import pytest
 
 from cremona import verify
 from cremona.curves import Decomposition, decompose_inequality
+from cremona.lattice import basis_vector
+from cremona.nef import NOT_NEF, NefVerdict
 from cremona.verify import FAIL, PASS, XFAIL, check_names, run_suite
 
 
@@ -58,8 +60,10 @@ def test_unknown_suite_rejected():
 
 # sha256 of the paper suite's checks as JSON, with decomposition's
 # ``computed`` left out; frozen from the per-class decomposition check
-# that ran before the check went to one class per orbit
-PAPER_SHA256 = "75ebd0563ab9907c56a5ccbe7d69611f68edf7b2fd38201213a6f4649c818dd1"
+# that ran before the check went to one class per orbit, and refrozen
+# when cross_method added the classes that reach the curve scan (its row
+# alone changed: claim, expected and computed)
+PAPER_SHA256 = "7cccf9993088547f169762b9a658bf083018ec0d48724c0cbcd6845e04cd9776"
 
 # the fields of a CheckResult, in order
 FIELDS = ("name", "status", "claim", "expected", "computed")
@@ -95,6 +99,9 @@ def test_paper_suite_passes_unchanged():
     assert by_name["decomposition"].computed == "51 orbits, 125653 classes decomposed"
     assert by_name["vertex_formulas"].computed.startswith("n=10: 19 rays")
     assert "n=14: 55 rays" in by_name["vertex_formulas"].computed
+    assert by_name["cross_method"].computed == (
+        "2000 classes, 1001 reach the curve scan, full agreement"
+    )
     rows = [{field: getattr(c, field) for field in FIELDS} for c in report.checks]
     del rows[PAPER_NAMES.index("decomposition")]["computed"]
     text = json.dumps(rows, sort_keys=True)
@@ -110,3 +117,20 @@ def test_decomposition_reports_a_failing_orbit(monkeypatch):
     result = verify._check_decomposition(verify._Ctx(seed=0, scale=1))
     assert result.status == FAIL
     assert result.computed.startswith("51 orbits, 125653 classes decomposed; failures [")
+
+
+def test_cross_method_fails_below_its_scan_floor(monkeypatch):
+    # e_1 moved by a word has square -1, so curve_check would stop before
+    # its scan; with both methods stubbed to agree, only the floor on the
+    # classes that reach the scan can fail the check
+    def agree(v, max_degree=None):
+        return NefVerdict(NOT_NEF, "stub", None)
+
+    monkeypatch.setattr(verify, "_interior_point", lambda n, rng: basis_vector(n, 1))
+    monkeypatch.setattr(verify, "is_nef_K_nonpositive", agree)
+    monkeypatch.setattr(verify, "curve_check", agree)
+    result = verify._check_cross_method(verify._Ctx(seed=0, scale=1))
+    assert result.status == FAIL
+    scanned = int(result.computed.split(", ")[1].split()[0])
+    assert scanned < 1000
+    assert result.computed == f"2000 classes, {scanned} reach the curve scan, full agreement"
