@@ -6,9 +6,12 @@ c = (d, -m_1, ..., -m_n) these conditions become the Diophantine system
     sum m_l   = 3d - 1,
     sum m_l^2 = d^2 + 1,      0 <= m_l <= d,
 
-whose degree-0 solutions are the e_i.  Enumeration iterates over
-non-increasing multiplicity multisets (tiny) and then expands each to
-all coordinate placements.
+whose degree-0 solutions are the e_i, the multiset (-1,).  Every walk
+over the classes goes one S_n orbit at a time: it iterates over the
+non-increasing multiplicity multisets of each degree from 0 (tiny), and
+an orbit is the set of coordinate placements of its multiset.
+``_placements`` lists them by Knuth's next-permutation loop, and
+``_orbit_size`` counts them as a product of binomials.
 
 ``decompose_inequality`` realizes each degree-d class as a sum of d-1
 "cubic" normals e_0 - e_i - e_j - e_k and one "conic" normal
@@ -20,9 +23,9 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterator
-from math import factorial
+from math import comb
 
-from .lattice import PicClass, Record, basis_vector, canonical_class, pairing, set_field
+from .lattice import PicClass, Record, canonical_class, pairing, set_field
 
 __all__ = [
     "MinusOneClass",
@@ -71,7 +74,11 @@ def is_minus_one_class(v: PicClass) -> bool:
 
 def _multiplicity_multisets(d: int, n: int) -> Iterator[tuple[int, ...]]:
     """Non-increasing tuples (m_1 >= ... >= m_r > 0), r <= n, with
-    sum m = 3d - 1 and sum m^2 = d^2 + 1 and every m <= d."""
+    sum m = 3d - 1 and sum m^2 = d^2 + 1 and every m <= d; at d = 0,
+    where no m is positive, the one multiset (-1,) of the e_i."""
+    if d == 0:
+        yield (-1,)
+        return
     target_sum = 3 * d - 1
     target_sq = d * d + 1
 
@@ -106,33 +113,32 @@ def _min_square_sum(s: int, top: int, slots: int) -> int:
 
 
 def _placements(multiset: tuple[int, ...], n: int) -> Iterator[tuple[int, ...]]:
-    """All distinct length-n vectors whose nonzero entries realize the multiset."""
-    counts = Counter(multiset)
-    counts[0] = n - len(multiset)
-    values = sorted(counts, reverse=True)
-
-    def rec(remaining: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield ()
+    """All distinct length-n vectors whose nonzero entries realize the
+    multiset, in decreasing lexicographic order: Knuth's Algorithm L
+    (TAOCP 4A, 7.2.1.2) with its comparisons reversed, run on the
+    multiset padded with zeros and sorted non-increasing."""
+    a = sorted(multiset + (0,) * (n - len(multiset)), reverse=True)
+    while True:
+        yield tuple(a)
+        j = n - 2
+        while j >= 0 and a[j] <= a[j + 1]:
+            j -= 1
+        if j < 0:
             return
-        for val in values:
-            if counts[val] > 0:
-                counts[val] -= 1
-                for rest in rec(remaining - 1):
-                    yield (val,) + rest
-                counts[val] += 1
-
-    yield from rec(n)
+        l = n - 1
+        while a[l] >= a[j]:
+            l -= 1
+        a[j], a[l] = a[l], a[j]
+        a[j + 1 :] = a[:j:-1]
 
 
 def _orbit_size(multiset: tuple[int, ...], n: int) -> int:
-    """How many length-n vectors ``_placements(multiset, n)`` yields: n!
-    over the factorial of each value's count, zeros included."""
-    counts = Counter(multiset)
-    counts[0] = n - len(multiset)
-    size = factorial(n)
-    for k in counts.values():
-        size //= factorial(k)
+    """How many length-n vectors ``_placements(multiset, n)`` yields: the
+    ways to choose positions for each nonzero value's copies in turn."""
+    size, free = 1, n
+    for k in Counter(multiset).values():
+        size *= comb(free, k)
+        free -= k
     return size
 
 
@@ -143,13 +149,12 @@ def enumerate_minus_one(n: int, max_degree: int) -> list[PicClass]:
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     out: list[PicClass] = []
-    out.extend(sorted((basis_vector(n, i) for i in range(1, n + 1)),
-                      key=lambda c: c.coords))
-    for d in range(1, max_degree + 1):
-        block: list[PicClass] = []
-        for multiset in _multiplicity_multisets(d, n):
-            for placement in _placements(multiset, n):
-                block.append(PicClass._trusted(n, (d,) + tuple(-m for m in placement)))
+    for d in range(max_degree + 1):
+        block = [
+            PicClass._trusted(n, (d, *tail))
+            for multiset in _multiplicity_multisets(d, n)
+            for tail in _placements(tuple(-m for m in multiset), n)
+        ]
         block.sort(key=lambda c: c.coords)
         out.extend(block)
     return out
@@ -159,11 +164,11 @@ def _count_minus_one(n: int, max_degree: int, limit: int) -> int:
     """How many classes ``enumerate_minus_one(n, max_degree)`` returns,
     counted from the multisets without building a class; the count
     stops at the first degree that takes it past ``limit``."""
-    total = n
-    for d in range(1, max_degree + 1):
+    total = 0
+    for d in range(max_degree + 1):
+        total += sum(_orbit_size(m, n) for m in _multiplicity_multisets(d, n))
         if total > limit:
             break
-        total += sum(_orbit_size(m, n) for m in _multiplicity_multisets(d, n))
     return total
 
 

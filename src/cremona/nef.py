@@ -146,7 +146,7 @@ def curve_check(v: PicClass, max_degree: int = 6) -> NefVerdict:
     if n < 3 or max_degree < 0:
         raise ValueError(f"need n >= 3, got {n}" if n < 3 else "max_degree must be >= 0")
     for d in range(max_degree + 1):
-        for ms in curves._multiplicity_multisets(d, n) if d else [(-1,)]:
+        for ms in curves._multiplicity_multisets(d, n):
             if p := _last_violation(d * x0, tail, [*ms] + [0] * (n - len(ms))):
                 c = PicClass._trusted(n, (d,) + tuple(-m for m in p))
                 return NefVerdict(NOT_NEF, METHOD_CURVE_CHECK, c, max_degree)

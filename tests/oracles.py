@@ -110,9 +110,11 @@ def brute_force_implied(target: PicClass, normals) -> bool:
 # ---------------------------------------------------------------------------
 # brute-force (-1)-classes
 #
-# Straight search over multiplicity vectors in order, with nothing smarter
-# than running-sum bounds.  Independent of the multiset-then-permute
-# enumeration in the package.
+# Straight search over multiplicity vectors in order, pruned by two
+# bounds on the parts still to place: their sum is at most d per part,
+# and their squares sum at least to those of the most even split of that
+# sum.  Independent of the multiset-then-permute enumeration in the
+# package.
 
 
 def brute_force_minus_one(n: int, max_degree: int) -> set[tuple[int, ...]]:
@@ -134,6 +136,10 @@ def brute_force_minus_one(n: int, max_degree: int) -> set[tuple[int, ...]]:
                 break
             if ns + (remaining - 1) * d < 3 * d - 1:
                 continue
+            if remaining > 1:
+                base, extra = divmod(3 * d - 1 - ns, remaining - 1)
+                if nq + (remaining - 1) * base * base + extra * (2 * base + 1) > d * d + 1:
+                    continue
             dfs(pos + 1, ns, nq, prefix + (m,), d)
 
     for d in range(1, max_degree + 1):

@@ -159,10 +159,10 @@ def push(v, c, j):
 
 class TestCurveCheckAgainstReference:
     # the largest bound at each n: the reference lists the (-1)-classes by
-    # brute force once per n, in about 2 s at (9, 8), 3 s at (10, 7) and
-    # 1 s at (11, 5); (10, 8) would take 8 s, and (11, 8) 35 s for 971,333
-    # classes
-    TOP = {9: 8, 10: 7, 11: 5}
+    # brute force once per n, in about 0.05 s at (9, 8), 1 s at (10, 8)
+    # and 1 s at (11, 6); the test takes about 8 s, and (11, 7) would add
+    # about 5 s for 387,233 classes
+    TOP = {9: 8, 10: 8, 11: 6}
 
     def draws(self, n, top, rng):
         """(class, bound) pairs: a box (mostly negative squares), a nef
