@@ -76,9 +76,8 @@ _POLYTOPES = {
 # the class cap: for large n the multisets grow without bound in the
 # degree (16,358 at n = 100, degree 24; 61,082 at degree 28).  The
 # orbit of the line class at n = 10 has 6,421 classes of degree <= 4
-# (about 3 s) and 23,521 of degree <= 5 (about 14 s); weyl.orbit
-# expands a whole BFS layer before it truncates, so with --max-degree
-# 60 it is refused after about 6 s.
+# and 23,521 of degree <= 5; weyl.orbit stops counting once it passes
+# the cap, so the class cap alone bounds its work.
 POLYTOPE_MAX_N = 100
 CURVES_MAX_DEGREE = 100
 CURVES_MAX_CLASSES = 150_000

@@ -6,12 +6,15 @@ c = (d, -m_1, ..., -m_n) these conditions become the Diophantine system
     sum m_l   = 3d - 1,
     sum m_l^2 = d^2 + 1,      0 <= m_l <= d,
 
-whose degree-0 solutions are the e_i, the multiset (-1,).  Every walk
-over the classes goes one S_n orbit at a time: it iterates over the
-non-increasing multiplicity multisets of each degree from 0 (tiny), and
-an orbit is the set of coordinate placements of its multiset.
-``_placements`` lists them by Knuth's next-permutation loop, and
-``_orbit_size`` counts them as a product of binomials.
+whose degree-0 solutions are the e_i, the multiset (-1,).  These are
+numerical classes: from n = 10 on not every one is a W-translate of e_n
+(45 of degree 5 at n = 10, such as (5, -3, -3, -1^8), reduce to
+(3, -1^9, 1)).  Every walk over the classes goes one S_n orbit at a
+time: it iterates over the non-increasing multiplicity multisets of
+each degree from 0 (tiny), and an orbit is the set of coordinate
+placements of its multiset.  ``_placements`` lists them by Knuth's
+next-permutation loop, and ``_orbit_size`` counts them as a product of
+binomials.
 
 ``decompose_inequality`` realizes each degree-d class as a sum of d-1
 "cubic" normals e_0 - e_i - e_j - e_k and one "conic" normal

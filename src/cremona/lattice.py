@@ -77,7 +77,7 @@ class PicClass(Record):
 
     ``n`` is the number of blown-up points; ``coords`` has length n+1.
     Instances are immutable and hashable, so they can be collected in
-    sets (orbits) and used as dict keys.
+    sets and used as dict keys.
 
     The public constructor validates its input; the library's own
     arithmetic builds results with :meth:`_trusted`, whose invariants
@@ -100,18 +100,6 @@ class PicClass(Record):
         set_field(obj, "n", n)
         set_field(obj, "coords", coords)
         return obj
-
-    # Record's equality and hash, spelled out for the two fields: sets of
-    # classes, as in orbit, hash them in bulk, and a set lookup with the
-    # tuple built here took about 25% less time than through Record's
-    # generic field getter (Python 3.11)
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.n, self.coords) == (other.n, other.coords)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.coords))
 
     def __post_init__(self) -> None:
         if self.n < 1:

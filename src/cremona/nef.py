@@ -140,11 +140,11 @@ def curve_check(v: PicClass, max_degree: int = 6) -> NefVerdict:
     c - c' a root e_i - e_j, a swap within one multiset; so c + c' is in
     the closed positive cone, where v.(c + c') >= 0 once v^2 >= 0 and
     x_0 > 0.  If x_0 < 0, an e_i or a line fails first."""
-    if pairing(v, v) < 0:
-        return NefVerdict(NOT_NEF, METHOD_CURVE_CHECK, v, max_degree)
     n, x0, tail = v.n, v.coords[0], v.coords[1:]
     if n < 3 or max_degree < 0:
         raise ValueError(f"need n >= 3, got {n}" if n < 3 else "max_degree must be >= 0")
+    if pairing(v, v) < 0:
+        return NefVerdict(NOT_NEF, METHOD_CURVE_CHECK, v, max_degree)
     for d in range(max_degree + 1):
         for ms in curves._multiplicity_multisets(d, n):
             if p := _last_violation(d * x0, tail, [*ms] + [0] * (n - len(ms))):

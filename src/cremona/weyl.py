@@ -20,10 +20,12 @@ replaying the recorded index triples in integer arithmetic.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
-from itertools import starmap
+from itertools import combinations, combinations_with_replacement, islice, starmap
 
+from . import curves
 from .lattice import PicClass, Record, canonical_class, pairing, set_field
 
 __all__ = [
@@ -353,18 +355,12 @@ def reduce_class(v: PicClass) -> ReductionResult:
 
 def all_generators(n: int) -> list[Generator]:
     """Every phi_{ijk} (i<j<k<=n) and every sigma_i (i<=n-1)."""
-    gens: list[Generator] = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(j + 1, n + 1):
-                gens.append(Phi(i, j, k))
-    for i in range(1, n):
-        gens.append(Sigma(i))
-    return gens
+    phis: list[Generator] = [Phi(*t) for t in combinations(range(1, n + 1), 3)]
+    return phis + [Sigma(i) for i in range(1, n)]
 
 
 class OrbitResult(Record):
-    """The classes of a bounded orbit, and whether a bound cut it short."""
+    """The sorted classes of a bounded orbit, and whether ``max_count`` cut it short."""
 
     __slots__ = ("classes", "truncated")
 
@@ -378,14 +374,16 @@ def orbit(
     max_degree: int | None = None,
     max_count: int | None = None,
 ) -> OrbitResult:
-    """Breadth-first closure of v under all generators.
-
-    With ``max_degree`` set, only classes of degree <= max_degree are
-    kept or expanded (the closure within the degree-bounded subgraph).
-    With ``max_count``, BFS layers are filled in lexicographic order
-    until the budget is hit, and the result is flagged truncated.  A
-    ``max_degree`` below 0 or a ``max_count`` below 1 raises ValueError.
-    The returned classes are sorted lexicographically.
+    """The closure of v under all generators, classes of degree above
+    ``max_degree`` left out: a union of S_n orbits, as transpositions
+    keep the degree.  It walks their representatives (x_0, sorted tail)
+    layer by layer, each layer sorted, applying phi once per value triple
+    a <= b <= c of the tail (x_0 gains s = x_0 + a + b + c, and a, b, c
+    lose s), and stops once the orbit sizes pass ``max_count``.  Then
+    the result, flagged truncated, is the whole orbits walked before and
+    the lexicographically first classes of the last one, ``max_count``
+    in all.  A ``max_degree`` below 0 or a ``max_count`` below 1 raises
+    ValueError.
     """
     if max_degree is None and max_count is None:
         raise ValueError("need max_degree or max_count to bound the orbit")
@@ -396,27 +394,38 @@ def orbit(
     if max_degree is not None and v.coords[0] > max_degree:
         return OrbitResult((), False)
 
-    gens = all_generators(v.n)
-    seen: set[PicClass] = {v}
-    frontier = [v]
+    layer = [(v.coords[0], *sorted(v.coords[1:]))]
+    seen = set(layer)
+    walked = []  # (x_0, the negated nonzero tail values) of each representative
+    count = 0
     truncated = False
-    while frontier:
-        candidates: set[PicClass] = set()
-        for u in frontier:
-            for g in gens:
-                w = apply_generator(g, u)
-                if w in seen or w in candidates:
+    while layer and not truncated:
+        successors = set()
+        for x0, *tail in layer:
+            negated = tuple(-x for x in tail if x)
+            walked.append((x0, negated))
+            count += curves._orbit_size(negated, v.n)
+            truncated = max_count is not None and count > max_count
+            if truncated:
+                break
+            counts = Counter(tail)
+            for a, b, c in combinations_with_replacement(sorted(counts), 3):
+                # the tail must hold a, b and c as three distinct entries
+                if (a == b and counts[a] < 2 + (b == c)) or (b == c and counts[c] < 2):
                     continue
-                if max_degree is not None and w.coords[0] > max_degree:
-                    continue
-                candidates.add(w)
-        layer = sorted(candidates, key=lambda c: c.coords)
-        if max_count is not None and len(seen) + len(layer) > max_count:
-            room = max_count - len(seen)
-            layer = layer[:room]
-            truncated = True
+                s = x0 + a + b + c
+                if max_degree is None or x0 + s <= max_degree:
+                    moved = tail.copy()
+                    for x in (a, b, c):
+                        moved.remove(x)
+                    successors.add((x0 + s, *sorted(moved + [a - s, b - s, c - s])))
+        layer = sorted(successors - seen)
         seen.update(layer)
-        frontier = layer
-        if truncated:
-            break
-    return OrbitResult(tuple(sorted(seen, key=lambda c: c.coords)), truncated)
+    # an orbit's placements of the negated values, negated back, ascend
+    classes = (
+        PicClass._trusted(v.n, (x0, *[-x for x in p]))
+        for x0, negated in walked
+        for p in curves._placements(negated, v.n)
+    )
+    classes = islice(classes, max_count)
+    return OrbitResult(tuple(sorted(classes, key=lambda c: c.coords)), truncated)

@@ -217,6 +217,55 @@ def reference_random_move(coords, length: int, rng) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
+# reference orbit
+#
+# The bounded orbit as a breadth-first search over coordinate tuples:
+# every layer applies every phi_{ijk} and every adjacent transposition
+# to every class of the last layer, keeps the new classes within the
+# degree bound, and sorts them.  With a count bound, the layer that
+# would pass it is cut to its lexicographically first classes, and the
+# search stops there.
+
+
+def _tuple_phi(x: tuple[int, ...], i: int, j: int, k: int) -> tuple[int, ...]:
+    y = list(x)
+    _reference_phi(y, i, j, k)
+    return tuple(y)
+
+
+def _tuple_sigma(x: tuple[int, ...], i: int) -> tuple[int, ...]:
+    return x[:i] + (x[i + 1], x[i]) + x[i + 2 :]
+
+
+def reference_orbit(coords, max_degree=None, max_count=None) -> tuple[list, bool]:
+    """(the sorted classes reached, truncated) as coordinate tuples."""
+    start = tuple(coords)
+    n = len(start) - 1
+    if max_degree is not None and start[0] > max_degree:
+        return [], False
+    moves = [
+        (lambda x, t=t: _tuple_phi(x, *t)) for t in itertools.combinations(range(1, n + 1), 3)
+    ] + [(lambda x, i=i: _tuple_sigma(x, i)) for i in range(1, n)]
+    seen = {start}
+    frontier = [start]
+    truncated = False
+    while frontier and not truncated:
+        candidates = set()
+        for u in frontier:
+            for move in moves:
+                w = move(u)
+                if w not in seen and (max_degree is None or w[0] <= max_degree):
+                    candidates.add(w)
+        layer = sorted(candidates)
+        if max_count is not None and len(seen) + len(layer) > max_count:
+            layer = layer[: max_count - len(seen)]
+            truncated = True
+        seen.update(layer)
+        frontier = layer
+    return sorted(seen), truncated
+
+
+# ---------------------------------------------------------------------------
 # tree canonical form (AHU), for comparing diagrams up to isomorphism
 #
 # Every diagram we care about is a tree whose edges carry a label.  Two

@@ -302,6 +302,31 @@ class TestOrbit:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "369bf0469021cbd4a3489e87eadf4a4110ceb258e0062ae36bf5bb3229a6189e")
 
+    def test_degree_bound_past_class_cap_at_twenty_points_exits_two_at_once(self, capsys):
+        # the count stops at the cap; the layer-by-layer search over
+        # every generator this replaced took about 25 s and 317 MiB here
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "orbit", "--n", "20", "--vector", "1" + ",0" * 20, "--max-degree", "60",
+        )
+        assert time.perf_counter() - start < 2
+        assert code == 2 and out == ""
+        assert err == "error: the orbit within --max-degree 60 has more than 10000 classes\n"
+
+    def test_one_class_orbit_at_two_hundred_points_is_quick(self, capsys):
+        # phi at three zeros would give degree 2; the search over every
+        # generator this replaced built 1,313,400 Phi objects first (8 s)
+        start = time.perf_counter()
+        code, out, _ = run(
+            capsys, "orbit", "--n", "200", "--vector", "1" + ",0" * 200, "--max-degree", "1",
+            "--format", "json",
+        )
+        assert time.perf_counter() - start < 2
+        assert code == 0
+        blob = json.loads(out)
+        assert blob["count"] == 1 and blob["truncated"] is False
+        assert blob["classes"] == [{"n": 200, "coords": [1] + [0] * 200}]
+
     def test_max_count_past_class_cap_exits_two(self, capsys):
         code, out, err = run(
             capsys, "orbit", "--n", "6", "--vector", "0,0,0,0,0,0,1", "--max-count", "10001",
@@ -359,6 +384,17 @@ class TestNefTest:
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
         assert f"more than {CURVES_MAX_CLASSES} classes" in err
+
+    @pytest.mark.parametrize("vector", ["0,1,1,0,0,0,0,0,0,0", "3,-1,0,0,0,0,0,0,0,0"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_curves_method_negative_degree_exits_two(self, capsys, vector, fmt):
+        # the first vector has a negative square, the second does not
+        code, out, err = run(
+            capsys, "nef-test", "--n", "9", "--vector", vector, "--method", "curves",
+            "--max-degree", "-1", "--format", fmt,
+        )
+        assert code == 2 and out == ""
+        assert err == "error: max_degree must be >= 0\n"
 
     def test_curves_method_past_degree_cap_exits_two(self, capsys):
         code, _, err = run(

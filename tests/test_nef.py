@@ -223,8 +223,16 @@ class TestCurveCheckAgainstReference:
             curve_check(v, max_degree=-1)
         with pytest.raises(ValueError, match="need n >= 3, got 2"):
             curve_check(PicClass(2, (1, 0, 0)))
-        # a negative square is reported before either check
-        assert curve_check(-basis_vector(6, 1), max_degree=-1).witness == -basis_vector(6, 1)
+
+    @pytest.mark.parametrize("v, max_degree, message", [
+        (PicClass(9, (0, 1, 1, 0, 0, 0, 0, 0, 0, 0)), -1, "max_degree must be >= 0"),
+        (PicClass(9, (3, -1, 0, 0, 0, 0, 0, 0, 0, 0)), -1, "max_degree must be >= 0"),
+        (PicClass(2, (0, 1, 1)), 6, "need n >= 3, got 2"),
+    ])
+    def test_checks_come_before_the_square(self, v, max_degree, message):
+        # the first and the last have a negative square
+        with pytest.raises(ValueError, match=message):
+            curve_check(v, max_degree)
 
 
 class TestAgreement:

@@ -539,11 +539,17 @@ class TestVertexFamilies:
         assert rays == families
         assert len(rays) == 9 * n - 71
 
+    @pytest.mark.parametrize("n", [15, 30, 100])
+    def test_window_reaches_one_hundred(self, n):
+        rep = verify_vertex_formulas(n)
+        assert rep.ok()
+        assert len(rep.computed_rays) == 9 * n - 71
+
     def test_out_of_window_rejected(self):
         with pytest.raises(ValueError):
             verify_vertex_formulas(9)
         with pytest.raises(ValueError):
-            verify_vertex_formulas(15)
+            verify_vertex_formulas(101)
 
 
 class TestRegionR:
