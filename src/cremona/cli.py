@@ -334,9 +334,9 @@ def _cmd_orbit(args: argparse.Namespace, out: _Output) -> int:
         raise ValueError("orbit needs --max-degree and/or --max-count")
     if args.max_count is not None and args.max_count > ORBIT_MAX_CLASSES:
         raise ValueError(f"--max-count {args.max_count} is past the cap {ORBIT_MAX_CLASSES}")
-    max_count = ORBIT_MAX_CLASSES + 1 if args.max_count is None else args.max_count
-    result = orbit(v, max_degree=args.max_degree, max_count=max_count)
-    if len(result.classes) > ORBIT_MAX_CLASSES:
+    max_count = ORBIT_MAX_CLASSES if args.max_count is None else args.max_count
+    result = orbit(v, args.max_degree, max_count=max_count)
+    if args.max_count is None and result.truncated:
         raise ValueError(
             f"the orbit within --max-degree {args.max_degree} has more than "
             f"{ORBIT_MAX_CLASSES} classes"

@@ -94,7 +94,7 @@ def _multiplicity_multisets(d: int, n: int) -> Iterator[tuple[int, ...]]:
             return
         # remaining sum s over <= slots parts each <= top; squares bounded by
         # top*s (since each part m contributes m^2 <= top*m)
-        if s > top * slots or q > top * s or q < _min_square_sum(s, top, slots):
+        if s > top * slots or q > top * s or q < _min_square_sum(s, slots):
             return
         for m in range(min(top, s), 0, -1):
             if m * m > q:
@@ -106,11 +106,9 @@ def _multiplicity_multisets(d: int, n: int) -> Iterator[tuple[int, ...]]:
     yield from rec([], d, target_sum, target_sq, n)
 
 
-def _min_square_sum(s: int, top: int, slots: int) -> int:
-    # least possible sum of squares of <= slots parts each <= top summing to s:
+def _min_square_sum(s: int, slots: int) -> int:
+    # least possible sum of squares of <= slots (>= 1) parts summing to s:
     # spread as evenly as possible
-    if slots == 0:
-        return 0 if s == 0 else 10 ** 18
     base, extra = divmod(s, slots)
     return (slots - extra) * base * base + extra * (base + 1) * (base + 1)
 

@@ -700,27 +700,29 @@ def vertex_formula_families(n: int) -> dict[str, list[PicClass]]:
 
 
 class VertexFormulaReport(Record):
-    """The closed-form vertex families against the computed extremal rays."""
+    """The closed-form vertex families against the computed extremal rays,
+    each sorted by coordinates; every verdict is derived from them."""
 
-    __slots__ = (
-        "n", "expected_count", "formula_rays", "computed_rays", "count_ok", "sets_equal"
-    )
+    __slots__ = ("n", "formula_rays", "computed_rays")
 
     def __init__(
-        self,
-        n: int,
-        expected_count: int,
-        formula_rays: tuple[PicClass, ...],
-        computed_rays: tuple[PicClass, ...],
-        count_ok: bool,
-        sets_equal: bool,
+        self, n: int, formula_rays: tuple[PicClass, ...], computed_rays: tuple[PicClass, ...]
     ) -> None:
         set_field(self, "n", n)
-        set_field(self, "expected_count", expected_count)
         set_field(self, "formula_rays", formula_rays)
         set_field(self, "computed_rays", computed_rays)
-        set_field(self, "count_ok", count_ok)
-        set_field(self, "sets_equal", sets_equal)
+
+    @property
+    def expected_count(self) -> int:
+        return 9 * self.n - 71
+
+    @property
+    def count_ok(self) -> bool:
+        return len(self.formula_rays) == self.expected_count == len(self.computed_rays)
+
+    @property
+    def sets_equal(self) -> bool:
+        return set(self.formula_rays) == set(self.computed_rays)
 
     def ok(self) -> bool:
         return self.count_ok and self.sets_equal
@@ -734,17 +736,11 @@ def verify_vertex_formulas(n: int) -> VertexFormulaReport:
     """
     if not 10 <= n <= 100:
         raise ValueError(f"vertex formula check supports 10 <= n <= 100, got {n}")
-    fams = vertex_formula_families(n)
-    formula = sorted({v.coords for vs in fams.values() for v in vs})
-    computed = [r.generator for r in extremal_rays(build_P_minus(n))]
-    expected = 9 * n - 71
+    formula = {v for vs in vertex_formula_families(n).values() for v in vs}
     return VertexFormulaReport(
-        n=n,
-        expected_count=expected,
-        formula_rays=tuple(PicClass(n=n, coords=c) for c in formula),
-        computed_rays=tuple(computed),
-        count_ok=(len(formula) == expected == len(computed)),
-        sets_equal=(formula == [r.coords for r in computed]),
+        n,
+        tuple(sorted(formula, key=lambda v: v.coords)),
+        tuple(r.generator for r in extremal_rays(build_P_minus(n))),
     )
 
 
@@ -777,35 +773,39 @@ class RegionRRow(Record):
 
 
 class RegionRReport(Record):
-    """The ten triple intersections of region R and the f <= 1 summary."""
+    """The ten triple intersections of region R; the f <= 1 summary is
+    derived from the rows."""
 
-    __slots__ = (
-        "n",
-        "rows",
-        "all_triples_meet",
-        "vertex_count",
-        "max_f_at_vertices",
-        "f_le_1_at_vertices",
-        "f_lt_1_when_xn_negative",
-    )
+    __slots__ = ("n", "rows")
 
-    def __init__(
-        self,
-        n: int,
-        rows: tuple[RegionRRow, ...],
-        all_triples_meet: bool,
-        vertex_count: int,
-        max_f_at_vertices: Fraction,
-        f_le_1_at_vertices: bool,
-        f_lt_1_when_xn_negative: bool,
-    ) -> None:
+    def __init__(self, n: int, rows: tuple[RegionRRow, ...]) -> None:
         set_field(self, "n", n)
         set_field(self, "rows", rows)
-        set_field(self, "all_triples_meet", all_triples_meet)
-        set_field(self, "vertex_count", vertex_count)
-        set_field(self, "max_f_at_vertices", max_f_at_vertices)
-        set_field(self, "f_le_1_at_vertices", f_le_1_at_vertices)
-        set_field(self, "f_lt_1_when_xn_negative", f_lt_1_when_xn_negative)
+
+    @property
+    def _vertices(self) -> list[RegionRRow]:
+        return [r for r in self.rows if r.is_vertex]
+
+    @property
+    def all_triples_meet(self) -> bool:
+        return all(r.point is not None for r in self.rows)
+
+    @property
+    def vertex_count(self) -> int:
+        return len(self._vertices)
+
+    @property
+    def max_f_at_vertices(self) -> Fraction | None:
+        """The largest f at a vertex, None if no row is one."""
+        return max((r.f_value for r in self._vertices), default=None)
+
+    @property
+    def f_le_1_at_vertices(self) -> bool:
+        return all(r.f_value <= 1 for r in self._vertices)
+
+    @property
+    def f_lt_1_when_xn_negative(self) -> bool:
+        return all(r.f_value < 1 for r in self._vertices if r.point[2] < 0)
 
     def ok(self) -> bool:
         return (
@@ -850,16 +850,4 @@ def verify_region_R(n: int) -> RegionRReport:
         )
         f = point[0] ** 2 + (n - 2) * point[1] ** 2 + point[2] ** 2
         rows.append(RegionRRow(triple, point, feasible, f))
-    vertices = [r for r in rows if r.is_vertex]
-    max_f = max(r.f_value for r in vertices)
-    return RegionRReport(
-        n=n,
-        rows=tuple(rows),
-        all_triples_meet=all(r.point is not None for r in rows),
-        vertex_count=len(vertices),
-        max_f_at_vertices=max_f,
-        f_le_1_at_vertices=all(r.f_value <= 1 for r in vertices),
-        f_lt_1_when_xn_negative=all(
-            r.f_value < 1 for r in vertices if r.point[2] < 0
-        ),
-    )
+    return RegionRReport(n, tuple(rows))

@@ -19,7 +19,10 @@ decoders accept either form.
 
 Decoding is strict: a float, a bool, a missing key or a wrong shape
 raises ValueError rather than being coerced, so no value is ever
-silently rounded on its way in.
+silently rounded on its way in.  So does a document that contradicts
+itself: a status against its violated class, an iteration count
+against the phi steps of the witness, or a witness of the wrong kind
+for its verdict and method.
 """
 
 from __future__ import annotations
@@ -138,12 +141,19 @@ def decode_reduction(obj: dict) -> ReductionResult:
     if status not in (ReductionResult.IN_CONE, ReductionResult.NOT_NEF):
         raise ValueError(f"unknown reduction status {status!r}")
     violated = _field(obj, "reduction", "violated", (dict, type(None)))
+    if (violated is None) != (status == ReductionResult.IN_CONE):
+        raise ValueError(f"reduction status {status!r} does not fit 'violated' {violated!r}")
+    witness = decode_word(_field(obj, "reduction", "witness", list))
+    iterations = _field(obj, "reduction", "iterations", int)
+    phis = sum(type(g) is Phi for g in witness)
+    if iterations != phis:
+        raise ValueError(f"reduction 'iterations' is {iterations}, but its witness has {phis} phi")
     return ReductionResult(
         status=status,
         reduced=decode_class(_field(obj, "reduction", "reduced", dict)),
-        witness=decode_word(_field(obj, "reduction", "witness", list)),
+        witness=witness,
         violated=decode_class(violated) if violated is not None else None,
-        iterations=_field(obj, "reduction", "iterations", int),
+        iterations=iterations,
     )
 
 
@@ -173,7 +183,9 @@ def decode_verdict(obj: dict) -> nef.NefVerdict:
         if method != nef.METHOD_CURVE_CHECK or not re.fullmatch(r"[0-9]+", bound):
             raise ValueError(f"unknown method {obj['method']!r}")
         max_degree = int(bound)
-    w = _field(obj, "verdict", "witness", (list, dict, type(None)))
+    # a word proves nef by reduction, a class not nef; a clean curve check has none
+    kind = dict if verdict == nef.NOT_NEF else list if max_degree is None else type(None)
+    w = _field(obj, "verdict", "witness", kind)
     if w is None:
         witness = None
     elif isinstance(w, list):

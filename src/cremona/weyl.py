@@ -34,6 +34,7 @@ __all__ = [
     "Sigma",
     "WeylWord",
     "ReductionResult",
+    "KPositiveError",
     "apply_generator",
     "apply_word",
     "fixed_hyperplane_normal",
@@ -369,27 +370,24 @@ class OrbitResult(Record):
         set_field(self, "truncated", truncated)
 
 
-def orbit(
-    v: PicClass,
-    max_degree: int | None = None,
-    max_count: int | None = None,
-) -> OrbitResult:
+def orbit(v: PicClass, max_degree: int | None = None, *, max_count: int) -> OrbitResult:
     """The closure of v under all generators, classes of degree above
-    ``max_degree`` left out: a union of S_n orbits, as transpositions
-    keep the degree.  It walks their representatives (x_0, sorted tail)
-    layer by layer, each layer sorted, applying phi once per value triple
-    a <= b <= c of the tail (x_0 gains s = x_0 + a + b + c, and a, b, c
-    lose s), and stops once the orbit sizes pass ``max_count``.  Then
-    the result, flagged truncated, is the whole orbits walked before and
-    the lexicographically first classes of the last one, ``max_count``
-    in all.  A ``max_degree`` below 0 or a ``max_count`` below 1 raises
+    ``max_degree`` (if given) left out: a union of S_n orbits, as
+    transpositions keep the degree.  It walks their representatives
+    (x_0, sorted tail) layer by layer, each layer sorted, applying phi
+    once per value triple a <= b <= c of the tail (x_0 gains s = x_0 +
+    a + b + c, and a, b, c lose s), and stops once the orbit sizes pass
+    the required ``max_count``: each representative adds a class, so
+    the walk ends even on an infinite closure.  ``truncated`` is set
+    exactly when the closure has more than ``max_count`` classes; the
+    result is then the whole orbits walked before and the
+    lexicographically first classes of the last one, ``max_count`` in
+    all.  A ``max_degree`` below 0 or a ``max_count`` below 1 raises
     ValueError.
     """
-    if max_degree is None and max_count is None:
-        raise ValueError("need max_degree or max_count to bound the orbit")
     if max_degree is not None and max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
-    if max_count is not None and max_count < 1:
+    if max_count < 1:
         raise ValueError(f"max_count must be >= 1, got {max_count}")
     if max_degree is not None and v.coords[0] > max_degree:
         return OrbitResult((), False)
@@ -405,7 +403,7 @@ def orbit(
             negated = tuple(-x for x in tail if x)
             walked.append((x0, negated))
             count += curves._orbit_size(negated, v.n)
-            truncated = max_count is not None and count > max_count
+            truncated = count > max_count
             if truncated:
                 break
             counts = Counter(tail)

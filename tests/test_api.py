@@ -87,6 +87,11 @@ class TestPackageSurface:
             assert holders and all(vars(m)[name] is value for m in holders), name
         assert cremona.__version__ == "0.1.0"
 
+    def test_every_export_is_in_its_home_modules_all(self):
+        # so that ``from cremona.<home> import *`` binds it too
+        for name, home in cremona._HOME.items():
+            assert name in importlib.import_module(f"cremona.{home}").__all__, name
+
     def test_dir_covers_all(self):
         assert set(ALL) <= set(dir(cremona))
 

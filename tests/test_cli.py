@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from cremona import polytopes
+from cremona import polytopes, verify
 from cremona.cli import (
     CURVES_MAX_CLASSES,
     CURVES_MAX_DEGREE,
@@ -249,6 +249,14 @@ class TestOrbit:
         assert code == 0
         assert "count: 27, truncated: False" in out
 
+    def test_csv_lists_the_json_classes(self, capsys):
+        argv = ["orbit", "--n", "6", "--vector", "0,0,0,0,0,0,1", "--max-degree", "2"]
+        _, out, _ = run(capsys, *argv, "--format", "json")
+        want = [" ".join(map(str, c["coords"])) for c in json.loads(out)["classes"]]
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        assert out.splitlines() == ["coords"] + want and len(want) == 27
+
     def test_missing_bound_exits_two(self, capsys):
         code, _, err = run(capsys, "orbit", "--n", "6", "--vector", "0,0,0,0,0,0,1")
         assert code == 2
@@ -438,6 +446,22 @@ class TestVerify:
         statuses = {c["name"]: c["status"] for c in blob}
         assert statuses["diagram_p_minus_11_triple_edge"] == "xfail"
         assert all(s in ("pass", "xfail") for s in statuses.values())
+
+    def test_failing_check_prints_its_claim_and_exits_three(self, capsys, monkeypatch):
+        def broken(ctx):
+            return verify.CheckResult("broken", verify.FAIL, "a claim", "1 ray", "2 rays")
+
+        monkeypatch.setattr(verify, "_REGISTRY", [verify._REGISTRY[0], ("broken", broken, True)])
+        code, out, _ = run(capsys, "verify", "--suite", "quick")
+        assert code == 3
+        assert out == (
+            "PASS  cartan_p9\n"
+            "FAIL  broken\n"
+            "      claim:    a claim\n"
+            "      expected: 1 ray\n"
+            "      computed: 2 rays\n"
+            "2 checks, 1 failed\n"
+        )
 
     def test_n_range_is_not_an_option(self, capsys):
         with pytest.raises(SystemExit) as exc:

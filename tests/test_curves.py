@@ -39,6 +39,13 @@ class TestPredicate:
     def test_negative_degree_rejected(self):
         assert not is_minus_one_class(PicClass(4, (-1, 1, 1, 0, 0)))
 
+    def test_canonical_class_at_ten_points_rejected_for_its_degree(self):
+        # K = (-3, 1^10) has K^2 = K.K = -1, so only the sign of the
+        # degree tells it from a (-1)-class
+        k = canonical_class(10)
+        assert pairing(k, k) == -1
+        assert not is_minus_one_class(k)
+
     def test_positive_tail_entry_rejected_at_positive_degree(self):
         # both pairing conditions hold, but one multiplicity is negative
         # (n = 10 is the smallest rank where that can happen)

@@ -69,6 +69,10 @@ class TestClassCapAtLargeN:
         assert "150000 classes" in captured.err
 
 
+# a max_count that no closure walked here reaches
+WHOLE = 10**6
+
+
 def coords_of(result):
     return [c.coords for c in result.classes]
 
@@ -92,7 +96,8 @@ class TestOrbitAgainstReference:
 
     @pytest.mark.parametrize("coords, max_degree, max_count", FIXED)
     def test_fixed_cases(self, coords, max_degree, max_count):
-        got = orbit(PicClass(len(coords) - 1, coords), max_degree, max_count)
+        budget = WHOLE if max_count is None else max_count
+        got = orbit(PicClass(len(coords) - 1, coords), max_degree, max_count=budget)
         want, cut = reference_orbit(coords, max_degree, max_count)
         assert got.truncated == cut
         assert len(got.classes) == len(want)
@@ -111,7 +116,7 @@ class TestOrbitAgainstReference:
                 max_degree = max(coords[0], 0) + rng.randint(0, 2)
                 k_positive += 3 * coords[0] + sum(coords[1:]) < 0
                 v = PicClass(n, coords)
-                got = orbit(v, max_degree, 500)
+                got = orbit(v, max_degree, max_count=500)
                 want, cut = reference_orbit(coords, max_degree, 500)
                 assert (got.truncated, len(got.classes)) == (cut, len(want)), coords
                 if cut:
@@ -119,10 +124,10 @@ class TestOrbitAgainstReference:
                     continue
                 whole += 1
                 assert coords_of(got) == want, coords
-                assert orbit(v, max_degree, len(want)) == got
+                assert orbit(v, max_degree, max_count=len(want)) == got
                 if len(want) > 1:
                     count = rng.randrange(1, len(want))
-                    part = orbit(v, max_degree, count)
+                    part = orbit(v, max_degree, max_count=count)
                     assert part.truncated and len(part.classes) == count
                     assert coords_of(part) == sorted(set(coords_of(part)))
                     assert set(coords_of(part)) <= set(want)
@@ -138,14 +143,14 @@ class TestExceptionalOrbitAgainstEnumeration:
     def test_equal_below_ten_points(self, n):
         for d in range(9):
             want = sorted(c.coords for c in enumerate_minus_one(n, d))
-            assert coords_of(orbit(basis_vector(n, n), max_degree=d)) == want
+            assert coords_of(orbit(basis_vector(n, n), d, max_count=WHOLE)) == want
 
     @pytest.mark.parametrize("n, outside", [(10, 45), (11, 495)])
     def test_a_part_from_ten_points(self, n, outside):
         e_n = basis_vector(n, n)
-        assert coords_of(orbit(e_n, max_degree=4)) == sorted(
+        assert coords_of(orbit(e_n, 4, max_count=WHOLE)) == sorted(
             c.coords for c in enumerate_minus_one(n, 4))
-        reached = set(coords_of(orbit(e_n, max_degree=5)))
+        reached = set(coords_of(orbit(e_n, 5, max_count=WHOLE)))
         numerical = {c.coords for c in enumerate_minus_one(n, 5)}
         missing = numerical - reached
         assert reached < numerical and len(missing) == outside

@@ -24,6 +24,9 @@ from cremona.polytopes import (
     CartanEntry,
     ConePolytope,
     Halfspace,
+    RegionRReport,
+    RegionRRow,
+    VertexFormulaReport,
     boundary_rays,
     build_P,
     build_P_minus,
@@ -367,6 +370,24 @@ class TestExtremalRays:
         mine = {r.generator.coords for r in extremal_rays(P)}
         assert mine == brute_force_rays(minkowski_rows(P))
 
+    # two normals of negative square past P_minus(10), so that two rows
+    # cut a pointed cone: from a seeded search, cases on which the double
+    # description rejects pairs both for too few common zeros and for a
+    # third ray that vanishes wherever the pair does
+    CUTS = [
+        ((0, 0, -1, 0, 1, 1, 0, -1, -1, 1, 0), (0, -1, 0, -1, 1, 0, 1, 1, 0, -1, -1)),
+        ((1, -1, 0, -1, 0, -1, -1, 0, 0, 1, 0), (0, -1, -1, 1, 1, 1, -1, -1, -1, -1, -1)),
+    ]
+
+    @pytest.mark.parametrize("cuts", CUTS)
+    def test_two_cutting_rows_against_brute_force(self, cuts):
+        P = build_P_minus(10)
+        P = ConePolytope(10, P.halfspaces + tuple(Halfspace(PicClass(10, u)) for u in cuts))
+        rows = minkowski_rows(P)
+        assert len(rows) >= 11 + 2
+        mine = {r.generator.coords for r in extremal_rays(P)}
+        assert mine == brute_force_rays(rows)
+
     def test_active_sets_have_full_rank(self):
         for r in extremal_rays(build_P(9)):
             assert len(r.active_set) >= 9
@@ -591,6 +612,50 @@ class TestRegionR:
             rep = verify_region_R(n)
             assert rep.ok()
             assert rep.max_f_at_vertices == 1
+
+
+class TestReportsDeriveTheirVerdicts:
+    """Each verdict of the two reports, recomputed here from the rows and
+    rays alone, and the values the reports gave when they stored them."""
+
+    @pytest.mark.parametrize("n", range(10, 31))
+    def test_region_r(self, n):
+        rep = verify_region_R(n)
+        assert (rep.n, len(rep.rows)) == (n, 10)
+        vertices = [r for r in rep.rows if r.is_vertex]
+        assert rep.all_triples_meet is all(r.point is not None for r in rep.rows) is True
+        assert rep.vertex_count == len(vertices) == (8 if n == 10 else 6)
+        assert rep.max_f_at_vertices == max(r.f_value for r in vertices) == 1
+        assert rep.f_le_1_at_vertices is all(r.f_value <= 1 for r in vertices) is True
+        below = [r.f_value < 1 for r in vertices if r.point[2] < 0]
+        assert rep.f_lt_1_when_xn_negative is all(below) is True
+        assert rep.ok() is True
+
+    @pytest.mark.parametrize("n", range(10, 31))
+    def test_vertex_formulas(self, n):
+        rep = verify_vertex_formulas(n)
+        formula = sorted({v.coords for vs in vertex_formula_families(n).values() for v in vs})
+        computed = [r.generator.coords for r in extremal_rays(build_P_minus(n))]
+        assert rep.n == n
+        assert [v.coords for v in rep.formula_rays] == formula
+        assert [v.coords for v in rep.computed_rays] == computed
+        assert rep.expected_count == 9 * n - 71
+        assert rep.count_ok is (len(formula) == 9 * n - 71 == len(computed)) is True
+        assert rep.sets_equal is (set(formula) == set(computed)) is True
+        assert rep.ok() is True
+
+    def test_a_report_cannot_contradict_its_rows(self):
+        rep = verify_region_R(12)
+        row = next(r for r in rep.rows if r.is_vertex and r.point[2] < 0)
+        high = RegionRRow(row.triple, row.point, True, Fraction(2))
+        bad = RegionRReport(12, tuple(high if r is row else r for r in rep.rows))
+        assert bad.max_f_at_vertices == 2
+        assert not bad.f_le_1_at_vertices and not bad.f_lt_1_when_xn_negative
+        assert not bad.ok()
+        assert RegionRReport(12, ()).max_f_at_vertices is None
+        rays = verify_vertex_formulas(10).computed_rays
+        short = VertexFormulaReport(10, rays[1:], rays)
+        assert not short.count_ok and not short.sets_equal and not short.ok()
 
 
 # ---------------------------------------------------------------------------

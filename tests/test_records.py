@@ -44,8 +44,8 @@ def examples() -> dict[str, object]:
         "CoxeterDiagram": c.CoxeterDiagram(("v0", "v1"), (edge,)),
         "DiagramEdge": edge,
         "Ray": c.Ray(v, c.LightConePosition("boundary", True), (0, 2)),
-        "VertexFormulaReport": c.VertexFormulaReport(10, 19, (v,), (v, e3), False, False),
-        "RegionRReport": c.RegionRReport(10, (row,), True, 1, Fraction(1), True, True),
+        "VertexFormulaReport": c.VertexFormulaReport(10, (v,), (v, e3)),
+        "RegionRReport": c.RegionRReport(10, (row,)),
         "NefVerdict": c.NefVerdict("nef", "reduction_exact", word),
         "CheckResult": check,
         "VerificationReport": c.VerificationReport(checks=(check,)),
@@ -71,10 +71,10 @@ FROZEN_REPR = {
     'PicClass': 'PicClass(3, (1, -1, 0, 0))',
     'Ray': "Ray(generator=PicClass(3, (1, -1, 0, 0)), position=LightConePosition(tag='boundary', forward=True), active_set=(0, 2))",
     'ReductionResult': "ReductionResult(status='not_nef', reduced=PicClass(3, (1, -1, 0, 0)), witness=WeylWord(gens=(Phi(1,2,3), Sigma(2))), violated=PicClass(3, (0, 0, 0, 1)), iterations=1)",
-    'RegionRReport': 'RegionRReport(n=10, rows=(RegionRRow(triple=(0, 1, 3), point=(Fraction(-1, 1), Fraction(0, 1), Fraction(0, 1)), is_vertex=True, f_value=Fraction(1, 1)),), all_triples_meet=True, vertex_count=1, max_f_at_vertices=Fraction(1, 1), f_le_1_at_vertices=True, f_lt_1_when_xn_negative=True)',
+    'RegionRReport': 'RegionRReport(n=10, rows=(RegionRRow(triple=(0, 1, 3), point=(Fraction(-1, 1), Fraction(0, 1), Fraction(0, 1)), is_vertex=True, f_value=Fraction(1, 1)),))',
     'Sigma': 'Sigma(2)',
     'VerificationReport': "VerificationReport(checks=(CheckResult(name='rays_p9', status='pass', claim='a claim', expected='10 rays', computed='10 rays'),))",
-    'VertexFormulaReport': 'VertexFormulaReport(n=10, expected_count=19, formula_rays=(PicClass(3, (1, -1, 0, 0)),), computed_rays=(PicClass(3, (1, -1, 0, 0)), PicClass(3, (0, 0, 0, 1))), count_ok=False, sets_equal=False)',
+    'VertexFormulaReport': 'VertexFormulaReport(n=10, formula_rays=(PicClass(3, (1, -1, 0, 0)),), computed_rays=(PicClass(3, (1, -1, 0, 0)), PicClass(3, (0, 0, 0, 1))))',
     'WeylWord': 'WeylWord(gens=(Phi(1,2,3), Sigma(2)))',
 }
 

@@ -226,6 +226,23 @@ class TestReduction:
         assert back == res
         assert back.violated is not None
 
+    def test_status_must_fit_violated(self):
+        in_cone = json_round(encode_reduction(reduce_class(basis_vector(9, 0))))
+        in_cone["violated"] = encode_class(basis_vector(9, 1))
+        not_nef = json_round(encode_reduction(reduce_class(basis_vector(9, 1))))
+        not_nef["violated"] = None
+        for doc in (in_cone, not_nef):
+            with pytest.raises(ValueError, match="does not fit 'violated'"):
+                decode_reduction(doc)
+
+    def test_iterations_must_count_the_phi_steps(self):
+        res = reduce_class(basis_vector(9, 0))
+        assert res.iterations == 0 and not any(isinstance(g, Phi) for g in res.witness)
+        doc = json_round(encode_reduction(res))
+        doc["iterations"] = 7
+        with pytest.raises(ValueError, match="'iterations' is 7, but its witness has 0 phi"):
+            decode_reduction(doc)
+
 
 class TestVerdicts:
     def test_reduction_method(self):
@@ -250,6 +267,20 @@ class TestVerdicts:
         assert clean["witness"] is None
         for blob in (nef_word, not_nef, clean):
             assert decode_verdict(blob).verdict in ("nef", "not_nef")
+
+    def test_nef_by_reduction_needs_a_word(self):
+        doc = json_round(encode_verdict(is_nef_K_nonpositive(basis_vector(9, 0))))
+        doc["witness"] = encode_class(basis_vector(9, 0))
+        with pytest.raises(ValueError, match="'witness' has the wrong type"):
+            decode_verdict(doc)
+
+    def test_not_nef_by_curve_check_needs_a_class(self):
+        verdict = curve_check(basis_vector(6, 1), max_degree=4)
+        assert verdict.verdict == "not_nef"
+        doc = json_round(encode_verdict(verdict))
+        doc["witness"] = encode_word(WeylWord((Phi(1, 2, 3),)))
+        with pytest.raises(ValueError, match="'witness' has the wrong type"):
+            decode_verdict(doc)
 
 
 class TestCartan:
