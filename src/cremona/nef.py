@@ -22,7 +22,7 @@ from operator import mul
 
 from . import curves, polytopes
 from .lattice import PicClass, Record, pairing, set_field
-from .weyl import ReductionResult, WeylWord, apply_word, reduce_class
+from .weyl import WeylWord, apply_word, reduce_class
 
 __all__ = [
     "NEF",
@@ -43,28 +43,38 @@ METHOD_CURVE_CHECK = "curve_check"
 
 
 class NefVerdict(Record):
-    """Outcome of a nef test.
+    """Outcome of a nef test, stored as its witness and degree bound.
 
-    method is METHOD_REDUCTION (unconditional on the K <= 0 side) or
-    METHOD_CURVE_CHECK with max_degree set, in which case a "nef"
-    verdict only means no violation was found up to that degree.
-    witness is a WeylWord for nef-by-reduction, the violating class for
-    not-nef, and None for a clean curve check.
+    ``max_degree`` is None for the exact reduction and the bound of a
+    curve check otherwise; ``method`` is derived from it
+    (METHOD_REDUCTION or METHOD_CURVE_CHECK), and a "nef" curve-check
+    verdict only means no violation was found up to that degree.  The
+    witness is the violating class for "not_nef", a WeylWord for
+    nef-by-reduction and None for a clean curve check, so ``verdict``
+    is derived from it too: NOT_NEF exactly when it is a PicClass.  Any
+    other witness for the method raises ValueError.
     """
 
-    __slots__ = ("verdict", "method", "witness", "max_degree")
+    __slots__ = ("witness", "max_degree")
 
     def __init__(
-        self,
-        verdict: str,
-        method: str,
-        witness: WeylWord | PicClass | None,
-        max_degree: int | None = None,
+        self, witness: WeylWord | PicClass | None, max_degree: int | None = None
     ) -> None:
-        set_field(self, "verdict", verdict)
-        set_field(self, "method", method)
+        allowed = WeylWord if max_degree is None else type(None)
+        if not isinstance(witness, (PicClass, allowed)):
+            raise ValueError(
+                f"a verdict with max_degree={max_degree!r} cannot have the witness {witness!r}"
+            )
         set_field(self, "witness", witness)
         set_field(self, "max_degree", max_degree)
+
+    @property
+    def method(self) -> str:
+        return METHOD_REDUCTION if self.max_degree is None else METHOD_CURVE_CHECK
+
+    @property
+    def verdict(self) -> str:
+        return NOT_NEF if isinstance(self.witness, PicClass) else NEF
 
     def is_nef(self) -> bool:
         return self.verdict == NEF
@@ -86,9 +96,7 @@ def is_nef_K_nonpositive(v: PicClass) -> NefVerdict:
     fundamental cone.  Raises KPositiveError when v.K > 0.
     """
     result = reduce_class(v)
-    if result.status == ReductionResult.IN_CONE:
-        return NefVerdict(verdict=NEF, method=METHOD_REDUCTION, witness=result.witness)
-    return NefVerdict(verdict=NOT_NEF, method=METHOD_REDUCTION, witness=result.violated)
+    return NefVerdict(result.witness if result.violated is None else result.violated)
 
 
 def check_certificate(v: PicClass, verdict: NefVerdict) -> bool:
@@ -144,10 +152,10 @@ def curve_check(v: PicClass, max_degree: int = 6) -> NefVerdict:
     if n < 3 or max_degree < 0:
         raise ValueError(f"need n >= 3, got {n}" if n < 3 else "max_degree must be >= 0")
     if pairing(v, v) < 0:
-        return NefVerdict(NOT_NEF, METHOD_CURVE_CHECK, v, max_degree)
+        return NefVerdict(v, max_degree)
     for d in range(max_degree + 1):
         for ms in curves._multiplicity_multisets(d, n):
             if p := _last_violation(d * x0, tail, [*ms] + [0] * (n - len(ms))):
                 c = PicClass._trusted(n, (d,) + tuple(-m for m in p))
-                return NefVerdict(NOT_NEF, METHOD_CURVE_CHECK, c, max_degree)
-    return NefVerdict(NEF, METHOD_CURVE_CHECK, None, max_degree)
+                return NefVerdict(c, max_degree)
+    return NefVerdict(None, max_degree)

@@ -116,13 +116,17 @@ class ConePolytope(Record):
 
 
 class MembershipResult(Record):
-    """Whether a class lies in a cone, and else the first normal it violates."""
+    """The first normal of a cone that a class violates, None if it has
+    none; ``contains`` is derived: whether the class lies in the cone."""
 
-    __slots__ = ("contains", "violated")
+    __slots__ = ("violated",)
 
-    def __init__(self, contains: bool, violated: PicClass | None) -> None:
-        set_field(self, "contains", contains)
+    def __init__(self, violated: PicClass | None) -> None:
         set_field(self, "violated", violated)
+
+    @property
+    def contains(self) -> bool:
+        return self.violated is None
 
     def __bool__(self) -> bool:
         return self.contains
@@ -180,8 +184,8 @@ def membership(P: ConePolytope, v: PicClass) -> MembershipResult:
         raise ValueError(f"rank mismatch: cone has n = {P.n}, vector has n = {v.n}")
     for u in P.all_normals:
         if pairing(u, v) < 0:
-            return MembershipResult(contains=False, violated=u)
-    return MembershipResult(contains=True, violated=None)
+            return MembershipResult(u)
+    return MembershipResult(None)
 
 
 def _gram_upper(normals: tuple[PicClass, ...]) -> list[list[int]]:
@@ -349,16 +353,18 @@ def render_cartan_entry(entry: CartanEntry) -> str:
 
 
 class CoxeterCheck(Record):
-    """Whether every angle is a submultiple of pi, zero or divergent, and
-    the pairs (i, j, angle class) where one is not."""
+    """The pairs (i, j, angle class) whose angle is not a submultiple of
+    pi, zero or divergent; ``is_coxeter`` is derived: whether there are
+    none."""
 
-    __slots__ = ("is_coxeter", "offending")
+    __slots__ = ("offending",)
 
-    def __init__(
-        self, is_coxeter: bool, offending: tuple[tuple[int, int, AngleClass], ...]
-    ) -> None:
-        set_field(self, "is_coxeter", is_coxeter)
+    def __init__(self, offending: tuple[tuple[int, int, AngleClass], ...]) -> None:
         set_field(self, "offending", offending)
+
+    @property
+    def is_coxeter(self) -> bool:
+        return not self.offending
 
     def __bool__(self) -> bool:
         return self.is_coxeter
@@ -367,7 +373,7 @@ class CoxeterCheck(Record):
 def is_coxeter(P: ConePolytope) -> CoxeterCheck:
     """All pairwise angles submultiples of pi, zero, or divergent?"""
     _, bad = _coxeter_pass(P)
-    return CoxeterCheck(is_coxeter=not bad, offending=bad)
+    return CoxeterCheck(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -808,8 +814,11 @@ class RegionRReport(Record):
         return all(r.f_value < 1 for r in self._vertices if r.point[2] < 0)
 
     def ok(self) -> bool:
+        """The f <= 1 claim holds, and at a vertex at least: a report
+        with no vertex row proves nothing."""
         return (
             self.all_triples_meet
+            and self.vertex_count > 0
             and self.f_le_1_at_vertices
             and self.f_lt_1_when_xn_negative
         )

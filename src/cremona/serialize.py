@@ -19,10 +19,14 @@ decoders accept either form.
 
 Decoding is strict: a float, a bool, a missing key or a wrong shape
 raises ValueError rather than being coerced, so no value is ever
-silently rounded on its way in.  So does a document that contradicts
-itself: a status against its violated class, an iteration count
-against the phi steps of the witness, or a witness of the wrong kind
-for its verdict and method.
+silently rounded on its way in.  A reduction's ``status`` and
+``iterations`` and a verdict's ``verdict`` are written out but not
+stored: the records derive them (``status`` from ``violated``,
+``iterations`` from the phi steps of the witness, ``verdict`` from the
+witness kind).  So a decoder reads the stored parts, builds the record,
+and raises ValueError when a document's copy differs from the derived
+value.  It also refuses a witness of the wrong kind for its method, and
+a reduction whose classes or generators do not all live at one ``n``.
 """
 
 from __future__ import annotations
@@ -137,30 +141,37 @@ def encode_reduction(r: ReductionResult) -> dict:
 
 
 def decode_reduction(obj: dict) -> ReductionResult:
-    status = _field(obj, "reduction", "status", str)
-    if status not in (ReductionResult.IN_CONE, ReductionResult.NOT_NEF):
-        raise ValueError(f"unknown reduction status {status!r}")
-    violated = _field(obj, "reduction", "violated", (dict, type(None)))
-    if (violated is None) != (status == ReductionResult.IN_CONE):
-        raise ValueError(f"reduction status {status!r} does not fit 'violated' {violated!r}")
+    reduced = decode_class(_field(obj, "reduction", "reduced", dict))
     witness = decode_word(_field(obj, "reduction", "witness", list))
-    iterations = _field(obj, "reduction", "iterations", int)
-    phis = sum(type(g) is Phi for g in witness)
-    if iterations != phis:
-        raise ValueError(f"reduction 'iterations' is {iterations}, but its witness has {phis} phi")
-    return ReductionResult(
-        status=status,
-        reduced=decode_class(_field(obj, "reduction", "reduced", dict)),
-        witness=witness,
-        violated=decode_class(violated) if violated is not None else None,
-        iterations=iterations,
-    )
+    violated = _field(obj, "reduction", "violated", (dict, type(None)))
+    violated = decode_class(violated) if violated is not None else None
+    # the whole document lives at one n
+    n = reduced.n
+    if violated is not None and violated.n != n:
+        raise ValueError(f"reduction 'violated' has n={violated.n}, but 'reduced' has n={n}")
+    for g in witness:
+        if (g.k if type(g) is Phi else g.i + 1) > n:
+            raise ValueError(f"reduction 'witness' holds {g!r}, out of range for n={n}")
+    result = ReductionResult(reduced, witness, violated)
+    _check_derived(obj, "reduction", result, {"status": str, "iterations": int})
+    return result
+
+
+def _check_derived(obj: dict, schema: str, record, kinds: dict[str, type]) -> None:
+    """Refuse a document whose copy of one of the record's derived
+    fields, each of the given JSON kind, differs from the record's own."""
+    for key, kind in kinds.items():
+        stated, derived = _field(obj, schema, key, kind), getattr(record, key)
+        if stated != derived:
+            raise ValueError(
+                f"{schema} {key!r} is {stated!r}, but its stored parts give {derived!r}"
+            )
 
 
 def encode_verdict(v: nef.NefVerdict) -> dict:
     method = (
         nef.METHOD_REDUCTION
-        if v.method == nef.METHOD_REDUCTION
+        if v.max_degree is None
         else f"{nef.METHOD_CURVE_CHECK}:{v.max_degree}"
     )
     if v.witness is None:
@@ -173,28 +184,24 @@ def encode_verdict(v: nef.NefVerdict) -> dict:
 
 
 def decode_verdict(obj: dict) -> nef.NefVerdict:
-    verdict = _field(obj, "verdict", "verdict", str)
-    if verdict not in (nef.NEF, nef.NOT_NEF):
-        raise ValueError(f"unknown verdict {verdict!r}")
     method = _field(obj, "verdict", "method", str)
     max_degree = None
     if method != nef.METHOD_REDUCTION:
-        method, _, bound = method.partition(":")
-        if method != nef.METHOD_CURVE_CHECK or not re.fullmatch(r"[0-9]+", bound):
-            raise ValueError(f"unknown method {obj['method']!r}")
+        name, _, bound = method.partition(":")
+        if name != nef.METHOD_CURVE_CHECK or not re.fullmatch(r"[0-9]+", bound):
+            raise ValueError(f"unknown method {method!r}")
         max_degree = int(bound)
-    # a word proves nef by reduction, a class not nef; a clean curve check has none
-    kind = dict if verdict == nef.NOT_NEF else list if max_degree is None else type(None)
-    w = _field(obj, "verdict", "witness", kind)
+    w = _field(obj, "verdict", "witness", (list, dict, type(None)))
     if w is None:
         witness = None
     elif isinstance(w, list):
         witness = decode_word(w)
     else:
         witness = decode_class(w)
-    return nef.NefVerdict(
-        verdict=verdict, method=method, witness=witness, max_degree=max_degree
-    )
+    # NefVerdict refuses a witness of the wrong kind for its method
+    result = nef.NefVerdict(witness, max_degree)
+    _check_derived(obj, "verdict", result, {"verdict": str})
+    return result
 
 
 def encode_cartan(matrix: tuple[tuple[polytopes.CartanEntry, ...], ...]) -> list:

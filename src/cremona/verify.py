@@ -87,7 +87,8 @@ class VerificationReport(Record):
         set_field(self, "checks", checks)
 
     def passed(self) -> bool:
-        return all(c.status != FAIL for c in self.checks)
+        """No check failed, and there was one at least."""
+        return bool(self.checks) and all(c.status != FAIL for c in self.checks)
 
 
 class _Ctx(Record):

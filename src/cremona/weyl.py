@@ -209,33 +209,37 @@ def _bubble_sort_word(keys: list) -> list[Sigma]:
 class ReductionResult(Record):
     """Outcome of the fundamental-cone reduction.
 
-    ``status`` is "in_cone" or "not_nef".  ``reduced`` is the final
-    state, with sorted tail, and ``witness`` the word with
-    apply_word(witness, input) == reduced: ``iterations`` phi steps,
-    each at some sorted triple Phi(i, j, k), then one word of at most
-    n(n-1)/2 transpositions that sorts the tail.  For "not_nef",
-    ``violated`` is a class c with pairing(c, input) < 0 (the violated
-    constraint pulled back to the input by the reversed witness word).
+    ``reduced`` is the final state, with sorted tail, and ``witness`` the
+    word with apply_word(witness, input) == reduced: phi steps, each at
+    some sorted triple Phi(i, j, k), then one word of at most n(n-1)/2
+    transpositions that sorts the tail.  ``violated`` is None when
+    ``reduced`` lies in the fundamental cone, and otherwise a class c
+    with pairing(c, input) < 0 (the violated constraint pulled back to
+    the input by the reversed witness word).  The record stores only
+    these three: ``status`` ("in_cone" exactly when ``violated`` is
+    None, else "not_nef") and ``iterations`` (the number of Phi in
+    ``witness``) are derived from them.
     """
 
-    __slots__ = ("status", "reduced", "witness", "violated", "iterations")
+    __slots__ = ("reduced", "witness", "violated")
 
     def __init__(
-        self,
-        status: str,
-        reduced: PicClass,
-        witness: WeylWord,
-        violated: PicClass | None = None,
-        iterations: int = 0,
+        self, reduced: PicClass, witness: WeylWord, violated: PicClass | None = None
     ) -> None:
-        set_field(self, "status", status)
         set_field(self, "reduced", reduced)
         set_field(self, "witness", witness)
         set_field(self, "violated", violated)
-        set_field(self, "iterations", iterations)
 
     IN_CONE = "in_cone"
     NOT_NEF = "not_nef"
+
+    @property
+    def status(self) -> str:
+        return self.IN_CONE if self.violated is None else self.NOT_NEF
+
+    @property
+    def iterations(self) -> int:
+        return sum(isinstance(g, Phi) for g in self.witness.gens)
 
 
 class KPositiveError(ValueError):
@@ -316,7 +320,6 @@ def reduce_class(v: PicClass) -> ReductionResult:
         order.insert(p, i)
     triples = iter(steps)
     word: list[Generator] = list(starmap(_phi, zip(triples, triples, triples)))
-    phi_count = len(word)
     rank = [0] * n  # rank[i - 1]: the sorted position of index i
     for position, i in enumerate(order):
         rank[i - 1] = position
@@ -324,9 +327,7 @@ def reduce_class(v: PicClass) -> ReductionResult:
     reduced = PicClass._trusted(n, (x0, *vals))
     witness = WeylWord(tuple(word))
     if x0 + vals[0] + vals[1] + vals[2] >= 0 and vals[-1] <= 0:
-        return ReductionResult(
-            ReductionResult.IN_CONE, reduced, witness, iterations=phi_count
-        )
+        return ReductionResult(reduced, witness)
     # Not in the cone means x_n > 0.  The input is K-nonpositive,
     # 3x_0 + sum x_i >= 0, and W keeps it so.  If the sorted tail ended
     # <= 0, that would force x_0 > 0, since x_0 <= 0 would leave only the
@@ -349,9 +350,7 @@ def reduce_class(v: PicClass) -> ReductionResult:
         culprit[j] -= t
         culprit[k] -= t
     violated = PicClass._trusted(n, tuple(culprit))
-    return ReductionResult(
-        ReductionResult.NOT_NEF, reduced, witness, violated, phi_count
-    )
+    return ReductionResult(reduced, witness, violated)
 
 
 def all_generators(n: int) -> list[Generator]:

@@ -657,6 +657,18 @@ class TestReportsDeriveTheirVerdicts:
         short = VertexFormulaReport(10, rays[1:], rays)
         assert not short.count_ok and not short.sets_equal and not short.ok()
 
+    def test_a_report_with_no_vertex_fails(self):
+        # f <= 1 holds at every vertex of a report that has none, and
+        # proves nothing there
+        rep = verify_region_R(12)
+        assert rep.vertex_count == 6 and rep.ok()
+        non_vertices = tuple(r for r in rep.rows if not r.is_vertex)
+        for rows in ((), non_vertices):
+            empty = RegionRReport(12, rows)
+            assert empty.vertex_count == 0 and empty.all_triples_meet
+            assert empty.f_le_1_at_vertices and empty.f_lt_1_when_xn_negative
+            assert not empty.ok()
+
 
 # ---------------------------------------------------------------------------
 # the angle layer against the reference classification in oracles.py

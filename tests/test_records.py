@@ -31,46 +31,47 @@ def examples() -> dict[str, object]:
         "Phi": c.Phi(1, 2, 3),
         "Sigma": c.Sigma(i=2),
         "WeylWord": word,
-        "ReductionResult": c.ReductionResult("not_nef", v, word, violated=e3, iterations=1),
+        "ReductionResult": c.ReductionResult(v, word, violated=e3),
         "OrbitResult": c.OrbitResult((v, e3), truncated=False),
         "Decomposition": c.Decomposition((c.PicClass(3, (1, -1, -1, -1)),),
                                          c.PicClass(3, (1, -1, -1, 0))),
         "Halfspace": wall,
         "ConePolytope": c.ConePolytope(n=3, halfspaces=(wall,)),
-        "MembershipResult": c.MembershipResult(False, wall.normal),
+        "MembershipResult": c.MembershipResult(wall.normal),
         "AngleClass": angle,
         "CartanEntry": c.CartanEntry(sign=-1, cos2=Fraction(1, 2)),
-        "CoxeterCheck": c.CoxeterCheck(False, ((0, 1, angle),)),
+        "CoxeterCheck": c.CoxeterCheck(((0, 1, angle),)),
         "CoxeterDiagram": c.CoxeterDiagram(("v0", "v1"), (edge,)),
         "DiagramEdge": edge,
         "Ray": c.Ray(v, c.LightConePosition("boundary", True), (0, 2)),
         "VertexFormulaReport": c.VertexFormulaReport(10, (v,), (v, e3)),
         "RegionRReport": c.RegionRReport(10, (row,)),
-        "NefVerdict": c.NefVerdict("nef", "reduction_exact", word),
+        "NefVerdict": c.NefVerdict(word),
         "CheckResult": check,
         "VerificationReport": c.VerificationReport(checks=(check,)),
     }
 
 
-# repr(examples()[name]), frozen from the frozen dataclasses
+# repr(examples()[name]), frozen from the frozen dataclasses; a repr
+# lists the stored fields only, so derived verdicts are left out
 FROZEN_REPR = {
     'AngleClass': "AngleClass(kind='pi_over', cos2=Fraction(1, 4), sign=1, m=3)",
     'CartanEntry': 'CartanEntry(sign=-1, cos2=Fraction(1, 2))',
     'CheckResult': "CheckResult(name='rays_p9', status='pass', claim='a claim', expected='10 rays', computed='10 rays')",
     'ConePolytope': 'ConePolytope(n=3, halfspaces=(Halfspace(normal=PicClass(3, (0, 1, -1, 0))),))',
-    'CoxeterCheck': "CoxeterCheck(is_coxeter=False, offending=((0, 1, AngleClass(kind='pi_over', cos2=Fraction(1, 4), sign=1, m=3)),))",
+    'CoxeterCheck': "CoxeterCheck(offending=((0, 1, AngleClass(kind='pi_over', cos2=Fraction(1, 4), sign=1, m=3)),))",
     'CoxeterDiagram': "CoxeterDiagram(labels=('v0', 'v1'), edges=(DiagramEdge(i=0, j=1, style='plain', multiplicity=1, m=3),))",
     'Decomposition': 'Decomposition(cubics=(PicClass(3, (1, -1, -1, -1)),), conic=PicClass(3, (1, -1, -1, 0)))',
     'DiagramEdge': "DiagramEdge(i=0, j=1, style='plain', multiplicity=1, m=3)",
     'Halfspace': 'Halfspace(normal=PicClass(3, (0, 1, -1, 0)))',
     'LightConePosition': "LightConePosition(tag='boundary', forward=True)",
-    'MembershipResult': 'MembershipResult(contains=False, violated=PicClass(3, (0, 1, -1, 0)))',
-    'NefVerdict': "NefVerdict(verdict='nef', method='reduction_exact', witness=WeylWord(gens=(Phi(1,2,3), Sigma(2))), max_degree=None)",
+    'MembershipResult': 'MembershipResult(violated=PicClass(3, (0, 1, -1, 0)))',
+    'NefVerdict': "NefVerdict(witness=WeylWord(gens=(Phi(1,2,3), Sigma(2))), max_degree=None)",
     'OrbitResult': 'OrbitResult(classes=(PicClass(3, (1, -1, 0, 0)), PicClass(3, (0, 0, 0, 1))), truncated=False)',
     'Phi': 'Phi(1,2,3)',
     'PicClass': 'PicClass(3, (1, -1, 0, 0))',
     'Ray': "Ray(generator=PicClass(3, (1, -1, 0, 0)), position=LightConePosition(tag='boundary', forward=True), active_set=(0, 2))",
-    'ReductionResult': "ReductionResult(status='not_nef', reduced=PicClass(3, (1, -1, 0, 0)), witness=WeylWord(gens=(Phi(1,2,3), Sigma(2))), violated=PicClass(3, (0, 0, 0, 1)), iterations=1)",
+    'ReductionResult': "ReductionResult(reduced=PicClass(3, (1, -1, 0, 0)), witness=WeylWord(gens=(Phi(1,2,3), Sigma(2))), violated=PicClass(3, (0, 0, 0, 1)))",
     'RegionRReport': 'RegionRReport(n=10, rows=(RegionRRow(triple=(0, 1, 3), point=(Fraction(-1, 1), Fraction(0, 1), Fraction(0, 1)), is_vertex=True, f_value=Fraction(1, 1)),))',
     'Sigma': 'Sigma(2)',
     'VerificationReport': "VerificationReport(checks=(CheckResult(name='rays_p9', status='pass', claim='a claim', expected='10 rays', computed='10 rays'),))",
@@ -133,5 +134,25 @@ class TestRecord:
 
 
 def test_records_of_different_types_are_unequal():
-    assert cremona.MembershipResult(True, ()) != cremona.CoxeterCheck(True, ())
+    assert cremona.MembershipResult(()) != cremona.CoxeterCheck(())
     assert cremona.Phi(1, 2, 3) != cremona.Sigma(1)
+
+
+# the verdicts each example derives, as its constructor used to store them
+DERIVED = {
+    "ReductionResult": {"status": "not_nef", "iterations": 1},
+    "NefVerdict": {"verdict": "nef", "method": "reduction_exact"},
+    "MembershipResult": {"contains": False},
+    "CoxeterCheck": {"is_coxeter": False},
+}
+
+
+@pytest.mark.parametrize("name", sorted(DERIVED))
+def test_derived_verdicts_are_read_only_properties(name):
+    a = examples()[name]
+    for field, value in DERIVED[name].items():
+        assert field not in type(a).__slots__
+        assert isinstance(getattr(type(a), field), property)
+        assert getattr(a, field) == value
+        with pytest.raises(AttributeError):
+            setattr(a, field, value)

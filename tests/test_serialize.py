@@ -6,9 +6,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cremona.lattice import PicClass, basis_vector
-from cremona.nef import curve_check, is_nef_K_nonpositive
-from cremona.polytopes import build_P, cartan_matrix, extremal_rays
+from cremona.lattice import PicClass, basis_vector, canonical_class, pairing
+from cremona.nef import (
+    METHOD_CURVE_CHECK,
+    METHOD_REDUCTION,
+    NEF,
+    NOT_NEF,
+    check_certificate,
+    curve_check,
+    fundamental_cone,
+    is_nef_K_nonpositive,
+)
+from cremona.polytopes import build_P, cartan_matrix, extremal_rays, membership
 from cremona.serialize import (
     decode_cartan,
     decode_class,
@@ -24,7 +33,7 @@ from cremona.serialize import (
     encode_verdict,
     encode_word,
 )
-from cremona.weyl import Phi, Sigma, WeylWord, reduce_class
+from cremona.weyl import Phi, ReductionResult, Sigma, WeylWord, reduce_class
 
 BIG = 2**60 + 3
 
@@ -232,7 +241,7 @@ class TestReduction:
         not_nef = json_round(encode_reduction(reduce_class(basis_vector(9, 1))))
         not_nef["violated"] = None
         for doc in (in_cone, not_nef):
-            with pytest.raises(ValueError, match="does not fit 'violated'"):
+            with pytest.raises(ValueError, match="'status' is '.*', but its stored parts give"):
                 decode_reduction(doc)
 
     def test_iterations_must_count_the_phi_steps(self):
@@ -240,7 +249,32 @@ class TestReduction:
         assert res.iterations == 0 and not any(isinstance(g, Phi) for g in res.witness)
         doc = json_round(encode_reduction(res))
         doc["iterations"] = 7
-        with pytest.raises(ValueError, match="'iterations' is 7, but its witness has 0 phi"):
+        with pytest.raises(ValueError, match="'iterations' is 7, but its stored parts give 0"):
+            decode_reduction(doc)
+
+    def test_one_lattice_for_the_whole_document(self):
+        # reduced at n = 9, violated at n = 4 and a generator past n = 9:
+        # each part is well-formed, and status and iterations fit
+        doc = json_round(encode_reduction(reduce_class(basis_vector(9, 1))))
+        doc["violated"] = encode_class(basis_vector(4, 1))
+        doc["witness"][0] = {"phi": [1, 2, 30]}
+        doc["iterations"] = 1
+        with pytest.raises(ValueError, match="n=4, but 'reduced' has n=9"):
+            decode_reduction(doc)
+
+    @pytest.mark.parametrize(
+        "part, value, message",
+        [
+            ("violated", encode_class(basis_vector(4, 1)), "'violated' has n=4"),
+            ("witness", [{"phi": [1, 2, 10]}], r"Phi\(1,2,10\), out of range for n=9"),
+            ("witness", [{"sigma": 9}], r"Sigma\(9\), out of range for n=9"),
+        ],
+    )
+    def test_each_part_must_live_at_n(self, part, value, message):
+        doc = json_round(encode_reduction(reduce_class(basis_vector(9, 1))))
+        doc[part] = value
+        doc["iterations"] = sum("phi" in g for g in doc["witness"])
+        with pytest.raises(ValueError, match=message):
             decode_reduction(doc)
 
 
@@ -271,7 +305,7 @@ class TestVerdicts:
     def test_nef_by_reduction_needs_a_word(self):
         doc = json_round(encode_verdict(is_nef_K_nonpositive(basis_vector(9, 0))))
         doc["witness"] = encode_class(basis_vector(9, 0))
-        with pytest.raises(ValueError, match="'witness' has the wrong type"):
+        with pytest.raises(ValueError, match="'verdict' is 'nef', but its stored parts give"):
             decode_verdict(doc)
 
     def test_not_nef_by_curve_check_needs_a_class(self):
@@ -279,8 +313,56 @@ class TestVerdicts:
         assert verdict.verdict == "not_nef"
         doc = json_round(encode_verdict(verdict))
         doc["witness"] = encode_word(WeylWord((Phi(1, 2, 3),)))
-        with pytest.raises(ValueError, match="'witness' has the wrong type"):
+        with pytest.raises(ValueError, match="max_degree=4 cannot have the witness"):
             decode_verdict(doc)
+
+
+# K-nonpositive classes at n = 9..12: about one in six is nef, and most
+# have v^2 >= 0, so the curve check reaches its scan
+k_nonpositive = (
+    st.integers(9, 12)
+    .flatmap(
+        lambda n: st.builds(
+            lambda x0, tail: PicClass(n, (x0, *tail)),
+            st.integers(0, 40),
+            st.lists(st.integers(-12, 2), min_size=n, max_size=n),
+        )
+    )
+    .filter(lambda v: not v.is_zero() and pairing(v, canonical_class(v.n)) <= 0)
+)
+
+
+class TestDerivedFields:
+    """The records store only what they cannot derive; the derived fields
+    keep the meanings they had as stored fields, and the documents round
+    trip."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(k_nonpositive)
+    def test_reduction(self, v):
+        r = reduce_class(v)
+        assert decode_reduction(json_round(encode_reduction(r))) == r
+        in_cone = bool(membership(fundamental_cone(v.n), r.reduced))
+        assert (r.violated is None) is in_cone
+        assert r.status == (ReductionResult.IN_CONE if in_cone else ReductionResult.NOT_NEF)
+        if not in_cone:
+            assert pairing(r.violated, v) < 0
+        assert r.iterations == sum(type(g) is Phi for g in r.witness)
+
+    @settings(max_examples=150, deadline=None)
+    @given(k_nonpositive)
+    def test_verdicts(self, v):
+        exact = is_nef_K_nonpositive(v)
+        bounded = curve_check(v, 6)
+        for verdict in (exact, bounded):
+            assert decode_verdict(json_round(encode_verdict(verdict))) == verdict
+            assert verdict.verdict == (NOT_NEF if isinstance(verdict.witness, PicClass) else NEF)
+        assert exact.method == METHOD_REDUCTION and exact.max_degree is None
+        assert bounded.method == METHOD_CURVE_CHECK and bounded.max_degree == 6
+        assert exact.verdict == (NEF if reduce_class(v).violated is None else NOT_NEF)
+        assert isinstance(exact.witness, WeylWord if exact.is_nef() else PicClass)
+        assert bounded.witness is None or isinstance(bounded.witness, PicClass)
+        assert check_certificate(v, exact)
 
 
 class TestCartan:

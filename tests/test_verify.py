@@ -9,7 +9,7 @@ import pytest
 from cremona import verify
 from cremona.curves import Decomposition, decompose_inequality
 from cremona.lattice import basis_vector
-from cremona.nef import NOT_NEF, NefVerdict
+from cremona.nef import NefVerdict
 from cremona.verify import FAIL, PASS, XFAIL, check_names, run_suite
 
 
@@ -119,12 +119,19 @@ def test_decomposition_reports_a_failing_orbit(monkeypatch):
     assert result.computed.startswith("51 orbits, 125653 classes decomposed; failures [")
 
 
+def test_a_report_with_no_check_does_not_pass():
+    assert not verify.VerificationReport(()).passed()
+    check = verify.CheckResult("rays_p9", PASS, "a claim", "10 rays", "10 rays")
+    assert verify.VerificationReport((check,)).passed()
+
+
 def test_cross_method_fails_below_its_scan_floor(monkeypatch):
     # e_1 moved by a word has square -1, so curve_check would stop before
-    # its scan; with both methods stubbed to agree, only the floor on the
-    # classes that reach the scan can fail the check
+    # its scan; with both methods stubbed to agree (not nef, with v as the
+    # witness), only the floor on the classes that reach the scan can
+    # fail the check
     def agree(v, max_degree=None):
-        return NefVerdict(NOT_NEF, "stub", None)
+        return NefVerdict(v)
 
     monkeypatch.setattr(verify, "_interior_point", lambda n, rng: basis_vector(n, 1))
     monkeypatch.setattr(verify, "is_nef_K_nonpositive", agree)
