@@ -63,8 +63,8 @@ _POLYTOPES = {
 
 # Work caps: past them the polytope commands (``cartan``, ``diagram``,
 # ``rays``), ``curves``, ``nef-test --method curves`` and ``orbit`` exit
-# 2.  At n = 100 rays --polytope p_minus takes about 0.5 s (829 rays),
-# growing about 6x per doubling of n; cartan takes about 0.08 s, nearly
+# 2.  At n = 100 rays --polytope p_minus takes about 0.4 s (829 rays),
+# growing about 3x per doubling of n; cartan takes about 0.08 s, nearly
 # all of it start-up (the interpreter alone about 0.04 s, then the
 # modules cli and polytopes run), as the matrix itself takes about 3 ms
 # (2-vCPU Linux machine, Python 3.11.7, no cached bytecode).  curves --n
@@ -304,27 +304,27 @@ def _cmd_diagram(args: argparse.Namespace, out: _Output) -> int:
 
 def _cmd_rays(args: argparse.Namespace, out: _Output) -> int:
     rays = polytopes.extremal_rays(_build_polytope(args))
-    boundary = [r for r in rays if r.position.tag == "boundary"]
+    tags = [r.position.tag for r in rays]
     if args.format == "json":
         out.json(
             {
                 "n": args.n,
                 "polytope": args.polytope,
                 "count": len(rays),
-                "boundary": len(boundary),
+                "boundary": tags.count("boundary"),
                 "rays": (encode_ray(r) for r in rays),
             }
         )
     elif args.format == "csv":
         out.line("coords,square,position")
-        for r in rays:
+        for r, tag in zip(rays, tags):
             coords = " ".join(str(x) for x in r.generator.coords)
-            out.line(f"{coords},{pairing(r.generator, r.generator)},{r.position.tag}")
+            out.line(f"{coords},{pairing(r.generator, r.generator)},{tag}")
     else:
-        for r in rays:
+        for r, tag in zip(rays, tags):
             square = pairing(r.generator, r.generator)
-            out.line(f"{_coords_str(r.generator)}  square={square}  {r.position.tag}")
-        out.line(f"rays: {len(rays)}, boundary: {len(boundary)}")
+            out.line(f"{_coords_str(r.generator)}  square={square}  {tag}")
+        out.line(f"rays: {len(rays)}, boundary: {tags.count('boundary')}")
     return 0
 
 

@@ -251,19 +251,34 @@ _COS2_TO_M = {Fraction(1, 4): 3, Fraction(1, 2): 4, Fraction(3, 4): 6}
 class AngleClass(Record):
     """Exact classification of the angle between two halfspaces.
 
-    kind is one of PI_OVER (with m >= 2), ZERO_ANGLE (parallel at the
-    boundary, m = infinity), DIVERGENT, or NON_SUBMULTIPLE.  cos2 is
-    the rational (u.v)^2/(u^2 v^2) and sign the sign of u.v; together
-    they determine the exact Cartan entry -2*sign*sqrt(cos2).
+    sign is the sign of u.v and cos2 the rational (u.v)^2/(u^2 v^2), so
+    the record is the exact Cartan entry -2*sign*sqrt(cos2).  Derived:
+    kind, one of PI_OVER (angle pi/m, m >= 2), ZERO_ANGLE (parallel at
+    the boundary), DIVERGENT or NON_SUBMULTIPLE, and m, None off PI_OVER.
     """
 
-    __slots__ = ("kind", "cos2", "sign", "m")
+    __slots__ = ("sign", "cos2")
 
-    def __init__(self, kind: str, cos2: Fraction, sign: int, m: int | None = None) -> None:
-        set_field(self, "kind", kind)
-        set_field(self, "cos2", cos2)
+    def __init__(self, sign: int, cos2: Fraction) -> None:
         set_field(self, "sign", sign)
-        set_field(self, "m", m)
+        set_field(self, "cos2", cos2)
+
+    @property
+    def m(self) -> int | None:
+        if self.sign == 0:
+            return 2
+        return _COS2_TO_M.get(self.cos2) if self.sign > 0 else None
+
+    @property
+    def kind(self) -> str:
+        if self.cos2 > 1:
+            return DIVERGENT
+        if self.m is not None:
+            return PI_OVER
+        return ZERO_ANGLE if self.cos2 == 1 and self.sign > 0 else NON_SUBMULTIPLE
+
+
+CartanEntry = AngleClass  # alias: the exact Cartan entry -2*sign*sqrt(cos2)
 
 
 def classify_angle(u: Halfspace | PicClass, v: Halfspace | PicClass) -> AngleClass:
@@ -279,25 +294,13 @@ def _classify(p: int, a2: int, b2: int) -> AngleClass:
     """The class of the angle between normals with u.v = p, u^2 = a2, v^2 = b2."""
     if a2 >= 0 or b2 >= 0:
         raise ValueError("angle classification needs normals of negative square")
-    sign = (p > 0) - (p < 0)
-    cos2 = Fraction(p * p, a2 * b2)
-    if cos2 > 1:
-        return AngleClass(DIVERGENT, cos2, sign)
-    if p == 0:
-        return AngleClass(PI_OVER, cos2, sign, m=2)
-    if cos2 == 1:
-        if p > 0:
-            return AngleClass(ZERO_ANGLE, cos2, sign)
-        return AngleClass(NON_SUBMULTIPLE, cos2, sign)
-    if p > 0 and cos2 in _COS2_TO_M:
-        return AngleClass(PI_OVER, cos2, sign, m=_COS2_TO_M[cos2])
-    return AngleClass(NON_SUBMULTIPLE, cos2, sign)
+    return AngleClass((p > 0) - (p < 0), Fraction(p * p, a2 * b2))
 
 
-def _angle_pass(P: ConePolytope, make) -> list[list]:
-    """Upper triangle of make(angle class) over the pairs of P's normals,
+def _angle_pass(P: ConePolytope) -> list[list[AngleClass]]:
+    """Upper triangle of the angle classes of the pairs of P's normals,
     laid out as _gram_upper's.  Pairs with the same integer triple
-    (u.v, u^2, v^2) share one classification and one make() result."""
+    (u.v, u^2, v^2) share one instance."""
     upper = _gram_upper(P.all_normals)
     squares = [row[0] for row in upper]
     memo = {}
@@ -308,20 +311,10 @@ def _angle_pass(P: ConePolytope, make) -> list[list]:
             key = (p, a2, b2)
             value = memo.get(key)
             if value is None:
-                value = memo[key] = make(_classify(p, a2, b2))
+                value = memo[key] = _classify(p, a2, b2)
             line.append(value)
         out.append(line)
     return out
-
-
-class CartanEntry(Record):
-    """Exact Cartan matrix entry a_ij = -2*sign*sqrt(cos2)."""
-
-    __slots__ = ("sign", "cos2")
-
-    def __init__(self, sign: int, cos2: Fraction) -> None:
-        set_field(self, "sign", sign)
-        set_field(self, "cos2", cos2)
 
 
 def cartan_matrix(P: ConePolytope) -> tuple[tuple[CartanEntry, ...], ...]:
@@ -331,7 +324,7 @@ def cartan_matrix(P: ConePolytope) -> tuple[tuple[CartanEntry, ...], ...]:
     pair (sign of pairing, cos^2), from which the value -2*sign*sqrt(cos2)
     is recovered symbolically.  Diagonal entries are always 2.
     """
-    return _symmetric(_angle_pass(P, lambda ang: CartanEntry(ang.sign, ang.cos2)))
+    return _symmetric(_angle_pass(P))
 
 
 def render_cartan_entry(entry: CartanEntry) -> str:
@@ -382,21 +375,25 @@ def is_coxeter(P: ConePolytope) -> CoxeterCheck:
 EDGE_PLAIN = "plain"
 EDGE_DASHED = "dashed"
 EDGE_DOTTED = "dotted"
+_EDGE_STYLE = {PI_OVER: EDGE_PLAIN, ZERO_ANGLE: EDGE_DASHED, DIVERGENT: EDGE_DOTTED}
 
 
 class DiagramEdge(Record):
     """An edge between nodes i and j: ``style`` is plain, dashed or dotted,
-    ``multiplicity`` the parallel strands to draw (m-2 for angle pi/m),
-    and ``m`` the angle denominator, None for dashed and dotted edges."""
+    and ``m`` the angle denominator, None for dashed and dotted edges;
+    ``multiplicity``, the strands to draw, is derived (m-2 if plain, else 1)."""
 
-    __slots__ = ("i", "j", "style", "multiplicity", "m")
+    __slots__ = ("i", "j", "style", "m")
 
-    def __init__(self, i: int, j: int, style: str, multiplicity: int, m: int | None) -> None:
+    def __init__(self, i: int, j: int, style: str, m: int | None) -> None:
         set_field(self, "i", i)
         set_field(self, "j", j)
         set_field(self, "style", style)
-        set_field(self, "multiplicity", multiplicity)
         set_field(self, "m", m)
+
+    @property
+    def multiplicity(self) -> int:
+        return self.m - 2 if self.style == EDGE_PLAIN else 1
 
 
 class CoxeterDiagram(Record):
@@ -442,20 +439,20 @@ def _coxeter_pass(
 ) -> tuple[CoxeterDiagram | None, tuple[tuple[int, int, AngleClass], ...]]:
     """One _angle_pass over the pairs of normals: the Coxeter diagram (None
     if some angle is not a submultiple of pi) and the offending pairs."""
-    upper = _angle_pass(P, lambda ang: ang)
-    edges = []
-    bad = []
+    upper = _angle_pass(P)
+    edge_of = {}  # (style, m) per shared angle instance, derived once
+    edges, bad = [], []
     for i, row in enumerate(upper):
         for j, ang in enumerate(row[1:], i + 1):
-            if ang.kind == PI_OVER:
-                if ang.m > 2:
-                    edges.append(DiagramEdge(i, j, EDGE_PLAIN, ang.m - 2, ang.m))
-            elif ang.kind == ZERO_ANGLE:
-                edges.append(DiagramEdge(i, j, EDGE_DASHED, 1, None))
-            elif ang.kind == DIVERGENT:
-                edges.append(DiagramEdge(i, j, EDGE_DOTTED, 1, None))
-            else:
+            if not ang.sign:  # a right angle: no edge
+                continue
+            edge = edge_of.get(id(ang))
+            if edge is None:
+                edge = edge_of[id(ang)] = (_EDGE_STYLE.get(ang.kind), ang.m)
+            if edge[0] is None:
                 bad.append((i, j, ang))
+            else:
+                edges.append(DiagramEdge(i, j, *edge))
     if bad:
         return None, tuple(bad)
     labels = tuple([f"v{i}" for i in range(len(upper))])
@@ -477,17 +474,18 @@ def coxeter_diagram(P: ConePolytope) -> CoxeterDiagram:
 
 
 class Ray(Record):
-    """An extremal ray: primitive generator, light-cone position, and the
-    indices (into all_normals) of the inequalities vanishing on it."""
+    """An extremal ray: primitive generator and the indices (into all_normals)
+    of the inequalities vanishing on it; its light-cone ``position`` is derived."""
 
-    __slots__ = ("generator", "position", "active_set")
+    __slots__ = ("generator", "active_set")
 
-    def __init__(
-        self, generator: PicClass, position: LightConePosition, active_set: tuple[int, ...]
-    ) -> None:
+    def __init__(self, generator: PicClass, active_set: tuple[int, ...]) -> None:
         set_field(self, "generator", generator)
-        set_field(self, "position", position)
         set_field(self, "active_set", active_set)
+
+    @property
+    def position(self) -> LightConePosition:
+        return light_cone_position(self.generator)
 
 
 def _minkowski_row(u: PicClass) -> tuple[int, ...]:
@@ -507,8 +505,8 @@ def _dot(a: tuple[int, ...], b: tuple[int, ...]) -> int:
 
 def _generators(
     rows: list[tuple[int, ...]], dim: int
-) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """(rays, lineality) of the cone {x in Q^dim : r.x >= 0 for every row r}.
+) -> tuple[list[tuple[int, ...]], list[int], list[tuple[int, ...]]]:
+    """(rays, zeros, lineality) of the cone {x in Q^dim : r.x >= 0 for every row r}.
 
     Integer double description (Motzkin et al. 1953; Fukuda & Prodon
     1996).  Starting from the whole space (no rays, lineality = the
@@ -524,9 +522,11 @@ def _generators(
 
     Two rays are adjacent iff no third ray vanishes on every row that
     both vanish on; this needs at least dim - len(lineality) - 2 common
-    zeros, which rejects most pairs early.  Zero sets are int bitmasks
-    over the row indices.  Every combination is reduced to its primitive
-    integer vector, so all arithmetic stays in small ints.
+    zeros, which rejects most pairs early.  zeros[i] is the zero set of
+    rays[i], an int with bit k set iff row k vanishes on it; it stays
+    exact, as a positive combination of two rays vanishes exactly where
+    both do.  Every combination is reduced to its primitive integer
+    vector, so all arithmetic stays in small ints.
 
     The cone is lineality + the nonnegative span of the rays; the rays
     are its extremal rays when the lineality is empty.
@@ -576,31 +576,26 @@ def _generators(
                 )
                 new_zeros.append(common | bit)
         rays, zeros = new_rays, new_zeros
-    return rays, lineality
+    return rays, zeros, lineality
 
 
 def extremal_rays(P: ConePolytope) -> list[Ray]:
     """All extremal rays of the cone, sorted by generator coordinates.
 
     Computed by integer double description over the Minkowski rows of
-    P's normals.  Requires the cone to be pointed.
+    P's normals, with each ray's active set.  Requires a pointed cone.
     """
-    normals = P.all_normals
-    rows = [_minkowski_row(u) for u in normals]
-    rays, lineality = _generators(rows, P.n + 1)
+    rows = [_minkowski_row(u) for u in P.all_normals]
+    rays, zeros, lineality = _generators(rows, P.n + 1)
     if lineality:
         raise ValueError(
             "cone is not pointed: it contains a line, so extremal rays "
             "do not determine it"
         )
-    out = []
-    for coords in sorted(rays):
-        gen = PicClass(n=P.n, coords=coords)
-        active = tuple([i for i, r in enumerate(rows) if _dot(r, coords) == 0])
-        out.append(
-            Ray(generator=gen, position=light_cone_position(gen), active_set=active)
-        )
-    return out
+    return [
+        Ray(PicClass(n=P.n, coords=coords), tuple([k for k in range(len(rows)) if z >> k & 1]))
+        for coords, z in sorted(zip(rays, zeros))
+    ]
 
 
 def boundary_rays(P: ConePolytope) -> list[Ray]:
@@ -629,7 +624,7 @@ def _implied(target: PicClass, among: tuple[PicClass, ...]) -> bool:
     ray of its double description.
     """
     row = _minkowski_row(target)
-    rays, lineality = _generators([_minkowski_row(u) for u in among], target.n + 1)
+    rays, _, lineality = _generators([_minkowski_row(u) for u in among], target.n + 1)
     return all(_dot(row, w) == 0 for w in lineality) and all(
         _dot(row, r) >= 0 for r in rays
     )

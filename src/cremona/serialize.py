@@ -25,8 +25,9 @@ stored: the records derive them (``status`` from ``violated``,
 ``iterations`` from the phi steps of the witness, ``verdict`` from the
 witness kind).  So a decoder reads the stored parts, builds the record,
 and raises ValueError when a document's copy differs from the derived
-value.  It also refuses a witness of the wrong kind for its method, and
-a reduction whose classes or generators do not all live at one ``n``.
+value.  It also refuses a witness of the wrong kind for its method, a
+curve-check bound with a leading zero, and a reduction not at one ``n``
+or whose ``reduced`` lies in the fundamental cone iff ``violated`` is set.
 """
 
 from __future__ import annotations
@@ -154,6 +155,9 @@ def decode_reduction(obj: dict) -> ReductionResult:
             raise ValueError(f"reduction 'witness' holds {g!r}, out of range for n={n}")
     result = ReductionResult(reduced, witness, violated)
     _check_derived(obj, "reduction", result, {"status": str, "iterations": int})
+    if polytopes.membership(nef.fundamental_cone(n), reduced).contains != (violated is None):
+        where = "outside" if violated is None else "in"
+        raise ValueError(f"reduction is {result.status!r}, but 'reduced' is {where} the cone")
     return result
 
 
@@ -188,7 +192,7 @@ def decode_verdict(obj: dict) -> nef.NefVerdict:
     max_degree = None
     if method != nef.METHOD_REDUCTION:
         name, _, bound = method.partition(":")
-        if name != nef.METHOD_CURVE_CHECK or not re.fullmatch(r"[0-9]+", bound):
+        if name != nef.METHOD_CURVE_CHECK or not re.fullmatch(r"0|[1-9][0-9]*", bound):
             raise ValueError(f"unknown method {method!r}")
         max_degree = int(bound)
     w = _field(obj, "verdict", "witness", (list, dict, type(None)))
@@ -229,10 +233,11 @@ def decode_cartan(obj: list) -> tuple[tuple[polytopes.CartanEntry, ...], ...]:
 
 
 def encode_ray(r: polytopes.Ray) -> dict:
+    position = r.position
     return {
         "coords": _encode_ints(r.generator.coords),
         "square": encode_int(pairing(r.generator, r.generator)),
-        "position": r.position.tag,
-        "forward": r.position.forward,
+        "position": position.tag,
+        "forward": position.forward,
         "active_set": list(r.active_set),
     }

@@ -4,9 +4,10 @@ and the region-R table."""
 
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cremona.lattice import (
     PicClass,
@@ -14,6 +15,7 @@ from cremona.lattice import (
     basis_vector,
     pairing,
 )
+from cremona.nef import fundamental_cone
 from cremona.polytopes import (
     DIVERGENT,
     EDGE_DASHED,
@@ -400,6 +402,34 @@ class TestExtremalRays:
                 vanishes = pairing(u, r.generator) == 0
                 assert (i in r.active_set) == vanishes
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_active_sets_are_the_zero_sets(self, data):
+        # a cone from 3..8 small random normals of negative square in rank
+        # 3..5, each turned to be >= 0 on a drawn nonzero point, so that
+        # the cone is rarely {0}; its rays come from the double description
+        n = data.draw(st.integers(2, 4))
+        vector = st.tuples(*[st.integers(-3, 3)] * (n + 1)).map(lambda c: PicClass(n, c))
+        inside = data.draw(vector.filter(lambda v: not v.is_zero()))
+        normals = data.draw(
+            st.lists(vector.filter(lambda u: pairing(u, u) < 0), min_size=n + 1, max_size=n + 4)
+        )
+        normals = [u if pairing(u, inside) >= 0 else -u for u in normals]
+        P = ConePolytope(n, tuple(Halfspace(u) for u in normals))
+        try:
+            rays = extremal_rays(P)
+        except ValueError:  # not pointed
+            assume(False)
+
+        def zero_set(coords):
+            v = PicClass(n, coords)
+            return tuple(i for i, u in enumerate(normals) if pairing(u, v) == 0)
+
+        got = {r.generator.coords: r.active_set for r in rays}
+        assert all(active == zero_set(coords) for coords, active in got.items())
+        if len(normals) <= 6:  # the oracle solves one kernel per subset of rows
+            assert got == {ray: zero_set(ray) for ray in brute_force_rays(minkowski_rows(P))}
+
     def test_boundary_rays_p9(self):
         bnd = sorted(r.generator.coords for r in boundary_rays(build_P(9)))
         assert bnd == [(1, -1) + (0,) * 8, (3,) + (-1,) * 9]
@@ -770,3 +800,46 @@ def test_classify_angle_matches_reference(pair):
         return
     got = classify_angle(u, v)
     assert (got.kind, got.cos2, got.sign, got.m) == want
+
+
+# ---------------------------------------------------------------------------
+# the derived kind and m against the values AngleClass used to store
+
+ANGLE_KIND_CODES = {
+    "3": (PI_OVER, 3),
+    "4": (PI_OVER, 4),
+    "6": (PI_OVER, 6),
+    "z": (ZERO_ANGLE, None),
+    "d": (DIVERGENT, None),
+    "x": (NON_SUBMULTIPLE, None),
+}
+BUILDERS = {
+    "P_tilde": build_P_tilde,
+    "P": build_P,
+    "P_minus": build_P_minus,
+    "fundamental_cone": fundamental_cone,
+}
+
+
+def frozen_angle_kinds():
+    """{(builder, n): {(i, j): (kind, m)}} of the pairs angle_kinds.txt lists."""
+    table = {}
+    for line in (Path(__file__).parent / "angle_kinds.txt").read_text().splitlines():
+        if not line.startswith("#"):
+            head, pairs = line.split(":", 1)
+            name, n = head.split()
+            table[name, int(n)] = {
+                tuple(map(int, pair.split("-"))): ANGLE_KIND_CODES[code]
+                for pair, _, code in (token.partition(":") for token in pairs.split())
+            }
+    return table
+
+
+def test_derived_angle_fields_match_the_frozen_table():
+    table = frozen_angle_kinds()
+    assert len(table) == 3 * 28 + 21
+    for (name, n), listed in table.items():
+        for i, row in enumerate(cartan_matrix(BUILDERS[name](n))):
+            for j, angle in enumerate(row[i:], i):
+                default = (NON_SUBMULTIPLE, None) if i == j else (PI_OVER, 2)
+                assert (angle.kind, angle.m) == listed.get((i, j), default), (name, n, i, j)

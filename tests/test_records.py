@@ -20,8 +20,8 @@ def examples() -> dict[str, object]:
     e3 = c.PicClass(n=3, coords=(0, 0, 0, 1))
     word = c.WeylWord((c.Phi(1, 2, 3), c.Sigma(2)))
     wall = c.Halfspace(c.PicClass(3, (0, 1, -1, 0)))
-    angle = c.AngleClass("pi_over", Fraction(1, 4), 1, m=3)
-    edge = c.DiagramEdge(0, 1, "plain", 1, 3)
+    angle = c.AngleClass(1, cos2=Fraction(1, 4))
+    edge = c.DiagramEdge(0, 1, "plain", 3)
     check = c.CheckResult("rays_p9", "pass", "a claim", "10 rays", "10 rays")
     row = c.polytopes.RegionRRow((0, 1, 3), (Fraction(-1), Fraction(0), Fraction(0)), True,
                                  Fraction(1))
@@ -39,11 +39,10 @@ def examples() -> dict[str, object]:
         "ConePolytope": c.ConePolytope(n=3, halfspaces=(wall,)),
         "MembershipResult": c.MembershipResult(wall.normal),
         "AngleClass": angle,
-        "CartanEntry": c.CartanEntry(sign=-1, cos2=Fraction(1, 2)),
         "CoxeterCheck": c.CoxeterCheck(((0, 1, angle),)),
         "CoxeterDiagram": c.CoxeterDiagram(("v0", "v1"), (edge,)),
         "DiagramEdge": edge,
-        "Ray": c.Ray(v, c.LightConePosition("boundary", True), (0, 2)),
+        "Ray": c.Ray(v, (0, 2)),
         "VertexFormulaReport": c.VertexFormulaReport(10, (v,), (v, e3)),
         "RegionRReport": c.RegionRReport(10, (row,)),
         "NefVerdict": c.NefVerdict(word),
@@ -53,16 +52,15 @@ def examples() -> dict[str, object]:
 
 
 # repr(examples()[name]), frozen from the frozen dataclasses; a repr
-# lists the stored fields only, so derived verdicts are left out
+# lists the stored fields only, so derived values are left out
 FROZEN_REPR = {
-    'AngleClass': "AngleClass(kind='pi_over', cos2=Fraction(1, 4), sign=1, m=3)",
-    'CartanEntry': 'CartanEntry(sign=-1, cos2=Fraction(1, 2))',
+    'AngleClass': 'AngleClass(sign=1, cos2=Fraction(1, 4))',
     'CheckResult': "CheckResult(name='rays_p9', status='pass', claim='a claim', expected='10 rays', computed='10 rays')",
     'ConePolytope': 'ConePolytope(n=3, halfspaces=(Halfspace(normal=PicClass(3, (0, 1, -1, 0))),))',
-    'CoxeterCheck': "CoxeterCheck(offending=((0, 1, AngleClass(kind='pi_over', cos2=Fraction(1, 4), sign=1, m=3)),))",
-    'CoxeterDiagram': "CoxeterDiagram(labels=('v0', 'v1'), edges=(DiagramEdge(i=0, j=1, style='plain', multiplicity=1, m=3),))",
+    'CoxeterCheck': 'CoxeterCheck(offending=((0, 1, AngleClass(sign=1, cos2=Fraction(1, 4))),))',
+    'CoxeterDiagram': "CoxeterDiagram(labels=('v0', 'v1'), edges=(DiagramEdge(i=0, j=1, style='plain', m=3),))",
     'Decomposition': 'Decomposition(cubics=(PicClass(3, (1, -1, -1, -1)),), conic=PicClass(3, (1, -1, -1, 0)))',
-    'DiagramEdge': "DiagramEdge(i=0, j=1, style='plain', multiplicity=1, m=3)",
+    'DiagramEdge': "DiagramEdge(i=0, j=1, style='plain', m=3)",
     'Halfspace': 'Halfspace(normal=PicClass(3, (0, 1, -1, 0)))',
     'LightConePosition': "LightConePosition(tag='boundary', forward=True)",
     'MembershipResult': 'MembershipResult(violated=PicClass(3, (0, 1, -1, 0)))',
@@ -70,7 +68,7 @@ FROZEN_REPR = {
     'OrbitResult': 'OrbitResult(classes=(PicClass(3, (1, -1, 0, 0)), PicClass(3, (0, 0, 0, 1))), truncated=False)',
     'Phi': 'Phi(1,2,3)',
     'PicClass': 'PicClass(3, (1, -1, 0, 0))',
-    'Ray': "Ray(generator=PicClass(3, (1, -1, 0, 0)), position=LightConePosition(tag='boundary', forward=True), active_set=(0, 2))",
+    'Ray': 'Ray(generator=PicClass(3, (1, -1, 0, 0)), active_set=(0, 2))',
     'ReductionResult': "ReductionResult(reduced=PicClass(3, (1, -1, 0, 0)), witness=WeylWord(gens=(Phi(1,2,3), Sigma(2))), violated=PicClass(3, (0, 0, 0, 1)))",
     'RegionRReport': 'RegionRReport(n=10, rows=(RegionRRow(triple=(0, 1, 3), point=(Fraction(-1, 1), Fraction(0, 1), Fraction(0, 1)), is_vertex=True, f_value=Fraction(1, 1)),))',
     'Sigma': 'Sigma(2)',
@@ -80,6 +78,7 @@ FROZEN_REPR = {
 }
 
 # every class cremona exports, bar its exception; MinusOneClass is PicClass
+# and CartanEntry is AngleClass
 RECORD_TYPES = {
     value
     for value in (getattr(cremona, name) for name in cremona.__all__)
@@ -138,12 +137,15 @@ def test_records_of_different_types_are_unequal():
     assert cremona.Phi(1, 2, 3) != cremona.Sigma(1)
 
 
-# the verdicts each example derives, as its constructor used to store them
+# the values each example derives, as its constructor used to store them
 DERIVED = {
     "ReductionResult": {"status": "not_nef", "iterations": 1},
     "NefVerdict": {"verdict": "nef", "method": "reduction_exact"},
     "MembershipResult": {"contains": False},
     "CoxeterCheck": {"is_coxeter": False},
+    "AngleClass": {"kind": "pi_over", "m": 3},
+    "DiagramEdge": {"multiplicity": 1},
+    "Ray": {"position": cremona.LightConePosition("boundary", forward=True)},
 }
 
 

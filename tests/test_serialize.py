@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cremona.cli import main
 from cremona.lattice import PicClass, basis_vector, canonical_class, pairing
 from cremona.nef import (
     METHOD_CURVE_CHECK,
@@ -262,6 +263,17 @@ class TestReduction:
         with pytest.raises(ValueError, match="n=4, but 'reduced' has n=9"):
             decode_reduction(doc)
 
+    def test_reduced_must_fit_the_cone(self):
+        # e_1 violates e_1 - e_2 >= 0, so it lies outside the cone
+        in_cone = json_round(encode_reduction(reduce_class(basis_vector(9, 0))))
+        in_cone["reduced"] = encode_class(basis_vector(9, 1))
+        with pytest.raises(ValueError, match="'in_cone', but 'reduced' is outside the cone"):
+            decode_reduction(in_cone)
+        not_nef = json_round(encode_reduction(reduce_class(basis_vector(9, 1))))
+        not_nef["reduced"] = encode_class(basis_vector(9, 0))
+        with pytest.raises(ValueError, match="'not_nef', but 'reduced' is in the cone"):
+            decode_reduction(not_nef)
+
     @pytest.mark.parametrize(
         "part, value, message",
         [
@@ -279,6 +291,37 @@ class TestReduction:
 
 
 class TestVerdicts:
+    @pytest.mark.parametrize("bound", ["007", "00", "01", "-1", "+1", " 1", "1.0", ""])
+    def test_curve_check_bound_is_canonical(self, bound):
+        doc = json_round(encode_verdict(curve_check(basis_vector(6, 0), max_degree=1)))
+        doc["method"] = f"curve_check:{bound}"
+        with pytest.raises(ValueError, match="unknown method"):
+            decode_verdict(doc)
+
+    @pytest.mark.parametrize(
+        "n, vector, method",
+        [
+            (9, "1,0,0,0,0,0,0,0,0,0", "reduction"),
+            (9, "0,1,0,0,0,0,0,0,0,0", "reduction"),
+            (9, "6,-3,-2,-2,-2,-1,-1,-1,0,0", "reduction"),
+            (6, "1,0,0,0,0,0,0", "curves:0"),
+            (6, "1,0,0,0,0,0,0", "curves:6"),
+            (9, "3,-1,-1,-1,-1,-1,-1,-1,-1,-1", "curves:10"),
+            (6, "0,1,0,0,0,0,0", "curves:6"),
+            (9, "5,-3,-1,-1,-1,-1,-1,-1,-1,-1", "curves:3"),
+        ],
+    )
+    def test_cli_verdicts_are_byte_stable(self, capsys, n, vector, method):
+        # decode then encode gives back the very bytes nef-test wrote
+        argv = ["nef-test", "--n", str(n), "--vector", vector, "--format", "json"]
+        if method != "reduction":
+            argv += ["--method", "curves", "--max-degree", method.partition(":")[2]]
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert code == (3 if json.loads(out)["verdict"] == NOT_NEF else 0)
+        again = json.dumps(encode_verdict(decode_verdict(json.loads(out))), indent=2) + "\n"
+        assert again == out
+
     def test_reduction_method(self):
         res = is_nef_K_nonpositive(basis_vector(9, 0))
         out = json_round(encode_verdict(res))
