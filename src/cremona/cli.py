@@ -63,10 +63,11 @@ _POLYTOPES = {
 
 # Work caps: past them the polytope commands (``cartan``, ``diagram``,
 # ``rays``), ``curves``, ``nef-test --method curves`` and ``orbit`` exit
-# 2.  At n = 100 rays --polytope p_minus takes about 0.4 s (829 rays),
-# growing about 3x per doubling of n; cartan takes about 0.08 s, nearly
-# all of it start-up (the interpreter alone about 0.04 s, then the
-# modules cli and polytopes run), as the matrix itself takes about 3 ms
+# 2.  At n = 100 rays --polytope p_minus takes about 0.25 s (829 rays),
+# of which the double description takes about 0.07 s, growing about 4x
+# per doubling of n; cartan takes about 0.08 s, nearly all of it
+# start-up (the interpreter alone about 0.04 s, then the modules cli
+# and polytopes run), as the matrix itself takes about 3 ms
 # (2-vCPU Linux machine, Python 3.11.7, no cached bytecode).  curves --n
 # 10 --max-degree 8 gives 117,754 classes (22 MB of JSON), and degree 9
 # would give 224,629.  For n <= 8 the classes run out (240 at n = 8),

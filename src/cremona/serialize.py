@@ -223,7 +223,11 @@ def _decode_cartan_entry(obj: dict) -> polytopes.CartanEntry:
     # every reduce and nef-test process about 3 ms at start-up
     from fractions import Fraction
 
-    return polytopes.CartanEntry(sign=sign, cos2=Fraction(cos2))
+    value = Fraction(cos2)
+    # sign is that of u.v, and cos2 = (u.v)^2 / (u^2 v^2): both vanish together
+    if (sign == 0) != (value == 0):
+        raise ValueError(f"cartan entry {obj!r}: sign must be 0 exactly when cos2 is 0")
+    return polytopes.CartanEntry(sign=sign, cos2=value)
 
 
 def decode_cartan(obj: list) -> tuple[tuple[polytopes.CartanEntry, ...], ...]:

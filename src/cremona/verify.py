@@ -31,20 +31,20 @@ from .curves import (
 from .lattice import PicClass, Record, basis_vector, canonical_class, pairing, set_field
 from .nef import NEF, curve_check, fundamental_cone, is_nef_K_nonpositive
 from .polytopes import (
+    _boundary,
+    _finite,
+    _vertex_formula_report,
     EDGE_DASHED,
     EDGE_PLAIN,
     build_P,
     build_P_minus,
     build_P_tilde,
-    boundary_rays,
     cartan_matrix,
     coxeter_diagram,
     extremal_rays,
-    finite_volume,
     is_coxeter,
     render_cartan_entry,
     verify_region_R,
-    verify_vertex_formulas,
 )
 from .weyl import (
     Phi,
@@ -212,7 +212,7 @@ def _check_cartan_sorted_cone(ctx: _Ctx) -> CheckResult:
 def _check_rays_p9(ctx: _Ctx) -> CheckResult:
     rays = extremal_rays(build_P(9))
     coords = [r.generator.coords for r in rays]
-    bnd = [r.generator.coords for r in boundary_rays(build_P(9))]
+    bnd = [r.generator.coords for r in _boundary(rays)]
     expected_bnd = sorted([(1, -1) + (0,) * 8, _deg3(9, 9)])
     ok = coords == _P9_RAYS and sorted(bnd) == expected_bnd
     return _result(
@@ -230,10 +230,12 @@ def _check_vertex_formulas(ctx: _Ctx) -> CheckResult:
     computed_parts = []
     ok = True
     for n in range(10, 15):
-        rep = verify_vertex_formulas(n)
-        bnd = sorted(r.generator.coords for r in boundary_rays(build_P_minus(n)))
+        # one ray list serves the families, the boundary and the volume
+        rays = extremal_rays(build_P_minus(n))
+        rep = _vertex_formula_report(n, rays)
+        bnd = sorted(r.generator.coords for r in _boundary(rays))
         expected_bnd = sorted([(1, -1) + (0,) * (n - 1), (3,) + (-1,) * 9 + (0,) * (n - 9)])
-        vol = finite_volume(build_P_minus(n))
+        vol = _finite(rays)
         ok = ok and rep.ok() and bnd == expected_bnd and vol
         expected_parts.append(f"n={n}: {9 * n - 71} rays, 2 boundary, finite")
         computed_parts.append(
@@ -252,11 +254,11 @@ def _check_vertex_formulas(ctx: _Ctx) -> CheckResult:
 
 
 def _check_p10_infinite(ctx: _Ctx) -> CheckResult:
-    P = build_P(10)
-    vol = finite_volume(P)
+    rays = extremal_rays(build_P(10))
+    vol = _finite(rays)
     negative = [
         r.generator.coords
-        for r in extremal_rays(P)
+        for r in rays
         if pairing(r.generator, r.generator) < 0
     ]
     witness = (3,) + (-1,) * 10

@@ -167,9 +167,9 @@ POLYTOPE_SHA256 = {
 }
 
 
-def polytope_transcript(command: str, fmt: str, polytope: str) -> str:
+def polytope_transcript(command: str, fmt: str, polytope: str, ns=None) -> str:
     digest = hashlib.sha256()
-    for n in POLYTOPE_WINDOWS[polytope]:
+    for n in POLYTOPE_WINDOWS[polytope] if ns is None else ns:
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = main([command, "--n", str(n), "--polytope", polytope, "--format", fmt])
@@ -180,6 +180,33 @@ def polytope_transcript(command: str, fmt: str, polytope: str) -> str:
 @pytest.mark.parametrize("key", sorted(POLYTOPE_SHA256), ids=" ".join)
 def test_polytope_output_is_pinned(key):
     assert polytope_transcript(*key) == POLYTOPE_SHA256[key]
+
+
+# sha256 of `rays` transcripts over n = first..last, made as above: the
+# rays, their order and active sets, the light-cone tags and counts.
+# Frozen at the commit before the sparse double description.  P_tilde
+# contains a line at every n, so its windows pin the exit-2 message.
+RAYS_SHA256 = {
+    ("csv", "p", 3, 30): "415f12a4f521796b468408ea967fd46374f6bc0157051df66aae2a1c4eb937ed",
+    ("csv", "p_minus", 10, 40): "c1fd36510b13e8302a8073c09550385089706d076fbb38c79b7f1dc3167f1206",
+    ("csv", "p_minus", 100, 100): "f38f5a33ad680ee86e3f40d057569140ae009e886eec01483775ab70b9840cbd",
+    ("csv", "p_tilde", 3, 30): "3eb83ef34105f1d5c3cffb571b04e3afdd609282a17cc9e0583b732b79305d7b",
+    ("json", "p", 3, 30): "272fa64841d0f5338ea3a18a7239e626274f2ae9cbd50e0a0b215adee64b6151",
+    ("json", "p_minus", 10, 40): "0201ee2782d6866f97224cb576a50fc033f8f9bbd5b148dd795898426ea51777",
+    ("json", "p_minus", 100, 100): "51960f555d62f0f143fb35197b4d4a1082414eb47f41853d2133ad31c9ebbfc0",
+    ("json", "p_tilde", 3, 30): "3eb83ef34105f1d5c3cffb571b04e3afdd609282a17cc9e0583b732b79305d7b",
+    ("text", "p", 3, 30): "eafb29f600eddce52b66d0ac8b917a141826217096b5b0b84cd2c9124643ca26",
+    ("text", "p_minus", 10, 40): "48ffecfb0a853c152c6fc65732d892457d084df5ae5160f081db0cc76b9f18e0",
+    ("text", "p_minus", 100, 100): "365e8dd4718c90b5772dd859644879d4374c50902bfb531ac36e1dc54630844d",
+    ("text", "p_tilde", 3, 30): "3eb83ef34105f1d5c3cffb571b04e3afdd609282a17cc9e0583b732b79305d7b",
+}
+
+
+@pytest.mark.parametrize("key", sorted(RAYS_SHA256), ids=lambda key: " ".join(map(str, key)))
+def test_rays_output_is_pinned(key):
+    fmt, polytope, first, last = key
+    transcript = polytope_transcript("rays", fmt, polytope, range(first, last + 1))
+    assert transcript == RAYS_SHA256[key]
 
 
 # The child's peak RSS is read in a fresh wrapper interpreter: on Linux a

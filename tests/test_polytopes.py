@@ -17,6 +17,8 @@ from cremona.lattice import (
 )
 from cremona.nef import fundamental_cone
 from cremona.polytopes import (
+    _dots,
+    _minkowski_row,
     DIVERGENT,
     EDGE_DASHED,
     EDGE_PLAIN,
@@ -51,6 +53,7 @@ from cremona.polytopes import (
 from oracles import (
     brute_force_implied,
     brute_force_rays,
+    minkowski,
     reference_angle,
     reference_angles,
     tree_canonical_form,
@@ -452,6 +455,92 @@ class TestExtremalRays:
             if pairing(r.generator, r.generator) < 0
         ]
         assert negatives == [(3,) + (-1,) * 10]
+
+
+class TestSparseKernel:
+    """The double description pairs each row over its nonzero entries only."""
+
+    # rows with 0, 1, 2, 4 and n + 1 nonzero entries: the zero class, e_n,
+    # e_i - e_{i+1}, e_0 - e_1 - e_2 - e_3 and -K
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_named_rows_against_minkowski(self, n):
+        vs = [basis_vector(n, k).coords for k in range(n + 1)]
+        vs += [tuple(range(-3, n - 2)), tuple((-2) ** k for k in range(n + 1))]
+        rows = [
+            PicClass(n, (0,) * (n + 1)),
+            basis_vector(n, n),
+            basis_vector(n, 3) - basis_vector(n, 4),
+            basis_vector(n, 0) - basis_vector(n, 1) - basis_vector(n, 2) - basis_vector(n, 3),
+            anticanonical_class(n),
+        ]
+        assert sorted(sum(map(bool, u.coords)) for u in rows) == [0, 1, 2, 4, n + 1]
+        for u in rows:
+            assert _dots(_minkowski_row(u), vs) == [minkowski(u.coords, v) for v in vs]
+            assert _dots(_minkowski_row(u), []) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_random_supports_against_minkowski(self, data):
+        n = data.draw(st.integers(3, 12))
+        size = data.draw(st.sampled_from([0, 1, 2, 4, n + 1]))
+        support = data.draw(st.permutations(range(n + 1)))[:size]
+        nonzero = st.integers(1, 50) | st.integers(-50, -1)
+        coords = [0] * (n + 1)
+        for k in support:
+            coords[k] = data.draw(nonzero)
+        vector = st.tuples(*[st.integers(-10**20, 10**20)] * (n + 1))
+        vs = data.draw(st.lists(vector, max_size=5))
+        row = _minkowski_row(PicClass(n, tuple(coords)))
+        assert _dots(row, vs) == [minkowski(coords, v) for v in vs]
+
+    @pytest.mark.parametrize(
+        "P", [build_P(9), build_P(10), build_P_tilde(9), build_P_tilde(10), build_P_minus(10)],
+        ids=["P9", "P10", "P_tilde9", "P_tilde10", "P_minus10"],
+    )
+    def test_implied_special_classes_against_brute_force(self, P):
+        # the zero class is the empty-support row: implied by any cone
+        n = P.n
+        zero = PicClass(n, (0,) * (n + 1))
+        for u in (zero, basis_vector(n, 0), anticanonical_class(n)):
+            assert is_implied(P, u) == brute_force_implied(u, P.all_normals)
+        assert is_implied(P, zero)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_sparse_normals_against_brute_force(self, data):
+        # at most 6 normals of 1..3 nonzero entries in rank 3..6, each
+        # turned to be >= 0 on a drawn point, as in
+        # test_active_sets_are_the_zero_sets
+        n = data.draw(st.integers(2, 5))
+
+        def sparse(entries):
+            coords = [0] * (n + 1)
+            for k, c in entries:
+                coords[k] = c
+            return PicClass(n, tuple(coords))
+
+        entry = st.tuples(st.integers(0, n), st.sampled_from([-3, -2, -1, 1, 2, 3]))
+        normal = (
+            st.lists(entry, min_size=1, max_size=3, unique_by=lambda e: e[0])
+            .map(sparse)
+            .filter(lambda u: pairing(u, u) < 0)
+        )
+        normals = data.draw(st.lists(normal, min_size=n + 1, max_size=6))
+        inside = data.draw(
+            st.tuples(*[st.integers(-3, 3)] * (n + 1)).filter(any).map(lambda c: PicClass(n, c))
+        )
+        normals = [u if pairing(u, inside) >= 0 else -u for u in normals]
+        P = ConePolytope(n, tuple(Halfspace(u) for u in normals))
+        try:
+            rays = extremal_rays(P)
+        except ValueError:  # not pointed
+            assume(False)
+        got = {r.generator.coords: r.active_set for r in rays}
+        assert [r.generator.coords for r in rays] == sorted(got)
+        assert got == {
+            ray: tuple(i for i, u in enumerate(normals) if minkowski(u.coords, ray) == 0)
+            for ray in brute_force_rays(minkowski_rows(P))
+        }
 
 
 class TestMinimality:

@@ -425,6 +425,17 @@ class TestCartan:
                 assert isinstance(entry["cos2"], str)
                 Fraction(entry["cos2"])  # parses
 
+    @pytest.mark.parametrize(
+        "entry",
+        [{"sign": 0, "cos2": "1/4"}, {"sign": 1, "cos2": "0"}, {"sign": -1, "cos2": "0"}],
+        ids=["zero_sign", "positive_sign", "negative_sign"],
+    )
+    def test_sign_is_zero_exactly_when_cos2_is(self, entry):
+        with pytest.raises(ValueError, match="sign must be 0 exactly when cos2 is 0"):
+            decode_cartan([[entry]])
+        for good in ({"sign": 0, "cos2": "0"}, {"sign": 1, "cos2": "1/4"}, {"sign": -1, "cos2": "4"}):
+            assert decode_cartan([[good]])[0][0].sign == good["sign"]
+
 
 class TestRays:
     def test_shape(self):

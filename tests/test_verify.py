@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from cremona import verify
+from cremona import polytopes, verify
 from cremona.curves import Decomposition, decompose_inequality
 from cremona.lattice import basis_vector
 from cremona.nef import NefVerdict
@@ -106,6 +106,22 @@ def test_paper_suite_passes_unchanged():
     del rows[PAPER_NAMES.index("decomposition")]["computed"]
     text = json.dumps(rows, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == PAPER_SHA256
+
+
+def test_paper_suite_computes_the_rays_of_each_cone_once(monkeypatch):
+    # rays_p9, p10_infinite_volume and vertex_formulas at n = 10..14 each
+    # derive their boundary, volume and family verdicts from one ray list
+    cones = []
+    real = polytopes.extremal_rays
+
+    def counted(P):
+        cones.append(P.all_normals)
+        return real(P)
+
+    monkeypatch.setattr(polytopes, "extremal_rays", counted)
+    monkeypatch.setattr(verify, "extremal_rays", counted)
+    assert run_suite("paper").passed()
+    assert len(cones) == len(set(cones)) == 7
 
 
 def test_decomposition_reports_a_failing_orbit(monkeypatch):
