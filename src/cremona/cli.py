@@ -364,8 +364,11 @@ def _cmd_orbit(args: argparse.Namespace, out: _Output) -> int:
 def _cmd_nef_test(args: argparse.Namespace, out: _Output) -> int:
     v = _parse_vector(args.vector, args.n)
     if args.method == "curves":
-        _check_curves_caps(args.n, args.max_degree)
-        verdict = nef.curve_check(v, max_degree=args.max_degree)
+        max_degree = 6 if args.max_degree is None else args.max_degree
+        _check_curves_caps(args.n, max_degree)
+        verdict = nef.curve_check(v, max_degree=max_degree)
+    elif args.max_degree is not None:
+        raise ValueError("--max-degree applies only with --method curves")
     else:
         verdict = nef.is_nef_K_nonpositive(v)
     if args.format == "json":
@@ -392,9 +395,9 @@ def _cmd_region_r(args: argparse.Namespace, out: _Output) -> int:
                 "rows": [
                     {
                         "triple": list(r.triple),
-                        "point": [str(x) for x in r.point] if r.point else None,
+                        "point": [str(x) for x in r.point],
                         "is_vertex": r.is_vertex,
-                        "f": str(r.f_value) if r.f_value is not None else None,
+                        "f": str(r.f_value),
                     }
                     for r in report.rows
                 ],
@@ -405,7 +408,7 @@ def _cmd_region_r(args: argparse.Namespace, out: _Output) -> int:
         )
     else:
         for r in report.rows:
-            point = "(" + ", ".join(str(x) for x in r.point) + ")" if r.point else "-"
+            point = "(" + ", ".join(str(x) for x in r.point) + ")"
             vertex = "vertex" if r.is_vertex else "not a vertex"
             f = f"  f={r.f_value}" if r.is_vertex else ""
             out.line(f"planes {r.triple}: {point}  {vertex}{f}")
@@ -493,7 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, ("text", "json"))
     p.add_argument("--vector", required=True)
     p.add_argument("--method", choices=("reduction", "curves"), default="reduction")
-    p.add_argument("--max-degree", type=_int_option, default=6, help="bound for --method curves")
+    p.add_argument("--max-degree", type=_int_option, default=None,
+                   help="bound for --method curves (default 6)")
     p.set_defaults(handler=_cmd_nef_test)
 
     p = sub.add_parser("region-r", help="triple intersections of the region-R planes")

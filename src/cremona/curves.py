@@ -28,7 +28,7 @@ from collections import Counter
 from collections.abc import Iterator
 from math import comb
 
-from .lattice import PicClass, Record, canonical_class, pairing, set_field
+from .lattice import PicClass, Record, canonical_class, check_bound, pairing
 
 __all__ = [
     "MinusOneClass",
@@ -45,10 +45,6 @@ class Decomposition(Record):
     """d-1 cubic normals plus one conic normal summing to the class."""
 
     __slots__ = ("cubics", "conic")
-
-    def __init__(self, cubics: tuple[PicClass, ...], conic: PicClass) -> None:
-        set_field(self, "cubics", cubics)
-        set_field(self, "conic", conic)
 
     def parts(self) -> tuple[PicClass, ...]:
         return self.cubics + (self.conic,)
@@ -147,8 +143,7 @@ def enumerate_minus_one(n: int, max_degree: int) -> list[PicClass]:
     """All (-1)-classes of degree 0..max_degree, sorted by (degree, coords)."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
+    check_bound("max_degree", max_degree, 0)
     out: list[PicClass] = []
     for d in range(max_degree + 1):
         block = [

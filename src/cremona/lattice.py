@@ -22,6 +22,15 @@ __all__ = [
 ]
 
 
+def check_bound(name: str, value, least: int) -> None:
+    """Raise ValueError unless ``value`` is an int >= ``least``; a bool is
+    no bound, though it is an int."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 # Record refuses assignment, so a constructor sets its fields through
 # object's own __setattr__, bound once here.
 set_field = object.__setattr__
@@ -30,17 +39,36 @@ set_field = object.__setattr__
 class Record:
     """Base of the package's immutable value types.
 
-    A subclass names its fields in ``__slots__``, in constructor order,
-    and its ``__init__`` sets each through ``set_field``.  Instances
-    compare equal when they have the same class and equal fields, hash
-    as the tuple of their fields, and have the repr
-    ``Name(field=value, ...)`` unless the class writes its own.
-    Assigning or deleting an attribute raises AttributeError, and an
-    instance has no ``__dict__``.  ``copy`` and ``pickle`` rebuild an
-    instance by calling its class with its fields.
+    A subclass names its fields in ``__slots__``, in constructor order.
+    A record that only stores its fields takes this class's constructor,
+    which accepts them by position or by name; a subclass that checks,
+    coerces or defaults an argument writes its own ``__init__`` and sets
+    each field through ``set_field``.  Instances compare equal when they
+    have the same class and equal fields, hash as the tuple of their
+    fields, and have the repr ``Name(field=value, ...)`` unless the class
+    writes its own.  Assigning or deleting an attribute raises
+    AttributeError, and an instance has no ``__dict__``.  ``copy`` and
+    ``pickle`` rebuild an instance by calling its class with its fields.
     """
 
     __slots__ = ()
+
+    def __init__(self, *values, **named) -> None:
+        fields = self.__slots__
+        if named or len(values) != len(fields):
+            given = dict(zip(fields, values))
+            problems = [f"{len(values)} values by position"] if len(values) > len(fields) else []
+            problems += [f"{name} twice" for name in named if name in given]
+            problems += [f"unknown field {name}" for name in named if name not in fields]
+            given.update(named)
+            problems += [f"no {name}" for name in fields if name not in given]
+            if problems:
+                raise TypeError(
+                    f"{self.__class__.__qualname__}({', '.join(fields)}): got {'; '.join(problems)}"
+                )
+            values = [given[name] for name in fields]
+        for name, value in zip(fields, values):
+            set_field(self, name, value)
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -102,6 +130,8 @@ class PicClass(Record):
         return obj
 
     def __post_init__(self) -> None:
+        if not isinstance(self.n, int) or isinstance(self.n, bool):
+            raise TypeError(f"n must be an exact integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if not isinstance(self.coords, tuple):
@@ -151,10 +181,6 @@ class LightConePosition(Record):
     whether x_0 > 0."""
 
     __slots__ = ("tag", "forward")
-
-    def __init__(self, tag: str, forward: bool) -> None:
-        set_field(self, "tag", tag)
-        set_field(self, "forward", forward)
 
     INTERIOR = "interior"
     BOUNDARY = "boundary"

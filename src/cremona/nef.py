@@ -21,7 +21,7 @@ from __future__ import annotations
 from operator import mul
 
 from . import curves, polytopes
-from .lattice import PicClass, Record, pairing, set_field
+from .lattice import PicClass, Record, check_bound, pairing, set_field
 from .weyl import WeylWord, apply_word, reduce_class
 
 __all__ = [
@@ -52,7 +52,8 @@ class NefVerdict(Record):
     witness is the violating class for "not_nef", a WeylWord for
     nef-by-reduction and None for a clean curve check, so ``verdict``
     is derived from it too: NOT_NEF exactly when it is a PicClass.  Any
-    other witness for the method raises ValueError.
+    other witness for the method raises ValueError, and so does a
+    ``max_degree`` other than None or an int >= 0.
     """
 
     __slots__ = ("witness", "max_degree")
@@ -60,6 +61,8 @@ class NefVerdict(Record):
     def __init__(
         self, witness: WeylWord | PicClass | None, max_degree: int | None = None
     ) -> None:
+        if max_degree is not None:
+            check_bound("max_degree", max_degree, 0)
         allowed = WeylWord if max_degree is None else type(None)
         if not isinstance(witness, (PicClass, allowed)):
             raise ValueError(
@@ -149,8 +152,9 @@ def curve_check(v: PicClass, max_degree: int = 6) -> NefVerdict:
     the closed positive cone, where v.(c + c') >= 0 once v^2 >= 0 and
     x_0 > 0.  If x_0 < 0, an e_i or a line fails first."""
     n, x0, tail = v.n, v.coords[0], v.coords[1:]
-    if n < 3 or max_degree < 0:
-        raise ValueError(f"need n >= 3, got {n}" if n < 3 else "max_degree must be >= 0")
+    if n < 3:
+        raise ValueError(f"need n >= 3, got {n}")
+    check_bound("max_degree", max_degree, 0)
     if pairing(v, v) < 0:
         return NefVerdict(v, max_degree)
     for d in range(max_degree + 1):

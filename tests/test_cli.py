@@ -402,7 +402,26 @@ class TestNefTest:
             "--max-degree", "-1", "--format", fmt,
         )
         assert code == 2 and out == ""
-        assert err == "error: max_degree must be >= 0\n"
+        assert err == "error: max_degree must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("method", [(), ("--method", "reduction")])
+    @pytest.mark.parametrize("degree", ["-7", "6"])
+    def test_max_degree_without_curves_method_exits_two(self, capsys, method, degree):
+        # the exact reduction takes no bound, so the option would be ignored
+        code, out, err = run(
+            capsys, "nef-test", "--n", "9", "--vector", "6,-3,-2,-2,-2,-1,-1,-1,0,0",
+            *method, "--max-degree", degree,
+        )
+        assert code == 2 and out == ""
+        assert err == "error: --max-degree applies only with --method curves\n"
+
+    def test_curves_method_bound_defaults_to_six(self, capsys):
+        argv = ("nef-test", "--n", "9", "--vector", "6,-3,-2,-2,-2,-1,-1,-1,0,0",
+                "--method", "curves")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert "method: curve_check up to degree 6" in out
+        assert run(capsys, *argv, "--max-degree", "6") == (code, out, "")
 
     def test_curves_method_past_degree_cap_exits_two(self, capsys):
         code, _, err = run(

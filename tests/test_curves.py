@@ -109,6 +109,12 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_minus_one(5, -1)
 
+    @pytest.mark.parametrize("max_degree", [True, 1.0, 2.5])
+    def test_rejects_a_non_integer_degree(self, max_degree):
+        # a bool is an int, but True is no degree bound
+        with pytest.raises(ValueError, match=f"max_degree must be an integer, got {max_degree!r}"):
+            enumerate_minus_one(9, max_degree)
+
 
 class TestOrbitSize:
     @pytest.mark.parametrize("n", [3, 5, 7])

@@ -36,6 +36,11 @@ class TestPicClass:
         with pytest.raises(TypeError):
             PicClass(3, (1, 0, 0, True))
 
+    @pytest.mark.parametrize("n, coords", [(2.0, (1, 0, 0)), (True, (1, 0))])
+    def test_rejects_a_non_integer_rank(self, n, coords):
+        with pytest.raises(TypeError, match=f"n must be an exact integer, got {n!r}"):
+            PicClass(n, coords)
+
     def test_is_hashable(self):
         assert len({PicClass(3, (1, 0, 0, 0)), PicClass(3, (1, 0, 0, 0))}) == 1
 
@@ -111,3 +116,15 @@ class TestLightCone:
     def test_zero_has_no_position(self):
         with pytest.raises(ValueError):
             light_cone_position(PicClass(3, (0, 0, 0, 0)))
+
+
+class TestRangeErrors:
+    @pytest.mark.parametrize("i", [-1, 4, 10])
+    def test_basis_index_out_of_range(self, i):
+        with pytest.raises(ValueError, match=f"basis index {i} out of range for n=3"):
+            basis_vector(3, i)
+
+    @pytest.mark.parametrize("build", [canonical_class, anticanonical_class])
+    def test_named_classes_need_three_points(self, build):
+        with pytest.raises(ValueError, match="need n >= 3, got 2"):
+            build(2)

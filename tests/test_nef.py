@@ -120,6 +120,24 @@ class TestCheckCertificate:
             assert check_certificate(v, res)
 
 
+class TestVerdictBound:
+    @pytest.mark.parametrize("max_degree", [True, False, -3, 2.5, 6.0, "6"])
+    def test_bound_other_than_none_or_a_nonnegative_int_raises(self, max_degree):
+        with pytest.raises(ValueError, match="max_degree must be"):
+            NefVerdict(None, max_degree)
+        with pytest.raises(ValueError, match="max_degree must be"):
+            NefVerdict(basis_vector(9, 1), max_degree)
+
+    def test_curve_check_refuses_a_bool_bound(self):
+        with pytest.raises(ValueError, match="max_degree must be an integer, got True"):
+            curve_check(basis_vector(6, 0), max_degree=True)
+
+    def test_bounds_it_accepts(self):
+        assert NefVerdict(None, 0).max_degree == 0
+        assert NefVerdict(basis_vector(9, 1), 7).max_degree == 7
+        assert NefVerdict(WeylWord()).max_degree is None
+
+
 class TestCurveCheck:
     def test_negative_square_short_circuits(self):
         v = PicClass(9, (0, 0, 0, 0, 0, 0, 0, 0, 0, -1))

@@ -2,6 +2,7 @@
 (against the brute-force oracle), minimality audits, vertex families,
 and the region-R table."""
 
+import itertools
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -19,14 +20,18 @@ from cremona.nef import fundamental_cone
 from cremona.polytopes import (
     _dots,
     _minkowski_row,
+    _region_constraints,
     DIVERGENT,
     EDGE_DASHED,
+    EDGE_DOTTED,
     EDGE_PLAIN,
     NON_SUBMULTIPLE,
     PI_OVER,
     ZERO_ANGLE,
     CartanEntry,
     ConePolytope,
+    CoxeterDiagram,
+    DiagramEdge,
     Halfspace,
     RegionRReport,
     RegionRRow,
@@ -334,6 +339,13 @@ class TestDiagrams:
         assert "(pi/4)" in text
         assert "v0 -- v3" in text
 
+    def test_ascii_dotted_edge(self):
+        dia = CoxeterDiagram(("v0", "v1"), (DiagramEdge(0, 1, EDGE_DOTTED, None),))
+        assert dia.to_ascii() == "nodes: v0 v1\nv0 .. v1  (divergent)"
+
+    def test_ascii_without_edges(self):
+        assert CoxeterDiagram(("v0", "v1"), ()).to_ascii() == "nodes: v0 v1\n(no edges)"
+
 
 def toy_quadrant():
     # rank-1 lattice (n = 1): inequalities x_1 <= 0 (normal e_1, square -1)
@@ -554,6 +566,28 @@ class TestMinimality:
     def test_sorted_cone_minimal(self):
         assert redundant_constraints(build_P_tilde(6)) == ()
 
+    def test_a_sum_of_two_normals_is_redundant(self):
+        normals = build_P(9).all_normals
+        extra = PicClass(9, (0, 1, 0, -1) + (0,) * 6)  # e_1 - e_3
+        assert extra == normals[1] + normals[2]
+        P = ConePolytope(9, tuple(Halfspace(u) for u in normals + (extra,)))
+        found = redundant_constraints(P)
+        assert found == (10,)
+        assert found == tuple(
+            i for i, u in enumerate(P.all_normals)
+            if brute_force_implied(u, P.all_normals[:i] + P.all_normals[i + 1:])
+        )
+
+    def test_a_repeated_normal_is_redundant_twice(self):
+        P = build_P(9)
+        P = ConePolytope(9, P.halfspaces + (P.halfspaces[4],))
+        found = redundant_constraints(P)
+        assert found == (4, 10)
+        assert found == tuple(
+            i for i, u in enumerate(P.all_normals)
+            if brute_force_implied(u, P.all_normals[:i] + P.all_normals[i + 1:])
+        )
+
     def test_minus_k_cut_implied_at_nine(self):
         # at n = 9 the -K inequality follows from P_9's facets, which is
         # exactly why the 9-point cone is not further truncated
@@ -725,6 +759,21 @@ class TestRegionR:
         assert f[(1, 3, 4)] == Fraction(9, 11)
         assert f[(1, 2, 3)] == 0
         assert f[(0, 2, 3)] == 1
+
+    def test_triples_are_regular(self):
+        # the planes' ten 3x3 determinants, by the rule of Sarrus; none
+        # vanishes for n >= 10, so every triple of planes meets in a point
+        def det3(m):
+            (a, b, c), (d, e, f), (g, h, i) = m
+            return a * e * i + b * f * g + c * d * h - c * e * g - b * d * i - a * f * h
+
+        for n in range(10, 2000):
+            planes = [coeffs for coeffs, _ in _region_constraints(n)]
+            dets = [det3([planes[i] for i in t]) for t in itertools.combinations(range(5), 3)]
+            assert dets == [3, -3, 3, 1, 3 - n, n - 4, -1, n, 1 - n, 1]
+            assert 0 not in dets
+        for n in (10, 11, 12, 50):
+            assert all(r.point is not None for r in verify_region_R(n).rows)
 
     def test_summary_flags(self):
         for n in (10, 11, 12, 20):

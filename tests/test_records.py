@@ -3,6 +3,8 @@ value, immutability, copying and pickling, and a repr frozen from the
 frozen dataclasses these types used to be."""
 
 import copy
+import importlib
+import inspect
 import pickle
 from fractions import Fraction
 
@@ -158,3 +160,82 @@ def test_derived_verdicts_are_read_only_properties(name):
         assert getattr(a, field) == value
         with pytest.raises(AttributeError):
             setattr(a, field, value)
+
+
+def package_records() -> dict[str, type]:
+    """Every Record subclass the package defines, by qualified name."""
+    for module in ("lattice", "weyl", "curves", "nef", "polytopes", "verify"):
+        importlib.import_module(f"cremona.{module}")
+    return {
+        cls.__qualname__: cls
+        for cls in Record.__subclasses__()
+        if cls.__module__.startswith("cremona.")
+    }
+
+
+# the records whose constructor checks, coerces or defaults an argument,
+# and the three that cone_audit builds hundreds of per cycle
+OWN_CONSTRUCTOR = {
+    "PicClass", "Phi", "Sigma", "WeylWord", "ReductionResult", "Halfspace",
+    "ConePolytope", "NefVerdict", "Ray", "AngleClass", "DiagramEdge",
+}
+# the records that only store their fields, through Record's constructor
+BASE_CONSTRUCTOR = {
+    "LightConePosition", "OrbitResult", "Decomposition", "MembershipResult",
+    "CoxeterCheck", "CoxeterDiagram", "VertexFormulaReport", "RegionRRow",
+    "RegionRReport", "CheckResult", "VerificationReport", "_Ctx",
+}
+
+
+def test_only_records_that_check_coerce_or_default_write_a_constructor():
+    records = package_records()
+    assert set(records) == OWN_CONSTRUCTOR | BASE_CONSTRUCTOR
+    assert {name for name, cls in records.items() if "__init__" in vars(cls)} == OWN_CONSTRUCTOR
+    for name in BASE_CONSTRUCTOR:
+        assert records[name].__init__ is Record.__init__
+        parameters = inspect.signature(records[name]).parameters.values()
+        assert [(p.name, p.kind) for p in parameters] == [
+            ("values", inspect.Parameter.VAR_POSITIONAL), ("named", inspect.Parameter.VAR_KEYWORD)]
+
+
+@pytest.mark.parametrize("name", sorted(BASE_CONSTRUCTOR))
+class TestBaseConstructor:
+    @staticmethod
+    def fields_and_values(name):
+        cls = package_records()[name]
+        fields = cls.__slots__
+        return cls, fields, tuple(f"value of {field}" for field in fields)
+
+    def test_positional_keyword_and_mixed_calls_agree(self, name):
+        cls, fields, values = self.fields_and_values(name)
+        named = dict(zip(fields, values))
+        a = cls(*values)
+        assert tuple(getattr(a, field) for field in fields) == values
+        assert cls(**named) == a
+        assert cls(**dict(reversed(named.items()))) == a
+        assert cls(values[0], **dict(list(named.items())[1:])) == a
+
+    def test_a_missing_field_raises(self, name):
+        cls, fields, values = self.fields_and_values(name)
+        with pytest.raises(TypeError, match=f"got no {fields[-1]}$"):
+            cls(*values[:-1])
+        with pytest.raises(TypeError, match=f"got no {fields[0]}$"):
+            cls(**dict(list(zip(fields, values))[1:]))
+
+    def test_an_unknown_field_raises(self, name):
+        cls, fields, values = self.fields_and_values(name)
+        with pytest.raises(TypeError, match="got unknown field colour$"):
+            cls(*values, colour="red")
+        with pytest.raises(TypeError, match=f"got {len(values) + 1} values by position$"):
+            cls(*values, "one too many")
+
+    def test_a_repeated_field_raises(self, name):
+        cls, fields, values = self.fields_and_values(name)
+        with pytest.raises(TypeError, match=f"got {fields[0]} twice$"):
+            cls(*values, **{fields[0]: values[0]})
+
+    def test_the_error_names_the_fields(self, name):
+        cls, fields, values = self.fields_and_values(name)
+        with pytest.raises(TypeError) as info:
+            cls()
+        assert str(info.value).startswith(f"{name}({', '.join(fields)}): got no {fields[0]}")

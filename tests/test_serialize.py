@@ -1,6 +1,7 @@
 """JSON encoding round trips, including past-2^53 integer safety."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from cremona.nef import (
     METHOD_REDUCTION,
     NEF,
     NOT_NEF,
+    NefVerdict,
     check_certificate,
     curve_check,
     fundamental_cone,
@@ -408,6 +410,30 @@ class TestDerivedFields:
         assert check_certificate(v, exact)
 
 
+# a witness of every kind NefVerdict might be handed, and bounds of
+# every type a caller might pass
+any_witness = st.one_of(
+    st.none(),
+    st.lists(st.integers(1, 8).map(Sigma), max_size=4).map(lambda gens: WeylWord(tuple(gens))),
+    st.lists(st.integers(-(2**60), 2**60), min_size=10, max_size=10).map(
+        lambda coords: PicClass(9, tuple(coords))
+    ),
+)
+any_bound = st.one_of(
+    st.none(), st.booleans(), st.integers(-5, 2**70), st.floats(allow_nan=False), st.text(max_size=3)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_witness, any_bound)
+def test_every_verdict_the_constructor_accepts_round_trips(witness, max_degree):
+    try:
+        verdict = NefVerdict(witness, max_degree)
+    except ValueError:
+        return
+    assert decode_verdict(json_round(encode_verdict(verdict))) == verdict
+
+
 class TestCartan:
     def test_round_trip_exact(self):
         matrix = cartan_matrix(build_P(9))
@@ -435,6 +461,16 @@ class TestCartan:
             decode_cartan([[entry]])
         for good in ({"sign": 0, "cos2": "0"}, {"sign": 1, "cos2": "1/4"}, {"sign": -1, "cos2": "4"}):
             assert decode_cartan([[good]])[0][0].sign == good["sign"]
+
+    @pytest.mark.parametrize(
+        "entry",
+        [{"sign": 2, "cos2": "1/4"}, {"sign": 1, "cos2": "1.5"}, {"sign": 1, "cos2": "-1/4"},
+         {"sign": 1, "cos2": "1/0"}],
+        ids=["sign_2", "decimal_point", "negative", "zero_denominator"],
+    )
+    def test_malformed_entry_raises(self, entry):
+        with pytest.raises(ValueError, match=f"^malformed cartan entry {re.escape(repr(entry))}$"):
+            decode_cartan([[entry]])
 
 
 class TestRays:

@@ -58,6 +58,12 @@ def test_unknown_suite_rejected():
         run_suite(suite="everything")
 
 
+def test_check_names_rejects_an_unknown_suite():
+    with pytest.raises(ValueError, match="unknown suite 'everything'"):
+        check_names("everything")
+    assert len(check_names("quick")) == 14 and len(check_names("paper")) == 18
+
+
 # sha256 of the paper suite's checks as JSON, with decomposition's
 # ``computed`` left out; frozen from the per-class decomposition check
 # that ran before the check went to one class per orbit, and refrozen

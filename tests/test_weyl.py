@@ -137,6 +137,12 @@ class TestWords:
         with pytest.raises(ValueError, match=r"^Sigma\(4\) out of range for n=4$"):
             apply_word([Phi(1, 2, 4), Sigma(4), Phi(1, 2, 3)], v)
 
+    @pytest.mark.parametrize("g", [Phi(2, 4, 6), Sigma(5)])
+    def test_fixed_hyperplane_normal_past_n_raises(self, g):
+        with pytest.raises(ValueError, match=f"^{re.escape(repr(g))} out of range for n=5$"):
+            fixed_hyperplane_normal(g, 5)
+        assert pairing(fixed_hyperplane_normal(g, 6), fixed_hyperplane_normal(g, 6)) == -2
+
     @pytest.mark.parametrize("item", [object(), "x", (1, 2, 3)])
     def test_non_generator_raises_type_error(self, item):
         v = PicClass(4, (3, -1, 0, -1, 0))
@@ -406,6 +412,16 @@ class TestOrbit:
             orbit(basis_vector(6, 6), max_degree=max_degree, max_count=1)
         with pytest.raises(ValueError, match="max_degree must be >= 0"):
             orbit(basis_vector(6, 6), max_degree=max_degree, max_count=10)
+
+    @pytest.mark.parametrize("max_degree", [2.5, 2.0, True])
+    def test_non_integer_max_degree_rejected(self, max_degree):
+        with pytest.raises(ValueError, match=f"max_degree must be an integer, got {max_degree!r}"):
+            orbit(basis_vector(6, 6), max_degree=max_degree, max_count=100)
+
+    @pytest.mark.parametrize("max_count", [True, 10.0])
+    def test_non_integer_max_count_rejected(self, max_count):
+        with pytest.raises(ValueError, match=f"max_count must be an integer, got {max_count!r}"):
+            orbit(basis_vector(6, 6), max_degree=2, max_count=max_count)
 
     def test_max_count_one_keeps_the_start(self):
         v = basis_vector(9, 9)
