@@ -22,12 +22,12 @@ __all__ = [
 ]
 
 
-def check_bound(name: str, value, least: int) -> None:
-    """Raise ValueError unless ``value`` is an int >= ``least``; a bool is
-    no bound, though it is an int."""
+def check_bound(name: str, value, least: int | None = None) -> None:
+    """Raise ValueError unless ``value`` is an int, and >= ``least`` if
+    given; a bool is no bound, though it is an int."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
+    if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
 
 

@@ -785,10 +785,6 @@ class RegionRReport(Record):
         return [r for r in self.rows if r.is_vertex]
 
     @property
-    def all_triples_meet(self) -> bool:
-        return all(r.point is not None for r in self.rows)
-
-    @property
     def vertex_count(self) -> int:
         return len(self._vertices)
 
@@ -809,8 +805,7 @@ class RegionRReport(Record):
         """The f <= 1 claim holds, and at a vertex at least: a report
         with no vertex row proves nothing."""
         return (
-            self.all_triples_meet
-            and self.vertex_count > 0
+            self.vertex_count > 0
             and self.f_le_1_at_vertices
             and self.f_lt_1_when_xn_negative
         )

@@ -2,24 +2,25 @@
 
 Each check compares a computed result against an independently stated
 expected value (vertex lists, Cartan entries, counts, table rows) and
-reports pass/fail.  One check is registered as an expected failure
+reports pass/fail.  One check is declared an expected failure
 ("xfail"): the claim that the 13-normal cone for n = 11 carries a
 triple edge.  A triple edge means an angle of pi/5, and cos^2(pi/5) is
 irrational, so no pair of integer normals can realize it; the angle
 actually present is pi/4.  The xfail status records that the claimed
 value is unattainable rather than silently substituting the true one.
 
-Checks are pure and deterministic given the seed; the runner executes
-them one after another, in registry order.  Each covers a fixed window
-of n.  ``decomposition`` checks one class per S_n orbit: 51 orbits
-stand for the 125,653 (-1)-classes of degree 1..8 with n = 3..10.
+Each check states its name, claim and suite once, in the ``@_check``
+decorator on its body.  Checks are pure and deterministic given the
+seed; the runner executes them one after another, in declaration
+order.  Each covers a fixed window of n.  ``decomposition`` checks one
+class per S_n orbit: 51 orbits stand for the 125,653 (-1)-classes of
+degree 1..8 with n = 3..10.
 """
 
 from __future__ import annotations
 
 import random
 import zlib
-from collections.abc import Callable
 from fractions import Fraction
 
 from .curves import (
@@ -72,7 +73,7 @@ class CheckResult(Record):
 
 
 class VerificationReport(Record):
-    """The results of a suite's checks, in registry order."""
+    """The results of a suite's checks, in declaration order."""
 
     __slots__ = ("checks",)
 
@@ -83,19 +84,43 @@ class VerificationReport(Record):
 
 class _Ctx(Record):
     """The seed of a run's random samples, and ``scale``, which divides
-    the big sample sizes (the quick suite runs leaner)."""
+    the big sample sizes (the quick suite runs leaner).  A check's body
+    gets the run's context keyed by the check's name, so each check
+    draws its own samples."""
 
     __slots__ = ("seed", "scale")
 
-    def rng(self, name: str) -> random.Random:
-        return random.Random(self.seed ^ zlib.crc32(name.encode()))
+    def keyed(self, name: str) -> _Ctx:
+        return _Ctx(self.seed ^ zlib.crc32(name.encode()), self.scale)
+
+    def rng(self) -> random.Random:
+        return random.Random(self.seed)
 
     def count(self, full: int) -> int:
         return max(1, full // self.scale)
 
 
-def _result(name: str, claim: str, ok: bool, expected: str, computed: str) -> CheckResult:
-    return CheckResult(name, PASS if ok else FAIL, claim, expected, computed)
+# (name, in the quick suite, run) of every check, in declaration order
+_CHECKS = []
+
+
+def _check(name: str, claim: str, quick: bool = True, xfail: bool = False):
+    """Declare the decorated body a check.  The body takes the run's
+    ``_Ctx`` keyed by ``name`` and returns ``(ok, expected, computed)``;
+    the returned ``run`` builds the CheckResult, which passes when ``ok``
+    holds and otherwise fails, or is an expected failure for an
+    ``xfail`` check."""
+
+    def declare(body):
+        def run(ctx: _Ctx) -> CheckResult:
+            ok, expected, computed = body(ctx.keyed(name))
+            status = PASS if ok else XFAIL if xfail else FAIL
+            return CheckResult(name, status, claim, expected, computed)
+
+        _CHECKS.append((name, quick, run))
+        return run
+
+    return declare
 
 
 # ---------------------------------------------------------------------------
@@ -163,55 +188,59 @@ _CURVE_COUNTS = {3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
 # the checks
 
 
-def _check_cartan_p9(ctx: _Ctx) -> CheckResult:
+@_check("cartan_p9",
+        "Cartan matrix of the truncated sorted cone at n=9: chain with a "
+        "branch at v_3 and one -sqrt(2) pair at (v_8, v_9)")
+def _check_cartan_p9(ctx: _Ctx):
     expected = _p9_cartan_tokens()
     computed = [
         [render_cartan_entry(e) for e in row] for row in cartan_matrix(build_P(9))
     ]
-    return _result(
-        "cartan_p9",
-        "Cartan matrix of the truncated sorted cone at n=9: chain with a "
-        "branch at v_3 and one -sqrt(2) pair at (v_8, v_9)",
+    return (
         computed == expected,
         "10x10 matrix over {2, 0, -1, -sqrt(2)}",
         "match" if computed == expected else f"mismatch: {computed}",
     )
 
 
-def _check_cartan_sorted_cone(ctx: _Ctx) -> CheckResult:
+@_check("cartan_sorted_cone",
+        "the sorted cone's Cartan entries are only 2, 0, -1 (and it is "
+        "Coxeter) for n = 9..13")
+def _check_cartan_sorted_cone(ctx: _Ctx):
     bad = []
     for n in range(9, 14):
         P = build_P_tilde(n)
         tokens = {render_cartan_entry(e) for row in cartan_matrix(P) for e in row}
         if not tokens <= {"2", "0", "-1"} or not is_coxeter(P):
             bad.append(n)
-    return _result(
-        "cartan_sorted_cone",
-        "the sorted cone's Cartan entries are only 2, 0, -1 (and it is "
-        "Coxeter) for n = 9..13",
+    return (
         not bad,
         "entries in {2,0,-1}, Coxeter for all n",
         "ok" if not bad else f"failed at n={bad}",
     )
 
 
-def _check_rays_p9(ctx: _Ctx) -> CheckResult:
+@_check("rays_p9",
+        "the truncated sorted cone at n=9 is simplicial with 10 known "
+        "extremal rays, exactly 2 on the light cone")
+def _check_rays_p9(ctx: _Ctx):
     rays = extremal_rays(build_P(9))
     coords = [r.generator.coords for r in rays]
     bnd = [r.generator.coords for r in _boundary(rays)]
     expected_bnd = sorted([(1, -1) + (0,) * 8, _deg3(9, 9)])
     ok = coords == _P9_RAYS and sorted(bnd) == expected_bnd
-    return _result(
-        "rays_p9",
-        "the truncated sorted cone at n=9 is simplicial with 10 known "
-        "extremal rays, exactly 2 on the light cone",
+    return (
         ok,
         f"10 rays, boundary {expected_bnd}",
         f"{len(coords)} rays, boundary {sorted(bnd)}",
     )
 
 
-def _check_vertex_formulas(ctx: _Ctx) -> CheckResult:
+@_check("vertex_formulas",
+        "closed-form vertex families reproduce all 9n-71 extremal rays of "
+        "the -K-truncated cone; 2 boundary rays; finite volume",
+        quick=False)
+def _check_vertex_formulas(ctx: _Ctx):
     expected_parts = []
     computed_parts = []
     ok = True
@@ -229,17 +258,17 @@ def _check_vertex_formulas(ctx: _Ctx) -> CheckResult:
             f"{'=' if rep.sets_equal else '!='}), {len(bnd)} boundary, "
             f"{'finite' if vol else 'infinite'}"
         )
-    return _result(
-        "vertex_formulas",
-        "closed-form vertex families reproduce all 9n-71 extremal rays of "
-        "the -K-truncated cone; 2 boundary rays; finite volume",
+    return (
         ok,
         "; ".join(expected_parts),
         "; ".join(computed_parts),
     )
 
 
-def _check_p10_infinite(ctx: _Ctx) -> CheckResult:
+@_check("p10_infinite_volume",
+        "without the -K cut the n=10 cone leaves the closed light cone: "
+        "ray (3,-1^10) has square -1")
+def _check_p10_infinite(ctx: _Ctx):
     rays = extremal_rays(build_P(10))
     vol = _finite(rays)
     negative = [
@@ -249,17 +278,18 @@ def _check_p10_infinite(ctx: _Ctx) -> CheckResult:
     ]
     witness = (3,) + (-1,) * 10
     ok = (not vol) and witness in negative
-    return _result(
-        "p10_infinite_volume",
-        "without the -K cut the n=10 cone leaves the closed light cone: "
-        "ray (3,-1^10) has square -1",
+    return (
         ok,
         f"infinite volume, {witness} among negative-square rays",
         f"{'finite' if vol else 'infinite'}, negative-square rays {negative}",
     )
 
 
-def _check_coxeter_classification(ctx: _Ctx) -> CheckResult:
+@_check("coxeter_classification",
+        "the -K-truncated cone is Coxeter exactly for n in {10,11,13}; "
+        "otherwise the pair (e_n, -K) has cos^2 = 1/(n-9), not a "
+        "submultiple")
+def _check_coxeter_classification(ctx: _Ctx):
     good = {10, 11, 13}
     problems = []
     for n in range(10, 21):
@@ -273,11 +303,7 @@ def _check_coxeter_classification(ctx: _Ctx) -> CheckResult:
             ang = pairs.get((n, n + 1))
             if ang is None or ang.cos2 != Fraction(1, n - 9):
                 problems.append(f"n={n}: offending={chk.offending}")
-    return _result(
-        "coxeter_classification",
-        "the -K-truncated cone is Coxeter exactly for n in {10,11,13}; "
-        "otherwise the pair (e_n, -K) has cos^2 = 1/(n-9), not a "
-        "submultiple",
+    return (
         not problems,
         "Coxeter iff n in {10,11,13} over n=10..20",
         "ok" if not problems else "; ".join(problems),
@@ -289,7 +315,7 @@ def _branched_chain(k: int, *tail: tuple[int, int, int]) -> set[tuple[int, int, 
     return {(0, 3, 1)} | {(i, i + 1, 1) for i in range(1, k)} | set(tail)
 
 
-def _diagram_check(name: str, claim: str, P, plain: set, dashed: set = frozenset()) -> CheckResult:
+def _diagram_check(P, plain: set, dashed: set = frozenset()):
     # plain edges are (i, j, multiplicity), dashed ones (i, j); a dotted edge fails
     edges = coxeter_diagram(P).edges
     got_plain = sorted((e.i, e.j, e.multiplicity) for e in edges if e.style == EDGE_PLAIN)
@@ -300,65 +326,55 @@ def _diagram_check(name: str, claim: str, P, plain: set, dashed: set = frozenset
     if dashed:
         expected = f"dashed {dashed}, plain {expected}"
         computed = f"dashed {got_dashed}, plain {computed}"
-    return _result(name, claim, ok, expected, computed)
+    return ok, expected, computed
 
 
-def _check_diagram_p9(ctx: _Ctx) -> CheckResult:
-    return _diagram_check(
-        "diagram_p9",
+@_check("diagram_p9",
         "n=9 diagram: path of 8 single edges with a branch at the third "
-        "node and one terminal double edge",
-        build_P(9),
-        _branched_chain(8, (8, 9, 2)),
-    )
+        "node and one terminal double edge")
+def _check_diagram_p9(ctx: _Ctx):
+    return _diagram_check(build_P(9), _branched_chain(8, (8, 9, 2)))
 
 
-def _check_diagram_p_minus_10(ctx: _Ctx) -> CheckResult:
-    return _diagram_check(
-        "diagram_p_minus_10",
-        "n=10 diagram: one dashed edge (e_10, -K) for the zero angle",
-        build_P_minus(10),
-        _branched_chain(9, (9, 10, 2)),
-        dashed={(10, 11)},
-    )
+@_check("diagram_p_minus_10",
+        "n=10 diagram: one dashed edge (e_10, -K) for the zero angle")
+def _check_diagram_p_minus_10(ctx: _Ctx):
+    return _diagram_check(build_P_minus(10), _branched_chain(9, (9, 10, 2)), dashed={(10, 11)})
 
 
-def _check_diagram_p_minus_11_triple(ctx: _Ctx) -> CheckResult:
-    dia = coxeter_diagram(build_P_minus(11))
-    triples = [e for e in dia.edges if e.style == EDGE_PLAIN and e.multiplicity == 3]
-    status = PASS if triples else XFAIL
-    return CheckResult(
-        "diagram_p_minus_11_triple_edge",
-        status,
+@_check("diagram_p_minus_11_triple_edge",
         "claimed: the n=11 diagram ends in a triple edge (angle pi/5). "
         "Unattainable: cos^2(pi/5) is irrational while integer normals "
         "force rational cos^2; the (e_11, -K) angle is pi/4",
+        xfail=True)
+def _check_diagram_p_minus_11_triple(ctx: _Ctx):
+    dia = coxeter_diagram(build_P_minus(11))
+    triples = [e for e in dia.edges if e.style == EDGE_PLAIN and e.multiplicity == 3]
+    return (
+        bool(triples),
         "a multiplicity-3 edge",
         "none (the (11,12) edge has multiplicity 2)" if not triples else str(triples),
     )
 
 
-def _check_diagram_p_minus_11_true(ctx: _Ctx) -> CheckResult:
-    return _diagram_check(
-        "diagram_p_minus_11",
+@_check("diagram_p_minus_11",
         "n=11 diagram as computed: two double edges (v_10,v_11) and "
-        "(v_11,v_12), both angles pi/4",
-        build_P_minus(11),
-        _branched_chain(10, (10, 11, 2), (11, 12, 2)),
-    )
+        "(v_11,v_12), both angles pi/4")
+def _check_diagram_p_minus_11_true(ctx: _Ctx):
+    return _diagram_check(build_P_minus(11), _branched_chain(10, (10, 11, 2), (11, 12, 2)))
 
 
-def _check_diagram_p_minus_13(ctx: _Ctx) -> CheckResult:
-    return _diagram_check(
-        "diagram_p_minus_13",
+@_check("diagram_p_minus_13",
         "n=13 diagram: chain with the branch, one double edge "
-        "(v_12,v_13), and a single edge to the -K node (angle pi/3)",
-        build_P_minus(13),
-        _branched_chain(12, (12, 13, 2), (13, 14, 1)),
-    )
+        "(v_12,v_13), and a single edge to the -K node (angle pi/3)")
+def _check_diagram_p_minus_13(ctx: _Ctx):
+    return _diagram_check(build_P_minus(13), _branched_chain(12, (12, 13, 2), (13, 14, 1)))
 
 
-def _check_region_r(ctx: _Ctx) -> CheckResult:
+@_check("region_r_table",
+        "region-R vertex classification and exact f-values for n=10 and "
+        "n=12; max f = 1 attained only with x_n = 0")
+def _check_region_r(ctx: _Ctx):
     problems = []
     for n, table in _REGION_EXPECT.items():
         rep = verify_region_R(n)
@@ -375,17 +391,18 @@ def _check_region_r(ctx: _Ctx) -> CheckResult:
         # maximum of 1 is attained, and only with x_n = 0
         if rep.max_f_at_vertices != 1:
             problems.append(f"n={n}: max f {rep.max_f_at_vertices}")
-    return _result(
-        "region_r_table",
-        "region-R vertex classification and exact f-values for n=10 and "
-        "n=12; max f = 1 attained only with x_n = 0",
+    return (
         not problems,
         "table rows as stated",
         "ok" if not problems else "; ".join(problems),
     )
 
 
-def _check_curve_counts(ctx: _Ctx) -> CheckResult:
+@_check("curve_counts",
+        "(-1)-class counts 6, 10, 16, 27, 56, 240 for n = 3..8, already "
+        "saturated at degree 6",
+        quick=False)
+def _check_curve_counts(ctx: _Ctx):
     problems = []
     for n, want in _CURVE_COUNTS.items():
         classes = enumerate_minus_one(n, 6)
@@ -395,17 +412,18 @@ def _check_curve_counts(ctx: _Ctx) -> CheckResult:
         k = canonical_class(n)
         if any(pairing(c, c) != -1 or pairing(c, k) != -1 for c in classes):
             problems.append(f"n={n}: a class fails the pairing conditions")
-    return _result(
-        "curve_counts",
-        "(-1)-class counts 6, 10, 16, 27, 56, 240 for n = 3..8, already "
-        "saturated at degree 6",
+    return (
         not problems,
         str(_CURVE_COUNTS),
         "ok" if not problems else "; ".join(problems),
     )
 
 
-def _check_decomposition(ctx: _Ctx) -> CheckResult:
+@_check("decomposition",
+        "every (-1)-class of degree 1..8 splits as d-1 cubic normals "
+        "plus one conic normal, summing back coordinatewise",
+        quick=False)
+def _check_decomposition(ctx: _Ctx):
     # One class per S_n orbit suffices.  Permuting the points maps cubic
     # normals to cubic normals and conic normals to conic normals, so it
     # maps a decomposition of c to one of the permuted class; and the
@@ -423,10 +441,7 @@ def _check_decomposition(ctx: _Ctx) -> CheckResult:
                 dec = decompose_inequality(c)
                 if len(dec.cubics) != d - 1 or dec.total() != c:
                     problems.append(f"{c.coords}")
-    return _result(
-        "decomposition",
-        "every (-1)-class of degree 1..8 splits as d-1 cubic normals "
-        "plus one conic normal, summing back coordinatewise",
+    return (
         not problems,
         "d-1 cubics + conic for all classes",
         f"{orbits} orbits, {total} classes decomposed"
@@ -434,8 +449,11 @@ def _check_decomposition(ctx: _Ctx) -> CheckResult:
     )
 
 
-def _check_group_action(ctx: _Ctx) -> CheckResult:
-    rng = ctx.rng("group_action")
+@_check("group_action",
+        "pairing invariance, involutivity, K-fixing, and the "
+        "phi_134 phi_234 phi_134 = sigma_1 identity on random classes")
+def _check_group_action(ctx: _Ctx):
+    rng = ctx.rng()
     trials = ctx.count(10_000)
     problems = 0
     ns = (9, 10, 13)
@@ -456,10 +474,7 @@ def _check_group_action(ctx: _Ctx) -> CheckResult:
             problems += 1
         elif apply_word(sigma_word, u) != apply_generator(Sigma(1), u):
             problems += 1
-    return _result(
-        "group_action",
-        "pairing invariance, involutivity, K-fixing, and the "
-        "phi_134 phi_234 phi_134 = sigma_1 identity on random classes",
+    return (
         problems == 0,
         f"{trials} trials clean",
         f"{problems} failures",
@@ -479,13 +494,26 @@ def _interior_point(n: int, rng: random.Random) -> PicClass:
     return PicClass(n, (x0, *tail))
 
 
-def _check_round_trip(ctx: _Ctx) -> CheckResult:
-    rng = ctx.rng("round_trip")
+def _k_nonpositive(ns: tuple[int, ...], rng: random.Random) -> PicClass:
+    # n from ns, coordinates from -10..10, redrawn until v is nonzero
+    # with v.K <= 0
+    while True:
+        n = rng.choice(ns)
+        v = PicClass(n, tuple(rng.randint(-10, 10) for _ in range(n + 1)))
+        if not v.is_zero() and pairing(v, canonical_class(n)) <= 0:
+            return v
+
+
+@_check("round_trip",
+        "interior cone points survive word-then-reduce exactly, with a "
+        "verifying witness; not-nef witnesses pair negatively with the "
+        "input")
+def _check_round_trip(ctx: _Ctx):
+    rng = ctx.rng()
     trials = ctx.count(1_000)
     problems = []
     ns = (9, 12)
     gens_of = {n: all_generators(n) for n in ns}
-    k_of = {n: canonical_class(n) for n in ns}
     for t in range(trials):
         n = rng.choice(ns)
         v = _interior_point(n, rng)
@@ -501,46 +529,37 @@ def _check_round_trip(ctx: _Ctx) -> CheckResult:
             problems.append(f"trial {t}: {v.coords} via {len(word.gens)} gens")
     # NotNef witnesses must genuinely fail on the input
     checked = 0
-    t = 0
     while checked < trials:
-        t += 1
-        n = rng.choice(ns)
-        v = PicClass(n, tuple(rng.randint(-10, 10) for _ in range(n + 1)))
-        if v.is_zero() or pairing(v, k_of[n]) > 0:
-            continue
+        v = _k_nonpositive(ns, rng)
         res = reduce_class(v)
         if res.status != ReductionResult.NOT_NEF:
             continue
         checked += 1
         if pairing(res.violated, v) >= 0:
             problems.append(f"witness fails: {v.coords} -> {res.violated.coords}")
-    return _result(
-        "round_trip",
-        "interior cone points survive word-then-reduce exactly, with a "
-        "verifying witness; not-nef witnesses pair negatively with the "
-        "input",
+    return (
         not problems,
         f"{trials} round trips + {trials} witnesses clean",
         "ok" if not problems else "; ".join(problems[:3]),
     )
 
 
-def _check_cross_method(ctx: _Ctx) -> CheckResult:
+@_check("cross_method",
+        "exact reduction and the degree-8 curve check agree on random "
+        "K-nonpositive classes, on nef classes moved by a word and on "
+        "such classes pushed off a (-1)-class; nef classes violate no "
+        "curve, and at least half the classes reach the curve scan",
+        quick=False)
+def _check_cross_method(ctx: _Ctx):
     # Uniform draws from a box almost always have v^2 < 0, where
     # curve_check stops before its curve scan.  So as many classes again
     # are nef (interior points moved by a word) or, every second one,
     # such a class plus k c for a (-1)-class c of degree 2..8 with
     # k = v.c + 1: then v.c goes negative while v^2 stays >= 0.  Every
     # one of these reaches the scan, and the check counts that it does.
-    rng = ctx.rng("cross_method")
+    rng = ctx.rng()
     trials = ctx.count(1_000)
-    classes = []
-    while len(classes) < trials:
-        n = rng.choice((9, 10))
-        v = PicClass(n, tuple(rng.randint(-10, 10) for _ in range(n + 1)))
-        if v.is_zero() or pairing(v, canonical_class(n)) > 0:
-            continue
-        classes.append(v)
+    classes = [_k_nonpositive((9, 10), rng) for _ in range(trials)]
     gens_of = {n: all_generators(n) for n in (9, 10)}
     for t in range(trials):
         n = rng.choice((9, 10))
@@ -565,12 +584,7 @@ def _check_cross_method(ctx: _Ctx) -> CheckResult:
             problems.append(f"{v.coords}: {exact.verdict} vs {bounded.verdict}")
         elif exact.verdict == NEF and bounded.witness is not None:
             problems.append(f"{v.coords}: nef but violates {bounded.witness.coords}")
-    return _result(
-        "cross_method",
-        "exact reduction and the degree-8 curve check agree on random "
-        "K-nonpositive classes, on nef classes moved by a word and on "
-        "such classes pushed off a (-1)-class; nef classes violate no "
-        "curve, and at least half the classes reach the curve scan",
+    return (
         not problems and scanned >= trials,
         f"{2 * trials} classes, at least {trials} reach the curve scan, full agreement",
         f"{2 * trials} classes, {scanned} reach the curve scan, "
@@ -578,7 +592,10 @@ def _check_cross_method(ctx: _Ctx) -> CheckResult:
     )
 
 
-def _check_fundamental_cone_membership(ctx: _Ctx) -> CheckResult:
+@_check("fundamental_cone",
+        "the fundamental cone has n+1 facets through n=9 and n+2 from "
+        "n=10 on, and always contains e_0")
+def _check_fundamental_cone_membership(ctx: _Ctx):
     ok = True
     parts = []
     for n in (3, 6, 9, 10, 14):
@@ -588,46 +605,18 @@ def _check_fundamental_cone_membership(ctx: _Ctx) -> CheckResult:
         inside = all(pairing(u, basis_vector(n, 0)) >= 0 for u in P.all_normals)
         ok = ok and count == want and inside
         parts.append(f"n={n}: {count} normals")
-    return _result(
-        "fundamental_cone",
-        "the fundamental cone has n+1 facets through n=9 and n+2 from "
-        "n=10 on, and always contains e_0",
+    return (
         ok,
         "n+1 (n<=9) / n+2 (n>=10) normals, e_0 inside",
         "; ".join(parts),
     )
 
 
-_Check = Callable[[_Ctx], CheckResult]
-
-# (name, function, in_quick_suite)
-_REGISTRY: list[tuple[str, _Check, bool]] = [
-    ("cartan_p9", _check_cartan_p9, True),
-    ("cartan_sorted_cone", _check_cartan_sorted_cone, True),
-    ("rays_p9", _check_rays_p9, True),
-    ("vertex_formulas", _check_vertex_formulas, False),
-    ("p10_infinite_volume", _check_p10_infinite, True),
-    ("coxeter_classification", _check_coxeter_classification, True),
-    ("diagram_p9", _check_diagram_p9, True),
-    ("diagram_p_minus_10", _check_diagram_p_minus_10, True),
-    ("diagram_p_minus_11_triple_edge", _check_diagram_p_minus_11_triple, True),
-    ("diagram_p_minus_11", _check_diagram_p_minus_11_true, True),
-    ("diagram_p_minus_13", _check_diagram_p_minus_13, True),
-    ("region_r_table", _check_region_r, True),
-    ("curve_counts", _check_curve_counts, False),
-    ("decomposition", _check_decomposition, False),
-    ("group_action", _check_group_action, True),
-    ("round_trip", _check_round_trip, True),
-    ("cross_method", _check_cross_method, False),
-    ("fundamental_cone", _check_fundamental_cone_membership, True),
-]
-
-
-def _suite(suite: str) -> list[tuple[str, _Check]]:
-    """The (name, function) pairs of a suite, in registry order."""
+def _suite(suite: str) -> list[tuple]:
+    """The (name, run) pairs of a suite, in declaration order."""
     if suite not in ("paper", "quick"):
         raise ValueError(f"unknown suite {suite!r}")
-    return [(name, fn) for name, fn, quick in _REGISTRY if suite == "paper" or quick]
+    return [(name, run) for name, quick, run in _CHECKS if suite == "paper" or quick]
 
 
 def check_names(suite: str = "paper") -> list[str]:
@@ -635,11 +624,11 @@ def check_names(suite: str = "paper") -> list[str]:
 
 
 def run_suite(suite: str = "paper", seed: int = 0) -> VerificationReport:
-    """Run the named checks in registry order.
+    """Run the named checks in declaration order.
 
     ``paper`` runs all 18; ``quick`` runs the 14 fast ones, with the
     random samples cut 20-fold.  ``seed`` fixes those samples.
     """
     checks = _suite(suite)
     ctx = _Ctx(seed=seed, scale=20 if suite == "quick" else 1)
-    return VerificationReport(checks=tuple([fn(ctx) for _, fn in checks]))
+    return VerificationReport(checks=tuple([run(ctx) for _, run in checks]))

@@ -52,6 +52,8 @@ class Phi(Record):
     __slots__ = ("i", "j", "k")
 
     def __init__(self, i: int, j: int, k: int) -> None:
+        for index in (i, j, k):
+            check_bound("Phi index", index)
         if not 0 < i < j < k:
             raise ValueError(f"Phi indices must satisfy 0 < i < j < k, got Phi({i},{j},{k})")
         set_field(self, "i", i)
@@ -68,8 +70,7 @@ class Sigma(Record):
     __slots__ = ("i",)
 
     def __init__(self, i: int) -> None:
-        if i < 1:
-            raise ValueError(f"Sigma index must be >= 1, got {i}")
+        check_bound("Sigma index", i, 1)
         set_field(self, "i", i)
 
     def __repr__(self) -> str:

@@ -467,10 +467,9 @@ class TestVerify:
         assert all(s in ("pass", "xfail") for s in statuses.values())
 
     def test_failing_check_prints_its_claim_and_exits_three(self, capsys, monkeypatch):
-        def broken(ctx):
-            return verify.CheckResult("broken", verify.FAIL, "a claim", "1 ray", "2 rays")
-
-        monkeypatch.setattr(verify, "_REGISTRY", [verify._REGISTRY[0], ("broken", broken, True)])
+        # the first declared check, then one declared here that fails
+        monkeypatch.setattr(verify, "_CHECKS", verify._CHECKS[:1])
+        verify._check("broken", "a claim")(lambda ctx: (False, "1 ray", "2 rays"))
         code, out, _ = run(capsys, "verify", "--suite", "quick")
         assert code == 3
         assert out == (

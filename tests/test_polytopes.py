@@ -734,7 +734,7 @@ class TestRegionR:
     def test_ten_triples(self):
         rep = verify_region_R(10)
         assert len(rep.rows) == 10
-        assert rep.all_triples_meet
+        assert all(len(r.point) == 3 for r in rep.rows)
 
     def test_n10_vertex_set(self):
         rep = verify_region_R(10)
@@ -791,7 +791,7 @@ class TestReportsDeriveTheirVerdicts:
         rep = verify_region_R(n)
         assert (rep.n, len(rep.rows)) == (n, 10)
         vertices = [r for r in rep.rows if r.is_vertex]
-        assert rep.all_triples_meet is all(r.point is not None for r in rep.rows) is True
+        assert all(r.point is not None for r in rep.rows)
         assert rep.vertex_count == len(vertices) == (8 if n == 10 else 6)
         assert rep.max_f_at_vertices == max(r.f_value for r in vertices) == 1
         assert rep.f_le_1_at_vertices is all(r.f_value <= 1 for r in vertices) is True
@@ -833,7 +833,7 @@ class TestReportsDeriveTheirVerdicts:
         non_vertices = tuple(r for r in rep.rows if not r.is_vertex)
         for rows in ((), non_vertices):
             empty = RegionRReport(12, rows)
-            assert empty.vertex_count == 0 and empty.all_triples_meet
+            assert empty.vertex_count == 0
             assert empty.f_le_1_at_vertices and empty.f_lt_1_when_xn_negative
             assert not empty.ok()
 

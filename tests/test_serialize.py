@@ -175,6 +175,22 @@ class TestClasses:
         assert decode_class(json_round(encode_class(v))) == v
 
 
+# generator indices of several kinds and signs, many of them refused
+indices = st.integers(-3, 12) | st.integers(2**62, 2**66) | st.booleans() | st.floats()
+# and index triples half of which Phi accepts
+triples = st.tuples(indices, indices, indices) | st.lists(
+    st.integers(1, 2**64), min_size=3, max_size=3, unique=True
+).map(sorted)
+
+
+def _built(make, *args):
+    """make(*args), or None when the constructor refuses the arguments."""
+    try:
+        return make(*args)
+    except ValueError:
+        return None
+
+
 class TestWords:
     def test_round_trip(self):
         w = WeylWord((Phi(1, 2, 3), Sigma(2), Phi(2, 4, 5), Sigma(1)))
@@ -191,6 +207,19 @@ class TestWords:
     )
     def test_hypothesis_round_trip(self, gens):
         w = WeylWord(tuple(gens))
+        assert decode_word(json_round(encode_word(w))) == w
+
+    @given(
+        st.lists(
+            triples.map(lambda ijk: _built(Phi, *ijk))
+            | indices.map(lambda i: _built(Sigma, i)),
+            max_size=20,
+        )
+    )
+    def test_every_word_the_constructors_accept_round_trips(self, gens):
+        # indices of any type and sign; a generator its constructor
+        # refuses drops out, and every other one survives the JSON
+        w = WeylWord(tuple(g for g in gens if g is not None))
         assert decode_word(json_round(encode_word(w))) == w
 
     def test_empty_word(self):

@@ -64,6 +64,32 @@ def test_check_names_rejects_an_unknown_suite():
     assert len(check_names("quick")) == 14 and len(check_names("paper")) == 18
 
 
+@pytest.mark.parametrize("suite", ["paper", "quick"])
+def test_check_names_are_the_names_a_run_reports(suite):
+    assert check_names(suite) == [c.name for c in run_suite(suite).checks]
+
+
+def test_the_paper_suite_adds_the_four_slow_checks():
+    assert set(check_names("paper")) - set(check_names("quick")) == {
+        "vertex_formulas", "curve_counts", "decomposition", "cross_method"
+    }
+
+
+def test_a_check_states_its_name_claim_and_status_once(monkeypatch):
+    # a declared check joins both suites (or the paper suite alone), in
+    # declaration order; its body's ok decides pass, fail or xfail
+    monkeypatch.setattr(verify, "_CHECKS", [])
+    passing = verify._check("passing", "claim p")(lambda ctx: (True, "e", "c"))
+    verify._check("failing", "claim f", quick=False)(lambda ctx: (False, "e", "c"))
+    verify._check("expected", "claim x", xfail=True)(lambda ctx: (False, "e", "c"))
+    result = passing(verify._Ctx(seed=0, scale=1))
+    assert result == verify.CheckResult("passing", PASS, "claim p", "e", "c")
+    assert check_names("quick") == ["passing", "expected"]
+    assert [(c.name, c.status, c.claim) for c in run_suite("paper").checks] == [
+        ("passing", PASS, "claim p"), ("failing", FAIL, "claim f"), ("expected", XFAIL, "claim x")
+    ]
+
+
 # sha256 of the paper suite's checks as JSON, with decomposition's
 # ``computed`` left out; frozen from the per-class decomposition check
 # that ran before the check went to one class per orbit, and refrozen

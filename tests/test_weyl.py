@@ -56,6 +56,25 @@ class TestGenerators:
         with pytest.raises(ValueError):
             Sigma(0)
 
+    @pytest.mark.parametrize(
+        "make, indices",
+        [(Phi, (True, 2, 3)), (Phi, (1.0, 2, 3)), (Sigma, (True,)), (Sigma, (2.5,))],
+    )
+    def test_index_that_is_not_an_int_is_refused(self, make, indices):
+        # a bool is an int to Python, but encode_word would write it as
+        # true, and a float index cannot select a coordinate
+        bad = next(i for i in indices if type(i) is not int)
+        message = f"^{make.__name__} index must be an integer, got {bad!r}$"
+        with pytest.raises(ValueError, match=message):
+            make(*indices)
+
+    def test_int_indices_keep_their_messages(self):
+        message = r"^Phi indices must satisfy 0 < i < j < k, got Phi\(0,2,3\)$"
+        with pytest.raises(ValueError, match=message):
+            Phi(0, 2, 3)
+        with pytest.raises(ValueError, match=r"^Sigma index must be >= 1, got 0$"):
+            Sigma(0)
+
     def test_out_of_range_rejected(self):
         v = PicClass(3, (1, 0, 0, 0))
         with pytest.raises(ValueError):
