@@ -23,8 +23,8 @@ irrational coordinates cannot be entered and are out of scope.
 Bulk output is streamed: JSON is written as it is encoded, byte for
 byte what ``json.dumps(obj, indent=2)`` gives, and every format reaches
 stdout in batches of about 64 KiB.  ``curves --n 10 --max-degree 8
---format json`` (117,754 classes, 21.6 MB) peaks at about 44 MiB of RSS
-and takes about 2.8 s on a 2-vCPU Linux machine with Python 3.11.7,
+--format json`` (117,754 classes, 21.6 MB) peaks at about 37 MiB of RSS
+and takes about 1.2 s on a 2-vCPU Linux machine with Python 3.11.7,
 where one ``json.dumps`` of the whole document peaked at 260 MiB.
 """
 
@@ -63,11 +63,11 @@ _POLYTOPES = {
 
 # Work caps: past them the polytope commands (``cartan``, ``diagram``,
 # ``rays``), ``curves``, ``nef-test --method curves`` and ``orbit`` exit
-# 2.  At n = 100 rays --polytope p_minus takes about 0.25 s (829 rays),
-# of which the double description takes about 0.07 s, growing about 4x
+# 2.  At n = 100 rays --polytope p_minus takes about 0.14 s (829 rays),
+# of which the double description takes about 0.05 s, growing about 4x
 # per doubling of n; cartan takes about 0.08 s, nearly all of it
 # start-up (the interpreter alone about 0.04 s, then the modules cli
-# and polytopes run), as the matrix itself takes about 3 ms
+# and polytopes run), as the matrix itself takes about 2 ms
 # (2-vCPU Linux machine, Python 3.11.7, no cached bytecode).  curves --n
 # 10 --max-degree 8 gives 117,754 classes (22 MB of JSON), and degree 9
 # would give 224,629.  For n <= 8 the classes run out (240 at n = 8),

@@ -1,4 +1,4 @@
-"""(-1)-curve classes: predicate, enumeration, and inequality decomposition.
+"""(-1)-classes: predicate, enumeration, and inequality decomposition.
 
 A (-1)-class is c with c^2 = -1 and c.K = -1.  Writing
 c = (d, -m_1, ..., -m_n) these conditions become the Diophantine system
@@ -7,14 +7,16 @@ c = (d, -m_1, ..., -m_n) these conditions become the Diophantine system
     sum m_l^2 = d^2 + 1,      0 <= m_l <= d,
 
 whose degree-0 solutions are the e_i, the multiset (-1,).  These are
-numerical classes: from n = 10 on not every one is a W-translate of e_n
-(45 of degree 5 at n = 10, such as (5, -3, -3, -1^8), reduce to
-(3, -1^9, 1)).  Every walk over the classes goes one S_n orbit at a
-time: it iterates over the non-increasing multiplicity multisets of
-each degree from 0 (tiny), and an orbit is the set of coordinate
-placements of its multiset.  ``_placements`` lists them by Knuth's
-next-permutation loop, and ``_orbit_size`` counts them as a product of
-binomials.
+numerical classes, not all of them (-1)-curves: from n = 10 on not
+every one is a W-translate of e_n (45 of degree 5 at n = 10, such as
+(5, -3, -3, -1^8), reduce to (3, -1^9, 1)), and that one is the sum
+(4, -2, -2, -1^8) + (1, -1, -1) of a square-zero quartic and a line.
+Each is effective by Riemann-Roch all the same.  Every walk over the
+classes goes one S_n orbit at a time: it iterates over the
+non-increasing multiplicity multisets of each degree from 0 (tiny),
+and an orbit is the set of coordinate placements of its multiset.
+``_placements`` lists them by Knuth's next-permutation loop, and
+``_orbit_size`` counts them as a product of binomials.
 
 ``decompose_inequality`` realizes each degree-d class as a sum of d-1
 "cubic" normals e_0 - e_i - e_j - e_k and one "conic" normal
@@ -57,8 +59,10 @@ class Decomposition(Record):
 
 
 def is_minus_one_class(v: PicClass) -> bool:
-    """True iff v is a (-1)-curve class: v^2 = -1, v.K = -1, and the
-    multiplicity bounds 0 <= m_l <= d hold (for d = 0 this forces v = e_i)."""
+    """True iff v is a (-1)-class: v^2 = -1, v.K = -1, and the
+    multiplicity bounds 0 <= m_l <= d hold (for d = 0 this forces v = e_i).
+    A numerical condition: from n = 10 on some such classes are not
+    (-1)-curves (see the module docstring)."""
     if pairing(v, v) != -1 or pairing(v, canonical_class(v.n)) != -1:
         return False
     d = v.coords[0]
@@ -178,7 +182,7 @@ def decompose_inequality(c: PicClass) -> Decomposition:
     choice well defined all the way down.
     """
     if not is_minus_one_class(c):
-        raise ValueError(f"{c!r} is not a (-1)-curve class")
+        raise ValueError(f"{c!r} is not a (-1)-class")
     d = c.coords[0]
     if d < 1:
         raise ValueError("degree-0 classes decompose trivially; nothing to do")

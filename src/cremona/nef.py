@@ -107,16 +107,30 @@ def check_certificate(v: PicClass, verdict: NefVerdict) -> bool:
     the code that produced it.
 
     A "nef" verdict is certified by a WeylWord that moves v into
-    ``fundamental_cone(n)``; a "not_nef" verdict by a class that pairs
-    negatively with v.  A clean curve check has no witness, so it is
-    never certified.
+    ``fundamental_cone(n)``; a "not_nef" verdict by a class w with
+    w.v < 0 that is either v itself (a nef class has v^2 >= 0) or
+    effective (``_effective``), as a nef class pairs >= 0 with every
+    effective one.  A clean curve check has no witness, so it is never
+    certified.
     """
     w = verdict.witness
     if verdict.verdict == NEF:
         return isinstance(w, WeylWord) and bool(
             polytopes.membership(fundamental_cone(v.n), apply_word(w, v))
         )
-    return isinstance(w, PicClass) and pairing(w, v) < 0
+    return pairing(w, v) < 0 and (w == v or _effective(w))
+
+
+def _effective(w: PicClass) -> bool:
+    """Is w effective by Riemann-Roch: deg w >= 0 and w^2 >= K.w?
+
+    Then chi(w) = 1 + (w^2 - K.w)/2 >= 1, and h^2(w) = h^0(K - w) = 0
+    as K - w has negative degree, so h^0(w) >= 1.  Every (-1)-class
+    (w^2 = K.w = -1) passes, and so does -K at n <= 9.
+    """
+    c = w.coords
+    # K = (-3, 1, ..., 1), so K.w = -3 w_0 - sum of the tail
+    return c[0] >= 0 and pairing(w, w) >= -3 * c[0] - sum(c[1:])
 
 
 def _least_pairing(ms, xs) -> int:

@@ -26,8 +26,10 @@ stored: the records derive them (``status`` from ``violated``,
 witness kind).  So a decoder reads the stored parts, builds the record,
 and raises ValueError when a document's copy differs from the derived
 value.  It also refuses a witness of the wrong kind for its method, a
-curve-check bound with a leading zero, and a reduction not at one ``n``
-or whose ``reduced`` lies in the fundamental cone iff ``violated`` is set.
+not-nef witness of square >= 0 that is not effective (it certifies
+nothing), a curve-check bound with a leading zero, and a reduction not
+at one ``n`` or whose ``reduced`` lies in the fundamental cone iff
+``violated`` is set.
 """
 
 from __future__ import annotations
@@ -108,13 +110,14 @@ def decode_class(obj: dict) -> PicClass:
 
 
 def _decode_generator(obj: dict) -> Generator:
+    # Phi and Sigma refuse an index that is not an int themselves
     if isinstance(obj, dict) and len(obj) == 1:
         if "phi" in obj:
             idx = _field(obj, "generator", "phi", list)
             if len(idx) == 3:
-                return Phi(*(_int(i, "phi index") for i in idx))
+                return Phi(*idx)
         elif "sigma" in obj:
-            return Sigma(_field(obj, "generator", "sigma", int))
+            return Sigma(obj["sigma"])
     raise ValueError(f"generator must be {{'phi': [i, j, k]}} or {{'sigma': i}}, got {obj!r}")
 
 
@@ -202,6 +205,12 @@ def decode_verdict(obj: dict) -> nef.NefVerdict:
         witness = decode_word(w)
     else:
         witness = decode_class(w)
+        # a not-nef witness is v itself (square < 0) or effective: with no
+        # v at hand, only one of square >= 0 can be refused
+        if pairing(witness, witness) >= 0 and not nef._effective(witness):
+            raise ValueError(
+                f"verdict 'witness' {witness.coords} has square >= 0 and is not effective"
+            )
     # NefVerdict refuses a witness of the wrong kind for its method
     result = nef.NefVerdict(witness, max_degree)
     _check_derived(obj, "verdict", result, {"verdict": str})

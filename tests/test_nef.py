@@ -103,6 +103,42 @@ class TestCheckCertificate:
         forged = NefVerdict(basis_vector(9, 2))
         assert not check_certificate(v, forged)
 
+    def test_forged_not_nef_certificate_for_a_nef_class(self):
+        # e_0 is nef, and -e_0 pairs negatively with it: the pairing alone
+        # would certify the wrong verdict, but -e_0 is neither e_0 nor
+        # effective (its degree is -1)
+        e0 = basis_vector(9, 0)
+        assert is_nef_K_nonpositive(e0).is_nef()
+        assert pairing(-e0, e0) < 0
+        assert not check_certificate(e0, NefVerdict(-e0))
+
+    def test_not_nef_certificate_is_v_or_effective(self):
+        n = 10
+        e = [basis_vector(n, k) for k in range(n + 1)]
+        # v itself, of square < 0, certifies v
+        v = e[0] - e[1] - e[2] - e[3] - e[4]
+        assert check_certificate(v, NefVerdict(v))
+        # the root e_1 - e_2 pairs to -1 with e_1 but is not effective by
+        # Riemann-Roch (square -2 < K.w = 0)
+        assert pairing(e[1] - e[2], e[1]) < 0
+        assert not check_certificate(e[1], NefVerdict(e[1] - e[2]))
+        # a (-1)-class outside the orbit of e_n, and the square-zero
+        # quartic it contains, are effective
+        quartic = PicClass(n, (4, -2, -2) + (-1,) * 8)
+        c = quartic + (e[0] - e[1] - e[2])
+        assert c == PicClass(n, (5, -3, -3) + (-1,) * 8)
+        v = e[0] - e[1] * 2 - e[2] * 2
+        for w in (c, quartic):
+            assert pairing(w, v) < 0
+            assert check_certificate(v, NefVerdict(w))
+
+    def test_anticanonical_certifies_k_positive_classes_up_to_nine(self):
+        # -K has square 9 - n and K.(-K) = n - 9: effective at n <= 9
+        for n in (8, 9):
+            v = PicClass(n, (1, -1, -1, -1, -1) + (0,) * (n - 4))
+            assert pairing(anticanonical_class(n), v) < 0
+            assert check_certificate(v, NefVerdict(anticanonical_class(n)))
+
     def test_curve_check_verdicts(self):
         # a violated curve certifies "not nef"; a clean pass certifies nothing
         v = basis_vector(6, 1)

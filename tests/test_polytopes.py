@@ -555,6 +555,53 @@ class TestSparseKernel:
         }
 
 
+class TestGramKernel:
+    """gram_matrix and the Cartan signs pair each normal through the same
+    sparse rows as the double description, on normals of 1, 2, 3 and
+    n + 1 nonzero entries (the named cones have none of 3 entries)."""
+
+    @staticmethod
+    def assert_matches_minkowski(P):
+        coords = [u.coords for u in P.all_normals]
+        gram, cartan = gram_matrix(P), cartan_matrix(P)
+        assert gram == tuple(tuple(minkowski(a, b) for b in coords) for a in coords)
+        for i, a in enumerate(coords):
+            for j, b in enumerate(coords):
+                p = minkowski(a, b)
+                assert cartan[i][j].sign == (p > 0) - (p < 0)
+                assert cartan[i][j].cos2 == Fraction(p * p, minkowski(a, a) * minkowski(b, b))
+
+    @pytest.mark.parametrize("n", [3, 9, 10, 20])
+    def test_hand_built_cone_against_minkowski(self, n):
+        e = [basis_vector(n, k) for k in range(n + 1)]
+        normals = [
+            e[n],
+            e[1] - e[2],
+            e[0] - e[1] - e[2],
+            e[1] + e[2] + e[3],
+            PicClass(n, (1,) * (n + 1)),
+            PicClass(n, tuple((-2) ** (k % 3) for k in range(n + 1))),
+        ]
+        assert [sum(map(bool, u.coords)) for u in normals] == [1, 2, 3, 3, n + 1, n + 1]
+        self.assert_matches_minkowski(ConePolytope(n, tuple(Halfspace(u) for u in normals)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_random_supports_against_minkowski(self, data):
+        n = data.draw(st.integers(3, 12))
+        normals = []
+        for _ in range(data.draw(st.integers(1, 8))):
+            size = data.draw(st.sampled_from([1, 2, 3, n + 1]))
+            coords = [0] * (n + 1)
+            for k in data.draw(st.permutations(range(n + 1)))[:size]:
+                coords[k] = data.draw(st.integers(1, 9) | st.integers(-9, -1))
+            u = PicClass(n, tuple(coords))
+            if pairing(u, u) < 0:
+                normals.append(u)
+        assume(normals)
+        self.assert_matches_minkowski(ConePolytope(n, tuple(Halfspace(u) for u in normals)))
+
+
 class TestMinimality:
     def test_p9_has_no_redundant_facets(self):
         assert redundant_constraints(build_P(9)) == ()

@@ -105,6 +105,21 @@ class TestStrictDecoding:
         with pytest.raises(ValueError):
             decode_word(obj)
 
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ([{"phi": [1, True, 3]}], "Phi index must be an integer, got True"),
+            ([{"phi": [1, 2, 3.0]}], "Phi index must be an integer, got 3.0"),
+            ([{"sigma": 2.5}], "Sigma index must be an integer, got 2.5"),
+            ([{"sigma": "1"}], "Sigma index must be an integer, got '1'"),
+            ([{"sigma": None}], "Sigma index must be an integer, got None"),
+            ([{"sigma": 0}], "Sigma index must be >= 1, got 0"),
+        ],
+    )
+    def test_generator_indices_are_checked_by_the_generators(self, obj, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            decode_word(obj)
+
 
 json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
 json_values = st.recursive(
@@ -382,6 +397,19 @@ class TestVerdicts:
         with pytest.raises(ValueError, match="'verdict' is 'nef', but its stored parts give"):
             decode_verdict(doc)
 
+    def test_forged_not_nef_witness_is_refused(self):
+        # -e_0 would certify the nef class e_0 as not nef: it pairs to -1
+        # with it, but has square 1 and degree -1, so it is not effective
+        e0 = basis_vector(9, 0)
+        doc = json_round(encode_verdict(NefVerdict(-e0)))
+        assert doc["verdict"] == NOT_NEF
+        with pytest.raises(ValueError, match="has square >= 0 and is not effective"):
+            decode_verdict(doc)
+        for max_degree in (0, 6):
+            doc["method"] = f"{METHOD_CURVE_CHECK}:{max_degree}"
+            with pytest.raises(ValueError, match="is not effective"):
+                decode_verdict(doc)
+
     def test_not_nef_by_curve_check_needs_a_class(self):
         verdict = curve_check(basis_vector(6, 1), max_degree=4)
         assert verdict.verdict == "not_nef"
@@ -453,14 +481,27 @@ any_bound = st.one_of(
 )
 
 
+def certifies_some_class(w: PicClass) -> bool:
+    """Square < 0 (the witness may be the input itself), or effective by
+    Riemann-Roch: degree >= 0 and w^2 >= K.w."""
+    square = pairing(w, w)
+    return square < 0 or (w.coords[0] >= 0 and square >= pairing(canonical_class(w.n), w))
+
+
 @settings(max_examples=300, deadline=None)
 @given(any_witness, any_bound)
 def test_every_verdict_the_constructor_accepts_round_trips(witness, max_degree):
+    # except a not-nef witness that certifies no class, which decoding refuses
     try:
         verdict = NefVerdict(witness, max_degree)
     except ValueError:
         return
-    assert decode_verdict(json_round(encode_verdict(verdict))) == verdict
+    doc = json_round(encode_verdict(verdict))
+    if isinstance(witness, PicClass) and not certifies_some_class(witness):
+        with pytest.raises(ValueError, match="is not effective"):
+            decode_verdict(doc)
+    else:
+        assert decode_verdict(doc) == verdict
 
 
 class TestCartan:
