@@ -53,7 +53,10 @@ class NefVerdict(Record):
     nef-by-reduction and None for a clean curve check, so ``verdict``
     is derived from it too: NOT_NEF exactly when it is a PicClass.  Any
     other witness for the method raises ValueError, and so does a
-    ``max_degree`` other than None or an int >= 0.
+    ``max_degree`` other than None or an int >= 0.  So does a not-nef
+    witness that certifies no class: one of square >= 0 that is not
+    ``_effective`` (a witness is the input itself, of square < 0, or
+    effective; see check_certificate).
     """
 
     __slots__ = ("witness", "max_degree")
@@ -67,6 +70,14 @@ class NefVerdict(Record):
         if not isinstance(witness, (PicClass, allowed)):
             raise ValueError(
                 f"a verdict with max_degree={max_degree!r} cannot have the witness {witness!r}"
+            )
+        if (
+            isinstance(witness, PicClass)
+            and pairing(witness, witness) >= 0
+            and not _effective(witness)
+        ):
+            raise ValueError(
+                f"not-nef witness {witness.coords} has square >= 0 and is not effective"
             )
         set_field(self, "witness", witness)
         set_field(self, "max_degree", max_degree)

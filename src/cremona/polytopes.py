@@ -241,8 +241,13 @@ def gram_matrix(P: ConePolytope) -> tuple[tuple[int, ...], ...]:
 # 253 pairs i <= j of P_minus(20).  So cartan_matrix, is_coxeter and
 # coxeter_diagram share one pass, _angle_pass, which takes the Gram
 # products from _gram_upper (the kernel gram_matrix uses) and classifies
-# each distinct triple once per call, building one Fraction for it.
-# Nothing is cached across calls.
+# each distinct triple once per pass, building one Fraction for it.
+# The pass keeps a memo of one entry: the last polytope it was asked
+# about and its upper triangle.  The memo is keyed by identity, never by
+# value (hashing a ConePolytope costs about as much as the pass), so the
+# three functions called on one polytope object share one pass, and any
+# other object, equal or not, gets a pass of its own.  Its callers share
+# the stored lists and only read them.
 
 PI_OVER = "pi_over"
 ZERO_ANGLE = "zero_angle"
@@ -302,10 +307,22 @@ def _classify(p: int, a2: int, b2: int) -> AngleClass:
     return AngleClass((p > 0) - (p < 0), Fraction(p * p, a2 * b2))
 
 
+# (polytope, upper triangle) of the last _angle_pass; the strong
+# reference keeps the polytope's id from being reused
+_last_angles: tuple[ConePolytope | None, list[list[AngleClass]] | None] = (None, None)
+
+
 def _angle_pass(P: ConePolytope) -> list[list[AngleClass]]:
     """Upper triangle of the angle classes of the pairs of P's normals,
     laid out as _gram_upper's.  Pairs with the same integer triple
-    (u.v, u^2, v^2) share one instance."""
+    (u.v, u^2, v^2) share one instance.
+
+    Asked about the same polytope object twice in a row, it returns the
+    same lists again: callers must not mutate what it returns."""
+    global _last_angles
+    last, upper = _last_angles
+    if last is P:
+        return upper
     upper = _gram_upper(P.all_normals)
     squares = [row[0] for row in upper]
     memo = {}
@@ -319,6 +336,7 @@ def _angle_pass(P: ConePolytope) -> list[list[AngleClass]]:
                 value = memo[key] = _classify(p, a2, b2)
             line.append(value)
         out.append(line)
+    _last_angles = (P, out)
     return out
 
 
@@ -527,7 +545,7 @@ def _generators(
     The cone is lineality + the nonnegative span of the rays; the rays
     are its extremal rays when the lineality is empty.
     """
-    lineality = [tuple([int(i == j) for i in range(dim)]) for j in range(dim)]
+    lineality = [(0,) * j + (1,) + (0,) * (dim - 1 - j) for j in range(dim)]
     rays: list[tuple[int, ...]] = []
     zeros: list[int] = []  # bit k set: row k vanishes on the ray
     for k, row in enumerate(rows):
@@ -538,13 +556,15 @@ def _generators(
             p, a = lineality.pop(pivot), values.pop(pivot)
             if a < 0:
                 p, a = tuple([-x for x in p]), -a
-
-            def eliminate(v: tuple[int, ...], b: int) -> tuple[int, ...]:
-                # b = row.v; a*v - b*p vanishes on the row and equals a*v modulo p
-                return _primitive([a * x - b * y for x, y in zip(v, p)]) if b else v
-
-            lineality = list(map(eliminate, lineality, values))
-            rays = list(map(eliminate, rays, _dots(row, rays)))
+            # b = row.v; a*v - b*p vanishes on the row and equals a*v modulo p
+            lineality = [
+                v if b == 0 else _primitive([a * x - b * y for x, y in zip(v, p)])
+                for v, b in zip(lineality, values)
+            ]
+            rays = [
+                v if b == 0 else _primitive([a * x - b * y for x, y in zip(v, p)])
+                for v, b in zip(rays, _dots(row, rays))
+            ]
             zeros = [z | bit for z in zeros]
             rays.append(p)
             zeros.append(bit - 1)
@@ -585,7 +605,8 @@ def extremal_rays(P: ConePolytope) -> list[Ray]:
             "do not determine it"
         )
     return [
-        Ray(PicClass(n=P.n, coords=coords), tuple([k for k in range(len(rows)) if z >> k & 1]))
+        # _primitive gave each generator as a tuple of P.n + 1 ints
+        Ray(PicClass._trusted(P.n, coords), tuple([k for k in range(len(rows)) if z >> k & 1]))
         for coords, z in sorted(zip(rays, zeros))
     ]
 

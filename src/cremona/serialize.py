@@ -205,13 +205,8 @@ def decode_verdict(obj: dict) -> nef.NefVerdict:
         witness = decode_word(w)
     else:
         witness = decode_class(w)
-        # a not-nef witness is v itself (square < 0) or effective: with no
-        # v at hand, only one of square >= 0 can be refused
-        if pairing(witness, witness) >= 0 and not nef._effective(witness):
-            raise ValueError(
-                f"verdict 'witness' {witness.coords} has square >= 0 and is not effective"
-            )
-    # NefVerdict refuses a witness of the wrong kind for its method
+    # NefVerdict refuses a witness of the wrong kind for its method, and a
+    # not-nef witness of square >= 0 that is not effective
     result = nef.NefVerdict(witness, max_degree)
     _check_derived(obj, "verdict", result, {"verdict": str})
     return result

@@ -106,11 +106,14 @@ class TestCheckCertificate:
     def test_forged_not_nef_certificate_for_a_nef_class(self):
         # e_0 is nef, and -e_0 pairs negatively with it: the pairing alone
         # would certify the wrong verdict, but -e_0 is neither e_0 nor
-        # effective (its degree is -1)
+        # effective (its degree is -1): with square 1 it certifies no
+        # class, so no verdict takes it as a witness
         e0 = basis_vector(9, 0)
         assert is_nef_K_nonpositive(e0).is_nef()
         assert pairing(-e0, e0) < 0
-        assert not check_certificate(e0, NefVerdict(-e0))
+        for max_degree in (None, 0, 6):
+            with pytest.raises(ValueError, match="has square >= 0 and is not effective"):
+                NefVerdict(-e0, max_degree)
 
     def test_not_nef_certificate_is_v_or_effective(self):
         n = 10

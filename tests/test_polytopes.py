@@ -16,6 +16,7 @@ from cremona.lattice import (
     basis_vector,
     pairing,
 )
+from cremona import polytopes
 from cremona.nef import fundamental_cone
 from cremona.polytopes import (
     _dots,
@@ -920,6 +921,72 @@ def test_angle_layer_matches_reference(name):
         verdicts.add(bool(check))
     # P_minus is Coxeter only at n = 10, 11, 13: both branches are compared
     assert verdicts == ({True, False} if name == "P_minus" else {True})
+
+
+# ---------------------------------------------------------------------------
+# the angle pass's one-entry memo, keyed by polytope identity, and the
+# ray generators built without re-validation
+
+
+def angle_results(P):
+    """P's Cartan matrix, Coxeter check and diagram (None if P is not Coxeter)."""
+    check = is_coxeter(P)
+    return cartan_matrix(P), check, coxeter_diagram(P) if check else None
+
+
+class TestAngleMemo:
+    @pytest.fixture
+    def gram_calls(self, monkeypatch):
+        calls = []
+        gram_upper = polytopes._gram_upper
+
+        def counted(normals):
+            calls.append(normals)
+            return gram_upper(normals)
+
+        monkeypatch.setattr(polytopes, "_gram_upper", counted)
+        return calls
+
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_one_pass_per_polytope_object(self, gram_calls, n):
+        P = build_P_minus(n)
+        cartan_matrix(P)
+        check = is_coxeter(P)
+        if check:
+            coxeter_diagram(P)
+        else:
+            with pytest.raises(ValueError, match="diagram undefined"):
+                coxeter_diagram(P)
+        assert len(gram_calls) == 1
+
+    def test_an_equal_object_gets_its_own_pass(self, gram_calls):
+        P, twin = build_P_minus(11), build_P_minus(11)
+        assert P == twin and P is not twin
+        want = angle_results(P)
+        assert angle_results(twin) == want
+        assert angle_results(P) == want
+        assert len(gram_calls) == 3
+
+    def test_interleaved_polytopes_match_fresh_objects(self):
+        builds = {"A": lambda: build_P_minus(12), "B": lambda: build_P(9)}
+        want = {name: angle_results(build()) for name, build in builds.items()}
+        assert want["A"] != want["B"]
+        made = {name: build() for name, build in builds.items()}
+        for name in "ABA":
+            assert angle_results(made[name]) == want[name]
+
+
+@pytest.mark.parametrize("name", sorted(ANGLE_WINDOWS))
+def test_ray_generators_pass_the_public_constructor(name):
+    build, window = ANGLE_WINDOWS[name]
+    for n in window:
+        P = build(n)
+        if name == "P_tilde":  # it contains the line R.K at every n
+            with pytest.raises(ValueError, match="not pointed"):
+                extremal_rays(P)
+            continue
+        for r in extremal_rays(P):
+            assert PicClass(P.n, r.generator.coords) == r.generator
 
 
 # One pair per outcome the classification can reach, run by every

@@ -399,10 +399,12 @@ class TestVerdicts:
 
     def test_forged_not_nef_witness_is_refused(self):
         # -e_0 would certify the nef class e_0 as not nef: it pairs to -1
-        # with it, but has square 1 and degree -1, so it is not effective
+        # with it, but has square 1 and degree -1, so it is not effective;
+        # NefVerdict refuses it, so the document is forged from a real one
         e0 = basis_vector(9, 0)
-        doc = json_round(encode_verdict(NefVerdict(-e0)))
+        doc = json_round(encode_verdict(is_nef_K_nonpositive(basis_vector(9, 1))))
         assert doc["verdict"] == NOT_NEF
+        doc["witness"] = json_round(encode_class(-e0))
         with pytest.raises(ValueError, match="has square >= 0 and is not effective"):
             decode_verdict(doc)
         for max_degree in (0, 6):
@@ -491,17 +493,13 @@ def certifies_some_class(w: PicClass) -> bool:
 @settings(max_examples=300, deadline=None)
 @given(any_witness, any_bound)
 def test_every_verdict_the_constructor_accepts_round_trips(witness, max_degree):
-    # except a not-nef witness that certifies no class, which decoding refuses
     try:
         verdict = NefVerdict(witness, max_degree)
     except ValueError:
         return
-    doc = json_round(encode_verdict(verdict))
-    if isinstance(witness, PicClass) and not certifies_some_class(witness):
-        with pytest.raises(ValueError, match="is not effective"):
-            decode_verdict(doc)
-    else:
-        assert decode_verdict(doc) == verdict
+    # the constructor takes no not-nef witness that certifies no class
+    assert not isinstance(witness, PicClass) or certifies_some_class(witness)
+    assert decode_verdict(json_round(encode_verdict(verdict))) == verdict
 
 
 class TestCartan:

@@ -11,6 +11,7 @@ from cremona.curves import Decomposition, decompose_inequality
 from cremona.lattice import basis_vector
 from cremona.nef import NefVerdict
 from cremona.verify import FAIL, PASS, XFAIL, check_names, run_suite
+from cremona.weyl import WeylWord
 
 
 def test_quick_suite_passes():
@@ -94,8 +95,12 @@ def test_a_check_states_its_name_claim_and_status_once(monkeypatch):
 # ``computed`` left out; frozen from the per-class decomposition check
 # that ran before the check went to one class per orbit, and refrozen
 # when cross_method added the classes that reach the curve scan (its row
-# alone changed: claim, expected and computed)
-PAPER_SHA256 = "7cccf9993088547f169762b9a658bf083018ec0d48724c0cbcd6845e04cd9776"
+# alone changed: claim, expected and computed); refrozen again when the
+# claims of round_trip and cross_method came to name what
+# check_certificate asks of a not-nef witness, beyond a negative pairing
+# (the input itself or an effective class), which cross_method now asks
+# of its curve-check verdicts too (only those two claims changed)
+PAPER_SHA256 = "23518212c0ac6c65457c718bba8966170c17ce953e2d394fb2aec0158f8afe0f"
 
 # the fields of a CheckResult, in order
 FIELDS = ("name", "status", "claim", "expected", "computed")
@@ -175,11 +180,11 @@ def test_a_report_with_no_check_does_not_pass():
 
 def test_cross_method_fails_below_its_scan_floor(monkeypatch):
     # e_1 moved by a word has square -1, so curve_check would stop before
-    # its scan; with both methods stubbed to agree (not nef, with v as the
-    # witness), only the floor on the classes that reach the scan can
-    # fail the check
+    # its scan; with both methods stubbed to agree (nef, so there is no
+    # not-nef witness to certify), only the floor on the classes that
+    # reach the scan can fail the check
     def agree(v, max_degree=None):
-        return NefVerdict(v)
+        return NefVerdict(WeylWord() if max_degree is None else None, max_degree)
 
     monkeypatch.setattr(verify, "_interior_point", lambda n, rng: basis_vector(n, 1))
     monkeypatch.setattr(verify, "is_nef_K_nonpositive", agree)
@@ -189,3 +194,19 @@ def test_cross_method_fails_below_its_scan_floor(monkeypatch):
     scanned = int(result.computed.split(", ")[1].split()[0])
     assert scanned < 1000
     assert result.computed == f"2000 classes, {scanned} reach the curve scan, full agreement"
+
+
+def test_cross_method_certifies_its_curve_check_verdicts(monkeypatch):
+    # both methods stubbed to agree on not nef, the curve check with the
+    # root e_1 - e_2 as its witness: it pairs negatively with some of the
+    # classes, but is neither the class nor effective, so it certifies
+    # none of them and only the certificate can fail the check
+    def root(v, max_degree=None):
+        return NefVerdict(basis_vector(v.n, 1) - basis_vector(v.n, 2), max_degree)
+
+    monkeypatch.setattr(verify, "is_nef_K_nonpositive", root)
+    monkeypatch.setattr(verify, "curve_check", root)
+    result = verify._check_cross_method(verify._Ctx(seed=0, scale=1))
+    assert result.status == FAIL
+    assert "witness fails: (0, 1, -1, 0" in result.computed
+    assert "not_nef vs" not in result.computed
