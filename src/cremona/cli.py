@@ -13,9 +13,10 @@ precondition errors (K-positive input, unsupported n, parse failures),
 verification).
 
 ``cartan``, ``diagram``, ``rays``, ``curves``, ``nef-test --method
-curves`` and ``orbit`` refuse (exit 2) sizes past fixed work caps,
-POLYTOPE_MAX_N, CURVES_MAX_DEGREE / CURVES_MAX_CLASSES and
-ORBIT_MAX_CLASSES, rather than run for hours or fill memory.
+curves``, ``orbit``, ``reduce`` and ``nef-test`` refuse (exit 2) work
+past fixed caps, POLYTOPE_MAX_N, CURVES_MAX_DEGREE / CURVES_MAX_CLASSES,
+ORBIT_MAX_CLASSES and weyl.REDUCE_MAX_STEPS (phi steps of a reduction),
+rather than run for hours or fill memory.
 
 Only integer classes are handled.  Rays of the nef boundary with
 irrational coordinates cannot be entered and are out of scope.
@@ -291,14 +292,16 @@ def _cmd_cartan(args: argparse.Namespace, out: _Output) -> int:
 
 
 def _cmd_diagram(args: argparse.Namespace, out: _Output) -> int:
-    diagram, offending = polytopes._coxeter_pass(_build_polytope(args))
-    if diagram is None:
-        for i, j, ang in offending:
+    P = _build_polytope(args)
+    check = polytopes.is_coxeter(P)
+    if not check:
+        for i, j, ang in check.offending:
             sys.stderr.write(
                 f"not a Coxeter polytope: pair (v_{i}, v_{j}) has "
                 f"cos^2 = {ang.cos2}, not a submultiple of pi\n"
             )
         return 3
+    diagram = polytopes.coxeter_diagram(P)  # P's angle pass again, from the memo
     out.line(diagram.to_dot() if args.format == "dot" else diagram.to_ascii())
     return 0
 

@@ -241,20 +241,22 @@ def gram_matrix(P: ConePolytope) -> tuple[tuple[int, ...], ...]:
 # 253 pairs i <= j of P_minus(20).  So cartan_matrix, is_coxeter and
 # coxeter_diagram share one pass, _angle_pass, which takes the Gram
 # products from _gram_upper (the kernel gram_matrix uses) and classifies
-# each distinct triple once per pass, building one Fraction for it.
-# The pass keeps a memo of one entry: the last polytope it was asked
-# about and its upper triangle.  The memo is keyed by identity, never by
-# value (hashing a ConePolytope costs about as much as the pass), so the
-# three functions called on one polytope object share one pass, and any
-# other object, equal or not, gets a pass of its own.  Its callers share
-# the stored lists and only read them.
+# each distinct triple once per pass into one Fraction; kind and m read
+# its numerator and denominator, never hash it.  is_coxeter is the one
+# rule for non-Coxeter pairs, and coxeter_diagram refuses them before it
+# builds an edge.  The pass keeps a memo of one entry: the last polytope
+# it was asked about and its upper triangle.  The memo is keyed by
+# identity, never by value (hashing a ConePolytope costs about as much
+# as the pass), so the three functions called on one polytope object
+# share one pass, and any other object, equal or not, gets a pass of its
+# own.  Its callers share the stored lists and only read them.
 
 PI_OVER = "pi_over"
 ZERO_ANGLE = "zero_angle"
 DIVERGENT = "divergent"
 NON_SUBMULTIPLE = "non_submultiple"
 
-_COS2_TO_M = {Fraction(1, 4): 3, Fraction(1, 2): 4, Fraction(3, 4): 6}
+_COS2_TO_M = {(1, 4): 3, (1, 2): 4, (3, 4): 6}  # cos^2(pi/m) as (numerator, denominator) -> m
 
 
 class AngleClass(Record):
@@ -268,7 +270,7 @@ class AngleClass(Record):
 
     __slots__ = ("sign", "cos2")
 
-    # its own __init__, not Record's (0.6 us slower a call): cone_audit builds 190 per 30-op cycle
+    # its own __init__, not Record's (0.6 us slower a call): cone_audit builds 95 per 30-op cycle
     def __init__(self, sign: int, cos2: Fraction) -> None:
         set_field(self, "sign", sign)
         set_field(self, "cos2", cos2)
@@ -277,15 +279,17 @@ class AngleClass(Record):
     def m(self) -> int | None:
         if self.sign == 0:
             return 2
-        return _COS2_TO_M.get(self.cos2) if self.sign > 0 else None
+        cos2 = self.cos2
+        return _COS2_TO_M.get((cos2.numerator, cos2.denominator)) if self.sign > 0 else None
 
     @property
     def kind(self) -> str:
-        if self.cos2 > 1:
+        a, b = self.cos2.numerator, self.cos2.denominator  # b > 0
+        if a > b:
             return DIVERGENT
         if self.m is not None:
             return PI_OVER
-        return ZERO_ANGLE if self.cos2 == 1 and self.sign > 0 else NON_SUBMULTIPLE
+        return ZERO_ANGLE if a == b and self.sign > 0 else NON_SUBMULTIPLE
 
 
 CartanEntry = AngleClass  # alias: the exact Cartan entry -2*sign*sqrt(cos2)
@@ -385,8 +389,12 @@ class CoxeterCheck(Record):
 
 def is_coxeter(P: ConePolytope) -> CoxeterCheck:
     """All pairwise angles submultiples of pi, zero, or divergent?"""
-    _, bad = _coxeter_pass(P)
-    return CoxeterCheck(bad)
+    return CoxeterCheck(tuple([
+        (i, j, ang)
+        for i, row in enumerate(_angle_pass(P))
+        for j, ang in enumerate(row[1:], i + 1)
+        if ang.sign and ang.kind == NON_SUBMULTIPLE
+    ]))
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +413,7 @@ class DiagramEdge(Record):
 
     __slots__ = ("i", "j", "style", "m")
 
-    # its own __init__, not Record's (0.6 us slower a call): cone_audit builds 168 per 30-op cycle
+    # its own __init__, not Record's (0.6 us slower a call): cone_audit builds 37 per 30-op cycle
     def __init__(self, i: int, j: int, style: str, m: int | None) -> None:
         set_field(self, "i", i)
         set_field(self, "j", j)
@@ -451,39 +459,21 @@ class CoxeterDiagram(Record):
         return "\n".join(lines)
 
 
-def _coxeter_pass(
-    P: ConePolytope,
-) -> tuple[CoxeterDiagram | None, tuple[tuple[int, int, AngleClass], ...]]:
-    """One _angle_pass over the pairs of normals: the Coxeter diagram (None
-    if some angle is not a submultiple of pi) and the offending pairs."""
-    upper = _angle_pass(P)
-    edge_of = {}  # (style, m) per shared angle instance, derived once
-    edges, bad = [], []
-    for i, row in enumerate(upper):
-        for j, ang in enumerate(row[1:], i + 1):
-            if not ang.sign:  # a right angle: no edge
-                continue
-            edge = edge_of.get(id(ang))
-            if edge is None:
-                edge = edge_of[id(ang)] = (_EDGE_STYLE.get(ang.kind), ang.m)
-            if edge[0] is None:
-                bad.append((i, j, ang))
-            else:
-                edges.append(DiagramEdge(i, j, *edge))
-    if bad:
-        return None, tuple(bad)
-    labels = tuple([f"v{i}" for i in range(len(upper))])
-    return CoxeterDiagram(labels=labels, edges=tuple(edges)), ()
-
-
 def coxeter_diagram(P: ConePolytope) -> CoxeterDiagram:
     """Nodes per halfspace, m-2 strands for angle pi/m, dashed for zero angle,
     dotted for divergent.  Undefined (error) if P is not a Coxeter polytope."""
-    diagram, bad = _coxeter_pass(P)
+    bad = is_coxeter(P).offending
     if bad:
         pairs = ", ".join(f"({i},{j}) cos2={ang.cos2}" for i, j, ang in bad)
         raise ValueError(f"diagram undefined: non-submultiple angles at {pairs}")
-    return diagram
+    upper = _angle_pass(P)  # is_coxeter's pass, from the memo
+    edges = tuple([
+        DiagramEdge(i, j, _EDGE_STYLE[ang.kind], ang.m)
+        for i, row in enumerate(upper)
+        for j, ang in enumerate(row[1:], i + 1)
+        if ang.sign  # a right angle: no edge
+    ])
+    return CoxeterDiagram(tuple([f"v{i}" for i in range(len(upper))]), edges)
 
 
 # ---------------------------------------------------------------------------

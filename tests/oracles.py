@@ -165,6 +165,34 @@ def _reference_phi(x: list[int], i: int, j: int, k: int) -> None:
     x[k] = -x0 - xi - xj
 
 
+def coxeter_power_class(p: int, n: int) -> tuple[int, ...]:
+    """c^p applied to (3, -2, -1, -1, -1, -1, 0, 0, 0, 0), padded with -1
+    entries past n = 9, for the Coxeter element c = phi_123 sigma_1 ...
+    sigma_8 (applied left to right), which acts on e_0..e_9 only.  Its
+    reduction takes p/2 phi steps while x_0 grows like 1.5 p^2.  c^p is
+    the p-th power of c's integer matrix, by repeated squaring."""
+    columns = []
+    for k in range(10):
+        x = [int(i == k) for i in range(10)]
+        _reference_phi(x, 1, 2, 3)
+        for i in range(1, 9):
+            x[i], x[i + 1] = x[i + 1], x[i]
+        columns.append(x)
+    power, square = [[int(i == j) for j in range(10)] for i in range(10)], columns
+    while p:  # both hold columns; column j of A B is A applied to column j of B
+        if p & 1:
+            power = [_apply_columns(square, col) for col in power]
+        square = [_apply_columns(square, col) for col in square]
+        p >>= 1
+    x = (3, -2, -1, -1, -1, -1, 0, 0, 0, 0)
+    return tuple(_apply_columns(power, x)) + (-1,) * (n - 9)
+
+
+def _apply_columns(columns, x) -> list[int]:
+    """The matrix with these columns applied to the vector x."""
+    return [sum(col[i] * c for col, c in zip(columns, x)) for i in range(len(x))]
+
+
 def reference_reduce(coords) -> tuple:
     """(status, reduced, phi steps, violated) for a nonzero K-nonpositive
     class, as plain tuples; violated is None for "in_cone"."""

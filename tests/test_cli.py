@@ -18,6 +18,7 @@ from cremona.cli import (
 from cremona.curves import _count_minus_one, enumerate_minus_one
 from cremona.lattice import pairing
 from cremona.polytopes import build_P_minus
+from oracles import coxeter_power_class
 
 
 def run(capsys, *argv):
@@ -68,6 +69,17 @@ class TestReduce:
         blob = json.loads(out)
         assert blob["status"] == "in_cone"
         assert blob["reduced"]["coords"] == [1, 0, 0, 0, 0, 0, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("command", ["reduce", "nef-test"])
+def test_reduction_past_the_step_cap_exits_two(capsys, command):
+    # c^p (3, -2, -1^4, 0^4) at p = 10^9 takes 5 * 10^8 phi steps uncapped
+    vector = ",".join(map(str, coxeter_power_class(10**9, 9)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, "--n", "9", "--vector", vector)
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == ""
+    assert err == "error: reduction passed the cap of 1000000 phi steps\n"
 
 
 class TestCurves:

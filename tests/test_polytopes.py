@@ -976,6 +976,33 @@ class TestAngleMemo:
             assert angle_results(made[name]) == want[name]
 
 
+class TestCoxeterRule:
+    """is_coxeter decides from the angle classes alone, and coxeter_diagram
+    refuses a non-Coxeter cone before it builds an edge."""
+
+    @pytest.fixture
+    def edges_built(self, monkeypatch):
+        built = []
+        init = DiagramEdge.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(DiagramEdge, "__init__", counted)
+        return built
+
+    @pytest.mark.parametrize("n", [13, 20])
+    def test_is_coxeter_builds_no_edge(self, edges_built, n):
+        assert bool(is_coxeter(build_P_minus(n))) == (n == 13)
+        assert edges_built == []
+
+    def test_diagram_raises_before_any_edge(self, edges_built):
+        with pytest.raises(ValueError, match="diagram undefined"):
+            coxeter_diagram(build_P_minus(12))
+        assert edges_built == []
+
+
 @pytest.mark.parametrize("name", sorted(ANGLE_WINDOWS))
 def test_ray_generators_pass_the_public_constructor(name):
     build, window = ANGLE_WINDOWS[name]
@@ -993,11 +1020,16 @@ def test_ray_generators_pass_the_public_constructor(name):
 # hypothesis session as an explicit example.
 ANGLE_EXAMPLES = {
     "divergent": ((0, 1, 0), (1, 2, 0)),
+    "divergent with u.v > 0": ((0, 1, 0), (1, -2, 0)),
     "zero_angle": ((0, 1, 0), (0, -1, 0)),
     "cos2 = 1 with u.v < 0": ((0, 1, 0), (0, 2, 0)),
     "pi/3": ((0, 1, -1, 0), (0, 0, 1, -1)),
     "pi/4": ((0, 0, 1, -1), (0, 0, 0, 1)),
+    "pi/6": ((0, 1, -1, 0), (0, -1, 2, 1)),
     "obtuse": ((0, 1, -1, 0), (0, 0, -1, 1)),
+    "cos2 = 1/2 with u.v < 0": ((0, 0, 1, -1), (0, 0, 0, -1)),
+    "cos2 = 3/4 with u.v < 0": ((0, 1, -1, 0), (0, 1, -2, -1)),
+    "cos2 = 1/3": ((0, 1, 0, 0), (0, -1, 1, 1)),
     "square >= 0": ((1, 0, 0), (0, 1, 0)),
 }
 
@@ -1011,12 +1043,17 @@ def test_angle_examples_reach_their_outcome(label):
         return
     kind, cos2, sign, m = reference_angle(a, b)
     expected = {
-        "divergent": kind == DIVERGENT and cos2 > 1,
+        "divergent": kind == DIVERGENT and cos2 > 1 and sign < 0,
+        "divergent with u.v > 0": kind == DIVERGENT and cos2 > 1 and sign > 0,
         "zero_angle": kind == ZERO_ANGLE and cos2 == 1 and sign > 0,
         "cos2 = 1 with u.v < 0": kind == NON_SUBMULTIPLE and cos2 == 1 and sign < 0,
         "pi/3": kind == PI_OVER and m == 3,
         "pi/4": kind == PI_OVER and m == 4,
-        "obtuse": kind == NON_SUBMULTIPLE and sign < 0 and cos2 < 1,
+        "pi/6": kind == PI_OVER and m == 6,
+        "obtuse": kind == NON_SUBMULTIPLE and sign < 0 and cos2 == Fraction(1, 4),
+        "cos2 = 1/2 with u.v < 0": kind == NON_SUBMULTIPLE and cos2 == Fraction(1, 2) and sign < 0,
+        "cos2 = 3/4 with u.v < 0": kind == NON_SUBMULTIPLE and cos2 == Fraction(3, 4) and sign < 0,
+        "cos2 = 1/3": kind == NON_SUBMULTIPLE and cos2 == Fraction(1, 3) and sign > 0,
     }
     assert expected[label]
 

@@ -4,10 +4,12 @@ import hashlib
 import json
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cremona import weyl
 from cremona.lattice import PicClass, basis_vector, canonical_class, pairing
 from cremona.nef import is_nef_K_nonpositive
 from cremona.serialize import encode_reduction, encode_verdict
@@ -26,7 +28,7 @@ from cremona.weyl import (
     reduce_class,
     sort_coordinates,
 )
-from oracles import reference_random_move, reference_reduce
+from oracles import coxeter_power_class, reference_random_move, reference_reduce
 
 
 def vectors(n: int, lo: int = -30, hi: int = 30):
@@ -115,6 +117,10 @@ class TestGenerators:
         u = fixed_hyperplane_normal(g, 6)
         assert pairing(u, u) == -2
         assert apply_generator(g, u) == -u
+
+    def test_fixed_hyperplane_normal_coordinates(self):
+        assert fixed_hyperplane_normal(Phi(1, 2, 4), 5).coords == (1, -1, -1, 0, -1, 0)
+        assert fixed_hyperplane_normal(Sigma(2), 4).coords == (0, 0, 1, -1, 0)
 
     def test_sigma_as_phi_word(self):
         # phi_134 phi_234 phi_134 acts as the transposition (1 2)
@@ -267,6 +273,33 @@ def k_nonpositive(n: int, lo: int = -30, hi: int = 30):
     return vectors(n, lo, hi).filter(
         lambda v: not v.is_zero() and pairing(v, canonical_class(n)) <= 0
     )
+
+
+class TestReductionCap:
+    """c^p (3, -2, -1^4, 0^4) takes p/2 phi steps (coxeter_power_class)."""
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_deep_class_within_the_cap_reduces(self, n):
+        res = reduce_class(PicClass(n, coxeter_power_class(2 * 10**5, n)))
+        assert res.status == "in_cone" and res.iterations == 10**5
+
+    def test_past_the_cap_raises_at_once(self):
+        # 5 * 10^8 steps without the cap, with 18-digit coordinates
+        v = PicClass(10, coxeter_power_class(10**9, 10))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^reduction passed the cap of 1000000 phi steps$"):
+            reduce_class(v)
+        assert time.perf_counter() - start < 5
+
+    @pytest.mark.parametrize("cap, ok", [(10, True), (9, False)])
+    def test_a_reduction_of_exactly_the_cap_is_admitted(self, monkeypatch, cap, ok):
+        monkeypatch.setattr(weyl, "REDUCE_MAX_STEPS", cap)
+        v = PicClass(9, coxeter_power_class(20, 9))  # 10 steps
+        if ok:
+            assert reduce_class(v).iterations == 10
+        else:
+            with pytest.raises(ValueError, match="cap of 9 phi steps"):
+                reduce_class(v)
 
 
 def assert_matches_reference(v: PicClass) -> None:
