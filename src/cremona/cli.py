@@ -14,9 +14,9 @@ verification).
 
 ``cartan``, ``diagram``, ``rays``, ``curves``, ``nef-test --method
 curves``, ``orbit``, ``reduce`` and ``nef-test`` refuse (exit 2) work
-past fixed caps, POLYTOPE_MAX_N, CURVES_MAX_DEGREE / CURVES_MAX_CLASSES,
-ORBIT_MAX_CLASSES and weyl.REDUCE_MAX_STEPS (phi steps of a reduction),
-rather than run for hours or fill memory.
+past fixed caps, POLYTOPE_MAX_N, CURVES_MAX_CLASSES, ORBIT_MAX_CLASSES
+and weyl.REDUCE_MAX_STEPS (phi steps of a reduction), rather than run
+for hours or fill memory.
 
 Only integer classes are handled.  Rays of the nef boundary with
 irrational coordinates cannot be entered and are out of scope.
@@ -38,6 +38,7 @@ import json
 import os
 import re
 import sys
+from collections import Counter
 from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 
@@ -71,8 +72,9 @@ _POLYTOPES = {
 # and polytopes run), as the matrix itself takes about 2 ms
 # (2-vCPU Linux machine, Python 3.11.7, no cached bytecode).  curves --n
 # 10 --max-degree 8 gives 117,754 classes (22 MB of JSON), and degree 9
-# would give 224,629.  For n <= 8 the classes run out (240 at n = 8),
-# so there only CURVES_MAX_DEGREE bounds the loop over degrees.
+# would give 224,629.  For n <= 8 the walk over degrees ends with the
+# classes (240 at n = 8), and from n = 9 on the class cap refuses every
+# --max-degree from 20 at n = 9 (2 at n = 100): it is the one bound.
 # nef-test --method curves builds no class (one sorted pairing per
 # multiplicity multiset, about 0.3 ms at n = 10, degree 8), but it keeps
 # the class cap: for large n the multisets grow without bound in the
@@ -81,7 +83,6 @@ _POLYTOPES = {
 # and 23,521 of degree <= 5; weyl.orbit stops counting once it passes
 # the cap, so the class cap alone bounds its work.
 POLYTOPE_MAX_N = 100
-CURVES_MAX_DEGREE = 100
 CURVES_MAX_CLASSES = 150_000
 ORBIT_MAX_CLASSES = 10_000
 
@@ -228,12 +229,10 @@ def _cmd_reduce(args: argparse.Namespace, out: _Output) -> int:
 
 
 def _check_curves_caps(n: int, max_degree: int) -> None:
-    """Refuse an enumeration of the (-1)-classes past the work caps. The
-    count adds one binomial product per S_n orbit, so its cost depends
+    """Refuse an enumeration of more than CURVES_MAX_CLASSES (-1)-classes.
+    The count adds one binomial product per S_n orbit, so its cost depends
     on the multiplicity multisets and not on n: under 1 ms at n = 14,
     degree 8 (91.8 M classes), and n = 149,999 is refused at degree 1."""
-    if max_degree > CURVES_MAX_DEGREE:
-        raise ValueError(f"--max-degree {max_degree} is past the cap {CURVES_MAX_DEGREE}")
     if curves._count_minus_one(n, max_degree, CURVES_MAX_CLASSES) > CURVES_MAX_CLASSES:
         raise ValueError(
             f"--n {n} --max-degree {max_degree} gives more than "
@@ -260,9 +259,7 @@ def _cmd_curves(args: argparse.Namespace, out: _Output) -> int:
             coords = " ".join(str(x) for x in c.coords)
             out.line(f"{c.coords[0]},{mults},{coords}")
     else:
-        by_degree: dict[int, int] = {}
-        for c in classes:
-            by_degree[c.coords[0]] = by_degree.get(c.coords[0], 0) + 1
+        by_degree = Counter(c.coords[0] for c in classes)
         for d in sorted(by_degree):
             out.line(f"degree {d}: {by_degree[d]}")
         out.line(f"total: {len(classes)}")

@@ -12,11 +12,11 @@ every one is a W-translate of e_n (45 of degree 5 at n = 10, such as
 (5, -3, -3, -1^8), reduce to (3, -1^9, 1)), and that one is the sum
 (4, -2, -2, -1^8) + (1, -1, -1) of a square-zero quartic and a line.
 Each is effective by Riemann-Roch all the same.  Every walk over the
-classes goes one S_n orbit at a time: it iterates over the
-non-increasing multiplicity multisets of each degree from 0 (tiny),
-and an orbit is the set of coordinate placements of its multiset.
-``_placements`` lists them by Knuth's next-permutation loop, and
-``_orbit_size`` counts them as a product of binomials.
+classes goes one S_n orbit at a time through ``_orbits``, which ends
+where the classes end, and an orbit is the set of coordinate
+placements of its multiset.  ``_placements`` lists them by Knuth's
+next-permutation loop, and ``_orbit_size`` counts them as a product of
+binomials.
 
 ``decompose_inequality`` realizes each degree-d class as a sum of d-1
 "cubic" normals e_0 - e_i - e_j - e_k and one "conic" normal
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterator
-from math import comb
+from math import comb, isqrt
 
 from .lattice import PicClass, Record, canonical_class, check_bound, pairing
 
@@ -90,20 +90,28 @@ def _multiplicity_multisets(d: int, n: int) -> Iterator[tuple[int, ...]]:
             if q == 0:
                 yield tuple(prefix)
             return
-        if slots == 0 or top == 0:
-            return
-        # remaining sum s over <= slots parts each <= top; squares bounded by
-        # top*s (since each part m contributes m^2 <= top*m)
+        # remaining sum s over <= slots parts each <= top (none when slots
+        # is 0); squares bounded by top*s (each m contributes m^2 <= top*m)
         if s > top * slots or q > top * s or q < _min_square_sum(s, slots):
             return
-        for m in range(min(top, s), 0, -1):
-            if m * m > q:
-                continue
+        for m in range(min(top, s, isqrt(q)), 0, -1):
             prefix.append(m)
             yield from rec(prefix, m, s - m, q - m * m, slots - 1)
             prefix.pop()
 
     yield from rec([], d, target_sum, target_sq, n)
+
+
+def _orbits(n: int, max_degree: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(d, multiset) for each S_n orbit of (-1)-classes of degree
+    0..max_degree, by degree.  For n <= 8 the walk ends at the largest d
+    with (3d - 1)^2 <= n (d^2 + 1), by Cauchy-Schwarz on the m_l: degree
+    1, 1, 2, 2, 3, 7 for n = 3..8, however large max_degree is."""
+    if n <= 8:
+        max_degree = min(max_degree, (3 + isqrt(9 + (9 - n) * (n - 1))) // (9 - n))
+    for d in range(max_degree + 1):
+        for multiset in _multiplicity_multisets(d, n):
+            yield d, multiset
 
 
 def _min_square_sum(s: int, slots: int) -> int:
@@ -148,28 +156,29 @@ def enumerate_minus_one(n: int, max_degree: int) -> list[PicClass]:
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     check_bound("max_degree", max_degree, 0)
-    out: list[PicClass] = []
-    for d in range(max_degree + 1):
-        block = [
-            PicClass._trusted(n, (d, *tail))
-            for multiset in _multiplicity_multisets(d, n)
-            for tail in _placements(tuple(-m for m in multiset), n)
-        ]
-        block.sort(key=lambda c: c.coords)
-        out.extend(block)
-    return out
+    coords = sorted(
+        (d, *tail)
+        for d, multiset in _orbits(n, max_degree)
+        for tail in _placements(tuple(-m for m in multiset), n)
+    )
+    return [PicClass._trusted(n, c) for c in coords]
 
 
 def _count_minus_one(n: int, max_degree: int, limit: int) -> int:
     """How many classes ``enumerate_minus_one(n, max_degree)`` returns,
     counted from the multisets without building a class; the count
-    stops at the first degree that takes it past ``limit``."""
+    stops at the first orbit that takes it past ``limit``."""
     total = 0
-    for d in range(max_degree + 1):
-        total += sum(_orbit_size(m, n) for m in _multiplicity_multisets(d, n))
+    for _, multiset in _orbits(n, max_degree):
+        total += _orbit_size(multiset, n)
         if total > limit:
             break
     return total
+
+
+def _e0_minus(n: int, points: list[int]) -> PicClass:
+    # e_0 minus e_{l+1} for each l in points: a cubic or a conic normal
+    return PicClass._trusted(n, (1,) + tuple(-1 if l in points else 0 for l in range(n)))
 
 
 def decompose_inequality(c: PicClass) -> Decomposition:
@@ -192,20 +201,13 @@ def decompose_inequality(c: PicClass) -> Decomposition:
     while d > 1:
         # a stable sort, so reverse=True still breaks ties to the smallest index
         picks = sorted(range(n), key=m.__getitem__, reverse=True)[:3]
-        coords = [0] * (n + 1)
-        coords[0] = 1
         for l in picks:
-            coords[l + 1] = -1
             m[l] -= 1
-        cubics.append(PicClass._trusted(n, tuple(coords)))
+        cubics.append(_e0_minus(n, picks))
         d -= 1
         if max(m) > d or min(m) < 0:
             raise AssertionError("greedy invariant m_l <= d broke; not a (-1)-class?")
     support = [l for l in range(n) if m[l] > 0]
     if len(support) != 2 or any(m[l] != 1 for l in support):
         raise AssertionError("degree-1 remainder is not a two-point conic")
-    coords = [0] * (n + 1)
-    coords[0] = 1
-    for l in support:
-        coords[l + 1] = -1
-    return Decomposition(tuple(cubics), PicClass._trusted(n, tuple(coords)))
+    return Decomposition(tuple(cubics), _e0_minus(n, support))

@@ -122,14 +122,18 @@ def check_certificate(v: PicClass, verdict: NefVerdict) -> bool:
     w.v < 0 that is either v itself (a nef class has v^2 >= 0) or
     effective (``_effective``), as a nef class pairs >= 0 with every
     effective one.  A clean curve check has no witness, so it is never
-    certified.
+    certified, nor is v by a witness that does not fit its n.
     """
     w = verdict.witness
-    if verdict.verdict == NEF:
-        return isinstance(w, WeylWord) and bool(
-            polytopes.membership(fundamental_cone(v.n), apply_word(w, v))
-        )
-    return pairing(w, v) < 0 and (w == v or _effective(w))
+    if w is None:
+        return False
+    if verdict.verdict == NOT_NEF:
+        return w.n == v.n and pairing(w, v) < 0 and (w == v or _effective(w))
+    try:
+        moved = apply_word(w, v)
+    except ValueError:  # a generator out of range for v's n
+        return False
+    return bool(polytopes.membership(fundamental_cone(v.n), moved))
 
 
 def _effective(w: PicClass) -> bool:
@@ -182,9 +186,8 @@ def curve_check(v: PicClass, max_degree: int = 6) -> NefVerdict:
     check_bound("max_degree", max_degree, 0)
     if pairing(v, v) < 0:
         return NefVerdict(v, max_degree)
-    for d in range(max_degree + 1):
-        for ms in curves._multiplicity_multisets(d, n):
-            if p := _last_violation(d * x0, tail, [*ms] + [0] * (n - len(ms))):
-                c = PicClass._trusted(n, (d,) + tuple(-m for m in p))
-                return NefVerdict(c, max_degree)
+    for d, ms in curves._orbits(n, max_degree):
+        if p := _last_violation(d * x0, tail, [*ms] + [0] * (n - len(ms))):
+            c = PicClass._trusted(n, (d,) + tuple(-m for m in p))
+            return NefVerdict(c, max_degree)
     return NefVerdict(None, max_degree)

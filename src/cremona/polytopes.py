@@ -627,18 +627,6 @@ def _finite(rays: list[Ray]) -> bool:
 # minimality audit
 
 
-def _implied(target: PicClass, among: tuple[PicClass, ...]) -> bool:
-    """Is target a nonnegative combination of the normals in among?
-
-    Farkas: exactly when pairing(target, x) >= 0 on the cone they cut
-    out, i.e. when target vanishes on its lineality and is >= 0 on every
-    ray of its double description.
-    """
-    row = _minkowski_row(target)
-    rays, _, lineality = _generators([_minkowski_row(u) for u in among], target.n + 1)
-    return not any(_dots(row, lineality)) and all(b >= 0 for b in _dots(row, rays))
-
-
 def is_implied(P: ConePolytope, normal: PicClass) -> bool:
     """Does the inequality pairing(normal, x) >= 0 follow from P's?
 
@@ -650,21 +638,19 @@ def is_implied(P: ConePolytope, normal: PicClass) -> bool:
     """
     if normal.n != P.n:
         raise ValueError(f"rank mismatch: cone has n = {P.n}, normal has n = {normal.n}")
-    return _implied(normal, P.all_normals)
+    row = _minkowski_row(normal)
+    rays, _, lineality = _generators([_minkowski_row(u) for u in P.all_normals], P.n + 1)
+    return not any(_dots(row, lineality)) and all(b >= 0 for b in _dots(row, rays))
 
 
 def redundant_constraints(P: ConePolytope) -> tuple[int, ...]:
-    """Indices (into all_normals) of inequalities implied by the others.
-
-    An inequality pairing(u, x) >= 0 follows from the rest exactly when
-    u is a nonnegative combination of the remaining normals (Farkas);
-    each normal is tested against the double description of the others.
-    """
-    normals = P.all_normals
+    """Indices (into all_normals) of inequalities implied by the others:
+    each one is tested by is_implied against the cone of the rest."""
+    hs = P.halfspaces
     return tuple(
         i
-        for i, u in enumerate(normals)
-        if _implied(u, normals[:i] + normals[i + 1 :])
+        for i, h in enumerate(hs)
+        if is_implied(ConePolytope(P.n, hs[:i] + hs[i + 1 :]), h.normal)
     )
 
 

@@ -25,10 +25,11 @@ stored: the records derive them (``status`` from ``violated``,
 ``iterations`` from the phi steps of the witness, ``verdict`` from the
 witness kind).  So a decoder reads the stored parts, builds the record,
 and raises ValueError when a document's copy differs from the derived
-value.  It also refuses a witness of the wrong kind for its method, a
-not-nef witness of square >= 0 that is not effective (it certifies
-nothing), a curve-check bound with a leading zero, and a reduction not
-at one ``n`` or whose ``reduced`` lies in the fundamental cone iff
+value.  It also refuses a cartan matrix that is not square and
+symmetric, a witness of the wrong kind for its method, a not-nef
+witness of square >= 0 that is not effective (it certifies nothing), a
+curve-check bound with a leading zero, and a reduction not at one
+``n`` or whose ``reduced`` lies in the fundamental cone iff
 ``violated`` is set.
 """
 
@@ -235,9 +236,14 @@ def _decode_cartan_entry(obj: dict) -> polytopes.CartanEntry:
 
 
 def decode_cartan(obj: list) -> tuple[tuple[polytopes.CartanEntry, ...], ...]:
-    if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
-        raise ValueError(f"cartan matrix must be a JSON list of lists, got {obj!r}")
-    return tuple(tuple(_decode_cartan_entry(e) for e in row) for row in obj)
+    if not isinstance(obj, list) or not all(
+        isinstance(row, list) and len(row) == len(obj) for row in obj
+    ):
+        raise ValueError(f"cartan matrix must be a square JSON list of lists, got {obj!r}")
+    matrix = tuple(tuple(_decode_cartan_entry(e) for e in row) for row in obj)
+    if tuple(zip(*matrix)) != matrix:
+        raise ValueError(f"cartan matrix is not symmetric: {obj!r}")
+    return matrix
 
 
 def encode_ray(r: polytopes.Ray) -> dict:

@@ -26,6 +26,7 @@ from fractions import Fraction
 from .curves import (
     _multiplicity_multisets,
     _orbit_size,
+    _orbits,
     decompose_inequality,
     enumerate_minus_one,
 )
@@ -432,15 +433,16 @@ def _check_decomposition(ctx: _Ctx):
     problems = []
     orbits = total = 0
     for n in range(3, 11):
-        for d in range(1, 9):
-            for multiset in _multiplicity_multisets(d, n):
-                tail = tuple(-m for m in multiset) + (0,) * (n - len(multiset))
-                c = PicClass._trusted(n, (d,) + tail)
-                orbits += 1
-                total += _orbit_size(multiset, n)
-                dec = decompose_inequality(c)
-                if len(dec.cubics) != d - 1 or dec.total() != c:
-                    problems.append(f"{c.coords}")
+        for d, multiset in _orbits(n, 8):
+            if d == 0:
+                continue  # the e_i have no decomposition
+            tail = tuple(-m for m in multiset) + (0,) * (n - len(multiset))
+            c = PicClass._trusted(n, (d,) + tail)
+            orbits += 1
+            total += _orbit_size(multiset, n)
+            dec = decompose_inequality(c)
+            if len(dec.cubics) != d - 1 or dec.total() != c:
+                problems.append(f"{c.coords}")
     return (
         not problems,
         "d-1 cubics + conic for all classes",

@@ -10,7 +10,6 @@ import pytest
 from cremona import polytopes, verify
 from cremona.cli import (
     CURVES_MAX_CLASSES,
-    CURVES_MAX_DEGREE,
     ORBIT_MAX_CLASSES,
     POLYTOPE_MAX_N,
     main,
@@ -117,22 +116,22 @@ class TestCurves:
         assert code == 2
         assert "classes" in err
 
-    def test_past_degree_cap_exits_two(self, capsys):
-        # n = 8 has only 240 classes, so only the degree cap stops the loop
-        code, _, err = run(capsys, "curves", "--n", "8",
-                           "--max-degree", str(CURVES_MAX_DEGREE + 1))
-        assert code == 2
-        assert "cap" in err
-        code, out, _ = run(capsys, "curves", "--n", "8",
-                           "--max-degree", str(CURVES_MAX_DEGREE))
-        assert code == 0 and "total: 240" in out
+    def test_huge_max_degree_ends_with_the_classes(self, capsys):
+        # n = 8 has only 240 classes, none past degree 6, and the walk
+        # ends there; from n = 9 on the class cap refuses the call
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "curves", "--n", "8", "--max-degree", "1000000000")
+        assert code == 0 and out.endswith("total: 240\n")
+        code, out, err = run(capsys, "curves", "--n", "9", "--max-degree", "1000000000")
+        assert code == 2 and out == ""
+        assert f"more than {CURVES_MAX_CLASSES} classes" in err
+        assert time.perf_counter() - start < 1
 
     def test_caps_admit_the_documented_sizes(self):
         # curves --n 10 --max-degree 8 (117,754 classes) and the benchmark's
         # --max-degree 6, without running the enumeration here
         assert _count_minus_one(10, 8, CURVES_MAX_CLASSES) == 117_754 <= CURVES_MAX_CLASSES
         assert _count_minus_one(10, 6, CURVES_MAX_CLASSES) <= CURVES_MAX_CLASSES
-        assert CURVES_MAX_DEGREE >= 8
 
     @pytest.mark.parametrize("n, max_degree", [(3, 4), (6, 5), (9, 4), (10, 3), (12, 2)])
     def test_class_count_matches_enumeration(self, n, max_degree):
@@ -435,12 +434,22 @@ class TestNefTest:
         assert "method: curve_check up to degree 6" in out
         assert run(capsys, *argv, "--max-degree", "6") == (code, out, "")
 
-    def test_curves_method_past_degree_cap_exits_two(self, capsys):
-        code, _, err = run(
+    def test_curves_method_huge_max_degree(self, capsys):
+        # the walk ends with the classes at n = 8, and the class cap
+        # refuses the call at n = 9
+        start = time.perf_counter()
+        code, out, _ = run(
             capsys, "nef-test", "--n", "8", "--vector", "1,0,0,0,0,0,0,0,0",
-            "--method", "curves", "--max-degree", str(CURVES_MAX_DEGREE + 1),
+            "--method", "curves", "--max-degree", "1000000000",
         )
-        assert code == 2 and "cap" in err
+        assert code == 0 and "method: curve_check up to degree 1000000000" in out
+        code, out, err = run(
+            capsys, "nef-test", "--n", "9", "--vector", "6,-3,-2,-2,-2,-1,-1,-1,0,0",
+            "--method", "curves", "--max-degree", "1000000000",
+        )
+        assert code == 2 and out == ""
+        assert f"more than {CURVES_MAX_CLASSES} classes" in err
+        assert time.perf_counter() - start < 1
 
 
 class TestRegionR:

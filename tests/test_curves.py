@@ -2,10 +2,13 @@
 and the cubic/conic decomposition."""
 
 import itertools
+import time
 
 import pytest
 
+from cremona import curves
 from cremona.curves import (
+    _count_minus_one,
     _multiplicity_multisets,
     _orbit_size,
     _placements,
@@ -13,7 +16,8 @@ from cremona.curves import (
     enumerate_minus_one,
     is_minus_one_class,
 )
-from cremona.lattice import PicClass, basis_vector, canonical_class, pairing
+from cremona.lattice import PicClass, anticanonical_class, basis_vector, canonical_class, pairing
+from cremona.nef import curve_check
 from oracles import brute_force_minus_one
 
 KNOWN_COUNTS = {3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
@@ -114,6 +118,57 @@ class TestEnumeration:
         # a bool is an int, but True is no degree bound
         with pytest.raises(ValueError, match=f"max_degree must be an integer, got {max_degree!r}"):
             enumerate_minus_one(9, max_degree)
+
+
+class TestWalkEndsWithTheClasses:
+    # for n <= 8 the classes are finite, so no degree bound, however
+    # large, may cost a walk over the empty degrees past the last class
+    HUGE = 10**9
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_a_huge_bound_matches_degree_seven(self, n):
+        # -K is ample for n <= 8, and -K + 2c pairs to -1 with the
+        # (-1)-class c of the top degree only, with square 1 >= 0: its
+        # first failure is the last class there is
+        top = enumerate_minus_one(n, 7)[-1]
+        pushed = anticanonical_class(n) + top * 2
+        assert pairing(pushed, pushed) >= 0 and pairing(pushed, top) < 0
+        start = time.perf_counter()
+        classes = enumerate_minus_one(n, self.HUGE)
+        count = _count_minus_one(n, self.HUGE, self.HUGE)
+        verdicts = [curve_check(v, self.HUGE) for v in (anticanonical_class(n), pushed)]
+        assert time.perf_counter() - start < 1
+        assert classes == enumerate_minus_one(n, 7)
+        assert count == _count_minus_one(n, 7, self.HUGE) == KNOWN_COUNTS[n]
+        for v, verdict in zip((anticanonical_class(n), pushed), verdicts):
+            at_seven = curve_check(v, 7)
+            assert (verdict.verdict, verdict.witness) == (at_seven.verdict, at_seven.witness)
+        assert verdicts[0].is_nef() and verdicts[1].witness == top
+
+    @staticmethod
+    def degrees_asked(monkeypatch) -> list[int]:
+        """The degrees the walk asks ``_multiplicity_multisets`` for."""
+        asked = []
+        multisets = curves._multiplicity_multisets
+        monkeypatch.setattr(curves, "_multiplicity_multisets",
+                            lambda d, n: asked.append(d) or multisets(d, n))
+        return asked
+
+    @pytest.mark.parametrize("n, last", [(3, 1), (4, 1), (5, 2), (6, 2), (7, 3), (8, 7)])
+    def test_walk_stops_at_the_cauchy_schwarz_degree(self, n, last, monkeypatch):
+        # the largest d with (3d - 1)^2 <= n (d^2 + 1); the last class has
+        # degree 6 at n = 8 and this one elsewhere
+        asked = self.degrees_asked(monkeypatch)
+        walked = list(curves._orbits(n, self.HUGE))
+        assert asked == list(range(last + 1))
+        assert (3 * last - 1) ** 2 <= n * (last * last + 1)
+        assert (3 * last + 2) ** 2 > n * ((last + 1) ** 2 + 1)
+        assert max(d for d, _ in walked) == min(last, 6)
+
+    def test_walk_runs_to_the_bound_from_nine_points(self, monkeypatch):
+        asked = self.degrees_asked(monkeypatch)
+        list(curves._orbits(9, 12))
+        assert asked == list(range(13))
 
 
 class TestOrbitSize:

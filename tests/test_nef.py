@@ -18,7 +18,7 @@ from cremona.nef import (
     is_nef_K_nonpositive,
 )
 from cremona.polytopes import extremal_rays, membership
-from cremona.weyl import KPositiveError, WeylWord, all_generators, apply_word
+from cremona.weyl import KPositiveError, Phi, WeylWord, all_generators, apply_word
 from oracles import minkowski, reference_curve_check
 
 
@@ -141,6 +141,17 @@ class TestCheckCertificate:
             v = PicClass(n, (1, -1, -1, -1, -1) + (0,) * (n - 4))
             assert pairing(anticanonical_class(n), v) < 0
             assert check_certificate(v, NefVerdict(anticanonical_class(n)))
+
+    def test_witness_that_does_not_fit_the_input_is_refused(self):
+        # decode_verdict never sees the input, so it accepts both witnesses
+        v = PicClass(9, (6, -3, -2, -2, -2, -1, -1, -1, 0, 0))
+        assert check_certificate(v, is_nef_K_nonpositive(v))
+        assert check_certificate(v, NefVerdict(WeylWord((Phi(1, 2, 30),)))) is False
+        # e_1 certifies itself at n = 10, but not e_1 at n = 9, nor v
+        w = basis_vector(10, 1)
+        assert check_certificate(w, NefVerdict(w))
+        for u in (basis_vector(9, 1), v):
+            assert check_certificate(u, NefVerdict(w)) is False
 
     def test_curve_check_verdicts(self):
         # a violated curve certifies "not nef"; a clean pass certifies nothing

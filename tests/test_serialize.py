@@ -540,6 +540,21 @@ class TestCartan:
         with pytest.raises(ValueError, match=f"^malformed cartan entry {re.escape(repr(entry))}$"):
             decode_cartan([[entry]])
 
+    E = {"sign": 1, "cos2": "1/4"}
+    Z = {"sign": 0, "cos2": "0"}
+
+    @pytest.mark.parametrize("matrix", [[[E, E], [E]], [[E], [E]], [[E, E]]],
+                             ids=["ragged", "tall", "wide"])
+    def test_matrix_must_be_square(self, matrix):
+        with pytest.raises(ValueError, match="^cartan matrix must be a square JSON list of lists"):
+            decode_cartan(matrix)
+
+    def test_matrix_must_be_symmetric(self):
+        with pytest.raises(ValueError, match="^cartan matrix is not symmetric"):
+            decode_cartan([[self.Z, self.E], [self.Z, self.Z]])
+        assert decode_cartan([[self.Z, self.E], [self.E, self.Z]])[0][1].cos2 == Fraction(1, 4)
+        assert decode_cartan([]) == ()
+
 
 class TestRays:
     def test_shape(self):
