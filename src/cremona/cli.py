@@ -14,9 +14,11 @@ verification).
 
 ``cartan``, ``diagram``, ``rays``, ``curves``, ``nef-test --method
 curves``, ``orbit``, ``reduce`` and ``nef-test`` refuse (exit 2) work
-past fixed caps, POLYTOPE_MAX_N, CURVES_MAX_CLASSES, ORBIT_MAX_CLASSES
-and weyl.REDUCE_MAX_STEPS (phi steps of a reduction), rather than run
-for hours or fill memory.
+past caps, POLYTOPE_MAX_N, CURVES_MAX_CLASSES, ORBIT_MAX_CLASSES and
+weyl.REDUCE_MAX_STEPS (phi steps of a reduction), rather than run for
+hours or fill memory.  A class carries n + 1 integers and a phi step
+moves O(n) list entries, so the class caps of ``curves`` and ``orbit``
+shrink by 11/(n + 1) past n = 10, and the step cap by 100/n past n = 100.
 
 Only integer classes are handled.  Rays of the nef boundary with
 irrational coordinates cannot be entered and are out of scope.
@@ -43,7 +45,7 @@ from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 
 from . import curves, nef, polytopes, verify
-from .lattice import PicClass, pairing
+from .lattice import PicClass, check_bound, pairing
 from .serialize import (
     encode_cartan,
     encode_class,
@@ -81,7 +83,10 @@ _POLYTOPES = {
 # degree (16,358 at n = 100, degree 24; 61,082 at degree 28).  The
 # orbit of the line class at n = 10 has 6,421 classes of degree <= 4
 # and 23,521 of degree <= 5; weyl.orbit stops counting once it passes
-# the cap, so the class cap alone bounds its work.
+# the cap, so the class cap alone bounds its work.  A printed class
+# carries n + 1 integers, so past n = 10 _class_cap shrinks the caps of
+# curves and orbit by 11/(n + 1): unscaled, curves --n 4000 --max-degree
+# 0 --format json took 3.8 s and 138 MiB.
 POLYTOPE_MAX_N = 100
 CURVES_MAX_CLASSES = 150_000
 ORBIT_MAX_CLASSES = 10_000
@@ -102,10 +107,8 @@ def _parse_vector(text: str, n: int) -> PicClass:
     parts = text.split(",")
     if not all(map(_INTEGER.fullmatch, parts)):
         raise ValueError(f"vector must be comma-separated integers, got {text!r}")
-    coords = tuple(map(int, parts))
-    if len(coords) != n + 1:
-        raise ValueError(f"expected {n + 1} coordinates for n={n}, got {len(coords)}")
-    return PicClass(n=n, coords=coords)
+    # PicClass refuses a wrong number of coordinates
+    return PicClass(n=n, coords=tuple(map(int, parts)))
 
 
 def _format_word(w: WeylWord) -> str:
@@ -228,20 +231,23 @@ def _cmd_reduce(args: argparse.Namespace, out: _Output) -> int:
     return 0 if result.status == ReductionResult.IN_CONE else 3
 
 
-def _check_curves_caps(n: int, max_degree: int) -> None:
-    """Refuse an enumeration of more than CURVES_MAX_CLASSES (-1)-classes.
-    The count adds one binomial product per S_n orbit, so its cost depends
-    on the multiplicity multisets and not on n: under 1 ms at n = 14,
+def _class_cap(cap: int, n: int) -> int:
+    """``cap`` up to n = 10, past it scaled by the n + 1 integers a class
+    carries, and never below one class."""
+    return max(cap * 11 // max(n + 1, 11), 1)
+
+
+def _check_curves_caps(n: int, max_degree: int, cap: int) -> None:
+    """Refuse an enumeration of more than ``cap`` (-1)-classes.  The
+    count adds one binomial product per S_n orbit, so its cost depends on
+    the multiplicity multisets and not on n: under 1 ms at n = 14,
     degree 8 (91.8 M classes), and n = 149,999 is refused at degree 1."""
-    if curves._count_minus_one(n, max_degree, CURVES_MAX_CLASSES) > CURVES_MAX_CLASSES:
-        raise ValueError(
-            f"--n {n} --max-degree {max_degree} gives more than "
-            f"{CURVES_MAX_CLASSES} classes"
-        )
+    if curves._count_minus_one(n, max_degree, cap) > cap:
+        raise ValueError(f"--n {n} --max-degree {max_degree} gives more than {cap} classes")
 
 
 def _cmd_curves(args: argparse.Namespace, out: _Output) -> int:
-    _check_curves_caps(args.n, args.max_degree)
+    _check_curves_caps(args.n, args.max_degree, _class_cap(CURVES_MAX_CLASSES, args.n))
     classes = curves.enumerate_minus_one(args.n, args.max_degree)
     if args.format == "json":
         out.json(
@@ -267,8 +273,7 @@ def _cmd_curves(args: argparse.Namespace, out: _Output) -> int:
 
 
 def _build_polytope(args: argparse.Namespace) -> polytopes.ConePolytope:
-    if args.n > POLYTOPE_MAX_N:
-        raise ValueError(f"--n {args.n} is past the cap {POLYTOPE_MAX_N} for {args.command}")
+    check_bound("n", args.n, most=POLYTOPE_MAX_N)
     return _POLYTOPES[args.polytope](args.n)
 
 
@@ -333,14 +338,14 @@ def _cmd_orbit(args: argparse.Namespace, out: _Output) -> int:
     v = _parse_vector(args.vector, args.n)
     if args.max_degree is None and args.max_count is None:
         raise ValueError("orbit needs --max-degree and/or --max-count")
-    if args.max_count is not None and args.max_count > ORBIT_MAX_CLASSES:
-        raise ValueError(f"--max-count {args.max_count} is past the cap {ORBIT_MAX_CLASSES}")
-    max_count = ORBIT_MAX_CLASSES if args.max_count is None else args.max_count
+    cap = _class_cap(ORBIT_MAX_CLASSES, args.n)
+    if args.max_count is not None:
+        check_bound("max_count", args.max_count, most=cap)  # orbit checks >= 1
+    max_count = cap if args.max_count is None else args.max_count
     result = orbit(v, args.max_degree, max_count=max_count)
     if args.max_count is None and result.truncated:
         raise ValueError(
-            f"the orbit within --max-degree {args.max_degree} has more than "
-            f"{ORBIT_MAX_CLASSES} classes"
+            f"the orbit within --max-degree {args.max_degree} has more than {cap} classes"
         )
     if args.format == "json":
         out.json(
@@ -365,7 +370,7 @@ def _cmd_nef_test(args: argparse.Namespace, out: _Output) -> int:
     v = _parse_vector(args.vector, args.n)
     if args.method == "curves":
         max_degree = 6 if args.max_degree is None else args.max_degree
-        _check_curves_caps(args.n, max_degree)
+        _check_curves_caps(args.n, max_degree, CURVES_MAX_CLASSES)
         verdict = nef.curve_check(v, max_degree=max_degree)
     elif args.max_degree is not None:
         raise ValueError("--max-degree applies only with --method curves")
@@ -518,8 +523,7 @@ def main(argv: list[str] | None = None) -> int:
     out = _Output()
     try:
         try:
-            if getattr(args, "n", 3) < 3:  # every command with --n
-                raise ValueError(f"need n >= 3, got {args.n}")
+            check_bound("n", getattr(args, "n", 3), 3)  # every command with --n
             return args.handler(args, out)
         except ValueError as exc:  # includes KPositiveError and parse problems
             sys.stderr.write(f"error: {exc}\n")

@@ -153,8 +153,7 @@ def _orbit_size(multiset: tuple[int, ...], n: int) -> int:
 
 def enumerate_minus_one(n: int, max_degree: int) -> list[PicClass]:
     """All (-1)-classes of degree 0..max_degree, sorted by (degree, coords)."""
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
+    check_bound("n", n, 3)
     check_bound("max_degree", max_degree, 0)
     coords = sorted(
         (d, *tail)

@@ -22,13 +22,15 @@ __all__ = [
 ]
 
 
-def check_bound(name: str, value, least: int | None = None) -> None:
-    """Raise ValueError unless ``value`` is an int, and >= ``least`` if
-    given; a bool is no bound, though it is an int."""
+def check_bound(name: str, value, least: int | None = None, most: int | None = None) -> None:
+    """The package's one rule for an integer argument: ValueError unless
+    ``value`` is an int but not a bool, in ``least``..``most`` where given."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
+    if most is not None and value > most:
+        raise ValueError(f"{name} must be <= {most}, got {value}")
 
 
 # Record refuses assignment, so a constructor sets its fields through
@@ -199,22 +201,20 @@ def pairing(u: PicClass, v: PicClass) -> int:
 
 def basis_vector(n: int, i: int) -> PicClass:
     """e_i in Z^{1,n}; i = 0 is the line class, i >= 1 the exceptional ones."""
-    if not 0 <= i <= n:
-        raise ValueError(f"basis index {i} out of range for n={n}")
-    return PicClass(n, (0,) * i + (1,) + (0,) * (n - i))
+    check_bound("n", n, 1)
+    check_bound("basis index", i, 0, n)
+    return PicClass._trusted(n, (0,) * i + (1,) + (0,) * (n - i))
 
 
 def canonical_class(n: int) -> PicClass:
     """K = (-3, 1, ..., 1); K^2 = 9 - n."""
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
+    check_bound("n", n, 3)
     return PicClass._trusted(n, (-3,) + (1,) * n)
 
 
 def anticanonical_class(n: int) -> PicClass:
     """-K = (3, -1, ..., -1), the class the cone constructions actually use."""
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
+    check_bound("n", n, 3)
     return PicClass._trusted(n, (3,) + (-1,) * n)
 
 

@@ -98,8 +98,7 @@ def fundamental_cone(n: int) -> polytopes.ConePolytope:
     """The rational polyhedral cone whose W-translates cover the
     K-nonpositive nef classes: the sorted cone truncated at x_n <= 0,
     and additionally by -K once that normal has negative square."""
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
+    check_bound("n", n, 3)
     return polytopes.build_P(n) if n <= 9 else polytopes.build_P_minus(n)
 
 
@@ -181,8 +180,7 @@ def curve_check(v: PicClass, max_degree: int = 6) -> NefVerdict:
     the closed positive cone, where v.(c + c') >= 0 once v^2 >= 0 and
     x_0 > 0.  If x_0 < 0, an e_i or a line fails first."""
     n, x0, tail = v.n, v.coords[0], v.coords[1:]
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
+    check_bound("n", n, 3)
     check_bound("max_degree", max_degree, 0)
     if pairing(v, v) < 0:
         return NefVerdict(v, max_degree)

@@ -25,6 +25,7 @@ from .lattice import (
     Record,
     anticanonical_class,
     basis_vector,
+    check_bound,
     light_cone_position,
     pairing,
     set_field,
@@ -139,8 +140,7 @@ def build_P_tilde(n: int) -> ConePolytope:
     Normals are v_0 = e_0-e_1-e_2-e_3 and v_i = e_i-e_{i+1} for
     i = 1..n-1.  The cone is not pointed (it contains the line R.K).
     """
-    if n < 3:
-        raise ValueError(f"need n >= 3 for the sorted cone, got {n}")
+    check_bound("n", n, 3)
     normals = [PicClass._trusted(n, (1, -1, -1, -1) + (0,) * (n - 3))]
     normals += [
         PicClass._trusted(n, (0,) * i + (1, -1) + (0,) * (n - 1 - i)) for i in range(1, n)
@@ -161,11 +161,7 @@ def build_P_minus(n: int) -> ConePolytope:
     Only defined for n >= 10: at n = 9 the would-be normal -K has
     square 0 and the inequality is already implied by the others.
     """
-    if n <= 9:
-        raise ValueError(
-            f"the -K truncation needs n >= 10 (at n = {n} the normal has "
-            "square >= 0 and the inequality is implied by the others)"
-        )
+    check_bound("n", n, 10)
     base = build_P(n)
     extra = Halfspace(anticanonical_class(n))
     return ConePolytope(n=n, halfspaces=base.halfspaces + (extra,))
@@ -673,6 +669,7 @@ def vertex_formula_families(n: int) -> dict[str, list[PicClass]]:
       (2b-2:-(b-3):-(b-3):(-4)^b:0...) b=8..n-2,
       (3b:(-b)^a:(-(9-a))^b:0...) a=3..8, 10<=a+b<=n.
     """
+    check_bound("n", n, 10)
     fams: dict[str, list[PicClass]] = {
         "unit": [_vec(n, 1, [])],
         "line": [_vec(n, 1, [-1])],
@@ -724,8 +721,7 @@ def verify_vertex_formulas(n: int) -> VertexFormulaReport:
     -K-truncated cone, for 10 <= n <= 100 (about 0.07 s at n = 100 on a
     2-vCPU Linux machine with Python 3.11.7).
     """
-    if not 10 <= n <= 100:
-        raise ValueError(f"vertex formula check supports 10 <= n <= 100, got {n}")
+    check_bound("n", n, 10, 100)
     return _vertex_formula_report(n, extremal_rays(build_P_minus(n)))
 
 
@@ -811,8 +807,7 @@ def verify_region_R(n: int) -> RegionRReport:
     f = x_1^2 + (n-2)x_2^2 + x_n^2.  The report checks f <= 1 at every
     vertex with equality possible only when x_n = 0.
     """
-    if n < 10:
-        raise ValueError(f"region R is only considered for n >= 10, got {n}")
+    check_bound("n", n, 10)
     cons = _region_constraints(n)
     rows = []
     for triple in itertools.combinations(range(5), 3):

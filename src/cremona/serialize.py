@@ -38,7 +38,7 @@ from __future__ import annotations
 import re
 
 from . import nef, polytopes
-from .lattice import PicClass, pairing
+from .lattice import PicClass, check_bound, pairing
 from .weyl import Generator, Phi, ReductionResult, Sigma, WeylWord
 
 __all__ = [
@@ -77,12 +77,7 @@ def decode_int(x: int | str) -> int:
     """An exact integer from a JSON int (not a bool) or a decimal string."""
     if isinstance(x, str) and _DECIMAL.fullmatch(x):
         return int(x)
-    return _int(x, "an integer or a decimal string")
-
-
-def _int(x, what: str) -> int:
-    if not isinstance(x, int) or isinstance(x, bool):
-        raise ValueError(f"expected {what}, got {x!r}")
+    check_bound("value", x)
     return x
 
 
@@ -94,8 +89,8 @@ def _field(obj, schema: str, key: str, kind: type | tuple[type, ...]):
         raise ValueError(f"{schema} is missing {key!r}")
     value = obj[key]
     if kind is int:
-        return _int(value, f"an integer for {schema} {key!r}")
-    if not isinstance(value, kind):
+        check_bound(f"{schema} {key!r}", value)
+    elif not isinstance(value, kind):
         raise ValueError(f"{schema} {key!r} has the wrong type: {value!r}")
     return value
 

@@ -30,7 +30,7 @@ from .curves import (
     decompose_inequality,
     enumerate_minus_one,
 )
-from .lattice import PicClass, Record, basis_vector, canonical_class, pairing
+from .lattice import PicClass, Record, basis_vector, canonical_class, check_bound, pairing
 from .nef import check_certificate, curve_check, fundamental_cone, is_nef_K_nonpositive
 from .polytopes import (
     _boundary,
@@ -632,6 +632,7 @@ def run_suite(suite: str = "paper", seed: int = 0) -> VerificationReport:
     ``paper`` runs all 18; ``quick`` runs the 14 fast ones, with the
     random samples cut 20-fold.  ``seed`` fixes those samples.
     """
+    check_bound("seed", seed)
     checks = _suite(suite)
     ctx = _Ctx(seed=seed, scale=20 if suite == "quick" else 1)
     return VerificationReport(checks=tuple([run(ctx) for _, run in checks]))

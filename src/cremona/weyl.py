@@ -81,12 +81,16 @@ Generator = Phi | Sigma
 
 
 class WeylWord(Record):
-    """A finite sequence of generators, applied left to right."""
+    """A finite sequence of generators, applied left to right (ValueError at any other item)."""
 
     __slots__ = ("gens",)
 
     def __init__(self, gens: tuple[Generator, ...] = ()) -> None:
-        set_field(self, "gens", gens if isinstance(gens, tuple) else tuple(gens))
+        gens = tuple(gens)  # a tuple itself, not a copy, when it is one
+        if not set(map(type, gens)) <= {Phi, Sigma}:
+            bad = next(g for g in gens if type(g) not in (Phi, Sigma))
+            raise ValueError(f"a WeylWord holds Phi and Sigma generators only, got {bad!r}")
+        set_field(self, "gens", gens)
 
     def __len__(self) -> int:
         return len(self.gens)
@@ -243,7 +247,8 @@ class KPositiveError(ValueError):
 
 # The count of phi steps can grow like sqrt(x_0): c^p (3, -2, -1^4, 0^4)
 # takes p/2 steps for the Coxeter element c = phi(1,2,3) sigma_1...sigma_8.
-# 10^6 steps take about 1.6 s (2-vCPU Linux machine, Python 3.11.7).
+# A step moves O(n) list entries: 10^6 steps take 0.92 s at n = 10 and
+# 1.16 s at n = 100 (2-vCPU Linux machine, Python 3.11.7).
 REDUCE_MAX_STEPS = 10**6
 
 
@@ -274,10 +279,9 @@ def reduce_class(v: PicClass) -> ReductionResult:
     order through ``order`` (the inverse of the sort word) and then
     replaying the recorded triples backwards in integer arithmetic.
 
-    Past REDUCE_MAX_STEPS phi steps it raises ValueError.
+    Past REDUCE_MAX_STEPS * 100 // max(n, 100) phi steps it raises ValueError.
     """
-    if v.n < 3:
-        raise ValueError(f"reduction needs n >= 3, got n={v.n}")
+    check_bound("n", v.n, 3)
     if v.is_zero():
         raise ValueError("cannot reduce the zero class")
     if pairing(v, canonical_class(v.n)) > 0:
@@ -292,7 +296,8 @@ def reduce_class(v: PicClass) -> ReductionResult:
     order = sorted(range(1, n + 1), key=x.__getitem__)
     vals = [x[i] for i in order]
     steps: list[int] = []  # the sorted index triples of the phi steps, flat
-    for _ in range(REDUCE_MAX_STEPS + 1):  # one pass more: it stops, or its step passes the cap
+    cap = REDUCE_MAX_STEPS * 100 // max(n, 100)
+    for _ in range(cap + 1):  # one pass more: it stops, or its step passes the cap
         if x0 <= 0:
             break
         a = vals[0]
@@ -324,7 +329,7 @@ def reduce_class(v: PicClass) -> ReductionResult:
         vals.insert(p, a)
         order.insert(p, i)
     else:
-        raise ValueError(f"reduction passed the cap of {REDUCE_MAX_STEPS} phi steps")
+        raise ValueError(f"reduction passed the cap of {cap} phi steps")
     triples = iter(steps)
     word: list[Generator] = list(starmap(_phi, zip(triples, triples, triples)))
     rank = [0] * n  # rank[i - 1]: the sorted position of index i
@@ -362,6 +367,7 @@ def reduce_class(v: PicClass) -> ReductionResult:
 
 def all_generators(n: int) -> list[Generator]:
     """Every phi_{ijk} (i<j<k<=n) and every sigma_i (i<=n-1)."""
+    check_bound("n", n, 1)
     phis: list[Generator] = [Phi(*t) for t in combinations(range(1, n + 1), 3)]
     return phis + [Sigma(i) for i in range(1, n)]
 

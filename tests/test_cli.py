@@ -81,6 +81,55 @@ def test_reduction_past_the_step_cap_exits_two(capsys, command):
     assert err == "error: reduction passed the cap of 1000000 phi steps\n"
 
 
+class TestClassAndStepCapsScaleWithN:
+    """Past n = 10 the class caps of curves and orbit shrink by 11/(n + 1),
+    and past n = 100 the step cap of a reduction by 100/n.  Under the
+    unscaled caps each of these ran for 19 s to minutes, or, for curves at
+    n = 100,000, was accepted."""
+
+    def test_curves_at_a_hundred_thousand_points_exits_two(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "curves", "--n", "100000", "--max-degree", "0")
+        assert time.perf_counter() - start < 5
+        assert code == 2 and out == ""
+        assert err == "error: --n 100000 --max-degree 0 gives more than 16 classes\n"
+
+    def test_orbit_at_nine_thousand_points_exits_two(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "orbit", "--n", "9000", "--vector", "0,1" + ",0" * 8999,
+            "--max-degree", "0", "--format", "json",
+        )
+        assert time.perf_counter() - start < 5
+        assert code == 2 and out == ""
+        assert err == "error: the orbit within --max-degree 0 has more than 12 classes\n"
+
+    def test_reduce_at_twenty_thousand_points_exits_two(self, capsys):
+        vector = ",".join(map(str, coxeter_power_class(10**9, 10) + (0,) * 19_990))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "reduce", "--n", "20000", "--vector", vector)
+        assert time.perf_counter() - start < 5
+        assert code == 2 and out == ""
+        assert err == "error: reduction passed the cap of 5000 phi steps\n"
+
+    def test_orbit_cap_keeps_one_class(self, capsys):
+        # 10,000 * 11 // 120,001 is 0; a one-class orbit still prints
+        code, out, _ = run(capsys, "orbit", "--n", "120000", "--vector", "1" + ",0" * 120_000,
+                           "--max-degree", "1")
+        assert code == 0 and out.endswith("count: 1, truncated: False\n")
+
+    @pytest.mark.parametrize("n, cap", [(10, 10_000), (11, 9_166), (200, 547)])
+    def test_orbit_max_count_cap(self, capsys, n, cap):
+        vector = "0,1" + ",0" * (n - 1)
+        code, out, _ = run(capsys, "orbit", "--n", str(n), "--vector", vector,
+                           "--max-degree", "0", "--max-count", str(cap))
+        assert code == 0 and out.endswith(f"count: {n}, truncated: False\n")
+        code, out, err = run(capsys, "orbit", "--n", str(n), "--vector", vector,
+                             "--max-degree", "0", "--max-count", str(cap + 1))
+        assert code == 2 and out == ""
+        assert err == f"error: max_count must be <= {cap}, got {cap + 1}\n"
+
+
 class TestCurves:
     def test_text_summary(self, capsys):
         code, out, _ = run(capsys, "curves", "--n", "6")
@@ -104,6 +153,7 @@ class TestCurves:
     def test_small_n_rejected(self, capsys):
         code, _, err = run(capsys, "curves", "--n", "2")
         assert code == 2
+        assert err == "error: n must be >= 3, got 2\n"
 
     def test_past_class_cap_exits_two(self, capsys):
         # degree 9 at n = 10 would print 224,629 classes
@@ -153,7 +203,7 @@ class TestCartan:
     def test_p_minus_too_small_exits_two(self, capsys):
         code, _, err = run(capsys, "cartan", "--n", "9", "--polytope", "p_minus")
         assert code == 2
-        assert "n >= 10" in err
+        assert err == "error: n must be >= 10, got 9\n"
 
 
 class TestDiagram:
@@ -226,7 +276,7 @@ class TestRays:
         code, out, err = run(capsys, "rays", "--n", str(POLYTOPE_MAX_N + 1),
                              "--polytope", "p_minus")
         assert code == 2 and out == ""
-        assert "cap" in err
+        assert err == f"error: n must be <= {POLYTOPE_MAX_N}, got {POLYTOPE_MAX_N + 1}\n"
 
     def test_cap_admits_n_30(self, capsys):
         # 9n - 71 rays for p_minus
@@ -243,7 +293,7 @@ class TestPolytopeCap:
         code, out, err = run(capsys, command, "--n", "101")
         assert time.perf_counter() - start < 0.5
         assert code == 2 and out == ""
-        assert err == f"error: --n 101 is past the cap 100 for {command}\n"
+        assert err == "error: n must be <= 100, got 101\n"
 
     def test_cap_admits_n_100(self, capsys, command):
         assert POLYTOPE_MAX_N == 100
@@ -330,7 +380,8 @@ class TestOrbit:
         )
         assert time.perf_counter() - start < 2
         assert code == 2 and out == ""
-        assert err == "error: the orbit within --max-degree 60 has more than 10000 classes\n"
+        # past n = 10 the cap is 10,000 * 11 // (n + 1)
+        assert err == "error: the orbit within --max-degree 60 has more than 5238 classes\n"
 
     def test_one_class_orbit_at_two_hundred_points_is_quick(self, capsys):
         # phi at three zeros would give degree 2; the search over every
@@ -351,7 +402,7 @@ class TestOrbit:
             capsys, "orbit", "--n", "6", "--vector", "0,0,0,0,0,0,1", "--max-count", "10001",
         )
         assert code == 2 and out == ""
-        assert err == "error: --max-count 10001 is past the cap 10000\n"
+        assert err == "error: max_count must be <= 10000, got 10001\n"
 
     def test_max_count_at_class_cap_is_admitted(self, capsys):
         code, out, _ = run(

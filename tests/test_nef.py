@@ -289,13 +289,13 @@ class TestCurveCheckAgainstReference:
         v = basis_vector(6, 0)
         with pytest.raises(ValueError, match="max_degree must be >= 0"):
             curve_check(v, max_degree=-1)
-        with pytest.raises(ValueError, match="need n >= 3, got 2"):
+        with pytest.raises(ValueError, match="^n must be >= 3, got 2$"):
             curve_check(PicClass(2, (1, 0, 0)))
 
     @pytest.mark.parametrize("v, max_degree, message", [
         (PicClass(9, (0, 1, 1, 0, 0, 0, 0, 0, 0, 0)), -1, "max_degree must be >= 0"),
         (PicClass(9, (3, -1, 0, 0, 0, 0, 0, 0, 0, 0)), -1, "max_degree must be >= 0"),
-        (PicClass(2, (0, 1, 1)), 6, "need n >= 3, got 2"),
+        (PicClass(2, (0, 1, 1)), 6, "n must be >= 3, got 2"),
     ])
     def test_checks_come_before_the_square(self, v, max_degree, message):
         # the first and the last have a negative square

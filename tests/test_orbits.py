@@ -66,7 +66,8 @@ class TestClassCapAtLargeN:
         assert time.perf_counter() - start < 0.1
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert "150000 classes" in captured.err
+        # the class cap past n = 10 is 150,000 * 11 // (n + 1)
+        assert captured.err == "error: --n 149999 --max-degree 1 gives more than 11 classes\n"
 
 
 # a max_count that no closure walked here reaches

@@ -146,6 +146,18 @@ class TestWords:
         word = WeylWord((Sigma(2), Sigma(1)))
         assert list(word) == [Sigma(2), Sigma(1)]
 
+    @pytest.mark.parametrize("gens, bad", [
+        (("x",), "x"), ("ab", "a"), ((Phi(1, 2, 3), 3), 3), ([Sigma(1), None], None),
+    ])
+    def test_refuses_an_item_that_is_not_a_generator(self, gens, bad):
+        message = f"^a WeylWord holds Phi and Sigma generators only, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            WeylWord(gens)
+
+    def test_builds_from_any_iterable_of_generators(self):
+        assert WeylWord([Sigma(1), Phi(1, 2, 3)]).gens == (Sigma(1), Phi(1, 2, 3))
+        assert WeylWord(iter(())).gens == ()
+
     @given(vectors(6), st.lists(generators(6), max_size=40))
     def test_word_is_generators_in_turn(self, v, gens):
         expected = v
@@ -299,6 +311,17 @@ class TestReductionCap:
             assert reduce_class(v).iterations == 10
         else:
             with pytest.raises(ValueError, match="cap of 9 phi steps"):
+                reduce_class(v)
+
+    @pytest.mark.parametrize("n, cap", [(10, 1000), (100, 1000), (101, 990), (200, 500)])
+    def test_the_cap_shrinks_with_n_past_one_hundred(self, monkeypatch, n, cap):
+        # a step moves O(n) list entries; the class takes 1000 steps at every n
+        monkeypatch.setattr(weyl, "REDUCE_MAX_STEPS", 1000)
+        v = PicClass(n, coxeter_power_class(2000, 10) + (0,) * (n - 10))
+        if cap == 1000:
+            assert reduce_class(v).iterations == 1000
+        else:
+            with pytest.raises(ValueError, match=f"^reduction passed the cap of {cap} phi steps$"):
                 reduce_class(v)
 
 
