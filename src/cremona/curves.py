@@ -177,7 +177,10 @@ def _count_minus_one(n: int, max_degree: int, limit: int) -> int:
 
 def _e0_minus(n: int, points: list[int]) -> PicClass:
     # e_0 minus e_{l+1} for each l in points: a cubic or a conic normal
-    return PicClass._trusted(n, (1,) + tuple(-1 if l in points else 0 for l in range(n)))
+    x = [1] + [0] * n
+    for l in points:
+        x[l + 1] = -1
+    return PicClass._trusted(n, tuple(x))
 
 
 def decompose_inequality(c: PicClass) -> Decomposition:

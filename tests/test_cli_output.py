@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -216,7 +217,7 @@ PEAK_RSS_BOUND_MIB = 40
 WRAPPER = """
 import resource, subprocess, sys
 subprocess.run([sys.executable, "-m", "cremona", *sys.argv[1:]],
-               stdout=subprocess.DEVNULL, check=True)
+               stdout=subprocess.DEVNULL, check=True, timeout=60)
 peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
 print(peak / 2**20 if sys.platform == "darwin" else peak / 2**10)
 """
@@ -231,6 +232,7 @@ def test_curves_json_peak_rss():
         capture_output=True,
         text=True,
         check=True,
+        timeout=120,
     )
     peak_mib = float(proc.stdout)
     assert peak_mib < PEAK_RSS_BOUND_MIB, f"peak RSS {peak_mib:.1f} MiB"
@@ -245,10 +247,17 @@ def test_closed_stdout_exits_quietly():
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
     )
-    head = proc.stdout.read(10)
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == 1
+    # each read waits on the child, so one that hangs is killed at 60 s and fails
+    watchdog = threading.Timer(60, proc.kill)
+    watchdog.start()
+    try:
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        code = proc.wait()
+    finally:
+        watchdog.cancel()
+    assert code == 1
     assert err == b""
     assert len(head) == 10

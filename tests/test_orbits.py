@@ -7,12 +7,11 @@ enumeration."""
 
 import itertools
 import random
-import time
 
 import pytest
 from hypothesis import given, strategies as st
 
-from cremona.cli import CURVES_MAX_CLASSES, main
+from cremona.cli import CURVES_MAX_CLASSES
 from cremona.curves import _count_minus_one, _orbit_size, _placements, enumerate_minus_one
 from cremona.lattice import PicClass, basis_vector
 from cremona.weyl import orbit, reduce_class
@@ -54,20 +53,10 @@ def test_enumeration_at_ten_points_degree_eight_is_the_sorted_oracle():
 
 class TestClassCapAtLargeN:
     # n = 149,999 has 149,999 e_i and about 1.1e10 lines: past the cap at
-    # degree 1, decided from two orbit sizes
+    # degree 1, decided from two orbit sizes; the CLI's refusal is a row
+    # of tests/test_bounds.py
     def test_count_stops_at_once(self):
-        start = time.perf_counter()
         assert _count_minus_one(149_999, 1, CURVES_MAX_CLASSES) > CURVES_MAX_CLASSES
-        assert time.perf_counter() - start < 0.1
-
-    def test_curves_refuses_at_once(self, capsys):
-        start = time.perf_counter()
-        code = main(["curves", "--n", "149999", "--max-degree", "1"])
-        assert time.perf_counter() - start < 0.1
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        # the class cap past n = 10 is 150,000 * 11 // (n + 1)
-        assert captured.err == "error: --n 149999 --max-degree 1 gives more than 11 classes\n"
 
 
 # a max_count that no closure walked here reaches

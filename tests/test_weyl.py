@@ -4,7 +4,6 @@ import hashlib
 import json
 import random
 import re
-import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -294,14 +293,6 @@ class TestReductionCap:
     def test_deep_class_within_the_cap_reduces(self, n):
         res = reduce_class(PicClass(n, coxeter_power_class(2 * 10**5, n)))
         assert res.status == "in_cone" and res.iterations == 10**5
-
-    def test_past_the_cap_raises_at_once(self):
-        # 5 * 10^8 steps without the cap, with 18-digit coordinates
-        v = PicClass(10, coxeter_power_class(10**9, 10))
-        start = time.perf_counter()
-        with pytest.raises(ValueError, match="^reduction passed the cap of 1000000 phi steps$"):
-            reduce_class(v)
-        assert time.perf_counter() - start < 5
 
     @pytest.mark.parametrize("cap, ok", [(10, True), (9, False)])
     def test_a_reduction_of_exactly_the_cap_is_admitted(self, monkeypatch, cap, ok):
