@@ -6,8 +6,11 @@ each contributing the inequality pairing(u, x) >= 0.  This module
 builds the named cones (the sorted cone, its truncation at x_n <= 0,
 and the further truncation by -K), classifies dihedral angles exactly,
 assembles Gram and Cartan matrices, draws Coxeter diagrams, and
-computes extremal rays and Farkas (implied-inequality) tests from one
-integer double-description routine.
+computes extremal rays from one integer double-description routine.
+A Farkas (implied-inequality) test reads the same routine, except that
+with fewer normals than coordinates it first asks whether the normal
+lies in their span, by sparse exact elimination, and answers "not
+implied" there when it does not.
 
 Everything is exact: angles are decided through the rational invariant
 cos^2 = (u.v)^2 / (u^2 v^2), never through floating point.
@@ -85,6 +88,8 @@ class Halfspace(Record):
     __slots__ = ("normal",)
 
     def __init__(self, normal: PicClass) -> None:
+        if not isinstance(normal, PicClass):
+            raise ValueError(f"halfspace normal must be a PicClass, got {normal!r}")
         square = pairing(normal, normal)
         if square >= 0:
             raise ValueError(
@@ -92,6 +97,14 @@ class Halfspace(Record):
                 f"got {square} for {normal.coords}"
             )
         set_field(self, "normal", normal)
+
+    @classmethod
+    def _trusted(cls, normal: PicClass) -> "Halfspace":
+        """Build without validation: a PicClass of negative square is the
+        caller's promise."""
+        obj = object.__new__(cls)
+        set_field(obj, "normal", normal)
+        return obj
 
 
 class ConePolytope(Record):
@@ -105,11 +118,25 @@ class ConePolytope(Record):
     __slots__ = ("n", "halfspaces")
 
     def __init__(self, n: int, halfspaces: tuple[Halfspace, ...]) -> None:
+        check_bound("n", n, 1)
+        if not isinstance(halfspaces, tuple):
+            halfspaces = tuple(halfspaces)
         for h in halfspaces:
+            if not isinstance(h, Halfspace):
+                raise ValueError(f"a ConePolytope holds Halfspace items only, got {h!r}")
             if h.normal.n != n:
                 raise ValueError(f"normal {h.normal.coords} does not live in rank {n + 1}")
         set_field(self, "n", n)
         set_field(self, "halfspaces", halfspaces)
+
+    @classmethod
+    def _trusted(cls, n: int, halfspaces: tuple[Halfspace, ...]) -> "ConePolytope":
+        """Build without validation: ``n >= 1`` and a tuple of Halfspaces
+        in rank n + 1 are the caller's promise."""
+        obj = object.__new__(cls)
+        set_field(obj, "n", n)
+        set_field(obj, "halfspaces", halfspaces)
+        return obj
 
     @property
     def all_normals(self) -> tuple[PicClass, ...]:
@@ -141,18 +168,13 @@ def build_P_tilde(n: int) -> ConePolytope:
     i = 1..n-1.  The cone is not pointed (it contains the line R.K).
     """
     check_bound("n", n, 3)
-    normals = [PicClass._trusted(n, (1, -1, -1, -1) + (0,) * (n - 3))]
-    normals += [
-        PicClass._trusted(n, (0,) * i + (1, -1) + (0,) * (n - 1 - i)) for i in range(1, n)
-    ]
-    return ConePolytope(n=n, halfspaces=tuple([Halfspace(u) for u in normals]))
+    return _cone(n, _sorted_normals(n))
 
 
 def build_P(n: int) -> ConePolytope:
     """The sorted cone truncated at x_n <= 0 (normal e_n appended)."""
-    base = build_P_tilde(n)
-    extra = Halfspace(basis_vector(n, n))
-    return ConePolytope(n=n, halfspaces=base.halfspaces + (extra,))
+    check_bound("n", n, 3)
+    return _cone(n, _sorted_normals(n) + [basis_vector(n, n)])
 
 
 def build_P_minus(n: int) -> ConePolytope:
@@ -162,9 +184,23 @@ def build_P_minus(n: int) -> ConePolytope:
     square 0 and the inequality is already implied by the others.
     """
     check_bound("n", n, 10)
-    base = build_P(n)
-    extra = Halfspace(anticanonical_class(n))
-    return ConePolytope(n=n, halfspaces=base.halfspaces + (extra,))
+    return _cone(n, _sorted_normals(n) + [basis_vector(n, n), anticanonical_class(n)])
+
+
+def _sorted_normals(n: int) -> list[PicClass]:
+    """v_0 and v_1, ..., v_{n-1} of build_P_tilde(n), for n >= 3."""
+    normals = [PicClass._trusted(n, (1, -1, -1, -1) + (0,) * (n - 3))]
+    normals += [
+        PicClass._trusted(n, (0,) * i + (1, -1) + (0,) * (n - 1 - i)) for i in range(1, n)
+    ]
+    return normals
+
+
+def _cone(n: int, normals: list[PicClass]) -> ConePolytope:
+    """The cone of the named normals, built without the public checks:
+    their squares are known (-2 for v_0 and v_i, -1 for e_n, 9 - n < 0
+    for -K at n >= 10) and each lives in rank n + 1."""
+    return ConePolytope._trusted(n, tuple([Halfspace._trusted(u) for u in normals]))
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +246,9 @@ def _gram_upper(normals: tuple[PicClass, ...]) -> list[list[int]]:
 
 def _symmetric(upper: list[list]) -> tuple[tuple, ...]:
     """The full symmetric matrix from its upper triangle (row i from column i)."""
-    m = len(upper)
-    full = [[None] * m for _ in range(m)]
-    for i, row in enumerate(upper):
-        for j, x in enumerate(row, i):
-            full[i][j] = full[j][i] = x
-    return tuple([tuple(row) for row in full])
+    return tuple([
+        tuple([upper[j][i - j] for j in range(i)] + row) for i, row in enumerate(upper)
+    ])
 
 
 def gram_matrix(P: ConePolytope) -> tuple[tuple[int, ...], ...]:
@@ -623,20 +656,74 @@ def _finite(rays: list[Ray]) -> bool:
 # minimality audit
 
 
+def _in_span(rows: list[list[tuple[int, int]]], target: list[tuple[int, int]]) -> bool:
+    """Is target a rational combination of rows?  Each is given by its
+    nonzero entries, as _minkowski_row gives them.
+
+    Fraction-free elimination over sparse rows: each row, reduced by the
+    basis rows before it, joins the basis unless it vanishes, with its
+    least nonzero column as pivot, so that every basis row is zero at
+    the pivots before its own.  A row is then reduced by the basis rows
+    in order, each step clearing one pivot.  Every step divides the
+    reduced row by its gcd, as _primitive does, so the integers stay
+    near the size of the entries rather than doubling at each step.
+    """
+    basis: list[tuple[int, dict[int, int]]] = []  # (pivot column, row)
+
+    def reduce(row: dict[int, int]) -> dict[int, int]:
+        for c, p in basis:
+            b = row.get(c)
+            if b:
+                a = p[c]
+                g = gcd(a, b)
+                a, b = a // g, b // g
+                row = {k: a * row.get(k, 0) - b * p.get(k, 0) for k in row.keys() | p.keys()}
+                row = {k: x for k, x in row.items() if x}
+                if not row:
+                    return row
+                g = gcd(*row.values())
+                if g != 1:
+                    row = {k: x // g for k, x in row.items()}
+        return row
+
+    for r in rows:
+        row = reduce(dict(r))
+        if row:
+            basis.append((min(row), row))
+    return not reduce(dict(target))
+
+
 def is_implied(P: ConePolytope, normal: PicClass) -> bool:
     """Does the inequality pairing(normal, x) >= 0 follow from P's?
 
     True exactly when normal is a nonnegative combination of P's normals
     (Farkas), which is read off the double description of P: normal
-    vanishes on its lineality space and pairs >= 0 with every ray.
+    vanishes on its lineality space, that is, lies in the span of P's
+    normals, and pairs >= 0 with every ray.
+
+    With at most n normals, fewer than the n + 1 coordinates, the
+    lineality space is never zero, and the span is decided first, by
+    _in_span: outside it the answer is False with no double description
+    at all.  With n + 1 normals or more, elimination would fill in (the
+    dense -K row of build_P_minus) and the rows often span everything,
+    so the span is read off the double description's lineality instead.
+
     Accepts any integer normal, including square >= 0 ones that could
     not join the halfspace list themselves.
     """
     if normal.n != P.n:
         raise ValueError(f"rank mismatch: cone has n = {P.n}, normal has n = {normal.n}")
     row = _minkowski_row(normal)
-    rays, _, lineality = _generators([_minkowski_row(u) for u in P.all_normals], P.n + 1)
-    return not any(_dots(row, lineality)) and all(b >= 0 for b in _dots(row, rays))
+    rows = [_minkowski_row(u) for u in P.all_normals]
+    if len(rows) <= P.n:
+        if not _in_span(rows, row):
+            return False
+        rays = _generators(rows, P.n + 1)[0]
+    else:
+        rays, _, lineality = _generators(rows, P.n + 1)
+        if any(_dots(row, lineality)):
+            return False
+    return all(b >= 0 for b in _dots(row, rays))
 
 
 def redundant_constraints(P: ConePolytope) -> tuple[int, ...]:
@@ -646,7 +733,7 @@ def redundant_constraints(P: ConePolytope) -> tuple[int, ...]:
     return tuple(
         i
         for i, h in enumerate(hs)
-        if is_implied(ConePolytope(P.n, hs[:i] + hs[i + 1 :]), h.normal)
+        if is_implied(ConePolytope._trusted(P.n, hs[:i] + hs[i + 1 :]), h.normal)
     )
 
 

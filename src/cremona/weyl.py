@@ -92,6 +92,14 @@ class WeylWord(Record):
             raise ValueError(f"a WeylWord holds Phi and Sigma generators only, got {bad!r}")
         set_field(self, "gens", gens)
 
+    @classmethod
+    def _trusted(cls, gens: tuple[Generator, ...]) -> "WeylWord":
+        """Build without validation: a tuple of Phi and Sigma generators is
+        the caller's promise."""
+        obj = object.__new__(cls)
+        set_field(obj, "gens", gens)
+        return obj
+
     def __len__(self) -> int:
         return len(self.gens)
 
@@ -186,7 +194,7 @@ def sort_coordinates(v: PicClass) -> tuple[PicClass, WeylWord]:
     """
     tail = list(v.coords[1:])
     word = _bubble_sort_word(tail)
-    return PicClass._trusted(v.n, (v.coords[0], *tail)), WeylWord(tuple(word))
+    return PicClass._trusted(v.n, (v.coords[0], *tail)), WeylWord._trusted(tuple(word))
 
 
 def _bubble_sort_word(keys: list) -> list[Sigma]:
@@ -337,7 +345,7 @@ def reduce_class(v: PicClass) -> ReductionResult:
         rank[i - 1] = position
     word.extend(_bubble_sort_word(rank))
     reduced = PicClass._trusted(n, (x0, *vals))
-    witness = WeylWord(tuple(word))
+    witness = WeylWord._trusted(tuple(word))
     if x0 + vals[0] + vals[1] + vals[2] >= 0 and vals[-1] <= 0:
         return ReductionResult(reduced, witness)
     # Not in the cone means x_n > 0.  The input is K-nonpositive,

@@ -16,6 +16,7 @@ from cremona.lattice import (
 )
 from cremona.nef import curve_check, fundamental_cone
 from cremona.polytopes import (
+    ConePolytope,
     build_P,
     build_P_minus,
     build_P_tilde,
@@ -44,6 +45,7 @@ RANGES = {
     "enumerate_minus_one d": (lambda d: enumerate_minus_one(3, d), "max_degree", 0, None),
     "fundamental_cone": (fundamental_cone, "n", 3, None),
     "curve_check": (lambda n: curve_check(_class_at(n)), "n", 3, None),
+    "ConePolytope": (lambda n: ConePolytope(n, ()), "n", 1, None),
     "build_P_tilde": (build_P_tilde, "n", 3, None),
     "build_P": (build_P, "n", 3, None),
     "build_P_minus": (build_P_minus, "n", 10, None),

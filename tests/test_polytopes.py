@@ -62,6 +62,7 @@ from oracles import (
     minkowski,
     reference_angle,
     reference_angles,
+    sympy_rank,
     tree_canonical_form,
 )
 
@@ -115,6 +116,36 @@ class TestBuilders:
     def test_rank_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ConePolytope(n=4, halfspaces=(Halfspace(basis_vector(5, 5)),))
+
+    @pytest.mark.parametrize("normal", [(1, -1), [0, 1, -1], None], ids=["tuple", "list", "None"])
+    def test_halfspace_refuses_a_normal_that_is_no_class(self, normal):
+        with pytest.raises(ValueError, match="halfspace normal must be a PicClass"):
+            Halfspace(normal)
+
+    @pytest.mark.parametrize(
+        "item", [basis_vector(9, 1), (0, 1, -1), None], ids=["PicClass", "tuple", "None"]
+    )
+    def test_cone_refuses_an_item_that_is_no_halfspace(self, item):
+        with pytest.raises(ValueError, match="Halfspace items only"):
+            ConePolytope(9, (Halfspace(basis_vector(9, 9)), item))
+
+    def test_cone_coerces_a_list_of_halfspaces_to_a_tuple(self):
+        walls = [Halfspace(u) for u in build_P(5).all_normals]
+        P = ConePolytope(5, walls)
+        assert type(P.halfspaces) is tuple
+        assert P == build_P(5)
+        assert hash(P) == hash(build_P(5))
+
+    @pytest.mark.parametrize("name", ["P_tilde", "P", "P_minus"])
+    def test_builders_match_the_public_constructors(self, name):
+        # the builders skip the public checks; over each builder's window
+        # every halfspace and the cone are what the checked path builds
+        build, window = ANGLE_WINDOWS[name]
+        for n in window:
+            P = build(n)
+            walls = tuple(Halfspace(u) for u in P.all_normals)
+            assert P.halfspaces == walls
+            assert P == ConePolytope(n, walls)
 
 
 class TestMembership:
@@ -728,6 +759,87 @@ class TestFarkasAgainstOracle:
     def test_pinned_verdicts(self, P, u, verdict):
         assert brute_force_implied(u, P.all_normals) is verdict
         assert is_implied(P, u) is verdict
+
+
+class TestSpanTest:
+    """is_implied with fewer normals than coordinates: the sparse span
+    test before any double description."""
+
+    @pytest.fixture
+    def no_double_description(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the double description ran")
+
+        monkeypatch.setattr(polytopes, "_generators", refuse)
+
+    @pytest.mark.parametrize(
+        "build, n",
+        [(build_P, n) for n in range(9, 13)] + [(build_P_tilde, n) for n in range(5, 10)],
+        ids=[f"P{n}" for n in range(9, 13)] + [f"P_tilde{n}" for n in range(5, 10)],
+    )
+    def test_facets_are_settled_by_the_span(self, no_double_description, build, n):
+        P = build(n)
+        assert len(P.halfspaces) <= n + 1
+        for i, h in enumerate(P.halfspaces):
+            assert not is_implied(drop_facet(P, i), h.normal)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_sparse_rows_against_brute_force(self, data):
+        # at most n normals of 1..3 nonzero entries in rank n + 1 = 3..6,
+        # some of them sums of others (dependent rows), and a normal
+        # drawn either as a signed combination of them (inside their
+        # span) or freely (mostly outside)
+        n = data.draw(st.integers(2, 5))
+
+        def sparse(entries):
+            coords = [0] * (n + 1)
+            for k, c in entries:
+                coords[k] = c
+            return PicClass(n, tuple(coords))
+
+        entry = st.tuples(st.integers(0, n), st.sampled_from([-3, -2, -1, 1, 2, 3]))
+        normal = (
+            st.lists(entry, min_size=1, max_size=3, unique_by=lambda e: e[0])
+            .map(sparse)
+            .filter(lambda u: pairing(u, u) < 0)
+        )
+        normals = data.draw(st.lists(normal, min_size=1, max_size=n))
+        for a, b in data.draw(st.lists(st.tuples(st.integers(0, n), st.integers(0, n)), max_size=2)):
+            if len(normals) < n and a < len(normals) and b < len(normals):
+                u = normals[a] + normals[b]
+                if pairing(u, u) < 0:
+                    normals.append(u)
+        if data.draw(st.booleans()):
+            coeffs = data.draw(st.lists(st.integers(-2, 3), min_size=len(normals), max_size=len(normals)))
+            target = PicClass(n, (0,) * (n + 1))
+            for c, u in zip(coeffs, normals):
+                target = target + c * u
+        else:
+            target = sparse(data.draw(st.lists(entry, max_size=n + 1, unique_by=lambda e: e[0])))
+        P = ConePolytope(n, tuple(Halfspace(u) for u in normals))
+        rows = [_minkowski_row(u) for u in normals]
+        inside = sympy_rank([u.coords for u in normals] + [target.coords]) == sympy_rank(
+            [u.coords for u in normals]
+        )
+        assert polytopes._in_span(rows, _minkowski_row(target)) is inside
+        assert is_implied(P, target) == brute_force_implied(target, normals)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_span_of_huge_entries(self, data):
+        # entries up to 10**20: the eliminated rows stay exact
+        n = data.draw(st.integers(3, 8))
+        big = st.integers(-10**20, 10**20)
+        rows = data.draw(st.lists(st.tuples(*[big] * (n + 1)), min_size=1, max_size=n))
+        coeffs = data.draw(st.lists(big, min_size=len(rows), max_size=len(rows)))
+        inside = tuple(sum(c * r[k] for c, r in zip(coeffs, rows)) for k in range(n + 1))
+        free = data.draw(st.tuples(*[big] * (n + 1)))
+        sparse_rows = [[(k, x) for k, x in enumerate(r) if x] for r in rows]
+        assert polytopes._in_span(sparse_rows, [(k, x) for k, x in enumerate(inside) if x])
+        assert polytopes._in_span(sparse_rows, [(k, x) for k, x in enumerate(free) if x]) is (
+            sympy_rank(rows + [free]) == sympy_rank(rows)
+        )
 
 
 class TestVertexFamilies:
