@@ -33,6 +33,16 @@ def check_bound(name: str, value, least: int | None = None, most: int | None = N
         raise ValueError(f"{name} must be <= {most}, got {value}")
 
 
+def as_tuple(name: str, items) -> tuple:
+    """The package's one rule for a sequence argument: ``items`` if a
+    tuple, else a tuple of its items; ValueError if it is not iterable."""
+    try:
+        iter(items)
+    except TypeError:
+        raise ValueError(f"{name} must be iterable, got {items!r}") from None
+    return tuple(items)  # a tuple itself, not a copy, when it is one
+
+
 # Record refuses assignment, so a constructor sets its fields through
 # object's own __setattr__, bound once here.
 set_field = object.__setattr__
@@ -72,6 +82,15 @@ class Record:
         for name, value in zip(fields, values):
             set_field(self, name, value)
 
+    @classmethod
+    def _trusted(cls, *values):
+        """Build from the fields, in ``__slots__`` order, without the
+        class's own checks: that they hold is the caller's promise."""
+        obj = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values):
+            set_field(obj, name, value)
+        return obj
+
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         get = attrgetter(*cls.__slots__)
@@ -109,9 +128,9 @@ class PicClass(Record):
     Instances are immutable and hashable, so they can be collected in
     sets and used as dict keys.
 
-    The public constructor validates its input; the library's own
-    arithmetic builds results with :meth:`_trusted`, whose invariants
-    already hold.
+    The public constructor refuses bad input with ValueError; the
+    library's own arithmetic builds results with :meth:`_trusted`, whose
+    invariants already hold.
     """
 
     __slots__ = ("n", "coords")
@@ -123,28 +142,25 @@ class PicClass(Record):
 
     @classmethod
     def _trusted(cls, n: int, coords: tuple[int, ...]) -> "PicClass":
-        """Build without validation: ``n >= 1`` and ``coords`` a tuple of
-        n + 1 ints are the caller's promise."""
+        """Record._trusted with the fields set directly, as the arithmetic
+        builds every result through it: ``n >= 1`` and ``coords`` a tuple
+        of n + 1 ints are the caller's promise."""
         obj = object.__new__(cls)
-        # the fields as __init__ sets them, without __post_init__'s checks
         set_field(obj, "n", n)
         set_field(obj, "coords", coords)
         return obj
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool):
-            raise TypeError(f"n must be an exact integer, got {self.n!r}")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if not isinstance(self.coords, tuple):
-            set_field(self, "coords", tuple(self.coords))
-        if len(self.coords) != self.n + 1:
-            raise ValueError(
-                f"expected {self.n + 1} coordinates for n={self.n}, got {len(self.coords)}"
-            )
-        for c in self.coords:
-            if not isinstance(c, int) or isinstance(c, bool):
-                raise TypeError(f"coordinates must be exact integers, got {c!r}")
+        n = self.n
+        check_bound("n", n, 1)
+        coords = as_tuple("coords", self.coords)
+        if len(coords) != n + 1:
+            raise ValueError(f"expected {n + 1} coordinates for n={n}, got {len(coords)}")
+        if not set(map(type, coords)) <= {int}:
+            # an int subclass, or an item check_bound refuses
+            for c in coords:
+                check_bound("coordinate", c)
+        set_field(self, "coords", coords)
 
     # -- vector space conveniences these types get used with constantly --
 

@@ -27,6 +27,7 @@ from .lattice import (
     PicClass,
     Record,
     anticanonical_class,
+    as_tuple,
     basis_vector,
     check_bound,
     light_cone_position,
@@ -100,8 +101,8 @@ class Halfspace(Record):
 
     @classmethod
     def _trusted(cls, normal: PicClass) -> "Halfspace":
-        """Build without validation: a PicClass of negative square is the
-        caller's promise."""
+        """Record._trusted with the field set directly, one per normal in
+        the builders: a PicClass of negative square is the caller's promise."""
         obj = object.__new__(cls)
         set_field(obj, "normal", normal)
         return obj
@@ -119,8 +120,7 @@ class ConePolytope(Record):
 
     def __init__(self, n: int, halfspaces: tuple[Halfspace, ...]) -> None:
         check_bound("n", n, 1)
-        if not isinstance(halfspaces, tuple):
-            halfspaces = tuple(halfspaces)
+        halfspaces = as_tuple("halfspaces", halfspaces)
         for h in halfspaces:
             if not isinstance(h, Halfspace):
                 raise ValueError(f"a ConePolytope holds Halfspace items only, got {h!r}")
@@ -128,15 +128,6 @@ class ConePolytope(Record):
                 raise ValueError(f"normal {h.normal.coords} does not live in rank {n + 1}")
         set_field(self, "n", n)
         set_field(self, "halfspaces", halfspaces)
-
-    @classmethod
-    def _trusted(cls, n: int, halfspaces: tuple[Halfspace, ...]) -> "ConePolytope":
-        """Build without validation: ``n >= 1`` and a tuple of Halfspaces
-        in rank n + 1 are the caller's promise."""
-        obj = object.__new__(cls)
-        set_field(obj, "n", n)
-        set_field(obj, "halfspaces", halfspaces)
-        return obj
 
     @property
     def all_normals(self) -> tuple[PicClass, ...]:

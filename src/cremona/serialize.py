@@ -39,7 +39,7 @@ import re
 
 from . import nef, polytopes
 from .lattice import PicClass, check_bound, pairing
-from .weyl import Generator, Phi, ReductionResult, Sigma, WeylWord
+from .weyl import Generator, Phi, ReductionResult, Sigma, WeylWord, _reach
 
 __all__ = [
     "encode_int",
@@ -150,7 +150,7 @@ def decode_reduction(obj: dict) -> ReductionResult:
     if violated is not None and violated.n != n:
         raise ValueError(f"reduction 'violated' has n={violated.n}, but 'reduced' has n={n}")
     for g in witness:
-        if (g.k if type(g) is Phi else g.i + 1) > n:
+        if _reach(g) > n:
             raise ValueError(f"reduction 'witness' holds {g!r}, out of range for n={n}")
     result = ReductionResult(reduced, witness, violated)
     _check_derived(obj, "reduction", result, {"status": str, "iterations": int})

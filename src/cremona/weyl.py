@@ -26,7 +26,7 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, islice, starmap
 
 from . import curves
-from .lattice import PicClass, Record, canonical_class, check_bound, pairing, set_field
+from .lattice import PicClass, Record, as_tuple, canonical_class, check_bound, pairing, set_field
 
 __all__ = [
     "Generator",
@@ -80,25 +80,27 @@ class Sigma(Record):
 Generator = Phi | Sigma
 
 
+def _reach(g: Generator) -> int:
+    """The largest coordinate index generator ``g`` moves: k for Phi(i, j, k)
+    and i + 1 for Sigma(i); anything that is not a generator raises ValueError."""
+    if type(g) is Phi:
+        return g.k
+    if type(g) is Sigma:
+        return g.i + 1
+    raise ValueError(f"a WeylWord holds Phi and Sigma generators only, got {g!r}")
+
+
 class WeylWord(Record):
     """A finite sequence of generators, applied left to right (ValueError at any other item)."""
 
     __slots__ = ("gens",)
 
     def __init__(self, gens: tuple[Generator, ...] = ()) -> None:
-        gens = tuple(gens)  # a tuple itself, not a copy, when it is one
+        gens = as_tuple("gens", gens)
         if not set(map(type, gens)) <= {Phi, Sigma}:
-            bad = next(g for g in gens if type(g) not in (Phi, Sigma))
-            raise ValueError(f"a WeylWord holds Phi and Sigma generators only, got {bad!r}")
+            for g in gens:
+                _reach(g)
         set_field(self, "gens", gens)
-
-    @classmethod
-    def _trusted(cls, gens: tuple[Generator, ...]) -> "WeylWord":
-        """Build without validation: a tuple of Phi and Sigma generators is
-        the caller's promise."""
-        obj = object.__new__(cls)
-        set_field(obj, "gens", gens)
-        return obj
 
     def __len__(self) -> int:
         return len(self.gens)
@@ -107,12 +109,12 @@ class WeylWord(Record):
         return iter(self.gens)
 
     def __add__(self, other: "WeylWord") -> "WeylWord":
-        return WeylWord(self.gens + other.gens)
+        return WeylWord._trusted(self.gens + other.gens)
 
     def reversed(self) -> "WeylWord":
         """The word read backwards; inverts the composition since every
         generator is an involution."""
-        return WeylWord(self.gens[::-1])
+        return WeylWord._trusted(self.gens[::-1])
 
 
 # Shared generator instances for the reduction.  A phi step is keyed by
@@ -131,11 +133,10 @@ def _sigma(i: int) -> Sigma:
 
 def _apply_in_place(x: list[int], gens: Iterable[Generator], n: int) -> None:
     """Apply ``gens`` left to right to the coordinates ``x`` of a class in
-    Z^{1,n}, overwriting them; raise ValueError at the first generator
-    out of range for n, and TypeError at the first item that is not a
-    generator."""
+    Z^{1,n}, overwriting them; ValueError at the first generator out of
+    range for n or non-generator (_reach's dispatch, inline for speed)."""
     for g in gens:
-        if isinstance(g, Phi):
+        if type(g) is Phi:
             i, j, k = g.i, g.j, g.k
             if k > n:
                 raise ValueError(f"{g!r} out of range for n={n}")
@@ -144,45 +145,37 @@ def _apply_in_place(x: list[int], gens: Iterable[Generator], n: int) -> None:
             x[i] = -x0 - xj - xk
             x[j] = -x0 - xi - xk
             x[k] = -x0 - xi - xj
-        elif isinstance(g, Sigma):
+        elif type(g) is Sigma:
             i = g.i
             if i + 1 > n:
                 raise ValueError(f"{g!r} out of range for n={n}")
             x[i], x[i + 1] = x[i + 1], x[i]
         else:
-            raise TypeError(f"not a Phi or Sigma generator: {g!r}")
+            _reach(g)  # raises: g is not a generator
 
 
 def apply_generator(g: Generator, v: PicClass) -> PicClass:
     """Apply a single generator to a class."""
-    x = list(v.coords)
-    _apply_in_place(x, (g,), v.n)
-    return PicClass._trusted(v.n, tuple(x))
+    return apply_word((g,), v)
 
 
 def apply_word(w: WeylWord | Iterable[Generator], v: PicClass) -> PicClass:
     """Apply the generators of ``w`` left to right to a class."""
     x = list(v.coords)
-    _apply_in_place(x, w, v.n)
+    _apply_in_place(x, as_tuple("word", w), v.n)
     return PicClass._trusted(v.n, tuple(x))
 
 
 def fixed_hyperplane_normal(g: Generator, n: int) -> PicClass:
-    """The integer normal of the hyperplane the generator reflects across.
-
+    """The integer normal of the hyperplane the generator reflects across:
     phi_{ijk} fixes (e_0 - e_i - e_j - e_k)^perp, sigma_i fixes
-    (e_i - e_{i+1})^perp; both normals have square -2.  Anything else
-    raises TypeError.
-    """
-    if isinstance(g, Phi):
-        entries = {0: 1, g.i: -1, g.j: -1, g.k: -1}
-    elif isinstance(g, Sigma):
-        entries = {g.i: 1, g.i + 1: -1}
-    else:
-        raise TypeError(f"not a Phi or Sigma generator: {g!r}")
-    if max(entries) > n:
+    (e_i - e_{i+1})^perp, both of square -2.  ValueError for anything
+    that is not a generator, one out of range for n, or an n not an int."""
+    check_bound("n", n)
+    if _reach(g) > n:
         raise ValueError(f"{g!r} out of range for n={n}")
-    return PicClass(n, tuple([entries.get(k, 0) for k in range(n + 1)]))
+    entries = {0: 1, g.i: -1, g.j: -1, g.k: -1} if type(g) is Phi else {g.i: 1, g.i + 1: -1}
+    return PicClass._trusted(n, tuple([entries.get(k, 0) for k in range(n + 1)]))
 
 
 def sort_coordinates(v: PicClass) -> tuple[PicClass, WeylWord]:

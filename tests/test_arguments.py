@@ -1,7 +1,16 @@
-"""Every entry point that takes an integer argument checks it through
-``lattice.check_bound``: a float or a bool is refused as not an integer,
-and a value one step outside the function's range as out of it, each
-with ValueError and one message form."""
+"""Every refused argument raises ValueError, with one message form for
+each kind of refusal.  An integer argument, the coordinates of a
+PicClass included, is checked through ``lattice.check_bound``: a float
+or a bool is refused as not an integer, and a value one step outside the
+function's range as out of it.  A sequence argument goes through
+``lattice.as_tuple``, which refuses one that is not iterable.  (An item
+of a word that is not a Phi or a Sigma gets WeylWord's refusal wherever
+it is applied; test_weyl.py checks that.)  A last test parses the
+package and keeps TypeError to the two places that follow Python's own
+conventions."""
+
+import ast
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +19,7 @@ from cremona.curves import enumerate_minus_one
 from cremona.lattice import (
     PicClass,
     anticanonical_class,
+    as_tuple,
     basis_vector,
     canonical_class,
     check_bound,
@@ -24,19 +34,20 @@ from cremona.polytopes import (
     verify_vertex_formulas,
     vertex_formula_families,
 )
-from cremona.weyl import all_generators, reduce_class
-
-
-def _class_at(n):
-    """A class at n, for the functions that read n off their argument.
-    The public constructor refuses a float or bool n with TypeError
-    first, so this builds through _trusted, and the function's own check
-    is the one that answers."""
-    return PicClass._trusted(n, (1,) + (0,) * int(n))
+from cremona.weyl import (
+    Sigma,
+    WeylWord,
+    all_generators,
+    apply_word,
+    fixed_hyperplane_normal,
+    reduce_class,
+)
 
 
 # (call, name, least, most): the call takes the checked value
 RANGES = {
+    "PicClass n": (lambda n: PicClass(n, (1, 0)), "n", 1, None),
+    "PicClass coordinate": (lambda c: PicClass(2, (1, 0, c)), "coordinate", None, None),
     "canonical_class": (canonical_class, "n", 3, None),
     "anticanonical_class": (anticanonical_class, "n", 3, None),
     "basis_vector n": (lambda n: basis_vector(n, 0), "n", 1, None),
@@ -44,7 +55,10 @@ RANGES = {
     "enumerate_minus_one n": (lambda n: enumerate_minus_one(n, 2), "n", 3, None),
     "enumerate_minus_one d": (lambda d: enumerate_minus_one(3, d), "max_degree", 0, None),
     "fundamental_cone": (fundamental_cone, "n", 3, None),
-    "curve_check": (lambda n: curve_check(_class_at(n)), "n", 3, None),
+    # these two read n off a class, and a class refuses a float or bool n
+    # with the same message
+    "curve_check": (lambda n: curve_check(basis_vector(n, 0)), "n", 3, None),
+    "reduce_class": (lambda n: reduce_class(basis_vector(n, 0)), "n", 3, None),
     "ConePolytope": (lambda n: ConePolytope(n, ()), "n", 1, None),
     "build_P_tilde": (build_P_tilde, "n", 3, None),
     "build_P": (build_P, "n", 3, None),
@@ -52,7 +66,9 @@ RANGES = {
     "vertex_formula_families": (vertex_formula_families, "n", 10, None),
     "verify_region_R": (verify_region_R, "n", 10, None),
     "verify_vertex_formulas": (verify_vertex_formulas, "n", 10, 100),
-    "reduce_class": (lambda n: reduce_class(_class_at(n)), "n", 3, None),
+    "fixed_hyperplane_normal": (
+        lambda n: fixed_hyperplane_normal(Sigma(1), n), "n", None, None
+    ),
     "all_generators": (all_generators, "n", 1, None),
     "run_suite seed": (lambda seed: verify.run_suite("quick", seed=seed), "seed", None, None),
 }
@@ -102,3 +118,71 @@ class TestCheckBound:
         for value in (-(10**30), 0, 10**30):
             check_bound("x", value)
 
+
+# (call, message): a sequence argument that is not iterable
+NOT_ITERABLE = {
+    "PicClass coords": (lambda: PicClass(3, 5), "coords must be iterable, got 5"),
+    "ConePolytope halfspaces": (lambda: ConePolytope(9, 5), "halfspaces must be iterable, got 5"),
+    "WeylWord gens": (lambda: WeylWord(5), "gens must be iterable, got 5"),
+    "apply_word": (lambda: apply_word(5, basis_vector(3, 0)), "word must be iterable, got 5"),
+    "as_tuple": (lambda: as_tuple("x", None), "x must be iterable, got None"),
+}
+
+
+@pytest.mark.parametrize("call, message", NOT_ITERABLE.values(), ids=NOT_ITERABLE)
+def test_a_non_iterable_sequence_is_refused(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+class TestAsTuple:
+    def test_a_tuple_is_returned_itself(self):
+        items = (1, 2, 3)
+        assert as_tuple("x", items) is items
+
+    @pytest.mark.parametrize(
+        "items", [[1, 2, 3], range(1, 4), iter([1, 2, 3]), dict.fromkeys([1, 2, 3])]
+    )
+    def test_an_iterable_becomes_a_tuple_of_its_items(self, items):
+        assert as_tuple("x", items) == (1, 2, 3)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "cremona"
+
+# The only homes of a TypeError in the package: Python's arity
+# convention for a record's fields, and the mirror of json.dumps's
+# refusal of a key type.  Every other refused argument is a ValueError.
+TYPE_ERROR_HOMES = {"lattice.py Record.__init__", "cli.py _key_text"}
+
+
+def _type_error_raises(path):
+    """Where the module at ``path`` raises TypeError or defines a
+    subclass of it, as "file scope" strings, scope being the dotted
+    name of the enclosing classes and functions."""
+    found = []
+
+    def names_type_error(node):
+        return isinstance(node, ast.Name) and node.id == "TypeError"
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + [child.name]
+                if isinstance(child, ast.ClassDef) and any(map(names_type_error, child.bases)):
+                    found.append(f"{path.name} {'.'.join(inner)}")
+            elif isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if names_type_error(exc):
+                    found.append(f"{path.name} {'.'.join(scope)}")
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), [])
+    return found
+
+
+def test_type_error_is_raised_only_at_its_two_homes():
+    found = [place for path in sorted(SRC.glob("*.py")) for place in _type_error_raises(path)]
+    # equality, not a subset: the walk must find the two homes it allows
+    assert set(found) == TYPE_ERROR_HOMES, found

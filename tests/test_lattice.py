@@ -31,15 +31,25 @@ class TestPicClass:
             PicClass(0, (1,))
 
     def test_rejects_non_integers(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="^coordinate must be an integer, got 0.5$"):
             PicClass(3, (1, 0, 0, 0.5))
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="^coordinate must be an integer, got True$"):
             PicClass(3, (1, 0, 0, True))
 
     @pytest.mark.parametrize("n, coords", [(2.0, (1, 0, 0)), (True, (1, 0))])
     def test_rejects_a_non_integer_rank(self, n, coords):
-        with pytest.raises(TypeError, match=f"n must be an exact integer, got {n!r}"):
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {n!r}$"):
             PicClass(n, coords)
+
+    def test_rejects_a_non_iterable(self):
+        with pytest.raises(ValueError, match="^coords must be iterable, got 5$"):
+            PicClass(3, 5)
+
+    def test_admits_an_int_subclass(self):
+        class Small(int):
+            pass
+
+        assert PicClass(2, (1, Small(0), 0)).coords == (1, 0, 0)
 
     def test_is_hashable(self):
         assert len({PicClass(3, (1, 0, 0, 0)), PicClass(3, (1, 0, 0, 0))}) == 1

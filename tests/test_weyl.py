@@ -179,15 +179,15 @@ class TestWords:
             fixed_hyperplane_normal(g, 5)
         assert pairing(fixed_hyperplane_normal(g, 6), fixed_hyperplane_normal(g, 6)) == -2
 
-    @pytest.mark.parametrize("item", [object(), "x", (1, 2, 3)])
-    def test_non_generator_raises_type_error(self, item):
+    @pytest.mark.parametrize("item", [object(), "x", (1, 2, 3), 5, None])
+    def test_non_generator_raises_value_error(self, item):
         v = PicClass(4, (3, -1, 0, -1, 0))
-        message = f"^not a Phi or Sigma generator: {re.escape(repr(item))}$"
-        with pytest.raises(TypeError, match=message):
+        message = f"^a WeylWord holds Phi and Sigma generators only, got {re.escape(repr(item))}$"
+        with pytest.raises(ValueError, match=message):
             apply_word([Sigma(1), item], v)
-        with pytest.raises(TypeError, match=message):
+        with pytest.raises(ValueError, match=message):
             apply_generator(item, v)
-        with pytest.raises(TypeError, match=message):
+        with pytest.raises(ValueError, match=message):
             fixed_hyperplane_normal(item, 4)
 
 
