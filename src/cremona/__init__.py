@@ -39,7 +39,10 @@ nef = _register("nef")
 serialize = _register("serialize")
 verify = _register("verify")
 
-# home module -> the names the package exports from it, in __all__ order
+# home module -> the names the package exports from it, in __all__ order.
+# This is the one declaration of them: each home module builds its own
+# __all__ from its entry, as this file cannot read a module's __all__
+# without running the module.
 _EXPORTS = {
     "lattice": (
         "PicClass",

@@ -30,15 +30,10 @@ from collections import Counter
 from collections.abc import Iterator
 from math import comb, isqrt
 
+from . import _EXPORTS
 from .lattice import PicClass, Record, canonical_class, check_bound, pairing
 
-__all__ = [
-    "MinusOneClass",
-    "Decomposition",
-    "is_minus_one_class",
-    "enumerate_minus_one",
-    "decompose_inequality",
-]
+__all__ = [*_EXPORTS["curves"]]
 
 MinusOneClass = PicClass  # alias: a PicClass that passes is_minus_one_class
 

@@ -10,16 +10,9 @@ from __future__ import annotations
 
 from operator import add, attrgetter, mul, sub
 
-__all__ = [
-    "PicClass",
-    "LightConePosition",
-    "pairing",
-    "canonical_class",
-    "anticanonical_class",
-    "basis_vector",
-    "degree",
-    "light_cone_position",
-]
+from . import _EXPORTS
+
+__all__ = [*_EXPORTS["lattice"]]
 
 
 def check_bound(name: str, value, least: int | None = None, most: int | None = None) -> None:

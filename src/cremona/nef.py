@@ -18,23 +18,14 @@ no approximation is attempted.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from operator import mul
 
-from . import curves, polytopes
+from . import _EXPORTS, curves, polytopes
 from .lattice import PicClass, Record, check_bound, pairing, set_field
 from .weyl import WeylWord, apply_word, reduce_class
 
-__all__ = [
-    "NEF",
-    "NOT_NEF",
-    "METHOD_REDUCTION",
-    "METHOD_CURVE_CHECK",
-    "NefVerdict",
-    "fundamental_cone",
-    "is_nef_K_nonpositive",
-    "curve_check",
-    "check_certificate",
-]
+__all__ = [*_EXPORTS["nef"], "METHOD_REDUCTION", "METHOD_CURVE_CHECK"]
 
 NEF = "nef"
 NOT_NEF = "not_nef"
@@ -147,23 +138,40 @@ def _effective(w: PicClass) -> bool:
     return c[0] >= 0 and pairing(w, w) >= -3 * c[0] - sum(c[1:])
 
 
-def _least_pairing(ms, xs) -> int:
-    # the largest m meet the smallest x (rearrangement inequality)
-    return sum(map(mul, sorted(ms, reverse=True), sorted(xs)))
+def _least_pairing(ms, xs: list[int]) -> int:
+    """The least sum m_l x_l over the placements on xs (ascending) of the
+    multiset ms (its nonzero entries, non-increasing) padded with zeros:
+    the largest m meet the smallest x, and the -1 of (-1,) the largest
+    (rearrangement inequality)."""
+    positive = sum(m > 0 for m in ms)
+    return sum(map(mul, ms[:positive], xs)) + sum(
+        map(mul, ms[positive:], xs[len(xs) - len(ms) + positive :])
+    )
 
 
-def _last_violation(base: int, tail: tuple[int, ...], ms: list[int]) -> tuple[int, ...] | None:
-    """The lexicographically largest placement p of ms with base + sum
-    p_l x_l < 0, or None: the largest m whose rest can still go negative."""
-    if base + _least_pairing(ms, tail) >= 0:
+def _last_violation(
+    base: int, tail: tuple[int, ...], xs: list[int], ms: tuple[int, ...]
+) -> tuple[int, ...] | None:
+    """The lexicographically largest placement p on tail of the multiset
+    ms (nonzero, non-increasing) padded with zeros, with base + sum p_l
+    x_l < 0, or None.  xs is the tail sorted, and each x is deleted from
+    a copy of it as it is placed: its m is the largest whose rest can
+    still go negative."""
+    if base + _least_pairing(ms, xs) >= 0:
         return None
+    ms, xs = list(ms), xs.copy()
     placed = []
-    for l, x in enumerate(tail):
-        for m in sorted(set(ms), reverse=True):
-            ms.remove(m)
-            if base + m * x + _least_pairing(ms, tail[l + 1 :]) < 0:
+    for x in tail:
+        del xs[bisect_left(xs, x)]
+        # a zero is still to place while more positions than ms are left
+        values = {*ms, 0} if len(xs) >= len(ms) else set(ms)
+        for m in sorted(values, reverse=True):
+            rest = ms.copy()
+            if m:
+                rest.remove(m)
+            if base + m * x + _least_pairing(rest, xs) < 0:
                 break
-            ms.append(m)
+        ms = rest
         base += m * x
         placed.append(m)
     return tuple(placed)
@@ -184,8 +192,9 @@ def curve_check(v: PicClass, max_degree: int = 6) -> NefVerdict:
     check_bound("max_degree", max_degree, 0)
     if pairing(v, v) < 0:
         return NefVerdict(v, max_degree)
+    xs = sorted(tail)
     for d, ms in curves._orbits(n, max_degree):
-        if p := _last_violation(d * x0, tail, [*ms] + [0] * (n - len(ms))):
+        if p := _last_violation(d * x0, tail, xs, ms):
             c = PicClass._trusted(n, (d,) + tuple(-m for m in p))
             return NefVerdict(c, max_degree)
     return NefVerdict(None, max_degree)

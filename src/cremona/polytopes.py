@@ -22,6 +22,7 @@ import itertools
 from fractions import Fraction
 from math import gcd, isqrt
 
+from . import _EXPORTS
 from .lattice import (
     LightConePosition,
     PicClass,
@@ -45,38 +46,7 @@ from .linalg import solve_unique
 # dead tuples of each length up to 20 (2.3 MB after 440 rounds of the
 # three over n = 10..20 on Python 3.11.7).
 
-__all__ = [
-    "Halfspace",
-    "ConePolytope",
-    "MembershipResult",
-    "AngleClass",
-    "CartanEntry",
-    "Ray",
-    "CoxeterCheck",
-    "DiagramEdge",
-    "CoxeterDiagram",
-    "VertexFormulaReport",
-    "RegionRRow",
-    "RegionRReport",
-    "build_P_tilde",
-    "build_P",
-    "build_P_minus",
-    "membership",
-    "gram_matrix",
-    "classify_angle",
-    "cartan_matrix",
-    "render_cartan_entry",
-    "is_coxeter",
-    "coxeter_diagram",
-    "extremal_rays",
-    "boundary_rays",
-    "finite_volume",
-    "is_implied",
-    "redundant_constraints",
-    "vertex_formula_families",
-    "verify_vertex_formulas",
-    "verify_region_R",
-]
+__all__ = [*_EXPORTS["polytopes"], "RegionRRow"]
 
 
 class Halfspace(Record):

@@ -25,25 +25,10 @@ from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, islice, starmap
 
-from . import curves
+from . import _EXPORTS, curves
 from .lattice import PicClass, Record, as_tuple, canonical_class, check_bound, pairing, set_field
 
-__all__ = [
-    "Generator",
-    "Phi",
-    "Sigma",
-    "WeylWord",
-    "ReductionResult",
-    "KPositiveError",
-    "apply_generator",
-    "apply_word",
-    "fixed_hyperplane_normal",
-    "sort_coordinates",
-    "reduce_class",
-    "all_generators",
-    "orbit",
-    "OrbitResult",
-]
+__all__ = [*_EXPORTS["weyl"], "Generator"]
 
 
 class Phi(Record):
@@ -193,7 +178,10 @@ def sort_coordinates(v: PicClass) -> tuple[PicClass, WeylWord]:
 def _bubble_sort_word(keys: list) -> list[Sigma]:
     """Sort ``keys`` in place by stable bubble sort and return its swaps,
     keys[i - 1] being coordinate i: swapping keys[i - 1] and keys[i] is
-    Sigma(i).  Every Sigma(i) in the word is one shared instance."""
+    Sigma(i).  Each Sigma(i) comes from ``_sigma``, whose cache holds
+    1,024 of them (and ``_phi``'s 8,192 triples), so the word shares one
+    instance per i only while len(keys) <= 1,025; past that, an evicted
+    Sigma(i) is built anew."""
     word: list[Sigma] = []
     changed = True
     while changed:
@@ -268,9 +256,10 @@ def reduce_class(v: PicClass) -> ReductionResult:
     ``order``: the order a stable re-sort would give, ties included.
     The witness word and the violated class depend on that tie order.
     Each step records its sorted index triple, and after the loop each
-    triple becomes its shared Phi instance; each Sigma of the sort word
-    is shared too.  Then sort the tail with one transposition word.  The
-    result is "in_cone" once
+    triple becomes its Phi instance, shared through ``_phi``'s cache of
+    8,192 triples; each Sigma of the sort word is shared the same way,
+    through ``_sigma``'s cache of 1,024.  Then sort the tail with one
+    transposition word.  The result is "in_cone" once
     x_0 + x_1 + x_2 + x_3 >= 0 and x_n <= 0 in sorted coordinates (the
     remaining cone inequality 3x_0 >= -sum x_i holds throughout because
     it is W-invariant and holds on the input).  Otherwise the sorted

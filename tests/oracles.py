@@ -436,6 +436,41 @@ def reference_curve_check(coords, max_degree: int):
 
 
 # ---------------------------------------------------------------------------
+# reference placement
+#
+# The first failing placement of one multiplicity multiset, found by a
+# greedy that re-sorts what is left at every position: O(n^2 log n), but
+# it needs no list of the classes, so it reaches sizes that
+# reference_curve_check cannot.
+
+
+def reference_least_pairing(ms, xs) -> int:
+    """The least sum m_l x_l over the placements of ms on xs (as many):
+    the largest m meet the smallest x (rearrangement inequality)."""
+    return sum(map(operator.mul, sorted(ms, reverse=True), sorted(xs)))
+
+
+def reference_last_violation(base: int, tail, ms):
+    """The lexicographically largest placement p of the multiset ms (one
+    entry per entry of tail, zeros included) with base + sum p_l x_l < 0,
+    or None: at each position the largest m whose rest can still go
+    negative."""
+    tail, ms = tuple(tail), list(ms)
+    if base + reference_least_pairing(ms, tail) >= 0:
+        return None
+    placed = []
+    for l, x in enumerate(tail):
+        for m in sorted(set(ms), reverse=True):
+            ms.remove(m)
+            if base + m * x + reference_least_pairing(ms, tail[l + 1 :]) < 0:
+                break
+            ms.append(m)
+        base += m * x
+        placed.append(m)
+    return tuple(placed)
+
+
+# ---------------------------------------------------------------------------
 # misc
 
 

@@ -5,10 +5,12 @@ import random
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cremona.curves import enumerate_minus_one
+from cremona.curves import _multiplicity_multisets, enumerate_minus_one
 from cremona.lattice import PicClass, anticanonical_class, basis_vector, canonical_class, pairing
 from cremona.nef import (
+    _last_violation,
     NEF,
     NOT_NEF,
     NefVerdict,
@@ -19,7 +21,12 @@ from cremona.nef import (
 )
 from cremona.polytopes import extremal_rays, membership
 from cremona.weyl import KPositiveError, Phi, WeylWord, all_generators, apply_word
-from oracles import minkowski, reference_curve_check
+from oracles import (
+    minkowski,
+    reference_curve_check,
+    reference_last_violation,
+    reference_least_pairing,
+)
 
 
 class TestFundamentalCone:
@@ -301,6 +308,31 @@ class TestCurveCheckAgainstReference:
         # the first and the last have a negative square
         with pytest.raises(ValueError, match=message):
             curve_check(v, max_degree)
+
+
+class TestPlacementAgainstReference:
+    # curve_check's placement of one multiset against the old greedy, at
+    # sizes where TestCurveCheckAgainstReference cannot list the classes
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_reference(self, data):
+        n = data.draw(st.integers(3, 300), label="n")
+        degrees = [d for d in range(9) if next(_multiplicity_multisets(d, n), None)]
+        d = data.draw(st.sampled_from(degrees), label="d")
+        ms = data.draw(st.sampled_from(list(_multiplicity_multisets(d, n))), label="ms")
+        # few values, so ties throughout, of both signs
+        tail = tuple(data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n), label="tail"))
+        padded = ms + (0,) * (n - len(ms))
+        # a violation exactly when the slack is positive, and by every
+        # placement once it passes the spread of the pairings
+        spread = sum(map(abs, ms)) * (max(tail) - min(tail))
+        slack = data.draw(st.integers(-3, spread), label="slack")
+        base = -slack - reference_least_pairing(padded, tail)
+        got = _last_violation(base, tail, sorted(tail), ms)
+        assert got == reference_last_violation(base, tail, padded)
+        if got is not None:
+            assert sorted(got) == sorted(padded)
+            assert base + sum(m * x for m, x in zip(got, tail)) < 0
 
 
 class TestAgreement:
