@@ -15,10 +15,11 @@ verification).
 ``cartan``, ``diagram``, ``rays``, ``curves``, ``nef-test --method
 curves``, ``orbit``, ``reduce`` and ``nef-test`` refuse (exit 2) work
 past caps, POLYTOPE_MAX_N, CURVES_MAX_CLASSES, ORBIT_MAX_CLASSES and
-weyl.REDUCE_MAX_STEPS (phi steps of a reduction), rather than run for
-hours or fill memory.  A class carries n + 1 integers and a phi step
-moves O(n) list entries, so the class caps of ``curves`` and ``orbit``
-shrink by 11/(n + 1) past n = 10, and the step cap by 100/n past n = 100.
+weyl.REDUCE_MAX_STEPS (phi steps of a reduction; twice it bounds the
+generators of a witness), rather than run for hours or fill memory.  A
+class carries n + 1 integers and a phi step moves O(n) list entries, so
+the class caps of ``curves`` and ``orbit`` shrink by 11/(n + 1) past
+n = 10, and the step cap by 100/n past n = 100.
 
 Only integer classes are handled.  Rays of the nef boundary with
 irrational coordinates cannot be entered and are out of scope.

@@ -36,6 +36,12 @@ def as_tuple(name: str, items) -> tuple:
     return tuple(items)  # a tuple itself, not a copy, when it is one
 
 
+def check_class(name: str, value) -> None:
+    """The package's one rule for a class argument: ValueError unless a PicClass."""
+    if not isinstance(value, PicClass):
+        raise ValueError(f"{name} must be a PicClass, got {value!r}")
+
+
 # Record refuses assignment, so a constructor sets its fields through
 # object's own __setattr__, bound once here.
 set_field = object.__setattr__
@@ -200,8 +206,9 @@ class LightConePosition(Record):
 
 def pairing(u: PicClass, v: PicClass) -> int:
     """The signature-(1,n) product u_0*v_0 - sum_{i>=1} u_i*v_i."""
-    if u.n != v.n:
-        raise ValueError(f"lattice rank mismatch: n={u.n} vs n={v.n}")
+    check_class("u", u)
+    check_class("v", v)
+    u._check_same_lattice(v)
     uc, vc = u.coords, v.coords
     # the full Euclidean dot product counts u_0*v_0 with the wrong sign;
     # correcting for it here saves copying the tails

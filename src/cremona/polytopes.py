@@ -31,6 +31,7 @@ from .lattice import (
     as_tuple,
     basis_vector,
     check_bound,
+    check_class,
     light_cone_position,
     pairing,
     set_field,
@@ -170,6 +171,7 @@ def _cone(n: int, normals: list[PicClass]) -> ConePolytope:
 
 def membership(P: ConePolytope, v: PicClass) -> MembershipResult:
     """Does v satisfy every inequality of P?  Reports the first violated normal."""
+    check_class("v", v)
     if v.n != P.n:
         raise ValueError(f"rank mismatch: cone has n = {P.n}, vector has n = {v.n}")
     for u in P.all_normals:

@@ -6,27 +6,21 @@ transpositions sigma_i = (i, i+1).  Every generator is an involutive
 isometry of the pairing and fixes the canonical class K.
 
 ``reduce_class`` is the workhorse: it moves any K-nonpositive integer
-class into the fundamental cone, or else produces a violated curve
-class proving the input is not nef.  It keeps the tail x_1..x_n as two
-parallel lists, the values in sorted order and their indices: while
-x_0 plus the three smallest values is negative, it applies phi at the
-indices of those three (each application strictly decreases x_0, so
-the loop terminates) and bisects the three new values back in.  The
-witness is those phi steps followed by one word of transpositions that
-sorts the tail.  A not-nef verdict pulls the violated class back by
-replaying the recorded index triples in integer arithmetic.
+class into the fundamental cone by phi steps and one sorting word of
+transpositions, or else produces a violated curve class proving the
+input is not nef.  Its docstring gives the algorithm.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, islice, starmap
 
 from . import _EXPORTS, curves
-from .lattice import PicClass, Record, as_tuple, canonical_class, check_bound, pairing, set_field
+from .lattice import PicClass, Record, as_tuple, canonical_class, check_bound, check_class, pairing, set_field
 
 __all__ = [*_EXPORTS["weyl"], "Generator"]
 
@@ -102,18 +96,17 @@ class WeylWord(Record):
         return WeylWord._trusted(self.gens[::-1])
 
 
-# Shared generator instances for the reduction.  A phi step is keyed by
-# its sorted triple: C(n, 3) keys, 1,140 at n = 20, where the unsorted
-# triple would give up to six times as many.  The bounds keep a
-# long-lived process that reduces at many n from growing without limit.
+# Shared Phi instances, one per sorted triple (1,140 at n = 20); the bound
+# keeps a process that reduces at many n from growing without limit.  A
+# dict per call in place of the cache made a nef_stream benchmark cycle of
+# about 80 ms 30 ms slower (2-vCPU Linux, Python 3.11.7).
 @lru_cache(maxsize=8192)
 def _phi(i: int, j: int, k: int) -> Phi:
     return Phi(i, j, k)
 
 
-@lru_cache(maxsize=1024)
-def _sigma(i: int) -> Sigma:
-    return Sigma(i)
+# _SIGMAS[i] is the one Sigma(i) all sort words share; it grows as they need
+_SIGMAS: list[Sigma | None] = [None]
 
 
 def _apply_in_place(x: list[int], gens: Iterable[Generator], n: int) -> None:
@@ -146,6 +139,7 @@ def apply_generator(g: Generator, v: PicClass) -> PicClass:
 
 def apply_word(w: WeylWord | Iterable[Generator], v: PicClass) -> PicClass:
     """Apply the generators of ``w`` left to right to a class."""
+    check_class("v", v)
     x = list(v.coords)
     _apply_in_place(x, as_tuple("word", w), v.n)
     return PicClass._trusted(v.n, tuple(x))
@@ -163,34 +157,48 @@ def fixed_hyperplane_normal(g: Generator, n: int) -> PicClass:
     return PicClass._trusted(n, tuple([entries.get(k, 0) for k in range(n + 1)]))
 
 
+# The count of phi steps can grow like sqrt(x_0): c^p (3, -2, -1^4, 0^4)
+# takes p/2 steps for the Coxeter element c = phi(1,2,3) sigma_1...sigma_8.
+# A step moves O(n) list entries: 10^6 steps take 0.92 s at n = 10 and
+# 1.16 s at n = 100 (2-vCPU Linux machine, Python 3.11.7).
+REDUCE_MAX_STEPS = 10**6
+_WITNESS_CAP = 2 * REDUCE_MAX_STEPS  # fixed at import: patching REDUCE_MAX_STEPS moves the phi cap only
+
+
 def sort_coordinates(v: PicClass) -> tuple[PicClass, WeylWord]:
-    """Sort x_1 <= ... <= x_n with a stable bubble sort, recording the swaps.
-
-    The returned word w satisfies apply_word(w, v) == sorted vector, and
-    being the bubble-sort decomposition it is a canonical reduced
-    expression of the sorting permutation.
-    """
-    tail = list(v.coords[1:])
-    word = _bubble_sort_word(tail)
-    return PicClass._trusted(v.n, (v.coords[0], *tail)), WeylWord._trusted(tuple(word))
+    """v with x_1 <= ... <= x_n sorted, and the stable bubble sort's word w,
+    with apply_word(w, v) the sorted class: a canonical reduced expression
+    of the sorting permutation.  ValueError past the witness cap."""
+    tail = v.coords[1:]
+    word = WeylWord._trusted(tuple(_sort_word(tail, 0)))
+    return PicClass._trusted(v.n, (v.coords[0], *sorted(tail))), word
 
 
-def _bubble_sort_word(keys: list) -> list[Sigma]:
-    """Sort ``keys`` in place by stable bubble sort and return its swaps,
-    keys[i - 1] being coordinate i: swapping keys[i - 1] and keys[i] is
-    Sigma(i).  Each Sigma(i) comes from ``_sigma``, whose cache holds
-    1,024 of them (and ``_phi``'s 8,192 triples), so the word shares one
-    instance per i only while len(keys) <= 1,025; past that, an evicted
-    Sigma(i) is built anew."""
+def _sort_word(keys, length: int) -> list[Sigma]:
+    """The swaps of the stable bubble sort of ``keys``, keys[i - 1] being
+    coordinate i: swapping it with keys[i] is Sigma(i).  With l_j keys
+    greater than keys[j] to its left, that key moves left once in each of
+    the first l_j passes and is never carried right before, so pass p
+    swaps it as Sigma(j - p + 1), in increasing j.  Bisecting each key
+    into the sorted prefix moves exactly l_j keys, so the table costs
+    O(n log n + inversions).  ValueError once ``length`` plus the swaps
+    pass _WITNESS_CAP, the bound on a witness's generators."""
+    prefix, table = [], []
+    for j, key in enumerate(keys):
+        p = bisect_right(prefix, key)
+        prefix.insert(p, key)
+        table.append(j - p)
+        length += j - p
+        if length > _WITNESS_CAP:
+            raise ValueError(f"the witness needs more than {_WITNESS_CAP} generators")
+    moving = [j for j, l in enumerate(table) if l]  # pass 1 swaps up to moving[-1]
+    # assigning a built list is atomic and never shortens _SIGMAS: a race at worst swaps in an equal Sigma(i)
+    start, top = len(_SIGMAS), max(moving, default=0)
+    _SIGMAS[start : top + 1] = [Sigma(i) for i in range(start, top + 1)]
     word: list[Sigma] = []
-    changed = True
-    while changed:
-        changed = False
-        for i in range(1, len(keys)):
-            if keys[i - 1] > keys[i]:
-                keys[i - 1], keys[i] = keys[i], keys[i - 1]
-                word.append(_sigma(i))
-                changed = True
+    for p in range(1, max(table, default=0) + 1):
+        word += [_SIGMAS[j - p + 1] for j in moving]
+        moving = [j for j in moving if table[j] > p]
     return word
 
 
@@ -227,18 +235,11 @@ class ReductionResult(Record):
 
     @property
     def iterations(self) -> int:
-        return sum(isinstance(g, Phi) for g in self.witness.gens)
+        return list(map(type, self.witness.gens)).count(Phi)
 
 
 class KPositiveError(ValueError):
     """Raised for inputs on the K-positive side, where reduction says nothing."""
-
-
-# The count of phi steps can grow like sqrt(x_0): c^p (3, -2, -1^4, 0^4)
-# takes p/2 steps for the Coxeter element c = phi(1,2,3) sigma_1...sigma_8.
-# A step moves O(n) list entries: 10^6 steps take 0.92 s at n = 10 and
-# 1.16 s at n = 100 (2-vCPU Linux machine, Python 3.11.7).
-REDUCE_MAX_STEPS = 10**6
 
 
 def reduce_class(v: PicClass) -> ReductionResult:
@@ -256,21 +257,21 @@ def reduce_class(v: PicClass) -> ReductionResult:
     ``order``: the order a stable re-sort would give, ties included.
     The witness word and the violated class depend on that tie order.
     Each step records its sorted index triple, and after the loop each
-    triple becomes its Phi instance, shared through ``_phi``'s cache of
-    8,192 triples; each Sigma of the sort word is shared the same way,
-    through ``_sigma``'s cache of 1,024.  Then sort the tail with one
-    transposition word.  The result is "in_cone" once
+    triple becomes its shared Phi (``_phi``); ``_sort_word`` gives the
+    transpositions that sort the tail.  The result is "in_cone" once
     x_0 + x_1 + x_2 + x_3 >= 0 and x_n <= 0 in sorted coordinates (the
-    remaining cone inequality 3x_0 >= -sum x_i holds throughout because
-    it is W-invariant and holds on the input).  Otherwise the sorted
-    vector has x_n > 0, and no translate of the cone contains v: report
+    remaining cone inequality 3x_0 >= -sum x_i holds throughout, as it
+    is W-invariant and holds on the input).  Otherwise the sorted vector
+    has x_n > 0, and no translate of the cone contains v: report
     "not_nef" with the violated class e_n (in sorted coordinates), which
     pairs to -x_n < 0, pulled back to the input by putting it in index
     order through ``order`` (the inverse of the sort word) and then
     replaying the recorded triples backwards in integer arithmetic.
 
-    Past REDUCE_MAX_STEPS * 100 // max(n, 100) phi steps it raises ValueError.
+    Past REDUCE_MAX_STEPS * 100 // max(n, 100) phi steps, or past a
+    witness of 2 * REDUCE_MAX_STEPS generators, it raises ValueError.
     """
+    check_class("v", v)
     check_bound("n", v.n, 3)
     if v.is_zero():
         raise ValueError("cannot reduce the zero class")
@@ -322,10 +323,8 @@ def reduce_class(v: PicClass) -> ReductionResult:
         raise ValueError(f"reduction passed the cap of {cap} phi steps")
     triples = iter(steps)
     word: list[Generator] = list(starmap(_phi, zip(triples, triples, triples)))
-    rank = [0] * n  # rank[i - 1]: the sorted position of index i
-    for position, i in enumerate(order):
-        rank[i - 1] = position
-    word.extend(_bubble_sort_word(rank))
+    rank = sorted(range(n), key=order.__getitem__)  # rank[i - 1]: index i's place
+    word += _sort_word(rank, len(word))
     reduced = PicClass._trusted(n, (x0, *vals))
     witness = WeylWord._trusted(tuple(word))
     if x0 + vals[0] + vals[1] + vals[2] >= 0 and vals[-1] <= 0:
@@ -386,6 +385,7 @@ def orbit(v: PicClass, max_degree: int | None = None, *, max_count: int) -> Orbi
     if max_degree is not None:
         check_bound("max_degree", max_degree, 0)
     check_bound("max_count", max_count, 1)
+    check_class("v", v)
     if max_degree is not None and v.coords[0] > max_degree:
         return OrbitResult((), False)
 

@@ -230,6 +230,23 @@ def reference_reduce(coords) -> tuple:
     return "not_nef", tuple(x), steps.count(0), tuple(culprit)
 
 
+def reference_bubble_sort_word(keys) -> list[int]:
+    """The swaps of a stable bubble sort of ``keys``, as the indices i of
+    the transpositions of keys[i - 1] and keys[i]: passes over the list
+    until one swaps nothing."""
+    keys = list(keys)
+    word = []
+    changed = True
+    while changed:
+        changed = False
+        for i in range(1, len(keys)):
+            if keys[i - 1] > keys[i]:
+                keys[i - 1], keys[i] = keys[i], keys[i - 1]
+                word.append(i)
+                changed = True
+    return word
+
+
 def reference_random_move(coords, length: int, rng) -> tuple[int, ...]:
     """coords moved by ``length`` random generators: phi at a random
     triple of points, or a random adjacent transposition."""

@@ -3,7 +3,9 @@ each kind of refusal.  An integer argument, the coordinates of a
 PicClass included, is checked through ``lattice.check_bound``: a float
 or a bool is refused as not an integer, and a value one step outside the
 function's range as out of it.  A sequence argument goes through
-``lattice.as_tuple``, which refuses one that is not iterable.  (An item
+``lattice.as_tuple``, which refuses one that is not iterable, and a
+class argument through ``lattice.check_class``, which refuses anything
+but a PicClass.  (An item
 of a word that is not a Phi or a Sigma gets WeylWord's refusal wherever
 it is applied; test_weyl.py checks that.)  A last test parses the
 package and keeps TypeError to the two places that follow Python's own
@@ -23,13 +25,16 @@ from cremona.lattice import (
     basis_vector,
     canonical_class,
     check_bound,
+    check_class,
+    pairing,
 )
-from cremona.nef import curve_check, fundamental_cone
+from cremona.nef import curve_check, fundamental_cone, is_nef_K_nonpositive
 from cremona.polytopes import (
     ConePolytope,
     build_P,
     build_P_minus,
     build_P_tilde,
+    membership,
     verify_region_R,
     verify_vertex_formulas,
     vertex_formula_families,
@@ -40,6 +45,7 @@ from cremona.weyl import (
     all_generators,
     apply_word,
     fixed_hyperplane_normal,
+    orbit,
     reduce_class,
 )
 
@@ -131,6 +137,27 @@ NOT_ITERABLE = {
 
 @pytest.mark.parametrize("call, message", NOT_ITERABLE.values(), ids=NOT_ITERABLE)
 def test_a_non_iterable_sequence_is_refused(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+# (call, message): a class argument that is not a PicClass
+NOT_A_CLASS = {
+    "pairing u": (lambda: pairing(5, basis_vector(3, 0)), "u must be a PicClass, got 5"),
+    "pairing v": (lambda: pairing(basis_vector(3, 0), 5), "v must be a PicClass, got 5"),
+    "reduce_class": (lambda: reduce_class((1, 0, 0, 0)), "v must be a PicClass, got (1, 0, 0, 0)"),
+    "apply_word": (lambda: apply_word([], (1, 0, 0, 0)), "v must be a PicClass, got (1, 0, 0, 0)"),
+    "membership": (lambda: membership(build_P(3), [1, 0, 0, 0]),
+                   "v must be a PicClass, got [1, 0, 0, 0]"),
+    "is_nef_K_nonpositive": (lambda: is_nef_K_nonpositive(None), "v must be a PicClass, got None"),
+    "orbit": (lambda: orbit(5, max_count=1), "v must be a PicClass, got 5"),
+    "check_class": (lambda: check_class("x", "e0"), "x must be a PicClass, got 'e0'"),
+}
+
+
+@pytest.mark.parametrize("call, message", NOT_A_CLASS.values(), ids=NOT_A_CLASS)
+def test_an_argument_that_is_not_a_class_is_refused(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message

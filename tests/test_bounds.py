@@ -39,15 +39,9 @@ def refused(id, argv, message):
     return pytest.param(argv, 2, "", f"error: {message}\n", id=id)
 
 
-def answered(id, argv, tail, code=0, marks=()):
+def answered(id, argv, tail, code=0):
     """A call that exits with this code and prints stdout ending in tail."""
-    return pytest.param(argv, code, tail, "", id=id, marks=marks)
-
-
-def open_item(item, why):
-    # strict: the row fails the run once its ROADMAP item makes it pass
-    return pytest.mark.xfail(strict=True, raises=subprocess.TimeoutExpired,
-                             reason=f"ROADMAP item {item}: {why}")
+    return pytest.param(argv, code, tail, "", id=id)
 
 
 ROWS = [
@@ -62,10 +56,16 @@ ROWS = [
              "witness: (identity)\niterations: 0\n"),
     answered("nef-test n=60000", ["nef-test", "--n", "60000", "--vector", "1" + ",0" * 60_000],
              "verdict: nef\nmethod: reduction_exact\nwitness: (identity)\n"),
-    answered("reduce reversed tail n=4000",
-             ["reduce", "--n", "4000", "--vector", reversed_tail(4000)],
-             "sigma(2) sigma(1)\niterations: 0\n",
-             marks=open_item(1, "the sort word costs n^2 comparisons (about 17 s)")),
+    # the witness cap: phi steps and transpositions, 2 * 10^6 generators
+    answered("reduce reversed tail n=2000",
+             ["reduce", "--n", "2000", "--vector", reversed_tail(2000)],
+             "sigma(3) sigma(1) sigma(2) sigma(1)\niterations: 0\n"),
+    refused("reduce reversed tail n=4000",
+            ["reduce", "--n", "4000", "--vector", reversed_tail(4000)],
+            "the witness needs more than 2000000 generators"),
+    refused("nef-test reversed tail n=4000",
+            ["nef-test", "--n", "4000", "--vector", reversed_tail(4000)],
+            "the witness needs more than 2000000 generators"),
     # the class cap of curves, 150,000 scaled by 11/(n + 1) past n = 10, and
     # the walk over the degrees, which ends with the classes at n <= 8
     refused("curves n=100000", ["curves", "--n", "100000", "--max-degree", "0"],

@@ -4,6 +4,8 @@ import hashlib
 import json
 import random
 import re
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,7 +29,12 @@ from cremona.weyl import (
     reduce_class,
     sort_coordinates,
 )
-from oracles import coxeter_power_class, reference_random_move, reference_reduce
+from oracles import (
+    coxeter_power_class,
+    reference_bubble_sort_word,
+    reference_random_move,
+    reference_reduce,
+)
 
 
 def vectors(n: int, lo: int = -30, hi: int = 30):
@@ -204,6 +211,99 @@ class TestSortCoordinates:
         v = PicClass(4, (3, -2, -1, 0, 5))
         s, word = sort_coordinates(v)
         assert s == v and len(word) == 0
+
+
+def reversed_tail(n: int) -> tuple[int, ...]:
+    """(0, -1, ..., -(n - 1)): n(n - 1)/2 inversions, the most at n."""
+    return tuple(range(0, -n, -1))
+
+
+LONG_TAILS = {
+    "reversed": reversed_tail(1000),
+    "last key far out": tuple(range(1, 1000)) + (0,),  # n - 1 passes
+    "first key far out": (1000,) + tuple(range(999)),  # one pass
+}
+
+
+class TestSortWordAgainstReference:
+    """weyl._sort_word reads the bubble sort's word off the inversion
+    table; the oracle runs the passes."""
+
+    @staticmethod
+    def assert_same_word(keys):
+        assert [g.i for g in weyl._sort_word(keys, 0)] == reference_bubble_sort_word(keys)
+
+    @settings(max_examples=300)
+    @given(st.lists(st.integers(-5, 5), max_size=30))
+    def test_tails_with_ties(self, keys):
+        self.assert_same_word(keys)
+
+    @pytest.mark.parametrize("keys", LONG_TAILS.values(), ids=LONG_TAILS)
+    def test_long_tails(self, keys):
+        self.assert_same_word(keys)
+
+    def test_the_reversed_tail_shares_one_sigma_per_index(self):
+        n = 1500
+        witness = reduce_class(PicClass(n, (n * n,) + reversed_tail(n))).witness
+        assert len(witness) == n * (n - 1) // 2
+        assert len({id(g) for g in witness.gens}) == n - 1
+
+    def test_racing_sort_words_keep_each_sigma_at_its_index(self, monkeypatch):
+        # four threads grow a fresh _SIGMAS at once, switching every microsecond
+        monkeypatch.setattr(weyl, "_SIGMAS", [None])
+
+        def grow(step):
+            for n in range(2 + step, 1500, 4):  # the last two keys swapped: Sigma(n - 1)
+                weyl._sort_word([*range(n - 2), n - 1, n - 2], 0)
+
+        threads = [threading.Thread(target=grow, args=(step,)) for step in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert [g.i for g in weyl._SIGMAS[1:]] == list(range(1, len(weyl._SIGMAS)))
+
+
+class TestWitnessCap:
+    """A witness holds at most 2 * REDUCE_MAX_STEPS generators, phi steps
+    and transpositions together.  (0, -1, ..., -1999) has 1,999,000
+    inversions, and a last key of -1000 adds 1,000 more: exactly the cap."""
+
+    CAP = 2 * weyl.REDUCE_MAX_STEPS
+    MESSAGE = f"^the witness needs more than {CAP} generators$"
+
+    @pytest.mark.parametrize("last, ok", [(-1000, True), (-1001, False)])
+    def test_a_sort_word_of_exactly_the_cap_is_admitted(self, last, ok):
+        v = PicClass(2001, (0,) + reversed_tail(2000) + (last,))
+        if ok:
+            assert len(sort_coordinates(v)[1]) == self.CAP
+        else:
+            with pytest.raises(ValueError, match=self.MESSAGE):
+                sort_coordinates(v)
+
+    @pytest.mark.parametrize("last, ok", [(-1000, True), (-1001, False)])
+    def test_a_reduction_witness_of_exactly_the_cap_is_admitted(self, last, ok):
+        v = PicClass(2001, (2001**2,) + reversed_tail(2000) + (last,))
+        if ok:
+            res = reduce_class(v)
+            assert res.iterations == 0 and len(res.witness) == self.CAP
+        else:
+            with pytest.raises(ValueError, match=self.MESSAGE):
+                reduce_class(v)
+
+    @pytest.mark.parametrize("phi_steps, ok", [(1000, True), (1001, False)])
+    def test_phi_steps_count_toward_the_cap(self, phi_steps, ok):
+        keys = reversed_tail(2000)
+        if ok:
+            assert len(weyl._sort_word(keys, phi_steps)) + phi_steps == self.CAP
+        else:
+            with pytest.raises(ValueError, match=self.MESSAGE):
+                weyl._sort_word(keys, phi_steps)
 
 
 class TestReduce:
