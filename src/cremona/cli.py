@@ -304,7 +304,7 @@ def _cmd_diagram(args: argparse.Namespace, out: _Output) -> int:
                 f"cos^2 = {ang.cos2}, not a submultiple of pi\n"
             )
         return 3
-    diagram = polytopes.coxeter_diagram(P)  # P's angle pass again, from the memo
+    diagram = polytopes.coxeter_diagram(P)  # the angle pass kept on P
     out.line(diagram.to_dot() if args.format == "dot" else diagram.to_ascii())
     return 0
 

@@ -236,10 +236,12 @@ def anticanonical_class(n: int) -> PicClass:
 
 def degree(v: PicClass) -> int:
     """degree(v) = v . e_0 = x_0."""
+    check_class("v", v)
     return v.coords[0]
 
 
 def light_cone_position(v: PicClass) -> LightConePosition:
+    check_class("v", v)
     if v.is_zero():
         raise ValueError("the zero vector has no light-cone position")
     square = pairing(v, v)

@@ -22,7 +22,7 @@ from bisect import bisect_left
 from operator import mul
 
 from . import _EXPORTS, curves, polytopes
-from .lattice import PicClass, Record, check_bound, pairing, set_field
+from .lattice import PicClass, Record, check_bound, check_class, pairing, set_field
 from .weyl import WeylWord, apply_word, reduce_class
 
 __all__ = [*_EXPORTS["nef"], "METHOD_REDUCTION", "METHOD_CURVE_CHECK"]
@@ -114,6 +114,9 @@ def check_certificate(v: PicClass, verdict: NefVerdict) -> bool:
     effective one.  A clean curve check has no witness, so it is never
     certified, nor is v by a witness that does not fit its n.
     """
+    check_class("v", v)
+    if not isinstance(verdict, NefVerdict):
+        raise ValueError(f"verdict must be a NefVerdict, got {verdict!r}")
     w = verdict.witness
     if w is None:
         return False
@@ -187,6 +190,7 @@ def curve_check(v: PicClass, max_degree: int = 6) -> NefVerdict:
     c - c' a root e_i - e_j, a swap within one multiset; so c + c' is in
     the closed positive cone, where v.(c + c') >= 0 once v^2 >= 0 and
     x_0 > 0.  If x_0 < 0, an e_i or a line fails first."""
+    check_class("v", v)
     n, x0, tail = v.n, v.coords[0], v.coords[1:]
     check_bound("n", n, 3)
     check_bound("max_degree", max_degree, 0)

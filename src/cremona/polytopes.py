@@ -79,7 +79,14 @@ class Halfspace(Record):
         return obj
 
 
-class ConePolytope(Record):
+class _AngleSlot:
+    """The slot where _angle_pass keeps a cone's pass: not a Record field,
+    so equality, hash, repr, copy and pickle never see it."""
+
+    __slots__ = ("_angles",)
+
+
+class ConePolytope(Record, _AngleSlot):
     """A cone cut out by halfspaces.
 
     The halfspace list is *meant* to be minimal (no inequality implied
@@ -103,6 +110,12 @@ class ConePolytope(Record):
     @property
     def all_normals(self) -> tuple[PicClass, ...]:
         return tuple([h.normal for h in self.halfspaces])
+
+
+def check_cone(name: str, value) -> None:
+    """The package's one rule for a cone argument: ValueError unless a ConePolytope."""
+    if not isinstance(value, ConePolytope):
+        raise ValueError(f"{name} must be a ConePolytope, got {value!r}")
 
 
 class MembershipResult(Record):
@@ -171,6 +184,7 @@ def _cone(n: int, normals: list[PicClass]) -> ConePolytope:
 
 def membership(P: ConePolytope, v: PicClass) -> MembershipResult:
     """Does v satisfy every inequality of P?  Reports the first violated normal."""
+    check_cone("P", P)
     check_class("v", v)
     if v.n != P.n:
         raise ValueError(f"rank mismatch: cone has n = {P.n}, vector has n = {v.n}")
@@ -216,6 +230,7 @@ def _symmetric(upper: list[list]) -> tuple[tuple, ...]:
 
 def gram_matrix(P: ConePolytope) -> tuple[tuple[int, ...], ...]:
     """G_ij = pairing(u_i, u_j) over the unnormalized normals."""
+    check_cone("P", P)
     return _symmetric(_gram_upper(P.all_normals))
 
 
@@ -236,12 +251,11 @@ def gram_matrix(P: ConePolytope) -> tuple[tuple[int, ...], ...]:
 # each distinct triple once per pass into one Fraction; kind and m read
 # its numerator and denominator, never hash it.  is_coxeter is the one
 # rule for non-Coxeter pairs, and coxeter_diagram refuses them before it
-# builds an edge.  The pass keeps a memo of one entry: the last polytope
-# it was asked about and its upper triangle.  The memo is keyed by
-# identity, never by value (hashing a ConePolytope costs about as much
-# as the pass), so the three functions called on one polytope object
-# share one pass, and any other object, equal or not, gets a pass of its
-# own.  Its callers share the stored lists and only read them.
+# builds an edge.  The pass is kept on the polytope object itself, in its
+# private _angles slot, so the three functions called on one object share
+# one pass for the object's life, and any other object, equal or not,
+# gets a pass of its own.  Its callers share the stored lists and only
+# read them.
 
 PI_OVER = "pi_over"
 ZERO_ANGLE = "zero_angle"
@@ -303,21 +317,17 @@ def _classify(p: int, a2: int, b2: int) -> AngleClass:
     return AngleClass((p > 0) - (p < 0), Fraction(p * p, a2 * b2))
 
 
-# (polytope, upper triangle) of the last _angle_pass; the strong
-# reference keeps the polytope's id from being reused
-_last_angles: tuple[ConePolytope | None, list[list[AngleClass]] | None] = (None, None)
-
-
 def _angle_pass(P: ConePolytope) -> list[list[AngleClass]]:
     """Upper triangle of the angle classes of the pairs of P's normals,
     laid out as _gram_upper's.  Pairs with the same integer triple
     (u.v, u^2, v^2) share one instance.
 
-    Asked about the same polytope object twice in a row, it returns the
-    same lists again: callers must not mutate what it returns."""
-    global _last_angles
-    last, upper = _last_angles
-    if last is P:
+    The first call on a polytope object stores the pass in its _angles
+    slot, and every later call on that object returns the same lists:
+    callers must not mutate what it returns."""
+    check_cone("P", P)
+    upper = getattr(P, "_angles", None)  # unset until the first pass
+    if upper is not None:
         return upper
     upper = _gram_upper(P.all_normals)
     squares = [row[0] for row in upper]
@@ -332,7 +342,7 @@ def _angle_pass(P: ConePolytope) -> list[list[AngleClass]]:
                 value = memo[key] = _classify(p, a2, b2)
             line.append(value)
         out.append(line)
-    _last_angles = (P, out)
+    set_field(P, "_angles", out)
     return out
 
 
@@ -458,7 +468,7 @@ def coxeter_diagram(P: ConePolytope) -> CoxeterDiagram:
     if bad:
         pairs = ", ".join(f"({i},{j}) cos2={ang.cos2}" for i, j, ang in bad)
         raise ValueError(f"diagram undefined: non-submultiple angles at {pairs}")
-    upper = _angle_pass(P)  # is_coxeter's pass, from the memo
+    upper = _angle_pass(P)  # is_coxeter's pass, kept on P
     edges = tuple([
         DiagramEdge(i, j, _EDGE_STYLE[ang.kind], ang.m)
         for i, row in enumerate(upper)
@@ -579,6 +589,7 @@ def extremal_rays(P: ConePolytope) -> list[Ray]:
     Computed by integer double description over the Minkowski rows of
     P's normals, with each ray's active set.  Requires a pointed cone.
     """
+    check_cone("P", P)
     rows = [_minkowski_row(u) for u in P.all_normals]
     rays, zeros, lineality = _generators(rows, P.n + 1)
     if lineality:
@@ -674,6 +685,8 @@ def is_implied(P: ConePolytope, normal: PicClass) -> bool:
     Accepts any integer normal, including square >= 0 ones that could
     not join the halfspace list themselves.
     """
+    check_cone("P", P)
+    check_class("normal", normal)
     if normal.n != P.n:
         raise ValueError(f"rank mismatch: cone has n = {P.n}, normal has n = {normal.n}")
     row = _minkowski_row(normal)
@@ -692,6 +705,7 @@ def is_implied(P: ConePolytope, normal: PicClass) -> bool:
 def redundant_constraints(P: ConePolytope) -> tuple[int, ...]:
     """Indices (into all_normals) of inequalities implied by the others:
     each one is tested by is_implied against the cone of the rest."""
+    check_cone("P", P)
     hs = P.halfspaces
     return tuple(
         i

@@ -105,10 +105,6 @@ def _phi(i: int, j: int, k: int) -> Phi:
     return Phi(i, j, k)
 
 
-# _SIGMAS[i] is the one Sigma(i) all sort words share; it grows as they need
-_SIGMAS: list[Sigma | None] = [None]
-
-
 def _apply_in_place(x: list[int], gens: Iterable[Generator], n: int) -> None:
     """Apply ``gens`` left to right to the coordinates ``x`` of a class in
     Z^{1,n}, overwriting them; ValueError at the first generator out of
@@ -169,6 +165,7 @@ def sort_coordinates(v: PicClass) -> tuple[PicClass, WeylWord]:
     """v with x_1 <= ... <= x_n sorted, and the stable bubble sort's word w,
     with apply_word(w, v) the sorted class: a canonical reduced expression
     of the sorting permutation.  ValueError past the witness cap."""
+    check_class("v", v)
     tail = v.coords[1:]
     word = WeylWord._trusted(tuple(_sort_word(tail, 0)))
     return PicClass._trusted(v.n, (v.coords[0], *sorted(tail))), word
@@ -192,12 +189,11 @@ def _sort_word(keys, length: int) -> list[Sigma]:
         if length > _WITNESS_CAP:
             raise ValueError(f"the witness needs more than {_WITNESS_CAP} generators")
     moving = [j for j, l in enumerate(table) if l]  # pass 1 swaps up to moving[-1]
-    # assigning a built list is atomic and never shortens _SIGMAS: a race at worst swaps in an equal Sigma(i)
-    start, top = len(_SIGMAS), max(moving, default=0)
-    _SIGMAS[start : top + 1] = [Sigma(i) for i in range(start, top + 1)]
+    # one Sigma(i) per index, shared by every swap of this word
+    sigmas = [None] + [Sigma(i) for i in range(1, max(moving, default=0) + 1)]
     word: list[Sigma] = []
     for p in range(1, max(table, default=0) + 1):
-        word += [_SIGMAS[j - p + 1] for j in moving]
+        word += [sigmas[j - p + 1] for j in moving]
         moving = [j for j in moving if table[j] > p]
     return word
 

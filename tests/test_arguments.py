@@ -5,7 +5,9 @@ or a bool is refused as not an integer, and a value one step outside the
 function's range as out of it.  A sequence argument goes through
 ``lattice.as_tuple``, which refuses one that is not iterable, and a
 class argument through ``lattice.check_class``, which refuses anything
-but a PicClass.  (An item
+but a PicClass, and a cone argument through ``polytopes.check_cone``,
+which refuses anything but a ConePolytope; ``nef.check_certificate``
+refuses a verdict that is not a NefVerdict.  (An item
 of a word that is not a Phi or a Sigma gets WeylWord's refusal wherever
 it is applied; test_weyl.py checks that.)  A last test parses the
 package and keeps TypeError to the two places that follow Python's own
@@ -26,15 +28,33 @@ from cremona.lattice import (
     canonical_class,
     check_bound,
     check_class,
+    degree,
+    light_cone_position,
     pairing,
 )
-from cremona.nef import curve_check, fundamental_cone, is_nef_K_nonpositive
+from cremona.nef import (
+    NefVerdict,
+    check_certificate,
+    curve_check,
+    fundamental_cone,
+    is_nef_K_nonpositive,
+)
 from cremona.polytopes import (
     ConePolytope,
+    boundary_rays,
     build_P,
     build_P_minus,
     build_P_tilde,
+    cartan_matrix,
+    check_cone,
+    coxeter_diagram,
+    extremal_rays,
+    finite_volume,
+    gram_matrix,
+    is_coxeter,
+    is_implied,
     membership,
+    redundant_constraints,
     verify_region_R,
     verify_vertex_formulas,
     vertex_formula_families,
@@ -47,6 +67,7 @@ from cremona.weyl import (
     fixed_hyperplane_normal,
     orbit,
     reduce_class,
+    sort_coordinates,
 )
 
 
@@ -152,12 +173,45 @@ NOT_A_CLASS = {
                    "v must be a PicClass, got [1, 0, 0, 0]"),
     "is_nef_K_nonpositive": (lambda: is_nef_K_nonpositive(None), "v must be a PicClass, got None"),
     "orbit": (lambda: orbit(5, max_count=1), "v must be a PicClass, got 5"),
+    "sort_coordinates": (lambda: sort_coordinates((1, 0, 0, 0)),
+                         "v must be a PicClass, got (1, 0, 0, 0)"),
+    "curve_check": (lambda: curve_check(5, 3), "v must be a PicClass, got 5"),
+    "light_cone_position": (lambda: light_cone_position(5), "v must be a PicClass, got 5"),
+    "degree": (lambda: degree(5), "v must be a PicClass, got 5"),
+    "is_implied normal": (lambda: is_implied(build_P(3), 5), "normal must be a PicClass, got 5"),
+    "check_certificate v": (lambda: check_certificate(5, NefVerdict(basis_vector(3, 1))),
+                            "v must be a PicClass, got 5"),
     "check_class": (lambda: check_class("x", "e0"), "x must be a PicClass, got 'e0'"),
 }
 
 
 @pytest.mark.parametrize("call, message", NOT_A_CLASS.values(), ids=NOT_A_CLASS)
 def test_an_argument_that_is_not_a_class_is_refused(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+# (call, message): a cone or verdict argument of the wrong kind
+NOT_A_CONE = {
+    "membership": (lambda: membership(5, basis_vector(3, 0)), "P must be a ConePolytope, got 5"),
+    "gram_matrix": (lambda: gram_matrix(None), "P must be a ConePolytope, got None"),
+    "cartan_matrix": (lambda: cartan_matrix(None), "P must be a ConePolytope, got None"),
+    "is_coxeter": (lambda: is_coxeter(None), "P must be a ConePolytope, got None"),
+    "coxeter_diagram": (lambda: coxeter_diagram(None), "P must be a ConePolytope, got None"),
+    "extremal_rays": (lambda: extremal_rays(5), "P must be a ConePolytope, got 5"),
+    "boundary_rays": (lambda: boundary_rays(5), "P must be a ConePolytope, got 5"),
+    "finite_volume": (lambda: finite_volume(None), "P must be a ConePolytope, got None"),
+    "is_implied": (lambda: is_implied(5, basis_vector(3, 0)), "P must be a ConePolytope, got 5"),
+    "redundant_constraints": (lambda: redundant_constraints(5), "P must be a ConePolytope, got 5"),
+    "check_cone": (lambda: check_cone("x", "P"), "x must be a ConePolytope, got 'P'"),
+    "check_certificate verdict": (lambda: check_certificate(basis_vector(3, 0), None),
+                                  "verdict must be a NefVerdict, got None"),
+}
+
+
+@pytest.mark.parametrize("call, message", NOT_A_CONE.values(), ids=NOT_A_CONE)
+def test_a_cone_or_verdict_of_the_wrong_kind_is_refused(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message

@@ -4,8 +4,6 @@ import hashlib
 import json
 import random
 import re
-import sys
-import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -247,26 +245,6 @@ class TestSortWordAgainstReference:
         witness = reduce_class(PicClass(n, (n * n,) + reversed_tail(n))).witness
         assert len(witness) == n * (n - 1) // 2
         assert len({id(g) for g in witness.gens}) == n - 1
-
-    def test_racing_sort_words_keep_each_sigma_at_its_index(self, monkeypatch):
-        # four threads grow a fresh _SIGMAS at once, switching every microsecond
-        monkeypatch.setattr(weyl, "_SIGMAS", [None])
-
-        def grow(step):
-            for n in range(2 + step, 1500, 4):  # the last two keys swapped: Sigma(n - 1)
-                weyl._sort_word([*range(n - 2), n - 1, n - 2], 0)
-
-        threads = [threading.Thread(target=grow, args=(step,)) for step in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-        finally:
-            sys.setswitchinterval(interval)
-        assert [g.i for g in weyl._SIGMAS[1:]] == list(range(1, len(weyl._SIGMAS)))
 
 
 class TestWitnessCap:
