@@ -54,7 +54,7 @@ from .serialize import (
     encode_reduction,
     encode_verdict,
 )
-from .weyl import Phi, ReductionResult, WeylWord, orbit, reduce_class
+from .weyl import ReductionResult, WeylWord, orbit, reduce_class
 
 # The builders are looked up when a command runs: importing cli runs
 # neither polytopes nor nef, so reduce and orbit never run them.
@@ -113,13 +113,11 @@ def _parse_vector(text: str, n: int) -> PicClass:
 
 
 def _format_word(w: WeylWord) -> str:
-    if not w.gens:
-        return "(identity)"
-    parts = [
-        f"phi({g.i},{g.j},{g.k})" if isinstance(g, Phi) else f"sigma({g.i})"
-        for g in w.gens
-    ]
-    return " ".join(parts)
+    """A reduction witness as text, read off its ints (WeylWord._ints)."""
+    triples, sort = w._ints()
+    sigmas = [f"sigma({i})" for i in range(max(sort, default=0) + 1)]  # one string per index
+    parts = ["phi({},{},{})".format(*t) for t in triples] + list(map(sigmas.__getitem__, sort))
+    return " ".join(parts) or "(identity)"
 
 
 def _coords_str(v: PicClass) -> str:

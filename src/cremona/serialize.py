@@ -118,10 +118,10 @@ def _decode_generator(obj: dict) -> Generator:
 
 
 def encode_word(w: WeylWord) -> list:
-    return [
-        {"phi": [g.i, g.j, g.k]} if type(g) is Phi else {"sigma": g.i}
-        for g in w.gens
-    ]
+    ints = w._ints()
+    if ints is None:
+        return [{"phi": [g.i, g.j, g.k]} if type(g) is Phi else {"sigma": g.i} for g in w.gens]
+    return [{"phi": list(t)} for t in ints[0]] + [{"sigma": i} for i in ints[1]]
 
 
 def decode_word(obj: list) -> WeylWord:

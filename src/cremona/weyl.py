@@ -7,8 +7,8 @@ isometry of the pairing and fixes the canonical class K.
 
 ``reduce_class`` is the workhorse: it moves any K-nonpositive integer
 class into the fundamental cone by phi steps and one sorting word of
-transpositions, or else produces a violated curve class proving the
-input is not nef.  Its docstring gives the algorithm.
+transpositions (ints until ``gens`` is read), or else finds a violated
+curve class proving the input is not nef; its docstring has the algorithm.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Iterable, Iterator
-from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, islice, starmap
+from itertools import combinations, combinations_with_replacement, islice
 
 from . import _EXPORTS, curves
 from .lattice import PicClass, Record, as_tuple, canonical_class, check_bound, check_class, pairing, set_field
@@ -69,7 +68,13 @@ def _reach(g: Generator) -> int:
     raise ValueError(f"a WeylWord holds Phi and Sigma generators only, got {g!r}")
 
 
-class WeylWord(Record):
+class _CompactSlot:
+    """WeylWord._of_ints's slot, not a field: equality, hash, repr and pickle read ``gens``."""
+
+    __slots__ = ("_compact",)
+
+
+class WeylWord(Record, _CompactSlot):
     """A finite sequence of generators, applied left to right (ValueError at any other item)."""
 
     __slots__ = ("gens",)
@@ -81,8 +86,31 @@ class WeylWord(Record):
                 _reach(g)
         set_field(self, "gens", gens)
 
+    @classmethod
+    def _of_ints(cls, steps: list[int], ranks: list[int]) -> "WeylWord":
+        """phi at each triple of ``steps``, then i to place ranks[i - 1]; ValueError past cap."""
+        swaps = sum(_inversion_table(ranks, len(steps) // 3))
+        word = object.__new__(cls)
+        set_field(word, "_compact", (tuple(steps), tuple(ranks), swaps))
+        return word
+
+    def _ints(self) -> tuple[list[tuple[int, int, int]], list[int]] | None:
+        """The phi triples and the Sigma indices of a word kept as ints, else None."""
+        compact = getattr(self, "_compact", None)
+        return compact and (list(zip(*[iter(compact[0])] * 3)), _sort_word(compact[1], 0))
+
+    def __getattr__(self, name: str):
+        # only an unset slot gets here: build gens, one Phi per triple and one Sigma per index
+        if name != "gens":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        triples, sort = self._ints()
+        built = {g: Phi(*g) if type(g) is tuple else Sigma(g) for g in {*triples, *sort}}
+        set_field(self, "gens", tuple(map(built.__getitem__, triples + sort)))
+        return self.gens
+
     def __len__(self) -> int:
-        return len(self.gens)
+        compact = getattr(self, "_compact", None)
+        return len(self.gens) if compact is None else len(compact[0]) // 3 + compact[2]
 
     def __iter__(self) -> Iterator[Generator]:
         return iter(self.gens)
@@ -94,15 +122,6 @@ class WeylWord(Record):
         """The word read backwards; inverts the composition since every
         generator is an involution."""
         return WeylWord._trusted(self.gens[::-1])
-
-
-# Shared Phi instances, one per sorted triple (1,140 at n = 20); the bound
-# keeps a process that reduces at many n from growing without limit.  A
-# dict per call in place of the cache made a nef_stream benchmark cycle of
-# about 80 ms 30 ms slower (2-vCPU Linux, Python 3.11.7).
-@lru_cache(maxsize=8192)
-def _phi(i: int, j: int, k: int) -> Phi:
-    return Phi(i, j, k)
 
 
 def _apply_in_place(x: list[int], gens: Iterable[Generator], n: int) -> None:
@@ -133,11 +152,28 @@ def apply_generator(g: Generator, v: PicClass) -> PicClass:
     return apply_word((g,), v)
 
 
+def _phi_in_place(x: list[int], triples: Iterable[tuple[int, int, int]]) -> None:
+    """Each phi in turn: x_0 gains t = x_0 + x_i + x_j + x_k, and x_i, x_j, x_k each lose t."""
+    for i, j, k in triples:
+        t = x[0] + x[i] + x[j] + x[k]
+        x[0] += t
+        x[i] -= t
+        x[j] -= t
+        x[k] -= t
+
+
 def apply_word(w: WeylWord | Iterable[Generator], v: PicClass) -> PicClass:
-    """Apply the generators of ``w`` left to right to a class."""
+    """Apply ``w``'s generators left to right to a class (a witness's ints in O(steps + n))."""
     check_class("v", v)
     x = list(v.coords)
-    _apply_in_place(x, as_tuple("word", w), v.n)
+    compact = getattr(w, "_compact", None)
+    if compact is None or len(compact[1]) > v.n:  # the generators say which is out of range
+        _apply_in_place(x, as_tuple("word", w), v.n)
+    else:
+        _phi_in_place(x, zip(*[iter(compact[0])] * 3))
+        tail = x[1:]
+        for i, place in enumerate(compact[1]):
+            x[place + 1] = tail[i]
     return PicClass._trusted(v.n, tuple(x))
 
 
@@ -167,19 +203,14 @@ def sort_coordinates(v: PicClass) -> tuple[PicClass, WeylWord]:
     of the sorting permutation.  ValueError past the witness cap."""
     check_class("v", v)
     tail = v.coords[1:]
-    word = WeylWord._trusted(tuple(_sort_word(tail, 0)))
-    return PicClass._trusted(v.n, (v.coords[0], *sorted(tail))), word
+    order = sorted(range(v.n), key=tail.__getitem__)  # stable, as the bubble sort
+    word = WeylWord._of_ints([], sorted(range(v.n), key=order.__getitem__))
+    return PicClass._trusted(v.n, (v.coords[0], *[tail[i] for i in order])), word
 
 
-def _sort_word(keys, length: int) -> list[Sigma]:
-    """The swaps of the stable bubble sort of ``keys``, keys[i - 1] being
-    coordinate i: swapping it with keys[i] is Sigma(i).  With l_j keys
-    greater than keys[j] to its left, that key moves left once in each of
-    the first l_j passes and is never carried right before, so pass p
-    swaps it as Sigma(j - p + 1), in increasing j.  Bisecting each key
-    into the sorted prefix moves exactly l_j keys, so the table costs
-    O(n log n + inversions).  ValueError once ``length`` plus the swaps
-    pass _WITNESS_CAP, the bound on a witness's generators."""
+def _inversion_table(keys, length: int) -> list[int]:
+    """l_j, the count of greater keys left of keys[j], for each j, by bisection: O(n log n +
+    inversions).  ValueError once ``length`` plus the inversions pass _WITNESS_CAP."""
     prefix, table = [], []
     for j, key in enumerate(keys):
         p = bisect_right(prefix, key)
@@ -188,12 +219,20 @@ def _sort_word(keys, length: int) -> list[Sigma]:
         length += j - p
         if length > _WITNESS_CAP:
             raise ValueError(f"the witness needs more than {_WITNESS_CAP} generators")
+    return table
+
+
+def _sort_word(keys, length: int) -> list[int]:
+    """The index i of each swap Sigma(i) of the stable bubble sort of
+    ``keys``, keys[i - 1] being coordinate i.  A key with l_j greater keys
+    to its left moves left once in each of the first l_j passes and is
+    never carried right before, so pass p swaps it as Sigma(j - p + 1),
+    in increasing j.  ValueError past the cap (_inversion_table)."""
+    table = _inversion_table(keys, length)
     moving = [j for j, l in enumerate(table) if l]  # pass 1 swaps up to moving[-1]
-    # one Sigma(i) per index, shared by every swap of this word
-    sigmas = [None] + [Sigma(i) for i in range(1, max(moving, default=0) + 1)]
-    word: list[Sigma] = []
+    word: list[int] = []
     for p in range(1, max(table, default=0) + 1):
-        word += [sigmas[j - p + 1] for j in moving]
+        word += [j - p + 1 for j in moving]
         moving = [j for j in moving if table[j] > p]
     return word
 
@@ -209,8 +248,8 @@ class ReductionResult(Record):
     with pairing(c, input) < 0 (the violated constraint pulled back to
     the input by the reversed witness word).  The record stores only
     these three: ``status`` ("in_cone" exactly when ``violated`` is
-    None, else "not_nef") and ``iterations`` (the number of Phi in
-    ``witness``) are derived from them.
+    None, else "not_nef"), ``iterations`` and ``sort_swaps`` (the number
+    of Phi and of Sigma in ``witness``) are derived from them.
     """
 
     __slots__ = ("reduced", "witness", "violated")
@@ -231,7 +270,10 @@ class ReductionResult(Record):
 
     @property
     def iterations(self) -> int:
-        return list(map(type, self.witness.gens)).count(Phi)
+        compact = getattr(self.witness, "_compact", None)
+        return len(compact[0]) // 3 if compact else list(map(type, self.witness.gens)).count(Phi)
+
+    sort_swaps = property(lambda self: len(self.witness) - self.iterations)
 
 
 class KPositiveError(ValueError):
@@ -248,16 +290,16 @@ def reduce_class(v: PicClass) -> ReductionResult:
     is negative, where a <= b <= c are the three smallest values, apply
     phi at their indices: x_0 gains s, which strictly decreases it, and
     a, b, c each lose s.  Take the three off the front of both lists and
-    bisect c - s, b - s, a - s back into ``vals``, in that order and each
-    ahead of any equal value, putting each index at the same place in
-    ``order``: the order a stable re-sort would give, ties included.
+    bisect c - s, b - s, a - s back into ``vals``, in that order and
+    each ahead of any equal value, putting each index at the same place
+    in ``order``: the order a stable re-sort would give, ties included.
     The witness word and the violated class depend on that tie order.
-    Each step records its sorted index triple, and after the loop each
-    triple becomes its shared Phi (``_phi``); ``_sort_word`` gives the
-    transpositions that sort the tail.  The result is "in_cone" once
-    x_0 + x_1 + x_2 + x_3 >= 0 and x_n <= 0 in sorted coordinates (the
-    remaining cone inequality 3x_0 >= -sum x_i holds throughout, as it
-    is W-invariant and holds on the input).  Otherwise the sorted vector
+    Each step records its sorted index triple; the witness keeps them,
+    and each index's place in ``order``, as ints
+    (``WeylWord._of_ints``).  The result is "in_cone" once x_0 + x_1 +
+    x_2 + x_3 >= 0 and x_n <= 0 in sorted coordinates (the remaining
+    cone inequality 3x_0 >= -sum x_i holds throughout, as it is
+    W-invariant and holds on the input).  Otherwise the sorted vector
     has x_n > 0, and no translate of the cone contains v: report
     "not_nef" with the violated class e_n (in sorted coordinates), which
     pairs to -x_n < 0, pulled back to the input by putting it in index
@@ -317,12 +359,8 @@ def reduce_class(v: PicClass) -> ReductionResult:
         order.insert(p, i)
     else:
         raise ValueError(f"reduction passed the cap of {cap} phi steps")
-    triples = iter(steps)
-    word: list[Generator] = list(starmap(_phi, zip(triples, triples, triples)))
-    rank = sorted(range(n), key=order.__getitem__)  # rank[i - 1]: index i's place
-    word += _sort_word(rank, len(word))
+    witness = WeylWord._of_ints(steps, sorted(range(n), key=order.__getitem__))
     reduced = PicClass._trusted(n, (x0, *vals))
-    witness = WeylWord._trusted(tuple(word))
     if x0 + vals[0] + vals[1] + vals[2] >= 0 and vals[-1] <= 0:
         return ReductionResult(reduced, witness)
     # Not in the cone means x_n > 0.  The input is K-nonpositive,
@@ -339,13 +377,7 @@ def reduce_class(v: PicClass) -> ReductionResult:
     # steps last to first.
     culprit = [0] * (n + 1)
     culprit[order[-1]] = 1
-    back = reversed(steps)
-    for k, j, i in zip(back, back, back):
-        t = culprit[0] + culprit[i] + culprit[j] + culprit[k]
-        culprit[0] += t
-        culprit[i] -= t
-        culprit[j] -= t
-        culprit[k] -= t
+    _phi_in_place(culprit, zip(*[reversed(steps)] * 3))
     violated = PicClass._trusted(n, tuple(culprit))
     return ReductionResult(reduced, witness, violated)
 

@@ -3,6 +3,7 @@
 import json
 import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,7 +37,7 @@ from cremona.serialize import (
     encode_verdict,
     encode_word,
 )
-from cremona.weyl import Phi, ReductionResult, Sigma, WeylWord, reduce_class
+from cremona.weyl import Phi, ReductionResult, Sigma, WeylWord, apply_word, reduce_class
 
 BIG = 2**60 + 3
 
@@ -411,6 +412,24 @@ class TestVerdicts:
             doc["method"] = f"{METHOD_CURVE_CHECK}:{max_degree}"
             with pytest.raises(ValueError, match="is not effective"):
                 decode_verdict(doc)
+
+    @pytest.mark.parametrize(
+        "coords, verdict",
+        [((10, -3, -3, -2, -2, -2, -1, -1, -1, 0), NEF), ((1,) + (0,) * 8 + (1,), NOT_NEF)],
+    )
+    def test_a_reduction_verdict_encodes_without_building_a_generator(self, coords, verdict):
+        word = WeylWord((Phi(1, 2, 3), Sigma(4), Phi(2, 5, 7), Sigma(1), Phi(3, 8, 9)))
+        v = apply_word(word, PicClass(9, coords))
+
+        def counting(cls):
+            return mock.patch.object(cls, "__init__", autospec=True, side_effect=cls.__init__)
+
+        with counting(Phi) as phis, counting(Sigma) as sigmas:
+            result = is_nef_K_nonpositive(v)
+            json.dumps(encode_verdict(result))
+            assert result.verdict == verdict and phis.call_count == sigmas.call_count == 0
+            if verdict == NEF:  # reading the word's generators builds them
+                assert reduce_class(v).witness.gens and phis.call_count and sigmas.call_count
 
     def test_not_nef_by_curve_check_needs_a_class(self):
         verdict = curve_check(basis_vector(6, 1), max_degree=4)

@@ -1,12 +1,11 @@
 """Calls leave no module state behind.
 
 The library's results are pure functions of their arguments, so a call
-must not change what any ``cremona.<module>`` global holds.  The one
-cache shared across calls is ``weyl._phi``'s bounded ``lru_cache``,
-which lives inside a function object and so never shows here.  An angle
-pass is kept on its own polytope object (``polytopes._angle_pass``), and
-a sort word's shared ``Sigma``s live only as long as the call that makes
-them (``weyl._sort_word``).
+must not change what any ``cremona.<module>`` global holds, and no
+function keeps a cache across calls.  An angle pass is kept on its own
+polytope object (``polytopes._angle_pass``), and a reduction witness
+builds its shared ``Phi``s and ``Sigma``s on itself, when its
+generators are first read (``weyl.WeylWord``).
 """
 
 import ast
@@ -96,6 +95,18 @@ def test_a_workload_changes_no_module_global():
         if after[module, name][0] is not value or after[module, name][1] != size
     )
     assert changed == []
+
+
+def test_no_function_keeps_a_cache():
+    cached = sorted(
+        f"{module.__name__}.{name}"
+        for module in loaded_modules()
+        for name, value in vars(module).items()
+        if hasattr(value, "cache_info") and value.__module__ == module.__name__
+    )
+    # it maps an indent string to a bound JSONEncoder.encode, which holds
+    # no per-call state
+    assert cached == ["cremona.cli._flat_list_encoder"]
 
 
 def test_a_dropped_sort_word_keeps_no_memory():

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import pickle
 import random
 import re
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from cremona import weyl
 from cremona.lattice import PicClass, basis_vector, canonical_class, pairing
 from cremona.nef import is_nef_K_nonpositive
-from cremona.serialize import encode_reduction, encode_verdict
+from cremona.serialize import encode_reduction, encode_verdict, encode_word
 from cremona.weyl import (
     KPositiveError,
     OrbitResult,
@@ -229,7 +230,7 @@ class TestSortWordAgainstReference:
 
     @staticmethod
     def assert_same_word(keys):
-        assert [g.i for g in weyl._sort_word(keys, 0)] == reference_bubble_sort_word(keys)
+        assert weyl._sort_word(keys, 0) == reference_bubble_sort_word(keys)
 
     @settings(max_examples=300)
     @given(st.lists(st.integers(-5, 5), max_size=30))
@@ -362,6 +363,33 @@ def k_nonpositive(n: int, lo: int = -30, hi: int = 30):
     return vectors(n, lo, hi).filter(
         lambda v: not v.is_zero() and pairing(v, canonical_class(n)) <= 0
     )
+
+
+class TestCompactWitness:
+    """A witness keeps its phi steps and its sort as ints; every reading
+    of it matches the word of its materialized generators."""
+
+    @settings(max_examples=150)
+    @given(st.integers(3, 20).flatmap(lambda n: k_nonpositive(n, -12, 12)))
+    def test_a_compact_witness_reads_as_its_generators(self, v):
+        res = reduce_class(v)
+        w = res.witness
+        # read before gens is built: these take the ints
+        read = (len(w), encode_word(w), apply_word(w, v), res.iterations, res.sort_swaps)
+        copy = WeylWord(tuple(w.gens))
+        copied = ReductionResult(res.reduced, copy, res.violated)
+        assert read == (
+            len(copy), encode_word(copy), apply_word(copy, v), copied.iterations, copied.sort_swaps
+        )
+        assert w == copy and hash(w) == hash(copy) and repr(w) == repr(copy)
+        assert pickle.loads(pickle.dumps(w)) == copy and list(w) == list(copy)
+        assert res.sort_swaps == len(w) - res.iterations
+
+    def test_a_witness_at_another_n_applies_as_its_generators(self):
+        w = sort_coordinates(PicClass(5, (0, 5, 4, 3, 2, 1)))[1]
+        with pytest.raises(ValueError, match=r"^Sigma\(3\) out of range for n=3$"):
+            apply_word(w, PicClass(3, (0, 1, 2, 3)))
+        assert apply_word(w, PicClass(6, (0, 5, 4, 3, 2, 1, 9))).coords == (0, 1, 2, 3, 4, 5, 9)
 
 
 class TestReductionCap:
