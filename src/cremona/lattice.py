@@ -36,12 +36,6 @@ def as_tuple(name: str, items) -> tuple:
     return tuple(items)  # a tuple itself, not a copy, when it is one
 
 
-def check_class(name: str, value) -> None:
-    """The package's one rule for a class argument: ValueError unless a PicClass."""
-    if not isinstance(value, PicClass):
-        raise ValueError(f"{name} must be a PicClass, got {value!r}")
-
-
 # Record refuses assignment, so a constructor sets its fields through
 # object's own __setattr__, bound once here.
 set_field = object.__setattr__
@@ -190,6 +184,21 @@ class PicClass(Record):
 
     def __repr__(self) -> str:
         return f"PicClass({self.n}, {self.coords})"
+
+
+def check_class(name: str, value, kind: type = PicClass) -> None:
+    """The package's one rule for an argument of a record kind, PicClass
+    unless ``kind`` is given: ValueError unless an instance of ``kind``."""
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise ValueError(f"{name} must be {article} {kind.__name__}, got {value!r}")
+
+
+class _Private:
+    """A Record's slot ``_private`` for what it derives from its fields:
+    not a field, so equality, hash, repr, copy and pickle never see it."""
+
+    __slots__ = ("_private",)
 
 
 class LightConePosition(Record):

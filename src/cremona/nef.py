@@ -115,8 +115,7 @@ def check_certificate(v: PicClass, verdict: NefVerdict) -> bool:
     certified, nor is v by a witness that does not fit its n.
     """
     check_class("v", v)
-    if not isinstance(verdict, NefVerdict):
-        raise ValueError(f"verdict must be a NefVerdict, got {verdict!r}")
+    check_class("verdict", verdict, NefVerdict)
     w = verdict.witness
     if w is None:
         return False

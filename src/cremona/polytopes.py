@@ -27,6 +27,7 @@ from .lattice import (
     LightConePosition,
     PicClass,
     Record,
+    _Private,
     anticanonical_class,
     as_tuple,
     basis_vector,
@@ -60,8 +61,7 @@ class Halfspace(Record):
     __slots__ = ("normal",)
 
     def __init__(self, normal: PicClass) -> None:
-        if not isinstance(normal, PicClass):
-            raise ValueError(f"halfspace normal must be a PicClass, got {normal!r}")
+        check_class("halfspace normal", normal)
         square = pairing(normal, normal)
         if square >= 0:
             raise ValueError(
@@ -79,14 +79,7 @@ class Halfspace(Record):
         return obj
 
 
-class _AngleSlot:
-    """The slot where _angle_pass keeps a cone's pass: not a Record field,
-    so equality, hash, repr, copy and pickle never see it."""
-
-    __slots__ = ("_angles",)
-
-
-class ConePolytope(Record, _AngleSlot):
+class ConePolytope(Record, _Private):
     """A cone cut out by halfspaces.
 
     The halfspace list is *meant* to be minimal (no inequality implied
@@ -110,12 +103,6 @@ class ConePolytope(Record, _AngleSlot):
     @property
     def all_normals(self) -> tuple[PicClass, ...]:
         return tuple([h.normal for h in self.halfspaces])
-
-
-def check_cone(name: str, value) -> None:
-    """The package's one rule for a cone argument: ValueError unless a ConePolytope."""
-    if not isinstance(value, ConePolytope):
-        raise ValueError(f"{name} must be a ConePolytope, got {value!r}")
 
 
 class MembershipResult(Record):
@@ -184,7 +171,7 @@ def _cone(n: int, normals: list[PicClass]) -> ConePolytope:
 
 def membership(P: ConePolytope, v: PicClass) -> MembershipResult:
     """Does v satisfy every inequality of P?  Reports the first violated normal."""
-    check_cone("P", P)
+    check_class("P", P, ConePolytope)
     check_class("v", v)
     if v.n != P.n:
         raise ValueError(f"rank mismatch: cone has n = {P.n}, vector has n = {v.n}")
@@ -230,7 +217,7 @@ def _symmetric(upper: list[list]) -> tuple[tuple, ...]:
 
 def gram_matrix(P: ConePolytope) -> tuple[tuple[int, ...], ...]:
     """G_ij = pairing(u_i, u_j) over the unnormalized normals."""
-    check_cone("P", P)
+    check_class("P", P, ConePolytope)
     return _symmetric(_gram_upper(P.all_normals))
 
 
@@ -252,7 +239,7 @@ def gram_matrix(P: ConePolytope) -> tuple[tuple[int, ...], ...]:
 # its numerator and denominator, never hash it.  is_coxeter is the one
 # rule for non-Coxeter pairs, and coxeter_diagram refuses them before it
 # builds an edge.  The pass is kept on the polytope object itself, in its
-# private _angles slot, so the three functions called on one object share
+# private slot, so the three functions called on one object share
 # one pass for the object's life, and any other object, equal or not,
 # gets a pass of its own.  Its callers share the stored lists and only
 # read them.
@@ -322,11 +309,11 @@ def _angle_pass(P: ConePolytope) -> list[list[AngleClass]]:
     laid out as _gram_upper's.  Pairs with the same integer triple
     (u.v, u^2, v^2) share one instance.
 
-    The first call on a polytope object stores the pass in its _angles
+    The first call on a polytope object stores the pass in its private
     slot, and every later call on that object returns the same lists:
     callers must not mutate what it returns."""
-    check_cone("P", P)
-    upper = getattr(P, "_angles", None)  # unset until the first pass
+    check_class("P", P, ConePolytope)
+    upper = getattr(P, "_private", None)  # unset until the first pass
     if upper is not None:
         return upper
     upper = _gram_upper(P.all_normals)
@@ -342,7 +329,7 @@ def _angle_pass(P: ConePolytope) -> list[list[AngleClass]]:
                 value = memo[key] = _classify(p, a2, b2)
             line.append(value)
         out.append(line)
-    set_field(P, "_angles", out)
+    set_field(P, "_private", out)
     return out
 
 
@@ -358,6 +345,7 @@ def cartan_matrix(P: ConePolytope) -> tuple[tuple[CartanEntry, ...], ...]:
 
 def render_cartan_entry(entry: CartanEntry) -> str:
     """Exact text form of -2*sign*sqrt(cos2): "2", "0", "-1", "-sqrt(2)", "-2/sqrt(3)", ..."""
+    check_class("entry", entry, AngleClass)
     if entry.sign == 0:
         return "0"
     square = 4 * entry.cos2  # value^2, a reduced nonnegative rational
@@ -589,7 +577,7 @@ def extremal_rays(P: ConePolytope) -> list[Ray]:
     Computed by integer double description over the Minkowski rows of
     P's normals, with each ray's active set.  Requires a pointed cone.
     """
-    check_cone("P", P)
+    check_class("P", P, ConePolytope)
     rows = [_minkowski_row(u) for u in P.all_normals]
     rays, zeros, lineality = _generators(rows, P.n + 1)
     if lineality:
@@ -685,7 +673,7 @@ def is_implied(P: ConePolytope, normal: PicClass) -> bool:
     Accepts any integer normal, including square >= 0 ones that could
     not join the halfspace list themselves.
     """
-    check_cone("P", P)
+    check_class("P", P, ConePolytope)
     check_class("normal", normal)
     if normal.n != P.n:
         raise ValueError(f"rank mismatch: cone has n = {P.n}, normal has n = {normal.n}")
@@ -705,7 +693,7 @@ def is_implied(P: ConePolytope, normal: PicClass) -> bool:
 def redundant_constraints(P: ConePolytope) -> tuple[int, ...]:
     """Indices (into all_normals) of inequalities implied by the others:
     each one is tested by is_implied against the cone of the rest."""
-    check_cone("P", P)
+    check_class("P", P, ConePolytope)
     hs = P.halfspaces
     return tuple(
         i

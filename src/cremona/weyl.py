@@ -19,7 +19,9 @@ from collections.abc import Iterable, Iterator
 from itertools import combinations, combinations_with_replacement, islice
 
 from . import _EXPORTS, curves
-from .lattice import PicClass, Record, as_tuple, canonical_class, check_bound, check_class, pairing, set_field
+from .lattice import (
+    PicClass, Record, _Private, as_tuple, canonical_class, check_bound, check_class, pairing, set_field
+)
 
 __all__ = [*_EXPORTS["weyl"], "Generator"]
 
@@ -68,13 +70,7 @@ def _reach(g: Generator) -> int:
     raise ValueError(f"a WeylWord holds Phi and Sigma generators only, got {g!r}")
 
 
-class _CompactSlot:
-    """WeylWord._of_ints's slot, not a field: equality, hash, repr and pickle read ``gens``."""
-
-    __slots__ = ("_compact",)
-
-
-class WeylWord(Record, _CompactSlot):
+class WeylWord(Record, _Private):
     """A finite sequence of generators, applied left to right (ValueError at any other item)."""
 
     __slots__ = ("gens",)
@@ -87,16 +83,20 @@ class WeylWord(Record, _CompactSlot):
         set_field(self, "gens", gens)
 
     @classmethod
-    def _of_ints(cls, steps: list[int], ranks: list[int]) -> "WeylWord":
-        """phi at each triple of ``steps``, then i to place ranks[i - 1]; ValueError past cap."""
+    def _of_ints(cls, steps: list[int], order: list[int]) -> "WeylWord":
+        """phi at each triple of ``steps``, then index order[p] to place p, kept in the
+        private slot until ``gens`` is read; ValueError past the cap."""
+        ranks = [0] * len(order)
+        for place, i in enumerate(order):  # the inverse permutation, 0-based
+            ranks[i - 1] = place
         swaps = sum(_inversion_table(ranks, len(steps) // 3))
         word = object.__new__(cls)
-        set_field(word, "_compact", (tuple(steps), tuple(ranks), swaps))
+        set_field(word, "_private", (tuple(steps), tuple(ranks), swaps))
         return word
 
     def _ints(self) -> tuple[list[tuple[int, int, int]], list[int]] | None:
         """The phi triples and the Sigma indices of a word kept as ints, else None."""
-        compact = getattr(self, "_compact", None)
+        compact = getattr(self, "_private", None)
         return compact and (list(zip(*[iter(compact[0])] * 3)), _sort_word(compact[1], 0))
 
     def __getattr__(self, name: str):
@@ -109,7 +109,7 @@ class WeylWord(Record, _CompactSlot):
         return self.gens
 
     def __len__(self) -> int:
-        compact = getattr(self, "_compact", None)
+        compact = getattr(self, "_private", None)
         return len(self.gens) if compact is None else len(compact[0]) // 3 + compact[2]
 
     def __iter__(self) -> Iterator[Generator]:
@@ -127,17 +127,12 @@ class WeylWord(Record, _CompactSlot):
 def _apply_in_place(x: list[int], gens: Iterable[Generator], n: int) -> None:
     """Apply ``gens`` left to right to the coordinates ``x`` of a class in
     Z^{1,n}, overwriting them; ValueError at the first generator out of
-    range for n or non-generator (_reach's dispatch, inline for speed)."""
+    range for n or non-generator (_reach's rule, tested per generator type)."""
     for g in gens:
         if type(g) is Phi:
-            i, j, k = g.i, g.j, g.k
-            if k > n:
+            if g.k > n:
                 raise ValueError(f"{g!r} out of range for n={n}")
-            x0, xi, xj, xk = x[0], x[i], x[j], x[k]
-            x[0] = 2 * x0 + xi + xj + xk
-            x[i] = -x0 - xj - xk
-            x[j] = -x0 - xi - xk
-            x[k] = -x0 - xi - xj
+            _phi_in_place(x, ((g.i, g.j, g.k),))
         elif type(g) is Sigma:
             i = g.i
             if i + 1 > n:
@@ -166,7 +161,7 @@ def apply_word(w: WeylWord | Iterable[Generator], v: PicClass) -> PicClass:
     """Apply ``w``'s generators left to right to a class (a witness's ints in O(steps + n))."""
     check_class("v", v)
     x = list(v.coords)
-    compact = getattr(w, "_compact", None)
+    compact = getattr(w, "_private", None)
     if compact is None or len(compact[1]) > v.n:  # the generators say which is out of range
         _apply_in_place(x, as_tuple("word", w), v.n)
     else:
@@ -202,10 +197,9 @@ def sort_coordinates(v: PicClass) -> tuple[PicClass, WeylWord]:
     with apply_word(w, v) the sorted class: a canonical reduced expression
     of the sorting permutation.  ValueError past the witness cap."""
     check_class("v", v)
-    tail = v.coords[1:]
-    order = sorted(range(v.n), key=tail.__getitem__)  # stable, as the bubble sort
-    word = WeylWord._of_ints([], sorted(range(v.n), key=order.__getitem__))
-    return PicClass._trusted(v.n, (v.coords[0], *[tail[i] for i in order])), word
+    x = v.coords
+    order = sorted(range(1, v.n + 1), key=x.__getitem__)  # stable, as the bubble sort
+    return PicClass._trusted(v.n, (x[0], *[x[i] for i in order])), WeylWord._of_ints([], order)
 
 
 def _inversion_table(keys, length: int) -> list[int]:
@@ -270,7 +264,7 @@ class ReductionResult(Record):
 
     @property
     def iterations(self) -> int:
-        compact = getattr(self.witness, "_compact", None)
+        compact = getattr(self.witness, "_private", None)
         return len(compact[0]) // 3 if compact else list(map(type, self.witness.gens)).count(Phi)
 
     sort_swaps = property(lambda self: len(self.witness) - self.iterations)
@@ -359,7 +353,7 @@ def reduce_class(v: PicClass) -> ReductionResult:
         order.insert(p, i)
     else:
         raise ValueError(f"reduction passed the cap of {cap} phi steps")
-    witness = WeylWord._of_ints(steps, sorted(range(n), key=order.__getitem__))
+    witness = WeylWord._of_ints(steps, order)
     reduced = PicClass._trusted(n, (x0, *vals))
     if x0 + vals[0] + vals[1] + vals[2] >= 0 and vals[-1] <= 0:
         return ReductionResult(reduced, witness)

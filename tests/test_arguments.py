@@ -4,20 +4,22 @@ PicClass included, is checked through ``lattice.check_bound``: a float
 or a bool is refused as not an integer, and a value one step outside the
 function's range as out of it.  A sequence argument goes through
 ``lattice.as_tuple``, which refuses one that is not iterable, and a
-class argument through ``lattice.check_class``, which refuses anything
-but a PicClass, and a cone argument through ``polytopes.check_cone``,
-which refuses anything but a ConePolytope; ``nef.check_certificate``
-refuses a verdict that is not a NefVerdict.  (An item
-of a word that is not a Phi or a Sigma gets WeylWord's refusal wherever
-it is applied; test_weyl.py checks that.)  A last test parses the
-package and keeps TypeError to the two places that follow Python's own
-conventions."""
+class, cone, verdict or Cartan entry argument through
+``lattice.check_class``, which refuses anything but a PicClass, a
+ConePolytope, a NefVerdict or an AngleClass respectively.  (An item of a word that is not a Phi or a Sigma gets
+WeylWord's refusal wherever it is applied; test_weyl.py checks that.)
+A walk over the package's export table calls every public function
+with each argument made wrong in turn.  The last tests parse the
+package: they keep TypeError to the two places that follow Python's own
+conventions, and an isinstance refusal to the places that own one."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
 
+import cremona
 from cremona import verify
 from cremona.curves import enumerate_minus_one
 from cremona.lattice import (
@@ -41,12 +43,12 @@ from cremona.nef import (
 )
 from cremona.polytopes import (
     ConePolytope,
+    Halfspace,
     boundary_rays,
     build_P,
     build_P_minus,
     build_P_tilde,
     cartan_matrix,
-    check_cone,
     coxeter_diagram,
     extremal_rays,
     finite_volume,
@@ -55,11 +57,13 @@ from cremona.polytopes import (
     is_implied,
     membership,
     redundant_constraints,
+    render_cartan_entry,
     verify_region_R,
     verify_vertex_formulas,
     vertex_formula_families,
 )
 from cremona.weyl import (
+    Phi,
     Sigma,
     WeylWord,
     all_generators,
@@ -192,7 +196,7 @@ def test_an_argument_that_is_not_a_class_is_refused(call, message):
     assert str(info.value) == message
 
 
-# (call, message): a cone or verdict argument of the wrong kind
+# (call, message): a cone, verdict or Cartan entry argument of the wrong kind
 NOT_A_CONE = {
     "membership": (lambda: membership(5, basis_vector(3, 0)), "P must be a ConePolytope, got 5"),
     "gram_matrix": (lambda: gram_matrix(None), "P must be a ConePolytope, got None"),
@@ -204,9 +208,12 @@ NOT_A_CONE = {
     "finite_volume": (lambda: finite_volume(None), "P must be a ConePolytope, got None"),
     "is_implied": (lambda: is_implied(5, basis_vector(3, 0)), "P must be a ConePolytope, got 5"),
     "redundant_constraints": (lambda: redundant_constraints(5), "P must be a ConePolytope, got 5"),
-    "check_cone": (lambda: check_cone("x", "P"), "x must be a ConePolytope, got 'P'"),
+    "check_class cone": (lambda: check_class("x", "P", ConePolytope),
+                         "x must be a ConePolytope, got 'P'"),
     "check_certificate verdict": (lambda: check_certificate(basis_vector(3, 0), None),
                                   "verdict must be a NefVerdict, got None"),
+    "render_cartan_entry": (lambda: render_cartan_entry(Sigma(1)),
+                            "entry must be an AngleClass, got Sigma(1)"),
 }
 
 
@@ -215,6 +222,92 @@ def test_a_cone_or_verdict_of_the_wrong_kind_is_refused(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+# Every public function of the export table, with small valid arguments
+# for each of its parameters: n <= 10, max_degree <= 3, the quick suite.
+_v = PicClass(3, (3, -1, -1, 0))
+_P = build_P(3)
+VALID = {
+    "pairing": {"u": basis_vector(3, 0), "v": basis_vector(3, 1)},
+    "basis_vector": {"n": 3, "i": 1},
+    "canonical_class": {"n": 3},
+    "anticanonical_class": {"n": 3},
+    "degree": {"v": _v},
+    "light_cone_position": {"v": _v},
+    "apply_generator": {"g": Phi(1, 2, 3), "v": _v},
+    "apply_word": {"w": WeylWord((Phi(1, 2, 3), Sigma(1))), "v": _v},
+    "fixed_hyperplane_normal": {"g": Sigma(1), "n": 3},
+    "sort_coordinates": {"v": _v},
+    "reduce_class": {"v": _v},
+    "all_generators": {"n": 3},
+    "orbit": {"v": basis_vector(3, 1), "max_degree": 2, "max_count": 10},
+    "is_minus_one_class": {"v": basis_vector(3, 1)},
+    "enumerate_minus_one": {"n": 3, "max_degree": 2},
+    "decompose_inequality": {"c": PicClass(3, (1, -1, -1, 0))},
+    "build_P_tilde": {"n": 3},
+    "build_P": {"n": 3},
+    "build_P_minus": {"n": 10},
+    "membership": {"P": _P, "v": _v},
+    "gram_matrix": {"P": _P},
+    "classify_angle": {"u": Halfspace(basis_vector(3, 1)), "v": PicClass(3, (0, 1, -1, 0))},
+    "cartan_matrix": {"P": _P},
+    "render_cartan_entry": {"entry": cartan_matrix(_P)[0][1]},
+    "is_coxeter": {"P": _P},
+    "coxeter_diagram": {"P": _P},
+    "extremal_rays": {"P": _P},
+    "boundary_rays": {"P": _P},
+    "finite_volume": {"P": _P},
+    "is_implied": {"P": _P, "normal": basis_vector(3, 3)},
+    "redundant_constraints": {"P": _P},
+    "vertex_formula_families": {"n": 10},
+    "verify_vertex_formulas": {"n": 10},
+    "verify_region_R": {"n": 10},
+    "fundamental_cone": {"n": 3},
+    "is_nef_K_nonpositive": {"v": _v},
+    "curve_check": {"v": _v, "max_degree": 3},
+    "check_certificate": {"v": _v, "verdict": is_nef_K_nonpositive(_v)},
+    "run_suite": {"suite": "quick", "seed": 0},
+    "check_names": {"suite": "quick"},
+}
+
+# (function, parameter) -> the exception other than ValueError that a
+# wrong value there may raise, with the reason.  Empty: every public
+# function refuses each wrong argument with ValueError.
+NOT_VALUE_ERROR: dict[tuple[str, str], type] = {}
+
+
+def _public_functions():
+    return {
+        name: getattr(cremona, name)
+        for names in cremona._EXPORTS.values()
+        for name in names
+        if inspect.isfunction(getattr(cremona, name))
+    }
+
+
+def test_the_walk_names_every_parameter_of_every_public_function():
+    functions = _public_functions()
+    assert functions.keys() == VALID.keys()
+    for name, function in functions.items():
+        assert list(inspect.signature(function).parameters) == list(VALID[name]), name
+
+
+@pytest.mark.parametrize("name", VALID)
+def test_a_wrong_argument_raises_value_error_or_nothing(name):
+    function = getattr(cremona, name)
+    function(**VALID[name])
+    for parameter, good in VALID[name].items():
+        # a record of another kind than the valid argument: a class for a generator or word
+        record = basis_vector(3, 1) if isinstance(good, (Phi, Sigma, WeylWord)) else Sigma(1)
+        for bad in (None, 5, record):
+            try:
+                function(**{**VALID[name], parameter: bad})
+            except ValueError:
+                pass
+            except Exception as error:
+                allowed = NOT_VALUE_ERROR.get((name, parameter))
+                assert allowed is not None and isinstance(error, allowed), (parameter, bad, error)
 
 
 class TestAsTuple:
@@ -267,3 +360,55 @@ def test_type_error_is_raised_only_at_its_two_homes():
     found = [place for path in sorted(SRC.glob("*.py")) for place in _type_error_raises(path)]
     # equality, not a subset: the walk must find the two homes it allows
     assert set(found) == TYPE_ERROR_HOMES, found
+
+
+# Where a refusal tests isinstance itself, as "module.scope": the kind
+# rules, check_bound and check_class, and the checks that own their
+# message (a verdict's witness, a cone's items and the JSON shapes).
+# Any other argument of a record kind goes through check_class.
+ISINSTANCE_REFUSALS = {
+    "lattice.check_bound",
+    "lattice.check_class",
+    "nef.NefVerdict.__init__",
+    "polytopes.ConePolytope.__init__",
+    "serialize._field",
+    "serialize.decode_cartan",
+    "serialize.decode_word",
+}
+
+
+def _isinstance_refusals(path):
+    """Each scope of the module at ``path`` with a ``raise ValueError``
+    directly in the body of an ``if`` (or ``elif``) whose test calls isinstance."""
+    found = set()
+
+    def calls_isinstance(test):
+        return any(
+            isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+            for node in ast.walk(test)
+        )
+
+    def raises_value_error(statement):
+        if not isinstance(statement, ast.Raise) or statement.exc is None:
+            return False
+        exc = statement.exc.func if isinstance(statement.exc, ast.Call) else statement.exc
+        return isinstance(exc, ast.Name) and exc.id == "ValueError"
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + [child.name]
+            elif isinstance(child, ast.If) and calls_isinstance(child.test):
+                if any(map(raises_value_error, child.body)):
+                    found.add(f"{path.stem}.{'.'.join(scope)}")
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), [])
+    return found
+
+
+def test_an_isinstance_refusal_lives_only_where_a_kind_rule_does():
+    found = set().union(*map(_isinstance_refusals, sorted(SRC.glob("*.py"))))
+    # equality, not a subset: the walk must find each place it allows
+    assert found == ISINSTANCE_REFUSALS

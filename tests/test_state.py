@@ -97,6 +97,21 @@ def test_a_workload_changes_no_module_global():
     assert changed == []
 
 
+def test_the_package_namespace_only_gains_exported_names():
+    # cremona.__getattr__ binds each public name it looks up, so that the
+    # next lookup is a plain attribute; nothing else may change
+    before = dict(vars(cremona))
+    workload()
+    for name in cremona._HOME:
+        getattr(cremona, name)
+    after = vars(cremona)
+    gained = after.keys() - before.keys()
+    assert gained <= cremona._HOME.keys()
+    assert [name for name in before if after.get(name) is not before[name]] == []
+    homes = {name: getattr(cremona, cremona._HOME[name]) for name in gained}
+    assert all(after[name] is getattr(home, name) for name, home in homes.items())
+
+
 def test_no_function_keeps_a_cache():
     cached = sorted(
         f"{module.__name__}.{name}"
