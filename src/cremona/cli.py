@@ -4,7 +4,8 @@ Commands: reduce, curves, cartan, diagram, rays, orbit, nef-test,
 region-r, verify.  Vectors are comma-separated integers (x_0,...,x_n).
 Every integer on the command line, in a vector or an option, is
 optional whitespace, an optional sign and ASCII digits; anything else
-("1_0", non-ASCII digits) exits 2.
+("1_0", non-ASCII digits) exits 2, and so does one past the
+interpreter's digit limit for converting it.
 Formats: text (default), json, csv, and dot for diagrams.
 
 Exit codes: 0 success (and "nef"/"in cone" verdicts), 2 usage or
@@ -46,7 +47,7 @@ from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 
 from . import curves, nef, polytopes, verify
-from .lattice import PicClass, check_bound, pairing
+from .lattice import PicClass, _decimal, check_bound, pairing
 from .serialize import (
     encode_cartan,
     encode_class,
@@ -101,7 +102,10 @@ def _int_option(text: str) -> int:
     """argparse type of the integer options."""
     if _INTEGER.fullmatch(text) is None:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    return int(text)
+    try:
+        return _decimal("int value", text)
+    except ValueError as exc:  # argparse prints only an ArgumentTypeError's message
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_vector(text: str, n: int) -> PicClass:
@@ -109,14 +113,16 @@ def _parse_vector(text: str, n: int) -> PicClass:
     if not all(map(_INTEGER.fullmatch, parts)):
         raise ValueError(f"vector must be comma-separated integers, got {text!r}")
     # PicClass refuses a wrong number of coordinates
-    return PicClass(n=n, coords=tuple(map(int, parts)))
+    return PicClass(n=n, coords=tuple([_decimal("coordinate", part) for part in parts]))
 
 
 def _format_word(w: WeylWord) -> str:
     """A reduction witness as text, read off its ints (WeylWord._ints)."""
-    triples, sort = w._ints()
+    steps, sort = w._ints()
+    it = iter(steps)
     sigmas = [f"sigma({i})" for i in range(max(sort, default=0) + 1)]  # one string per index
-    parts = ["phi({},{},{})".format(*t) for t in triples] + list(map(sigmas.__getitem__, sort))
+    parts = [f"phi({i},{j},{k})" for i, j, k in zip(it, it, it)]
+    parts += map(sigmas.__getitem__, sort)
     return " ".join(parts) or "(identity)"
 
 

@@ -8,6 +8,7 @@ integer arithmetic; no fractions and no floats.
 
 from __future__ import annotations
 
+import sys
 from operator import add, attrgetter, mul, sub
 
 from . import _EXPORTS
@@ -24,6 +25,17 @@ def check_bound(name: str, value, least: int | None = None, most: int | None = N
         raise ValueError(f"{name} must be >= {least}, got {value}")
     if most is not None and value > most:
         raise ValueError(f"{name} must be <= {most}, got {value}")
+
+
+def _decimal(name: str, text: str) -> int:
+    """int(text) of a decimal string, one the caller has matched; past the
+    interpreter's limit on the digits of that conversion, ValueError naming
+    ``name`` and the limit instead of the interpreter's own advice."""
+    try:
+        return int(text)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"{name} has more than {limit} digits") from None
 
 
 def as_tuple(name: str, items) -> tuple:

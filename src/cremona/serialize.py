@@ -38,7 +38,7 @@ from __future__ import annotations
 import re
 
 from . import nef, polytopes
-from .lattice import PicClass, check_bound, pairing
+from .lattice import PicClass, _decimal, check_bound, pairing
 from .weyl import Generator, Phi, ReductionResult, Sigma, WeylWord, _reach
 
 __all__ = [
@@ -76,7 +76,7 @@ def _encode_ints(xs: tuple[int, ...]) -> list:
 def decode_int(x: int | str) -> int:
     """An exact integer from a JSON int (not a bool) or a decimal string."""
     if isinstance(x, str) and _DECIMAL.fullmatch(x):
-        return int(x)
+        return _decimal("value", x)
     check_bound("value", x)
     return x
 
@@ -102,7 +102,9 @@ def encode_class(v: PicClass) -> dict:
 def decode_class(obj: dict) -> PicClass:
     n = _field(obj, "class", "n", int)
     coords = _field(obj, "class", "coords", list)
-    return PicClass(n=n, coords=tuple(decode_int(c) for c in coords))
+    if not set(map(type, coords)) <= {int}:  # PicClass checks plain ints itself
+        coords = [c if type(c) is int else decode_int(c) for c in coords]
+    return PicClass(n, tuple(coords))
 
 
 def _decode_generator(obj: dict) -> Generator:
@@ -121,7 +123,9 @@ def encode_word(w: WeylWord) -> list:
     ints = w._ints()
     if ints is None:
         return [{"phi": [g.i, g.j, g.k]} if type(g) is Phi else {"sigma": g.i} for g in w.gens]
-    return [{"phi": list(t)} for t in ints[0]] + [{"sigma": i} for i in ints[1]]
+    steps, sort = ints
+    it = iter(steps)
+    return [{"phi": [i, j, k]} for i, j, k in zip(it, it, it)] + [{"sigma": i} for i in sort]
 
 
 def decode_word(obj: list) -> WeylWord:

@@ -13,15 +13,13 @@ curve class proving the input is not nef; its docstring has the algorithm.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from itertools import combinations, combinations_with_replacement, islice
 
 from . import _EXPORTS, curves
-from .lattice import (
-    PicClass, Record, _Private, as_tuple, canonical_class, check_bound, check_class, pairing, set_field
-)
+from .lattice import PicClass, Record, _Private, as_tuple, check_bound, check_class, set_field
 
 __all__ = [*_EXPORTS["weyl"], "Generator"]
 
@@ -84,33 +82,32 @@ class WeylWord(Record, _Private):
 
     @classmethod
     def _of_ints(cls, steps: list[int], order: list[int]) -> "WeylWord":
-        """phi at each triple of ``steps``, then index order[p] to place p, kept in the
-        private slot until ``gens`` is read; ValueError past the cap."""
-        ranks = [0] * len(order)
-        for place, i in enumerate(order):  # the inverse permutation, 0-based
-            ranks[i - 1] = place
-        swaps = sum(_inversion_table(ranks, len(steps) // 3))
+        """phi at each triple of ``steps``, then index order[p] to place p, kept with
+        the sort's inversion table in the private slot (the lists are the word's from
+        then on) until ``gens`` is read; ValueError past the cap."""
+        table = _inversion_table(order, len(steps) // 3)
         word = object.__new__(cls)
-        set_field(word, "_private", (tuple(steps), tuple(ranks), swaps))
+        set_field(word, "_private", (steps, order, table))
         return word
 
-    def _ints(self) -> tuple[list[tuple[int, int, int]], list[int]] | None:
-        """The phi triples and the Sigma indices of a word kept as ints, else None."""
+    def _ints(self) -> tuple[list[int], list[int]] | None:
+        """The flat phi triples and the Sigma indices of a word kept as ints, else None."""
         compact = getattr(self, "_private", None)
-        return compact and (list(zip(*[iter(compact[0])] * 3)), _sort_word(compact[1], 0))
+        return compact and (compact[0], _spell(compact[2]))
 
     def __getattr__(self, name: str):
         # only an unset slot gets here: build gens, one Phi per triple and one Sigma per index
         if name != "gens":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        triples, sort = self._ints()
+        steps, sort = self._ints()
+        triples = list(zip(*[iter(steps)] * 3))
         built = {g: Phi(*g) if type(g) is tuple else Sigma(g) for g in {*triples, *sort}}
         set_field(self, "gens", tuple(map(built.__getitem__, triples + sort)))
         return self.gens
 
     def __len__(self) -> int:
         compact = getattr(self, "_private", None)
-        return len(self.gens) if compact is None else len(compact[0]) // 3 + compact[2]
+        return len(self.gens) if compact is None else len(compact[0]) // 3 + sum(compact[2])
 
     def __iter__(self) -> Iterator[Generator]:
         return iter(self.gens)
@@ -165,10 +162,9 @@ def apply_word(w: WeylWord | Iterable[Generator], v: PicClass) -> PicClass:
     if compact is None or len(compact[1]) > v.n:  # the generators say which is out of range
         _apply_in_place(x, as_tuple("word", w), v.n)
     else:
-        _phi_in_place(x, zip(*[iter(compact[0])] * 3))
-        tail = x[1:]
-        for i, place in enumerate(compact[1]):
-            x[place + 1] = tail[i]
+        steps, order, _ = compact
+        _phi_in_place(x, zip(*[iter(steps)] * 3))
+        x[1 : len(order) + 1] = [x[i] for i in order]
     return PicClass._trusted(v.n, tuple(x))
 
 
@@ -202,33 +198,43 @@ def sort_coordinates(v: PicClass) -> tuple[PicClass, WeylWord]:
     return PicClass._trusted(v.n, (x[0], *[x[i] for i in order])), WeylWord._of_ints([], order)
 
 
-def _inversion_table(keys, length: int) -> list[int]:
-    """l_j, the count of greater keys left of keys[j], for each j, by bisection: O(n log n +
-    inversions).  ValueError once ``length`` plus the inversions pass _WITNESS_CAP."""
-    prefix, table = [], []
-    for j, key in enumerate(keys):
-        p = bisect_right(prefix, key)
-        prefix.insert(p, key)
-        table.append(j - p)
-        length += j - p
-        if length > _WITNESS_CAP:
-            raise ValueError(f"the witness needs more than {_WITNESS_CAP} generators")
+def _inversion_table(order: list[int], length: int) -> list[int]:
+    """The inversion table of the sort that puts index order[p] at place p:
+    l_j counts the indices below j + 1 placed after it, that is the greater
+    keys left of key j.  By bisection, O(n log n + inversions); ValueError
+    if ``length`` plus the inversions pass _WITNESS_CAP."""
+    placed, table = [], [0] * len(order)  # the indices placed so far, ascending
+    for i in order:
+        p = bisect_left(placed, i)
+        placed.insert(p, i)
+        table[i - 1] = i - 1 - p
+    if length + sum(table) > _WITNESS_CAP:
+        raise ValueError(f"the witness needs more than {_WITNESS_CAP} generators")
     return table
+
+
+def _spell(table: list[int]) -> list[int]:
+    """The index i of each swap Sigma(i) of the stable bubble sort with
+    inversion table ``table``.  A key with l_j greater keys to its left
+    moves left once in each of the first l_j passes and is never carried
+    right before, so pass p swaps it as Sigma(j - p + 1), in increasing j."""
+    moving = [j for j, l in enumerate(table) if l]
+    word = moving.copy()  # pass 1
+    p = 1
+    while True:
+        moving = [j for j in moving if table[j] > p]  # the keys pass p + 1 moves
+        if not moving:
+            return word
+        word += [j - p for j in moving]
+        p += 1
 
 
 def _sort_word(keys, length: int) -> list[int]:
     """The index i of each swap Sigma(i) of the stable bubble sort of
-    ``keys``, keys[i - 1] being coordinate i.  A key with l_j greater keys
-    to its left moves left once in each of the first l_j passes and is
-    never carried right before, so pass p swaps it as Sigma(j - p + 1),
-    in increasing j.  ValueError past the cap (_inversion_table)."""
-    table = _inversion_table(keys, length)
-    moving = [j for j, l in enumerate(table) if l]  # pass 1 swaps up to moving[-1]
-    word: list[int] = []
-    for p in range(1, max(table, default=0) + 1):
-        word += [j - p + 1 for j in moving]
-        moving = [j for j in moving if table[j] > p]
-    return word
+    ``keys``, keys[i - 1] being coordinate i.  ValueError past the cap
+    (_inversion_table)."""
+    order = sorted(range(1, len(keys) + 1), key=lambda i: keys[i - 1])
+    return _spell(_inversion_table(order, length))
 
 
 class ReductionResult(Record):
@@ -289,7 +295,7 @@ def reduce_class(v: PicClass) -> ReductionResult:
     in ``order``: the order a stable re-sort would give, ties included.
     The witness word and the violated class depend on that tie order.
     Each step records its sorted index triple; the witness keeps them,
-    and each index's place in ``order``, as ints
+    ``order`` and the inversion table of its sort as ints
     (``WeylWord._of_ints``).  The result is "in_cone" once x_0 + x_1 +
     x_2 + x_3 >= 0 and x_n <= 0 in sorted coordinates (the remaining
     cone inequality 3x_0 >= -sum x_i holds throughout, as it is
@@ -305,16 +311,16 @@ def reduce_class(v: PicClass) -> ReductionResult:
     """
     check_class("v", v)
     check_bound("n", v.n, 3)
-    if v.is_zero():
+    x = v.coords
+    if not any(x):
         raise ValueError("cannot reduce the zero class")
-    if pairing(v, canonical_class(v.n)) > 0:
+    if sum(x) + 2 * x[0] < 0:  # pairing(v, K) = -3x_0 - sum x_i, K = (-3, 1, ..., 1)
         raise KPositiveError(
             "K-positive side not supported: pairing(v, K) > 0 "
             "(equivalently 3*x_0 < -sum(x_i))"
         )
 
     n = v.n
-    x = v.coords
     x0 = x[0]
     order = sorted(range(1, n + 1), key=x.__getitem__)
     vals = [x[i] for i in order]

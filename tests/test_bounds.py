@@ -29,6 +29,9 @@ def reversed_tail(n: int) -> str:
     return vector((n * n, 0) + tuple(-k for k in range(1, n)))
 
 
+# the interpreter refuses to convert a decimal string of more digits
+DIGIT_LIMIT = sys.get_int_max_str_digits()
+
 # c^p (3, -2, -1^4, 0^4) at p = 10^9 takes 5 * 10^8 phi steps uncapped
 HUGE = vector(coxeter_power_class(10**9, 9))
 DEEP_20000 = vector(coxeter_power_class(10**9, 10) + (0,) * 19_990)
@@ -56,6 +59,10 @@ ROWS = [
              "witness: (identity)\niterations: 0\n"),
     answered("nef-test n=60000", ["nef-test", "--n", "60000", "--vector", "1" + ",0" * 60_000],
              "verdict: nef\nmethod: reduction_exact\nwitness: (identity)\n"),
+    # the interpreter's digit limit on converting a coordinate
+    refused("reduce coordinate past the digit limit",
+            ["reduce", "--n", "9", "--vector=" + "1" * (DIGIT_LIMIT + 1) + ",-1" * 9],
+            f"coordinate has more than {DIGIT_LIMIT} digits"),
     # the witness cap: phi steps and transpositions, 2 * 10^6 generators
     answered("reduce reversed tail n=2000",
              ["reduce", "--n", "2000", "--vector", reversed_tail(2000)],

@@ -3,6 +3,7 @@
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -466,6 +467,21 @@ class TestStrictIntegers:
         code, out, err = run(capsys, "reduce", "--n", "3", f"--vector={vector}")
         assert code == 2 and out == ""
         assert err == f"error: vector must be comma-separated integers, got {vector!r}\n"
+
+    def test_an_option_past_the_digit_limit_names_the_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(SystemExit) as exc:
+            main(["rays", "--n", "1" * (limit + 1)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"argument --n: int value has more than {limit} digits\n")
+
+    def test_a_coordinate_past_the_digit_limit_names_the_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        vector = "-" + "1" * (limit + 1) + ",1,0,0"
+        code, out, err = run(capsys, "nef-test", "--n", "3", f"--vector={vector}")
+        assert (code, out, err) == (2, "", f"error: coordinate has more than {limit} digits\n")
+        assert run(capsys, "reduce", "--n", "3", "--vector=" + "9" * limit + ",0,0,0")[0] == 0
 
     def test_whitespace_and_signs_are_accepted(self, capsys):
         plain = run(capsys, "rays", "--n", "10")

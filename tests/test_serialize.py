@@ -2,13 +2,15 @@
 
 import json
 import re
+import sys
 from fractions import Fraction
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cremona.cli import main
+from cremona import weyl
+from cremona.cli import _format_word, main
 from cremona.lattice import PicClass, basis_vector, canonical_class, pairing
 from cremona.nef import (
     METHOD_CURVE_CHECK,
@@ -80,6 +82,46 @@ class TestStrictDecoding:
             with pytest.raises(ValueError):
                 decode_int(bad)
 
+    # decode_class's messages, frozen from the decoder that checked every
+    # coordinate with decode_int before PicClass checked n and the length
+    REFUSALS = {
+        "bool coordinate": ([1, True, 0, 0], 3, "value must be an integer, got True"),
+        "float coordinate": ([1, 0, 2.0, 0], 3, "value must be an integer, got 2.0"),
+        "underscore": ([1, "1_0", 0, 0], 3, "value must be an integer, got '1_0'"),
+        "plus sign": ([1, "+5", 0, 0], 3, "value must be an integer, got '+5'"),
+        "arabic digit": ([1, "\u0663", 0, 0], 3, "value must be an integer, got '\u0663'"),
+        "None coordinate": ([1, None, 0, 0], 3, "value must be an integer, got None"),
+        "list coordinate": ([1, [1], 0, 0], 3, "value must be an integer, got [1]"),
+        "too few coordinates": ([1, 0, 0], 3, "expected 4 coordinates for n=3, got 3"),
+        "n = 0": ([1], 0, "n must be >= 1, got 0"),
+        "n = True": ([1, 0], True, "class 'n' must be an integer, got True"),
+        "a coordinate before n": ([1.5], 0, "value must be an integer, got 1.5"),
+        "a coordinate before the length": ([True], 3, "value must be an integer, got True"),
+        "the first bad coordinate": ([1, "x", None, 0], 3, "value must be an integer, got 'x'"),
+    }
+
+    @pytest.mark.parametrize("coords, n, message", REFUSALS.values(), ids=REFUSALS)
+    def test_class_refusals_keep_their_messages(self, coords, n, message):
+        with pytest.raises(ValueError) as exc:
+            decode_class({"n": n, "coords": coords})
+        assert type(exc.value) is ValueError and str(exc.value) == message
+
+    def test_ints_and_decimal_strings_decode_alike(self):
+        plain = decode_class({"n": 4, "coords": [5, -2, -1, 0, BIG]})
+        assert decode_class({"n": 4, "coords": [5, "-2", -1, "0", str(BIG)]}) == plain
+        assert plain.coords == (5, -2, -1, 0, BIG)
+        assert all(type(c) is int for c in plain.coords)
+
+    def test_a_decimal_past_the_digit_limit_names_the_value(self):
+        limit = sys.get_int_max_str_digits()
+        text = "1" * (limit + 1)
+        message = f"^value has more than {limit} digits$"
+        with pytest.raises(ValueError, match=message):
+            decode_int(text)
+        with pytest.raises(ValueError, match=message):
+            decode_class({"n": 3, "coords": [text, 0, 0, 0]})
+        assert decode_int("-" + "1" * limit) == -int("1" * limit)
+
     @pytest.mark.parametrize(
         "obj",
         [{"coords": [1, 0]}, {"n": 1}, [1, 0], None, {"n": 1, "coords": "10"}],
@@ -136,6 +178,37 @@ json_values = st.recursive(
 )
 DECODERS = (decode_int, decode_class, decode_word, decode_reduction, decode_verdict,
             decode_cartan)
+
+
+class TestOneInversionTable:
+    """A nef query builds its witness's inversion table once, for the cap
+    check, and the sort word is spelled from it whenever it is read."""
+
+    NEF_BASE = PicClass(12, (12, -3, -1, -4, -2, -1, -5, 0, -1, -2, -1, -3, -1))
+
+    @pytest.mark.parametrize(
+        "v, verdict",
+        [
+            (apply_word((Phi(1, 2, 7), Phi(3, 5, 9), Sigma(4)), NEF_BASE), NEF),
+            (PicClass(9, (2, 0, -1, 0, 1, -1, 0, 0, 0, -1)), NOT_NEF),
+        ],
+        ids=[NEF, NOT_NEF],
+    )
+    def test_a_query_builds_one_table(self, monkeypatch, v, verdict):
+        calls = []
+        table = weyl._inversion_table
+        monkeypatch.setattr(
+            weyl, "_inversion_table", lambda *args: calls.append(args) or table(*args)
+        )
+        result = is_nef_K_nonpositive(decode_class(json_round(encode_class(v))))
+        encoded = encode_verdict(result)
+        assert result.verdict == verdict and len(calls) == 1
+        if verdict == NEF:
+            w = result.witness
+            assert len(encoded["witness"]) == len(w.gens) == len(w)
+            assert "phi" in encoded["witness"][0] and "sigma" in encoded["witness"][-1]
+            assert _format_word(w).startswith("phi(")
+            assert len(calls) == 1
 
 
 class TestFuzz:
