@@ -15,11 +15,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import combinations, combinations_with_replacement, islice
 
 from . import _EXPORTS, curves
-from .lattice import PicClass, Record, _Private, as_tuple, check_bound, check_class, set_field
+from .lattice import (
+    PicClass, Record, _Private, as_tuple, canonical_class, check_bound, check_class, pairing, set_field
+)
 
 __all__ = [*_EXPORTS["weyl"], "Generator"]
 
@@ -82,15 +84,16 @@ class WeylWord(Record, _Private):
 
     @classmethod
     def _of_ints(cls, steps: list[int], order: list[int]) -> "WeylWord":
-        """phi at each triple of ``steps``, then index order[p] to place p, kept with
-        the sort's inversion table in the private slot (the lists are the word's from
-        then on) until ``gens`` is read; ValueError past the cap."""
+        """phi at each triple of ``steps``, then index order[p] to place p, kept as
+        tuples with the sort's inversion table and the word's length in the private
+        slot until ``gens`` is read; ValueError past the cap."""
         table = _inversion_table(order, len(steps) // 3)
         word = object.__new__(cls)
-        set_field(word, "_private", (steps, order, table))
+        length = len(steps) // 3 + sum(table)
+        set_field(word, "_private", (tuple(steps), tuple(order), tuple(table), length))
         return word
 
-    def _ints(self) -> tuple[list[int], list[int]] | None:
+    def _ints(self) -> tuple[tuple[int, ...], list[int]] | None:
         """The flat phi triples and the Sigma indices of a word kept as ints, else None."""
         compact = getattr(self, "_private", None)
         return compact and (compact[0], _spell(compact[2]))
@@ -107,7 +110,7 @@ class WeylWord(Record, _Private):
 
     def __len__(self) -> int:
         compact = getattr(self, "_private", None)
-        return len(self.gens) if compact is None else len(compact[0]) // 3 + sum(compact[2])
+        return len(self.gens) if compact is None else compact[3]
 
     def __iter__(self) -> Iterator[Generator]:
         return iter(self.gens)
@@ -162,7 +165,7 @@ def apply_word(w: WeylWord | Iterable[Generator], v: PicClass) -> PicClass:
     if compact is None or len(compact[1]) > v.n:  # the generators say which is out of range
         _apply_in_place(x, as_tuple("word", w), v.n)
     else:
-        steps, order, _ = compact
+        steps, order = compact[:2]
         _phi_in_place(x, zip(*[iter(steps)] * 3))
         x[1 : len(order) + 1] = [x[i] for i in order]
     return PicClass._trusted(v.n, tuple(x))
@@ -202,18 +205,21 @@ def _inversion_table(order: list[int], length: int) -> list[int]:
     """The inversion table of the sort that puts index order[p] at place p:
     l_j counts the indices below j + 1 placed after it, that is the greater
     keys left of key j.  By bisection, O(n log n + inversions); ValueError
-    if ``length`` plus the inversions pass _WITNESS_CAP."""
+    as soon as ``length`` plus the inversions counted pass _WITNESS_CAP, so
+    a refused sort costs O(n log n + cap): the inserts so far moved each
+    index past greater ones placed before it, inversions already counted."""
     placed, table = [], [0] * len(order)  # the indices placed so far, ascending
     for i in order:
         p = bisect_left(placed, i)
         placed.insert(p, i)
-        table[i - 1] = i - 1 - p
-    if length + sum(table) > _WITNESS_CAP:
-        raise ValueError(f"the witness needs more than {_WITNESS_CAP} generators")
+        table[i - 1] = l = i - 1 - p
+        length += l
+        if length > _WITNESS_CAP:
+            raise ValueError(f"the witness needs more than {_WITNESS_CAP} generators")
     return table
 
 
-def _spell(table: list[int]) -> list[int]:
+def _spell(table: Sequence[int]) -> list[int]:
     """The index i of each swap Sigma(i) of the stable bubble sort with
     inversion table ``table``.  A key with l_j greater keys to its left
     moves left once in each of the first l_j passes and is never carried
@@ -232,7 +238,8 @@ def _spell(table: list[int]) -> list[int]:
 def _sort_word(keys, length: int) -> list[int]:
     """The index i of each swap Sigma(i) of the stable bubble sort of
     ``keys``, keys[i - 1] being coordinate i.  ValueError past the cap
-    (_inversion_table)."""
+    (_inversion_table).  Only the tests call it, as the bubble-sort
+    oracle's counterpart; the library spells its words with _spell."""
     order = sorted(range(1, len(keys) + 1), key=lambda i: keys[i - 1])
     return _spell(_inversion_table(order, length))
 
@@ -314,7 +321,7 @@ def reduce_class(v: PicClass) -> ReductionResult:
     x = v.coords
     if not any(x):
         raise ValueError("cannot reduce the zero class")
-    if sum(x) + 2 * x[0] < 0:  # pairing(v, K) = -3x_0 - sum x_i, K = (-3, 1, ..., 1)
+    if pairing(v, canonical_class(v.n)) > 0:
         raise KPositiveError(
             "K-positive side not supported: pairing(v, K) > 0 "
             "(equivalently 3*x_0 < -sum(x_i))"

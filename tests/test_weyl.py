@@ -5,6 +5,7 @@ import json
 import pickle
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from cremona import weyl
 from cremona.lattice import PicClass, basis_vector, canonical_class, pairing
 from cremona.nef import is_nef_K_nonpositive
-from cremona.serialize import encode_reduction, encode_verdict, encode_word
+from cremona.serialize import decode_class, encode_reduction, encode_verdict, encode_word
 from cremona.weyl import (
     KPositiveError,
     OrbitResult,
@@ -283,6 +284,31 @@ class TestWitnessCap:
         else:
             with pytest.raises(ValueError, match=self.MESSAGE):
                 weyl._sort_word(keys, phi_steps)
+
+
+class TestWitnessCapBoundsTheWork:
+    """A sort past the witness cap is refused once the inversions counted
+    pass it, after O(n log n + cap) work, not after building its whole
+    table: at n = 2 * 10^5 these tails have 2 * 10^10 and 10^10
+    inversions, whose table takes seconds to build (memmove in
+    list.insert), and are refused in a few hundredths of a second."""
+
+    N = 200_000
+    MESSAGE = TestWitnessCap.MESSAGE
+
+    def refused_quickly(self, call, *args):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            call(*args)
+        assert time.perf_counter() - start < 0.5
+
+    def test_sort_coordinates_of_a_reversed_tail(self):
+        self.refused_quickly(sort_coordinates, PicClass(self.N, (0,) + reversed_tail(self.N)))
+
+    def test_a_decoded_two_value_tail(self):
+        n = self.N
+        obj = {"n": n, "coords": [n * n] + [0] * (n - n // 2) + [-1] * (n // 2)}
+        self.refused_quickly(lambda: is_nef_K_nonpositive(decode_class(obj)))
 
 
 class TestReduce:
