@@ -47,7 +47,7 @@ from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 
 from . import curves, nef, polytopes, verify
-from .lattice import PicClass, _decimal, check_bound, pairing
+from .lattice import LightConePosition, PicClass, _decimal, check_bound, pairing
 from .serialize import (
     encode_cartan,
     encode_class,
@@ -322,7 +322,7 @@ def _cmd_rays(args: argparse.Namespace, out: _Output) -> int:
                 "n": args.n,
                 "polytope": args.polytope,
                 "count": len(rays),
-                "boundary": tags.count("boundary"),
+                "boundary": tags.count(LightConePosition.BOUNDARY),
                 "rays": (encode_ray(r) for r in rays),
             }
         )
@@ -335,7 +335,7 @@ def _cmd_rays(args: argparse.Namespace, out: _Output) -> int:
         for r, tag in zip(rays, tags):
             square = pairing(r.generator, r.generator)
             out.line(f"{_coords_str(r.generator)}  square={square}  {tag}")
-        out.line(f"rays: {len(rays)}, boundary: {tags.count('boundary')}")
+        out.line(f"rays: {len(rays)}, boundary: {tags.count(LightConePosition.BOUNDARY)}")
     return 0
 
 
@@ -385,8 +385,8 @@ def _cmd_nef_test(args: argparse.Namespace, out: _Output) -> int:
         out.json(encode_verdict(verdict))
     else:
         out.line(f"verdict: {verdict.verdict}")
-        if verdict.method == "reduction_exact":
-            out.line("method: reduction_exact")
+        if verdict.method == nef.METHOD_REDUCTION:
+            out.line(f"method: {verdict.method}")
         else:
             out.line(f"method: curve_check up to degree {verdict.max_degree}")
         if isinstance(verdict.witness, WeylWord):

@@ -604,14 +604,12 @@ def finite_volume(P: ConePolytope) -> bool:
 
 
 def _boundary(rays: list[Ray]) -> list[Ray]:
-    return [r for r in rays if r.position.tag == "boundary"]
+    return [r for r in rays if r.position.tag == LightConePosition.BOUNDARY]
 
 
 def _finite(rays: list[Ray]) -> bool:
-    return all(
-        pairing(r.generator, r.generator) >= 0 and r.generator.coords[0] > 0
-        for r in rays
-    )
+    positions = (r.position for r in rays)
+    return all(p.tag != LightConePosition.OUTSIDE and p.forward for p in positions)
 
 
 # ---------------------------------------------------------------------------

@@ -87,9 +87,8 @@ class WeylWord(Record, _Private):
         """phi at each triple of ``steps``, then index order[p] to place p, kept as
         tuples with the sort's inversion table and the word's length in the private
         slot until ``gens`` is read; ValueError past the cap."""
-        table = _inversion_table(order, len(steps) // 3)
+        table, length = _inversion_table(order, len(steps) // 3)
         word = object.__new__(cls)
-        length = len(steps) // 3 + sum(table)
         set_field(word, "_private", (tuple(steps), tuple(order), tuple(table), length))
         return word
 
@@ -201,13 +200,13 @@ def sort_coordinates(v: PicClass) -> tuple[PicClass, WeylWord]:
     return PicClass._trusted(v.n, (x[0], *[x[i] for i in order])), WeylWord._of_ints([], order)
 
 
-def _inversion_table(order: list[int], length: int) -> list[int]:
-    """The inversion table of the sort that puts index order[p] at place p:
-    l_j counts the indices below j + 1 placed after it, that is the greater
-    keys left of key j.  By bisection, O(n log n + inversions); ValueError
-    as soon as ``length`` plus the inversions counted pass _WITNESS_CAP, so
-    a refused sort costs O(n log n + cap): the inserts so far moved each
-    index past greater ones placed before it, inversions already counted."""
+def _inversion_table(order: list[int], length: int) -> tuple[list[int], int]:
+    """The inversion table of the sort that puts index order[p] at place p
+    (l_j counts the indices below j + 1 placed after it: the greater keys
+    left of key j), and ``length`` plus its inversions.  By bisection,
+    O(n log n + inversions); ValueError as soon as that sum passes
+    _WITNESS_CAP, so a refused sort costs O(n log n + cap): the inserts so
+    far moved each index past greater ones placed before it, already counted."""
     placed, table = [], [0] * len(order)  # the indices placed so far, ascending
     for i in order:
         p = bisect_left(placed, i)
@@ -216,7 +215,7 @@ def _inversion_table(order: list[int], length: int) -> list[int]:
         length += l
         if length > _WITNESS_CAP:
             raise ValueError(f"the witness needs more than {_WITNESS_CAP} generators")
-    return table
+    return table, length
 
 
 def _spell(table: Sequence[int]) -> list[int]:
@@ -233,15 +232,6 @@ def _spell(table: Sequence[int]) -> list[int]:
             return word
         word += [j - p for j in moving]
         p += 1
-
-
-def _sort_word(keys, length: int) -> list[int]:
-    """The index i of each swap Sigma(i) of the stable bubble sort of
-    ``keys``, keys[i - 1] being coordinate i.  ValueError past the cap
-    (_inversion_table).  Only the tests call it, as the bubble-sort
-    oracle's counterpart; the library spells its words with _spell."""
-    order = sorted(range(1, len(keys) + 1), key=lambda i: keys[i - 1])
-    return _spell(_inversion_table(order, length))
 
 
 class ReductionResult(Record):

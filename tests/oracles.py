@@ -3,7 +3,8 @@
 Everything in here is deliberately written the dumb way: brute force
 over all subsets, plain DFS over coordinate vectors, sympy for linear
 algebra.  None of it shares code (or clever ideas) with the package
-under test, so agreement is meaningful.
+under test, so agreement is meaningful.  The frozen values at the end
+are each written once, for the acceptance suite and the unit tests.
 """
 
 from __future__ import annotations
@@ -493,3 +494,21 @@ def reference_last_violation(base: int, tail, ms):
 
 def pairing_matrix(classes: list[PicClass]) -> list[list[int]]:
     return [[pairing(u, v) for v in classes] for u in classes]
+
+
+# ---------------------------------------------------------------------------
+# frozen values, derived by hand or by the oracles above
+
+
+# the number of (-1)-classes at n = 3..8 (brute_force_minus_one)
+CURVE_COUNTS = {3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
+
+# the 10 extremal rays of P(9), sorted, and the two on the light cone
+P9_RAYS = sorted(
+    [(1,) + (0,) * 9, (1, -1) + (0,) * 8, (2, -1, -1) + (0,) * 7]
+    + [(3,) + (-1,) * k + (0,) * (9 - k) for k in range(3, 10)]
+)
+P9_BOUNDARY_RAYS = [(1, -1) + (0,) * 8, (3,) + (-1,) * 9]
+
+# the extremal rays of P(10) outside the light cone: -K alone
+P10_ESCAPING_RAYS = [(3,) + (-1,) * 10]

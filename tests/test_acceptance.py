@@ -1,7 +1,8 @@
 """Acceptance suite: one test per headline claim, exact arithmetic, zero
-tolerance.  Expected values are frozen here independently of the library
-internals (ray lists, Cartan tokens, table rows, counts were derived by
-hand or by the oracles in oracles.py before the implementation existed).
+tolerance.  Expected values are frozen here, or in oracles.py where a
+unit test checks them too, independently of the library internals (ray
+lists, Cartan tokens, table rows, counts were derived by hand or by the
+oracles in oracles.py before the implementation existed).
 
 One subpart is an expected failure, kept failing on purpose: the claim
 that the 13-facet cone at n = 11 carries a *triple* edge.  A triple edge
@@ -49,7 +50,7 @@ from cremona.weyl import (
     apply_word,
     reduce_class,
 )
-from oracles import tree_canonical_form
+from oracles import CURVE_COUNTS, P9_BOUNDARY_RAYS, P9_RAYS, P10_ESCAPING_RAYS, tree_canonical_form
 
 
 @functools.cache
@@ -84,17 +85,11 @@ def test_criterion_02_sorted_cone_integer_cartan():
 
 # --- 3. the 10 extremal rays at n = 9 ---------------------------------------
 
-P9_RAYS = sorted(
-    [(1,) + (0,) * 9, (1, -1) + (0,) * 8, (2, -1, -1) + (0,) * 7]
-    + [(3,) + (-1,) * k + (0,) * (9 - k) for k in range(3, 10)]
-)
-
-
 def test_criterion_03_p9_extremal_rays():
     rays = extremal_rays(build_P(9))
     assert [r.generator.coords for r in rays] == P9_RAYS
     on_boundary = sorted(r.generator.coords for r in boundary_rays(build_P(9)))
-    assert on_boundary == [(1, -1) + (0,) * 8, (3,) + (-1,) * 9]
+    assert on_boundary == P9_BOUNDARY_RAYS
 
 
 # --- 4. vertex families of the -K truncation, n = 10..14 --------------------
@@ -122,7 +117,7 @@ def test_criterion_05_p10_infinite_volume():
         for r in extremal_rays(P)
         if pairing(r.generator, r.generator) < 0
     ]
-    assert escaping == [(3,) + (-1,) * 10]
+    assert escaping == P10_ESCAPING_RAYS
 
 
 # --- 6. Coxeter classification of the -K truncation -------------------------
@@ -240,9 +235,6 @@ def test_criterion_08_region_r_table(n):
 
 
 # --- 9. (-1)-class counts (frozen from the brute-force oracle) ---------------
-
-CURVE_COUNTS = {3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
-
 
 def test_criterion_09_curve_counts_saturate():
     for n, want in CURVE_COUNTS.items():

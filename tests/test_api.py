@@ -1,8 +1,10 @@
 """The public surface: every exported name resolves, and the names removed
 with the rational-arithmetic layer are neither exported nor present.  The
-package surface is the same as when every submodule ran at import, and
-each CLI command runs only the submodules it uses."""
+package surface is the same as when every submodule ran at import, each
+CLI command runs only the submodules it uses, and every private helper
+has a caller in the package, not only in the tests."""
 
+import ast
 import doctest
 import importlib
 import json
@@ -11,6 +13,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -239,3 +242,37 @@ def test_readme_example_runs(index):
     result = doctest.DocTestRunner().run(test, out=report.append)
     assert result.attempted > 0
     assert result.failed == 0, "".join(report)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "cremona"
+
+
+def _names_read(node) -> Counter:
+    """How often each name is read in ``node``: as a Name, an attribute or an import."""
+    names = Counter()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            names[child.id] += 1
+        elif isinstance(child, ast.Attribute):
+            names[child.attr] += 1
+        elif isinstance(child, ast.alias):
+            names[child.name] += 1
+    return names
+
+
+def test_every_private_helper_has_a_caller_in_the_package():
+    # a module-level function or class named _x, with no decorator to
+    # register it, is dead code unless the package reads its name
+    # somewhere outside its own body
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+    read = sum(map(_names_read, trees.values()), Counter())
+    unread = [
+        f"{module} {node.name}"
+        for module, tree in sorted(trees.items())
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and re.match(r"_[^_]", node.name)
+        and not node.decorator_list
+        and read[node.name] == _names_read(node)[node.name]
+    ]
+    assert trees and unread == []

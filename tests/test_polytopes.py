@@ -57,6 +57,9 @@ from cremona.polytopes import (
     vertex_formula_families,
 )
 from oracles import (
+    P9_BOUNDARY_RAYS,
+    P9_RAYS,
+    P10_ESCAPING_RAYS,
     brute_force_implied,
     brute_force_rays,
     minkowski,
@@ -403,11 +406,7 @@ class TestExtremalRays:
     def test_p9_rays(self):
         rays = extremal_rays(build_P(9))
         coords = [r.generator.coords for r in rays]
-        expected = sorted(
-            [(1,) + (0,) * 9, (1, -1) + (0,) * 8, (2, -1, -1) + (0,) * 7]
-            + [(3,) + (-1,) * k + (0,) * (9 - k) for k in range(3, 10)]
-        )
-        assert coords == expected
+        assert coords == P9_RAYS
 
     def test_p9_against_brute_force(self):
         P = build_P(9)
@@ -479,7 +478,7 @@ class TestExtremalRays:
 
     def test_boundary_rays_p9(self):
         bnd = sorted(r.generator.coords for r in boundary_rays(build_P(9)))
-        assert bnd == [(1, -1) + (0,) * 8, (3,) + (-1,) * 9]
+        assert bnd == P9_BOUNDARY_RAYS
 
     def test_every_ray_satisfies_every_inequality(self):
         P = build_P_minus(12)
@@ -498,7 +497,7 @@ class TestExtremalRays:
             for r in extremal_rays(build_P(10))
             if pairing(r.generator, r.generator) < 0
         ]
-        assert negatives == [(3,) + (-1,) * 10]
+        assert negatives == P10_ESCAPING_RAYS
 
 
 class TestSparseKernel:

@@ -225,13 +225,26 @@ LONG_TAILS = {
 }
 
 
+def stable_order(keys) -> list[int]:
+    """The indices 1..len(keys) in the order a stable sort of ``keys``
+    puts them, keys[i - 1] being coordinate i."""
+    return sorted(range(1, len(keys) + 1), key=lambda i: keys[i - 1])
+
+
+def sort_word(keys, length: int) -> list[int]:
+    """The stable bubble sort's word of ``keys``, spelled as the library
+    spells it: weyl._spell on weyl._inversion_table's table."""
+    table, _ = weyl._inversion_table(stable_order(keys), length)
+    return weyl._spell(table)
+
+
 class TestSortWordAgainstReference:
-    """weyl._sort_word reads the bubble sort's word off the inversion
-    table; the oracle runs the passes."""
+    """weyl._spell reads the bubble sort's word off the inversion table;
+    the oracle runs the passes."""
 
     @staticmethod
     def assert_same_word(keys):
-        assert weyl._sort_word(keys, 0) == reference_bubble_sort_word(keys)
+        assert sort_word(keys, 0) == reference_bubble_sort_word(keys)
 
     @settings(max_examples=300)
     @given(st.lists(st.integers(-5, 5), max_size=30))
@@ -247,6 +260,20 @@ class TestSortWordAgainstReference:
         witness = reduce_class(PicClass(n, (n * n,) + reversed_tail(n))).witness
         assert len(witness) == n * (n - 1) // 2
         assert len({id(g) for g in witness.gens}) == n - 1
+
+
+class TestWitnessLength:
+    """_inversion_table returns the witness's length, s phi steps plus the
+    sort's swaps, and the word stores that count as its len."""
+
+    @settings(max_examples=300)
+    @given(st.lists(st.integers(-5, 5), max_size=30), st.integers(0, 5))
+    def test_the_length_is_counted_once(self, keys, s):
+        order = stable_order(keys)
+        table, length = weyl._inversion_table(order, s)
+        assert length == s + len(weyl._spell(table))
+        steps = [1, 2, 3] * s
+        assert len(WeylWord._of_ints(steps, order)) == length
 
 
 class TestWitnessCap:
@@ -280,10 +307,10 @@ class TestWitnessCap:
     def test_phi_steps_count_toward_the_cap(self, phi_steps, ok):
         keys = reversed_tail(2000)
         if ok:
-            assert len(weyl._sort_word(keys, phi_steps)) + phi_steps == self.CAP
+            assert len(sort_word(keys, phi_steps)) + phi_steps == self.CAP
         else:
             with pytest.raises(ValueError, match=self.MESSAGE):
-                weyl._sort_word(keys, phi_steps)
+                sort_word(keys, phi_steps)
 
 
 class TestWitnessCapBoundsTheWork:
