@@ -8,25 +8,43 @@ rays, and finite-volume criteria.  All arithmetic is integer/rational.
 
 ``import cremona`` registers the submodules without running them: each
 is in ``sys.modules`` and bound here, and its body runs on first
-attribute access (``importlib.util.LazyLoader``).  A public name such as
-``cremona.build_P`` is looked up in its home module on first use and
-then kept here.  So a command that never touches ``polytopes`` never
-runs it, and an error in a module's body surfaces at its first use.
+attribute access (``_LazyModule``), under one lock that makes any other
+thread wait for the whole body.  A public name such as ``cremona.build_P``
+is looked up in its home module on first use and then kept here.  So a
+command that never touches ``polytopes`` never runs it, and an error in
+a module's body surfaces at its first use.
 """
 
+import _thread
 import importlib.util as _importlib_util
 import sys as _sys
+import types as _types
 
 __version__ = "0.1.0"
+
+_load_lock = _thread.RLock()
+
+
+class _LazyModule(_types.ModuleType):
+    """A registered submodule until its first attribute read, which runs its body."""
+
+    def __getattribute__(self, name: str):
+        # not super(): a thread that waited finds self a plain ModuleType
+        read = _types.ModuleType.__getattribute__
+        with _load_lock:  # re-entrant: the loading thread's own reads pass
+            if read(self, "__dict__").pop("_lazy", False):
+                read(self, "__spec__").loader.exec_module(self)
+                self.__class__ = _types.ModuleType
+        return read(self, name)
 
 
 def _register(short: str):
     """The submodule ``cremona.<short>``, in sys.modules, its body not yet run."""
     spec = _importlib_util.find_spec(f"{__name__}.{short}")
-    spec.loader = _importlib_util.LazyLoader(spec.loader)
     module = _importlib_util.module_from_spec(spec)
     _sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
+    module._lazy = True
+    module.__class__ = _LazyModule
     return module
 
 

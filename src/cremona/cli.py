@@ -118,10 +118,9 @@ def _parse_vector(text: str, n: int) -> PicClass:
 
 def _format_word(w: WeylWord) -> str:
     """A reduction witness as text, read off its ints (WeylWord._ints)."""
-    steps, sort = w._ints()
-    it = iter(steps)
+    triples, sort = w._ints()
     sigmas = [f"sigma({i})" for i in range(max(sort, default=0) + 1)]  # one string per index
-    parts = [f"phi({i},{j},{k})" for i, j, k in zip(it, it, it)]
+    parts = [f"phi({i},{j},{k})" for i, j, k in triples]
     parts += map(sigmas.__getitem__, sort)
     return " ".join(parts) or "(identity)"
 
@@ -142,18 +141,12 @@ def _flat_list_encoder(pad: str):
     return json.JSONEncoder(separators=(",\n" + pad, ": ")).encode
 
 
-def _key_text(key) -> str:
-    """A non-string dict key as the string json.dumps writes in its place."""
-    if key is not None and not isinstance(key, (int, float)):
-        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-    return json.dumps(key)
-
-
 class _Output:
     """The CLI's stdout: lines and JSON, written in batches.
 
     ``json(obj)`` writes exactly ``json.dumps(obj, indent=2)`` and a
-    newline, without building the document: it writes the containers
+    newline for a document with string keys (any other key raises
+    TypeError), without building the document: it writes the containers
     itself, encodes each flat list of scalars in one call to the C
     encoder, and takes any iterator where a list is expected, so a
     command can pass a generator instead of a list of dicts.
@@ -194,8 +187,6 @@ class _Output:
             inner = pad + "  "
             sep = "{\n" + inner
             for key, value in obj.items():
-                if not isinstance(key, str):
-                    key = _key_text(key)
                 write(sep + encode_basestring_ascii(key) + ": ")
                 self._value(value, inner)
                 sep = ",\n" + inner

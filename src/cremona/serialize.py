@@ -123,9 +123,8 @@ def encode_word(w: WeylWord) -> list:
     ints = w._ints()
     if ints is None:
         return [{"phi": [g.i, g.j, g.k]} if type(g) is Phi else {"sigma": g.i} for g in w.gens]
-    steps, sort = ints
-    it = iter(steps)
-    return [{"phi": [i, j, k]} for i, j, k in zip(it, it, it)] + [{"sigma": i} for i in sort]
+    triples, sort = ints
+    return [{"phi": [i, j, k]} for i, j, k in triples] + [{"sigma": i} for i in sort]
 
 
 def decode_word(obj: list) -> WeylWord:

@@ -92,17 +92,17 @@ class WeylWord(Record, _Private):
         set_field(word, "_private", (tuple(steps), tuple(order), tuple(table), length))
         return word
 
-    def _ints(self) -> tuple[tuple[int, ...], list[int]] | None:
-        """The flat phi triples and the Sigma indices of a word kept as ints, else None."""
+    def _ints(self) -> tuple[Iterator[tuple[int, int, int]], list[int]] | None:
+        """An iterator of the phi triples and the Sigma indices of a word kept as ints, else None."""
         compact = getattr(self, "_private", None)
-        return compact and (compact[0], _spell(compact[2]))
+        return compact and (zip(*[iter(compact[0])] * 3), _spell(compact[2]))
 
     def __getattr__(self, name: str):
         # only an unset slot gets here: build gens, one Phi per triple and one Sigma per index
         if name != "gens":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        steps, sort = self._ints()
-        triples = list(zip(*[iter(steps)] * 3))
+        triples, sort = self._ints()
+        triples = list(triples)
         built = {g: Phi(*g) if type(g) is tuple else Sigma(g) for g in {*triples, *sort}}
         set_field(self, "gens", tuple(map(built.__getitem__, triples + sort)))
         return self.gens
@@ -126,19 +126,15 @@ class WeylWord(Record, _Private):
 def _apply_in_place(x: list[int], gens: Iterable[Generator], n: int) -> None:
     """Apply ``gens`` left to right to the coordinates ``x`` of a class in
     Z^{1,n}, overwriting them; ValueError at the first generator out of
-    range for n or non-generator (_reach's rule, tested per generator type)."""
+    range for n or non-generator (_reach's rule)."""
     for g in gens:
+        if _reach(g) > n:
+            raise ValueError(f"{g!r} out of range for n={n}")
         if type(g) is Phi:
-            if g.k > n:
-                raise ValueError(f"{g!r} out of range for n={n}")
             _phi_in_place(x, ((g.i, g.j, g.k),))
-        elif type(g) is Sigma:
-            i = g.i
-            if i + 1 > n:
-                raise ValueError(f"{g!r} out of range for n={n}")
-            x[i], x[i + 1] = x[i + 1], x[i]
         else:
-            _reach(g)  # raises: g is not a generator
+            i = g.i
+            x[i], x[i + 1] = x[i + 1], x[i]
 
 
 def apply_generator(g: Generator, v: PicClass) -> PicClass:

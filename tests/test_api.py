@@ -122,8 +122,9 @@ class TestPackageSurface:
 
 # Run in a fresh interpreter: record the code objects of the package that
 # are executed (the "exec" audit event) while argv[1:] runs, and print the
-# file names, then which of five heavy stdlib modules the run loaded.
-# "import" only imports the package; anything else is a command line for
+# file names, then which of five heavy stdlib modules the run loaded, then
+# the cremona submodules in sys.modules.  "import" imports the package and
+# then each module named after it; anything else is a command line for
 # cli.main.  The probe itself loads none of the five.
 EXEC_PROBE = """
 import contextlib, io, json, os, sys
@@ -136,7 +137,10 @@ def hook(event, args):
 
 sys.addaudithook(hook)
 import cremona
-if sys.argv[1:] != ["import"]:
+if sys.argv[1] == "import":
+    for name in sys.argv[2:]:
+        __import__(name)
+else:
     from cremona import cli
     with contextlib.redirect_stdout(io.StringIO()):
         cli.main(sys.argv[1:])
@@ -144,23 +148,24 @@ root = os.path.dirname(cremona.__file__)
 print(json.dumps(sorted({os.path.basename(f) for f in executed if os.path.dirname(f) == root})))
 heavy = {"dataclasses", "inspect", "fractions", "decimal", "typing"}
 print(json.dumps(sorted(heavy & set(sys.modules))))
+print(json.dumps(sorted(name for name in sys.modules if name.startswith("cremona."))))
 """
 LEAN = ["__init__.py", "cli.py", "lattice.py", "serialize.py", "weyl.py"]
 VECTOR = "--vector=10,-3,-3,-3,-3,-2,-2,-1,-1,-1,0"
 
 
-def probe(*argv: str) -> tuple[list[str], list[str]]:
-    """(the package files executed, the heavy modules loaded) for argv,
-    in an interpreter run with -S, so that no .pth file of the host's
-    site-packages can load a module first and hide an import."""
+def probe(*argv: str) -> tuple[list[str], list[str], list[str]]:
+    """(the package files executed, the heavy modules loaded, the
+    submodules in sys.modules) for argv, in an interpreter run with -S,
+    so that no .pth file of the host's site-packages can load a module
+    first and hide an import."""
     src = os.path.dirname(os.path.dirname(cremona.__file__))
     proc = subprocess.run(
         [sys.executable, "-S", "-c", EXEC_PROBE, *argv], capture_output=True, text=True,
         timeout=120, env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 0, proc.stderr
-    executed, heavy = proc.stdout.splitlines()
-    return json.loads(executed), json.loads(heavy)
+    return tuple(map(json.loads, proc.stdout.splitlines()))
 
 
 def executed_modules(*argv: str) -> list[str]:
@@ -193,6 +198,14 @@ class TestStartUp:
 
     def test_import_runs_only_the_package_file(self):
         assert executed_modules("import") == ["__init__.py"]
+
+    def test_importing_the_cli_registers_all_nine_submodules(self):
+        # perfbench/tracer.py imports cremona.cli, then reads each of the
+        # nine out of sys.modules to wrap its functions
+        executed, _, registered = probe("import", "cremona.cli")
+        assert executed == LEAN
+        nine = ["cli", "curves", "lattice", "linalg", "nef", "polytopes", "serialize", "verify", "weyl"]
+        assert registered == [f"cremona.{name}" for name in nine]
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_reduce_and_orbit_run_the_lean_modules(self, fmt):

@@ -324,10 +324,10 @@ class TestAsTuple:
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cremona"
 
-# The only homes of a TypeError in the package: Python's arity
-# convention for a record's fields, and the mirror of json.dumps's
-# refusal of a key type.  Every other refused argument is a ValueError.
-TYPE_ERROR_HOMES = {"lattice.py Record.__init__", "cli.py _key_text"}
+# The only home of a TypeError the package raises: Python's arity
+# convention for a record's fields.  Every other refused argument is a
+# ValueError.
+TYPE_ERROR_HOMES = {"lattice.py Record.__init__"}
 
 
 def _type_error_raises(path):
@@ -356,9 +356,9 @@ def _type_error_raises(path):
     return found
 
 
-def test_type_error_is_raised_only_at_its_two_homes():
+def test_type_error_is_raised_only_at_its_home():
     found = [place for path in sorted(SRC.glob("*.py")) for place in _type_error_raises(path)]
-    # equality, not a subset: the walk must find the two homes it allows
+    # equality, not a subset: the walk must find the home it allows
     assert set(found) == TYPE_ERROR_HOMES, found
 
 

@@ -11,8 +11,11 @@ generators are first read (``weyl.WeylWord``).
 import ast
 import gc
 import importlib
+import json
+import os
 import pkgutil
 import random
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -151,7 +154,6 @@ def test_no_global_statement_in_the_package():
 
 
 def test_threads_get_their_single_thread_results():
-    loaded_modules()  # a module's first use from many threads can see it half-loaded
     rng = random.Random(7)
     classes = [v for n in (10, 16, 40) for v in k_nonpositive_classes(rng, n, 4)]
     tails = [
@@ -198,3 +200,45 @@ def test_threads_get_their_single_thread_results():
     finally:
         sys.setswitchinterval(interval)
     assert errors == [] and wrong == []
+
+
+# Run in a fresh interpreter, so that no module is loaded yet: eight
+# threads make their first calls at once, then print how many returned,
+# the first error, and whether every result is the single-thread one.
+FIRST_USE_PROBE = """
+import json, sys, threading
+sys.setswitchinterval(1e-6)
+import cremona
+
+def first_calls():
+    v = cremona.lattice.PicClass(10, (10, -3, -3, -3, -3, -2, -2, -1, -1, -1, 0))
+    P = cremona.polytopes.build_P_minus(10)
+    return cremona.weyl.reduce_class(v), cremona.polytopes.cartan_matrix(P), cremona.verify.run_suite("quick")
+
+start = threading.Barrier(8)
+results, errors = [], []
+
+def run():
+    try:
+        start.wait()
+        results.append(first_calls())
+    except Exception as exc:
+        errors.append(repr(exc))
+
+threads = [threading.Thread(target=run) for _ in range(8)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join()
+want = first_calls()
+print(json.dumps([len(results), errors[:1], all(got == want for got in results)]))
+"""
+
+
+def test_first_use_from_eight_threads_waits_for_each_module_to_load():
+    proc = subprocess.run(
+        [sys.executable, "-c", FIRST_USE_PROBE], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [8, [], True]
