@@ -4,7 +4,10 @@ For classes v with v.K <= 0 the nef question is decided exactly: reduce
 v into the rational polyhedral fundamental cone (the sorted cone with
 x_n <= 0, further cut by -K once n >= 10) and read off membership.  The
 verdict always carries a machine-checkable witness — a group word for
-nef inputs, a violated constraint class otherwise.
+nef inputs, a violated constraint class otherwise.  ``check_certificate``
+(and ``serialize.decode_reduction``) read the cone's inequalities off
+the coordinates in O(n), where ``fundamental_cone`` builds its n + 2
+dense normals.
 
 ``curve_check`` is the complementary necessary condition: pair against
 every (-1)-class up to a degree bound, one S_n orbit (multiplicity
@@ -19,7 +22,7 @@ no approximation is attempted.
 from __future__ import annotations
 
 from bisect import bisect_left
-from operator import mul
+from operator import le, mul
 
 from . import _EXPORTS, curves, polytopes
 from .lattice import PicClass, Record, check_bound, check_class, pairing, set_field
@@ -93,6 +96,21 @@ def fundamental_cone(n: int) -> polytopes.ConePolytope:
     return polytopes.build_P(n) if n <= 9 else polytopes.build_P_minus(n)
 
 
+def _in_fundamental_cone(coords: tuple[int, ...]) -> bool:
+    """Is the class of these coordinates in ``fundamental_cone(n)``?  Its
+    inequalities read directly, in O(n) and without building the cone:
+    x_0 + x_1 + x_2 + x_3 >= 0, x_1 <= ... <= x_n, x_n <= 0, and from
+    n = 10 on -K, 3 x_0 + x_1 + ... + x_n >= 0."""
+    n = len(coords) - 1
+    check_bound("n", n, 3)
+    return (
+        sum(coords[:4]) >= 0
+        and all(map(le, coords[1:-1], coords[2:]))
+        and coords[-1] <= 0
+        and (n <= 9 or 2 * coords[0] + sum(coords) >= 0)
+    )
+
+
 def is_nef_K_nonpositive(v: PicClass) -> NefVerdict:
     """Exact nef decision for v with v.K <= 0.
 
@@ -125,7 +143,7 @@ def check_certificate(v: PicClass, verdict: NefVerdict) -> bool:
         moved = apply_word(w, v)
     except ValueError:  # a generator out of range for v's n
         return False
-    return bool(polytopes.membership(fundamental_cone(v.n), moved))
+    return _in_fundamental_cone(moved.coords)
 
 
 def _effective(w: PicClass) -> bool:

@@ -157,7 +157,7 @@ def decode_reduction(obj: dict) -> ReductionResult:
             raise ValueError(f"reduction 'witness' holds {g!r}, out of range for n={n}")
     result = ReductionResult(reduced, witness, violated)
     _check_derived(obj, "reduction", result, {"status": str, "iterations": int})
-    if polytopes.membership(nef.fundamental_cone(n), reduced).contains != (violated is None):
+    if nef._in_fundamental_cone(reduced.coords) != (violated is None):
         where = "outside" if violated is None else "in"
         raise ValueError(f"reduction is {result.status!r}, but 'reduced' is {where} the cone")
     return result

@@ -9,11 +9,12 @@ irrational, so no pair of integer normals can realize it; the angle
 actually present is pi/4.  The xfail status records that the claimed
 value is unattainable rather than silently substituting the true one.
 
-Each check states its name, claim and suite once, in the ``@_check``
-decorator on its body.  Checks are pure and deterministic given the
-seed; the runner executes them one after another, in declaration
-order.  Each covers a fixed window of n.  ``decomposition`` checks one
-class per S_n orbit: 51 orbits stand for the 125,653 (-1)-classes of
+Each check states its name, claim, suite and sample size once, in the
+``@_check`` decorator on its body.  ``run_suite`` is the one loop that
+runs them in declaration order: it seeds each sampled check's own
+random stream, calls the body and classifies the outcome.  So a check
+is deterministic given the seed.  Each covers a fixed window of n.
+``decomposition`` checks one class per S_n orbit: 51 orbits stand for the 125,653 (-1)-classes of
 degree 1..8 with n = 3..10.
 """
 
@@ -84,45 +85,29 @@ class VerificationReport(Record):
         return bool(self.checks) and all(c.status != FAIL for c in self.checks)
 
 
-class _Ctx(Record):
-    """The seed of a run's random samples, and ``scale``, which divides
-    the big sample sizes (the quick suite runs leaner).  A check's body
-    gets the run's context keyed by the check's name, so each check
-    draws its own samples."""
-
-    __slots__ = ("seed", "scale")
-
-    def keyed(self, name: str) -> _Ctx:
-        return _Ctx(self.seed ^ zlib.crc32(name.encode()), self.scale)
-
-    def rng(self) -> random.Random:
-        return random.Random(self.seed)
-
-    def count(self, full: int) -> int:
-        return max(1, full // self.scale)
-
-
-# (name, in the quick suite, run) of every check, in declaration order
+# (name, claim, in the quick suite, xfail, trials, body) of every check,
+# in declaration order
 _CHECKS = []
 
 
-def _check(name: str, claim: str, quick: bool = True, xfail: bool = False):
-    """Declare the decorated body a check.  The body takes the run's
-    ``_Ctx`` keyed by ``name`` and returns ``(ok, expected, computed)``;
-    the returned ``run`` builds the CheckResult, which passes when ``ok``
-    holds and otherwise fails, or is an expected failure for an
-    ``xfail`` check."""
+def _check(name: str, claim: str, quick: bool = True, xfail: bool = False, trials: int = 0):
+    """Declare the decorated body a check.  It returns ``(ok, expected,
+    computed)``, and the check passes when ``ok`` holds, else fails (or
+    is an expected failure, if ``xfail``).  A sampled check gives its
+    sample size as ``trials``, and its body takes ``(rng, trials)``; any
+    other body takes no argument."""
 
     def declare(body):
-        def run(ctx: _Ctx) -> CheckResult:
-            ok, expected, computed = body(ctx.keyed(name))
-            status = PASS if ok else XFAIL if xfail else FAIL
-            return CheckResult(name, status, claim, expected, computed)
-
-        _CHECKS.append((name, quick, run))
-        return run
+        _CHECKS.append((name, claim, quick, xfail, trials, body))
+        return body
 
     return declare
+
+
+def _findings(problems: list[str], expected: str) -> tuple[bool, str, str]:
+    """A check's outcome from its findings: "ok" when there are none,
+    else the first three."""
+    return not problems, expected, "ok" if not problems else "; ".join(problems[:3])
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +178,7 @@ _CURVE_COUNTS = {3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
 @_check("cartan_p9",
         "Cartan matrix of the truncated sorted cone at n=9: chain with a "
         "branch at v_3 and one -sqrt(2) pair at (v_8, v_9)")
-def _check_cartan_p9(ctx: _Ctx):
+def _check_cartan_p9():
     expected = _p9_cartan_tokens()
     computed = [
         [render_cartan_entry(e) for e in row] for row in cartan_matrix(build_P(9))
@@ -208,24 +193,21 @@ def _check_cartan_p9(ctx: _Ctx):
 @_check("cartan_sorted_cone",
         "the sorted cone's Cartan entries are only 2, 0, -1 (and it is "
         "Coxeter) for n = 9..13")
-def _check_cartan_sorted_cone(ctx: _Ctx):
-    bad = []
+def _check_cartan_sorted_cone():
+    problems = []
     for n in range(9, 14):
         P = build_P_tilde(n)
         tokens = {render_cartan_entry(e) for row in cartan_matrix(P) for e in row}
-        if not tokens <= {"2", "0", "-1"} or not is_coxeter(P):
-            bad.append(n)
-    return (
-        not bad,
-        "entries in {2,0,-1}, Coxeter for all n",
-        "ok" if not bad else f"failed at n={bad}",
-    )
+        coxeter = bool(is_coxeter(P))
+        if not tokens <= {"2", "0", "-1"} or not coxeter:
+            problems.append(f"n={n}: entries {sorted(tokens)}, coxeter={coxeter}")
+    return _findings(problems, "entries in {2,0,-1}, Coxeter for all n")
 
 
 @_check("rays_p9",
         "the truncated sorted cone at n=9 is simplicial with 10 known "
         "extremal rays, exactly 2 on the light cone")
-def _check_rays_p9(ctx: _Ctx):
+def _check_rays_p9():
     rays = extremal_rays(build_P(9))
     coords = [r.generator.coords for r in rays]
     bnd = [r.generator.coords for r in _boundary(rays)]
@@ -242,7 +224,7 @@ def _check_rays_p9(ctx: _Ctx):
         "closed-form vertex families reproduce all 9n-71 extremal rays of "
         "the -K-truncated cone; 2 boundary rays; finite volume",
         quick=False)
-def _check_vertex_formulas(ctx: _Ctx):
+def _check_vertex_formulas():
     expected_parts = []
     computed_parts = []
     ok = True
@@ -270,7 +252,7 @@ def _check_vertex_formulas(ctx: _Ctx):
 @_check("p10_infinite_volume",
         "without the -K cut the n=10 cone leaves the closed light cone: "
         "ray (3,-1^10) has square -1")
-def _check_p10_infinite(ctx: _Ctx):
+def _check_p10_infinite():
     rays = extremal_rays(build_P(10))
     vol = _finite(rays)
     negative = [
@@ -291,7 +273,7 @@ def _check_p10_infinite(ctx: _Ctx):
         "the -K-truncated cone is Coxeter exactly for n in {10,11,13}; "
         "otherwise the pair (e_n, -K) has cos^2 = 1/(n-9), not a "
         "submultiple")
-def _check_coxeter_classification(ctx: _Ctx):
+def _check_coxeter_classification():
     good = {10, 11, 13}
     problems = []
     for n in range(10, 21):
@@ -304,12 +286,8 @@ def _check_coxeter_classification(ctx: _Ctx):
             pairs = {(i, j): a for i, j, a in chk.offending}
             ang = pairs.get((n, n + 1))
             if ang is None or ang.cos2 != Fraction(1, n - 9):
-                problems.append(f"n={n}: offending={chk.offending}")
-    return (
-        not problems,
-        "Coxeter iff n in {10,11,13} over n=10..20",
-        "ok" if not problems else "; ".join(problems),
-    )
+                problems.append(f"n={n}: (e_n, -K) cos^2 {None if ang is None else ang.cos2}")
+    return _findings(problems, "Coxeter iff n in {10,11,13} over n=10..20")
 
 
 def _branched_chain(k: int, *tail: tuple[int, int, int]) -> set[tuple[int, int, int]]:
@@ -334,13 +312,13 @@ def _diagram_check(P, plain: set, dashed: set = frozenset()):
 @_check("diagram_p9",
         "n=9 diagram: path of 8 single edges with a branch at the third "
         "node and one terminal double edge")
-def _check_diagram_p9(ctx: _Ctx):
+def _check_diagram_p9():
     return _diagram_check(build_P(9), _branched_chain(8, (8, 9, 2)))
 
 
 @_check("diagram_p_minus_10",
         "n=10 diagram: one dashed edge (e_10, -K) for the zero angle")
-def _check_diagram_p_minus_10(ctx: _Ctx):
+def _check_diagram_p_minus_10():
     return _diagram_check(build_P_minus(10), _branched_chain(9, (9, 10, 2)), dashed={(10, 11)})
 
 
@@ -349,7 +327,7 @@ def _check_diagram_p_minus_10(ctx: _Ctx):
         "Unattainable: cos^2(pi/5) is irrational while integer normals "
         "force rational cos^2; the (e_11, -K) angle is pi/4",
         xfail=True)
-def _check_diagram_p_minus_11_triple(ctx: _Ctx):
+def _check_diagram_p_minus_11_triple():
     dia = coxeter_diagram(build_P_minus(11))
     triples = [e for e in dia.edges if e.style == EDGE_PLAIN and e.multiplicity == 3]
     return (
@@ -362,26 +340,26 @@ def _check_diagram_p_minus_11_triple(ctx: _Ctx):
 @_check("diagram_p_minus_11",
         "n=11 diagram as computed: two double edges (v_10,v_11) and "
         "(v_11,v_12), both angles pi/4")
-def _check_diagram_p_minus_11_true(ctx: _Ctx):
+def _check_diagram_p_minus_11_true():
     return _diagram_check(build_P_minus(11), _branched_chain(10, (10, 11, 2), (11, 12, 2)))
 
 
 @_check("diagram_p_minus_13",
         "n=13 diagram: chain with the branch, one double edge "
         "(v_12,v_13), and a single edge to the -K node (angle pi/3)")
-def _check_diagram_p_minus_13(ctx: _Ctx):
+def _check_diagram_p_minus_13():
     return _diagram_check(build_P_minus(13), _branched_chain(12, (12, 13, 2), (13, 14, 1)))
 
 
 @_check("region_r_table",
         "region-R vertex classification and exact f-values for n=10 and "
         "n=12; max f = 1 attained only with x_n = 0")
-def _check_region_r(ctx: _Ctx):
+def _check_region_r():
     problems = []
     for n, table in _REGION_EXPECT.items():
         rep = verify_region_R(n)
         if not rep.ok():
-            problems.append(f"n={n}: summary flags {rep}")
+            problems.append(f"n={n}: the f <= 1 summary fails ({rep.vertex_count} vertices)")
             continue
         for row in rep.rows:
             want_vertex, want_f = table[row.triple]
@@ -393,18 +371,14 @@ def _check_region_r(ctx: _Ctx):
         # maximum of 1 is attained, and only with x_n = 0
         if rep.max_f_at_vertices != 1:
             problems.append(f"n={n}: max f {rep.max_f_at_vertices}")
-    return (
-        not problems,
-        "table rows as stated",
-        "ok" if not problems else "; ".join(problems),
-    )
+    return _findings(problems, "table rows as stated")
 
 
 @_check("curve_counts",
         "(-1)-class counts 6, 10, 16, 27, 56, 240 for n = 3..8, already "
         "saturated at degree 6",
         quick=False)
-def _check_curve_counts(ctx: _Ctx):
+def _check_curve_counts():
     problems = []
     for n, want in _CURVE_COUNTS.items():
         classes = enumerate_minus_one(n, 6)
@@ -414,18 +388,14 @@ def _check_curve_counts(ctx: _Ctx):
         k = canonical_class(n)
         if any(pairing(c, c) != -1 or pairing(c, k) != -1 for c in classes):
             problems.append(f"n={n}: a class fails the pairing conditions")
-    return (
-        not problems,
-        str(_CURVE_COUNTS),
-        "ok" if not problems else "; ".join(problems),
-    )
+    return _findings(problems, str(_CURVE_COUNTS))
 
 
 @_check("decomposition",
         "every (-1)-class of degree 1..8 splits as d-1 cubic normals "
         "plus one conic normal, summing back coordinatewise",
         quick=False)
-def _check_decomposition(ctx: _Ctx):
+def _check_decomposition():
     # One class per S_n orbit suffices.  Permuting the points maps cubic
     # normals to cubic normals and conic normals to conic normals, so it
     # maps a decomposition of c to one of the permuted class; and the
@@ -454,11 +424,10 @@ def _check_decomposition(ctx: _Ctx):
 
 @_check("group_action",
         "pairing invariance, involutivity, K-fixing, and the "
-        "phi_134 phi_234 phi_134 = sigma_1 identity on random classes")
-def _check_group_action(ctx: _Ctx):
-    rng = ctx.rng()
-    trials = ctx.count(10_000)
-    problems = 0
+        "phi_134 phi_234 phi_134 = sigma_1 identity on random classes",
+        trials=10_000)
+def _check_group_action(rng: random.Random, trials: int):
+    problems = []
     ns = (9, 10, 13)
     gens_of = {n: all_generators(n) for n in ns}
     k_of = {n: canonical_class(n) for n in ns}
@@ -470,18 +439,15 @@ def _check_group_action(ctx: _Ctx):
         g = rng.choice(gens_of[n])
         k = k_of[n]
         if pairing(apply_generator(g, u), apply_generator(g, v)) != pairing(u, v):
-            problems += 1
+            problems.append(f"trial {t}: {g} changes a pairing")
         elif apply_generator(g, apply_generator(g, u)) != u:
-            problems += 1
+            problems.append(f"trial {t}: {g} is not an involution")
         elif apply_generator(g, k) != k:
-            problems += 1
+            problems.append(f"trial {t}: {g} moves K")
         elif apply_word(sigma_word, u) != apply_generator(Sigma(1), u):
-            problems += 1
-    return (
-        problems == 0,
-        f"{trials} trials clean",
-        f"{problems} failures",
-    )
+            problems.append(f"trial {t}: phi_134 phi_234 phi_134 != sigma_1")
+    first = "" if not problems else f", first {'; '.join(problems[:3])}"
+    return not problems, f"{trials} trials clean", f"{len(problems)} failures{first}"
 
 
 def _interior_point(n: int, rng: random.Random) -> PicClass:
@@ -510,10 +476,9 @@ def _k_nonpositive(ns: tuple[int, ...], rng: random.Random) -> PicClass:
 @_check("round_trip",
         "interior cone points survive word-then-reduce exactly, with a "
         "verifying witness; not-nef witnesses pair negatively with the "
-        "input and are the input itself or effective")
-def _check_round_trip(ctx: _Ctx):
-    rng = ctx.rng()
-    trials = ctx.count(1_000)
+        "input and are the input itself or effective",
+        trials=1_000)
+def _check_round_trip(rng: random.Random, trials: int):
     problems = []
     ns = (9, 12)
     gens_of = {n: all_generators(n) for n in ns}
@@ -540,11 +505,7 @@ def _check_round_trip(ctx: _Ctx):
         checked += 1
         if not check_certificate(v, res):
             problems.append(f"witness fails: {v.coords} -> {res.witness.coords}")
-    return (
-        not problems,
-        f"{trials} round trips + {trials} witnesses clean",
-        "ok" if not problems else "; ".join(problems[:3]),
-    )
+    return _findings(problems, f"{trials} round trips + {trials} witnesses clean")
 
 
 @_check("cross_method",
@@ -553,16 +514,14 @@ def _check_round_trip(ctx: _Ctx):
         "such classes pushed off a (-1)-class; nef classes violate no "
         "curve, every not-nef curve-check witness certifies its verdict, "
         "and at least half the classes reach the curve scan",
-        quick=False)
-def _check_cross_method(ctx: _Ctx):
+        quick=False, trials=1_000)
+def _check_cross_method(rng: random.Random, trials: int):
     # Uniform draws from a box almost always have v^2 < 0, where
     # curve_check stops before its curve scan.  So as many classes again
     # are nef (interior points moved by a word) or, every second one,
     # such a class plus k c for a (-1)-class c of degree 2..8 with
     # k = v.c + 1: then v.c goes negative while v^2 stays >= 0.  Every
     # one of these reaches the scan, and the check counts that it does.
-    rng = ctx.rng()
-    trials = ctx.count(1_000)
     classes = [_k_nonpositive((9, 10), rng) for _ in range(trials)]
     gens_of = {n: all_generators(n) for n in (9, 10)}
     for t in range(trials):
@@ -599,7 +558,7 @@ def _check_cross_method(ctx: _Ctx):
 @_check("fundamental_cone",
         "the fundamental cone has n+1 facets through n=9 and n+2 from "
         "n=10 on, and always contains e_0")
-def _check_fundamental_cone_membership(ctx: _Ctx):
+def _check_fundamental_cone_membership():
     ok = True
     parts = []
     for n in (3, 6, 9, 10, 14):
@@ -617,23 +576,31 @@ def _check_fundamental_cone_membership(ctx: _Ctx):
 
 
 def _suite(suite: str) -> list[tuple]:
-    """The (name, run) pairs of a suite, in declaration order."""
+    """The declared checks of a suite, in declaration order."""
     if suite not in ("paper", "quick"):
         raise ValueError(f"unknown suite {suite!r}")
-    return [(name, run) for name, quick, run in _CHECKS if suite == "paper" or quick]
+    return [check for check in _CHECKS if suite == "paper" or check[2]]
 
 
 def check_names(suite: str = "paper") -> list[str]:
-    return [name for name, _ in _suite(suite)]
+    return [check[0] for check in _suite(suite)]
 
 
 def run_suite(suite: str = "paper", seed: int = 0) -> VerificationReport:
     """Run the named checks in declaration order.
 
     ``paper`` runs all 18; ``quick`` runs the 14 fast ones, with the
-    random samples cut 20-fold.  ``seed`` fixes those samples.
+    random samples cut 20-fold.  ``seed`` fixes those samples: a sampled
+    check draws from its own stream, keyed by its name.
     """
     check_bound("seed", seed)
-    checks = _suite(suite)
-    ctx = _Ctx(seed=seed, scale=20 if suite == "quick" else 1)
-    return VerificationReport(checks=tuple([run(ctx) for _, run in checks]))
+    results = []
+    for name, claim, _, xfail, trials, body in _suite(suite):
+        args = (
+            random.Random(seed ^ zlib.crc32(name.encode())),
+            trials if suite == "paper" else max(1, trials // 20),
+        ) if trials else ()
+        ok, expected, computed = body(*args)
+        status = PASS if ok else XFAIL if xfail else FAIL
+        results.append(CheckResult(name, status, claim, expected, computed))
+    return VerificationReport(checks=tuple(results))

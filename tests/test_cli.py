@@ -412,7 +412,7 @@ class TestVerify:
     def test_failing_check_prints_its_claim_and_exits_three(self, capsys, monkeypatch):
         # the first declared check, then one declared here that fails
         monkeypatch.setattr(verify, "_CHECKS", verify._CHECKS[:1])
-        verify._check("broken", "a claim")(lambda ctx: (False, "1 ray", "2 rays"))
+        verify._check("broken", "a claim")(lambda: (False, "1 ray", "2 rays"))
         code, out, _ = run(capsys, "verify", "--suite", "quick")
         assert code == 3
         assert out == (

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from cremona.curves import _multiplicity_multisets, enumerate_minus_one
 from cremona.lattice import PicClass, anticanonical_class, basis_vector, canonical_class, pairing
 from cremona.nef import (
+    _in_fundamental_cone,
     _last_violation,
     NEF,
     NOT_NEF,
@@ -42,6 +43,35 @@ class TestFundamentalCone:
     def test_needs_three_points(self):
         with pytest.raises(ValueError):
             fundamental_cone(2)
+
+    @pytest.mark.parametrize("n", range(3, 31))
+    def test_closed_form_agrees_with_the_cone(self, n):
+        # the closed form states the cone a second time, so it is pinned
+        # on each facet and just off it: every extremal ray, each ray with
+        # x_0 lowered by one and each with one tail entry raised by one;
+        # and on random classes, half of them with a sorted tail and x_0
+        # near the cone's least x_0
+        P = fundamental_cone(n)
+        rng = random.Random(n)
+        points = []
+        for ray in extremal_rays(P):
+            c = ray.generator.coords
+            points += [c, (c[0] - 1, *c[1:])]
+            points += [c[:i] + (c[i] + 1,) + c[i + 1:] for i in range(1, n + 1)]
+        for _ in range(300):
+            tail = sorted(rng.randint(-6, 1) for _ in range(n))
+            least = max(-sum(tail[:3]), -(sum(tail) // 3))
+            points.append((least + rng.randint(-2, 2), *tail))
+            points.append(tuple(rng.randint(-6, 6) for _ in range(n + 1)))
+        inside = [_in_fundamental_cone(x) for x in points]
+        assert inside == [bool(membership(P, PicClass(n, x))) for x in points]
+        assert any(inside) and not all(inside)
+
+    def test_closed_form_needs_three_points(self):
+        with pytest.raises(ValueError, match=r"^n must be >= 3, got 2$"):
+            _in_fundamental_cone((1, 0, 0))
+        with pytest.raises(ValueError, match=r"^n must be >= 3, got 2$"):
+            check_certificate(PicClass(2, (1, 0, 0)), NefVerdict(WeylWord()))
 
 
 class TestReductionVerdict:

@@ -183,7 +183,7 @@ OWN_CONSTRUCTOR = {
 BASE_CONSTRUCTOR = {
     "LightConePosition", "OrbitResult", "Decomposition", "MembershipResult",
     "CoxeterCheck", "CoxeterDiagram", "VertexFormulaReport", "RegionRRow",
-    "RegionRReport", "CheckResult", "VerificationReport", "_Ctx",
+    "RegionRReport", "CheckResult", "VerificationReport",
 }
 
 

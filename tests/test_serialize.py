@@ -1,9 +1,12 @@
 """JSON encoding round trips, including past-2^53 integer safety."""
 
 import json
+import os
 import re
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -42,6 +45,7 @@ from cremona.serialize import (
 from cremona.weyl import Phi, ReductionResult, Sigma, WeylWord, apply_word, reduce_class
 
 BIG = 2**60 + 3
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def json_round(obj):
@@ -408,6 +412,36 @@ class TestReduction:
         doc["iterations"] = sum("phi" in g for g in doc["witness"])
         with pytest.raises(ValueError, match=message):
             decode_reduction(doc)
+
+    def test_needs_three_points(self):
+        doc = {"status": "in_cone", "reduced": {"n": 2, "coords": [1, 0, 0]}, "witness": [],
+               "violated": None, "iterations": 0}
+        with pytest.raises(ValueError, match=r"^n must be >= 3, got 2$"):
+            decode_reduction(doc)
+
+    def test_a_large_document_decodes_in_linear_memory(self):
+        # the identity reduction of (1; 0^n) at n = 60,000, a 180 KB
+        # document: the cone test reads its inequalities in O(n), where a
+        # dense cone would hold n^2 = 3.6e9 entries.  The child caps its
+        # own address space at 1 GiB, so a quadratic decoder fails fast
+        # instead of exhausting the machine's memory
+        probe = (
+            "import json, resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from cremona.lattice import PicClass\n"
+            "from cremona.serialize import decode_reduction, encode_reduction\n"
+            "from cremona.weyl import reduce_class\n"
+            "v = PicClass(60_000, (1,) + (0,) * 60_000)\n"
+            "text = json.dumps(encode_reduction(reduce_class(v)))\n"
+            "res = decode_reduction(json.loads(text))\n"
+            "print(len(text), res.status, res.reduced == v)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, timeout=20,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "180111 in_cone True\n"
 
 
 class TestVerdicts:
