@@ -209,10 +209,11 @@ def _gram_upper(normals: tuple[PicClass, ...]) -> list[list[int]]:
 
 
 def _symmetric(upper: list[list]) -> tuple[tuple, ...]:
-    """The full symmetric matrix from its upper triangle (row i from column i)."""
-    return tuple([
-        tuple([upper[j][i - j] for j in range(i)] + row) for i, row in enumerate(upper)
-    ])
+    """The full symmetric matrix from its upper triangle: row i is column i
+    above the diagonal, read by one transpose of the left-padded triangle,
+    then the triangle's row i."""
+    columns = zip(*[[None] * i + row for i, row in enumerate(upper)])
+    return tuple([col[:i] + tuple(row) for i, (col, row) in enumerate(zip(columns, upper))])
 
 
 def gram_matrix(P: ConePolytope) -> tuple[tuple[int, ...], ...]:
@@ -236,13 +237,15 @@ def gram_matrix(P: ConePolytope) -> tuple[tuple[int, ...], ...]:
 # coxeter_diagram share one pass, _angle_pass, which takes the Gram
 # products from _gram_upper (the kernel gram_matrix uses) and classifies
 # each distinct triple once per pass into one Fraction; kind and m read
-# its numerator and denominator, never hash it.  is_coxeter is the one
-# rule for non-Coxeter pairs, and coxeter_diagram refuses them before it
-# builds an edge.  The pass is kept on the polytope object itself, in its
-# private slot, so the three functions called on one object share
-# one pass for the object's life, and any other object, equal or not,
-# gets a pass of its own.  Its callers share the stored lists and only
-# read them.
+# its numerator and denominator, never hash it.  The same walk lists
+# the edges, the pairs i < j of nonzero product: sign 0 is a right
+# angle, with no edge, and this is the one place that says so.
+# is_coxeter, the one rule for non-Coxeter pairs, and coxeter_diagram,
+# which refuses them before it builds an edge, read that list and never
+# walk the triangle.  The pass is kept in the polytope object's private
+# slot, so the three functions share one pass per object for its life,
+# and any other object, equal or not, gets its own.  Callers only read
+# the stored lists.
 
 PI_OVER = "pi_over"
 ZERO_ANGLE = "zero_angle"
@@ -304,33 +307,36 @@ def _classify(p: int, a2: int, b2: int) -> AngleClass:
     return AngleClass((p > 0) - (p < 0), Fraction(p * p, a2 * b2))
 
 
-def _angle_pass(P: ConePolytope) -> list[list[AngleClass]]:
-    """Upper triangle of the angle classes of the pairs of P's normals,
-    laid out as _gram_upper's.  Pairs with the same integer triple
-    (u.v, u^2, v^2) share one instance.
+def _angle_pass(P: ConePolytope) -> tuple[list[list[AngleClass]], list[tuple]]:
+    """(upper, edges): the upper triangle of the angle classes of the
+    pairs of P's normals, laid out as _gram_upper's, and (i, j, class)
+    for each pair i < j of nonzero product, in row order.  Pairs with
+    the same integer triple (u.v, u^2, v^2) share one instance.
 
     The first call on a polytope object stores the pass in its private
     slot, and every later call on that object returns the same lists:
     callers must not mutate what it returns."""
     check_class("P", P, ConePolytope)
-    upper = getattr(P, "_private", None)  # unset until the first pass
-    if upper is not None:
-        return upper
+    kept = getattr(P, "_private", None)  # unset until the first pass
+    if kept is not None:
+        return kept
     upper = _gram_upper(P.all_normals)
     squares = [row[0] for row in upper]
     memo = {}
-    out = []
+    out, edges = [], []
     for i, row in enumerate(upper):
         a2, line = squares[i], []
-        for p, b2 in zip(row, squares[i:]):
+        for j, p, b2 in zip(itertools.count(i), row, squares[i:]):
             key = (p, a2, b2)
             value = memo.get(key)
             if value is None:
                 value = memo[key] = _classify(p, a2, b2)
             line.append(value)
+            if p and j > i:
+                edges.append((i, j, value))
         out.append(line)
-    set_field(P, "_private", out)
-    return out
+    set_field(P, "_private", (out, edges))
+    return out, edges
 
 
 def cartan_matrix(P: ConePolytope) -> tuple[tuple[CartanEntry, ...], ...]:
@@ -340,7 +346,7 @@ def cartan_matrix(P: ConePolytope) -> tuple[tuple[CartanEntry, ...], ...]:
     pair (sign of pairing, cos^2), from which the value -2*sign*sqrt(cos2)
     is recovered symbolically.  Diagonal entries are always 2.
     """
-    return _symmetric(_angle_pass(P))
+    return _symmetric(_angle_pass(P)[0])
 
 
 def render_cartan_entry(entry: CartanEntry) -> str:
@@ -379,12 +385,7 @@ class CoxeterCheck(Record):
 
 def is_coxeter(P: ConePolytope) -> CoxeterCheck:
     """All pairwise angles submultiples of pi, zero, or divergent?"""
-    return CoxeterCheck(tuple([
-        (i, j, ang)
-        for i, row in enumerate(_angle_pass(P))
-        for j, ang in enumerate(row[1:], i + 1)
-        if ang.sign and ang.kind == NON_SUBMULTIPLE
-    ]))
+    return CoxeterCheck(tuple([e for e in _angle_pass(P)[1] if e[2].kind == NON_SUBMULTIPLE]))
 
 
 # ---------------------------------------------------------------------------
@@ -456,14 +457,11 @@ def coxeter_diagram(P: ConePolytope) -> CoxeterDiagram:
     if bad:
         pairs = ", ".join(f"({i},{j}) cos2={ang.cos2}" for i, j, ang in bad)
         raise ValueError(f"diagram undefined: non-submultiple angles at {pairs}")
-    upper = _angle_pass(P)  # is_coxeter's pass, kept on P
-    edges = tuple([
-        DiagramEdge(i, j, _EDGE_STYLE[ang.kind], ang.m)
-        for i, row in enumerate(upper)
-        for j, ang in enumerate(row[1:], i + 1)
-        if ang.sign  # a right angle: no edge
-    ])
-    return CoxeterDiagram(tuple([f"v{i}" for i in range(len(upper))]), edges)
+    upper, edges = _angle_pass(P)  # is_coxeter's pass, kept on P
+    return CoxeterDiagram(
+        tuple([f"v{i}" for i in range(len(upper))]),
+        tuple([DiagramEdge(i, j, _EDGE_STYLE[ang.kind], ang.m) for i, j, ang in edges]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -675,14 +673,17 @@ def is_implied(P: ConePolytope, normal: PicClass) -> bool:
     check_class("normal", normal)
     if normal.n != P.n:
         raise ValueError(f"rank mismatch: cone has n = {P.n}, normal has n = {normal.n}")
-    row = _minkowski_row(normal)
-    rows = [_minkowski_row(u) for u in P.all_normals]
-    if len(rows) <= P.n:
+    return _implied([_minkowski_row(u) for u in P.all_normals], _minkowski_row(normal), P.n + 1)
+
+
+def _implied(rows: list[list[tuple[int, int]]], row: list[tuple[int, int]], dim: int) -> bool:
+    """is_implied's decision on Minkowski rows in Q^dim, as _minkowski_row gives them."""
+    if len(rows) < dim:
         if not _in_span(rows, row):
             return False
-        rays = _generators(rows, P.n + 1)[0]
+        rays = _generators(rows, dim)[0]
     else:
-        rays, _, lineality = _generators(rows, P.n + 1)
+        rays, _, lineality = _generators(rows, dim)
         if any(_dots(row, lineality)):
             return False
     return all(b >= 0 for b in _dots(row, rays))
@@ -690,14 +691,11 @@ def is_implied(P: ConePolytope, normal: PicClass) -> bool:
 
 def redundant_constraints(P: ConePolytope) -> tuple[int, ...]:
     """Indices (into all_normals) of inequalities implied by the others:
-    each one is tested by is_implied against the cone of the rest."""
+    each facet row, built once, is tested by _implied against the rest."""
     check_class("P", P, ConePolytope)
-    hs = P.halfspaces
-    return tuple(
-        i
-        for i, h in enumerate(hs)
-        if is_implied(ConePolytope._trusted(P.n, hs[:i] + hs[i + 1 :]), h.normal)
-    )
+    rows = [_minkowski_row(u) for u in P.all_normals]
+    dim = P.n + 1
+    return tuple([i for i, row in enumerate(rows) if _implied(rows[:i] + rows[i + 1 :], row, dim)])
 
 
 # ---------------------------------------------------------------------------

@@ -500,6 +500,31 @@ class TestExtremalRays:
         assert negatives == P10_ESCAPING_RAYS
 
 
+@st.composite
+def sparse_normals(draw, n, min_size, max_size):
+    """min_size..max_size normals of negative square and 1..3 nonzero
+    entries in rank n + 1, each turned to be >= 0 on a drawn nonzero
+    point, as in test_active_sets_are_the_zero_sets."""
+
+    def sparse(entries):
+        coords = [0] * (n + 1)
+        for k, c in entries:
+            coords[k] = c
+        return PicClass(n, tuple(coords))
+
+    entry = st.tuples(st.integers(0, n), st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    normal = (
+        st.lists(entry, min_size=1, max_size=3, unique_by=lambda e: e[0])
+        .map(sparse)
+        .filter(lambda u: pairing(u, u) < 0)
+    )
+    normals = draw(st.lists(normal, min_size=min_size, max_size=max_size))
+    inside = draw(
+        st.tuples(*[st.integers(-3, 3)] * (n + 1)).filter(any).map(lambda c: PicClass(n, c))
+    )
+    return [u if pairing(u, inside) >= 0 else -u for u in normals]
+
+
 class TestSparseKernel:
     """The double description pairs each row over its nonzero entries only."""
 
@@ -551,28 +576,9 @@ class TestSparseKernel:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_sparse_normals_against_brute_force(self, data):
-        # at most 6 normals of 1..3 nonzero entries in rank 3..6, each
-        # turned to be >= 0 on a drawn point, as in
-        # test_active_sets_are_the_zero_sets
+        # n + 1..6 sparse normals in rank 3..6
         n = data.draw(st.integers(2, 5))
-
-        def sparse(entries):
-            coords = [0] * (n + 1)
-            for k, c in entries:
-                coords[k] = c
-            return PicClass(n, tuple(coords))
-
-        entry = st.tuples(st.integers(0, n), st.sampled_from([-3, -2, -1, 1, 2, 3]))
-        normal = (
-            st.lists(entry, min_size=1, max_size=3, unique_by=lambda e: e[0])
-            .map(sparse)
-            .filter(lambda u: pairing(u, u) < 0)
-        )
-        normals = data.draw(st.lists(normal, min_size=n + 1, max_size=6))
-        inside = data.draw(
-            st.tuples(*[st.integers(-3, 3)] * (n + 1)).filter(any).map(lambda c: PicClass(n, c))
-        )
-        normals = [u if pairing(u, inside) >= 0 else -u for u in normals]
+        normals = data.draw(sparse_normals(n, n + 1, 6))
         P = ConePolytope(n, tuple(Halfspace(u) for u in normals))
         try:
             rays = extremal_rays(P)
@@ -633,6 +639,12 @@ class TestGramKernel:
         self.assert_matches_minkowski(ConePolytope(n, tuple(Halfspace(u) for u in normals)))
 
 
+def repeated_normal_cone():
+    """build_P(9) with its normal 4 listed again, as normal 10."""
+    P = build_P(9)
+    return ConePolytope(9, P.halfspaces + (P.halfspaces[4],))
+
+
 class TestMinimality:
     def test_p9_has_no_redundant_facets(self):
         assert redundant_constraints(build_P(9)) == ()
@@ -657,13 +669,50 @@ class TestMinimality:
         )
 
     def test_a_repeated_normal_is_redundant_twice(self):
-        P = build_P(9)
-        P = ConePolytope(9, P.halfspaces + (P.halfspaces[4],))
+        P = repeated_normal_cone()
         found = redundant_constraints(P)
         assert found == (4, 10)
         assert found == tuple(
             i for i, u in enumerate(P.all_normals)
             if brute_force_implied(u, P.all_normals[:i] + P.all_normals[i + 1:])
+        )
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: build_P(9), lambda: build_P_minus(12), lambda: build_P_tilde(6), repeated_normal_cone],
+        ids=["P9", "P_minus12", "P_tilde6", "repeated_normal"],
+    )
+    def test_each_facet_row_is_built_once(self, monkeypatch, build):
+        P = build()
+        calls = []
+        minkowski_row = polytopes._minkowski_row
+
+        def counted(u):
+            calls.append(u)
+            return minkowski_row(u)
+
+        monkeypatch.setattr(polytopes, "_minkowski_row", counted)
+        redundant_constraints(P)
+        assert len(calls) == len(P.halfspaces)
+        assert calls == list(P.all_normals)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_cones_against_brute_force(self, data):
+        # 1..5 sparse normals in rank 3..5, then perhaps a repeat of one
+        # and the sum of two, all in a drawn order
+        n = data.draw(st.integers(2, 4))
+        normals = data.draw(sparse_normals(n, 1, 5))
+        if data.draw(st.booleans()):
+            normals.append(data.draw(st.sampled_from(normals)))
+        if len(normals) > 1 and data.draw(st.booleans()):
+            u, v = data.draw(st.permutations(normals))[:2]
+            if pairing(u + v, u + v) < 0:
+                normals.append(u + v)
+        normals = data.draw(st.permutations(normals))
+        P = ConePolytope(n, tuple(Halfspace(u) for u in normals))
+        assert redundant_constraints(P) == tuple(
+            i for i, u in enumerate(normals) if brute_force_implied(u, normals[:i] + normals[i + 1 :])
         )
 
     def test_minus_k_cut_implied_at_nine(self):
@@ -1007,31 +1056,53 @@ ANGLE_WINDOWS = {
 }
 
 
+def assert_angle_layer_matches_reference(P):
+    """P's Gram and Cartan matrices, Coxeter check and diagram, or its
+    refusal, against reference_angles; returns whether P is Coxeter."""
+    ref = reference_angles([u.coords for u in P.all_normals])
+    assert [list(row) for row in gram_matrix(P)] == ref["gram"]
+    assert [[(e.sign, e.cos2) for e in row] for row in cartan_matrix(P)] == [
+        [(sign, cos2) for _, cos2, sign, _ in row] for row in ref["angles"]
+    ]
+    check = is_coxeter(P)
+    assert [
+        (i, j, (a.kind, a.cos2, a.sign, a.m)) for i, j, a in check.offending
+    ] == ref["offending"]
+    assert bool(check) == (ref["edges"] is not None)
+    if ref["edges"] is None:
+        with pytest.raises(ValueError, match="diagram undefined"):
+            coxeter_diagram(P)
+    else:
+        edges = coxeter_diagram(P).edges
+        assert [(e.i, e.j, e.style, e.multiplicity, e.m) for e in edges] == ref["edges"]
+    return bool(check)
+
+
 @pytest.mark.parametrize("name", sorted(ANGLE_WINDOWS))
 def test_angle_layer_matches_reference(name):
     build, window = ANGLE_WINDOWS[name]
-    verdicts = set()
-    for n in window:
-        P = build(n)
-        ref = reference_angles([u.coords for u in P.all_normals])
-        assert [list(row) for row in gram_matrix(P)] == ref["gram"]
-        assert [[(e.sign, e.cos2) for e in row] for row in cartan_matrix(P)] == [
-            [(sign, cos2) for _, cos2, sign, _ in row] for row in ref["angles"]
-        ]
-        check = is_coxeter(P)
-        assert [
-            (i, j, (a.kind, a.cos2, a.sign, a.m)) for i, j, a in check.offending
-        ] == ref["offending"]
-        assert bool(check) == (ref["edges"] is not None)
-        if ref["edges"] is None:
-            with pytest.raises(ValueError, match="diagram undefined"):
-                coxeter_diagram(P)
-        else:
-            edges = coxeter_diagram(P).edges
-            assert [(e.i, e.j, e.style, e.multiplicity, e.m) for e in edges] == ref["edges"]
-        verdicts.add(bool(check))
+    verdicts = {assert_angle_layer_matches_reference(build(n)) for n in window}
     # P_minus is Coxeter only at n = 10, 11, 13: both branches are compared
     assert verdicts == ({True, False} if name == "P_minus" else {True})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_angle_layer_matches_reference_on_random_cones(data):
+    # 1..10 normals of 1..4 nonzero entries in rank 4..13, those of
+    # negative square kept: their pairs realize divergent and parallel
+    # angles and many more triples (u.v, u^2, v^2) than the named cones
+    n = data.draw(st.integers(3, 12))
+    normals = []
+    for _ in range(data.draw(st.integers(1, 10))):
+        coords = [0] * (n + 1)
+        for k in data.draw(st.permutations(range(n + 1)))[: data.draw(st.integers(1, 4))]:
+            coords[k] = data.draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+        u = PicClass(n, tuple(coords))
+        if pairing(u, u) < 0:
+            normals.append(u)
+    assume(normals)
+    assert_angle_layer_matches_reference(ConePolytope(n, tuple(Halfspace(u) for u in normals)))
 
 
 # ---------------------------------------------------------------------------
