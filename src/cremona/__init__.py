@@ -77,7 +77,6 @@ _EXPORTS = {
         "Sigma",
         "WeylWord",
         "ReductionResult",
-        "OrbitResult",
         "KPositiveError",
         "apply_generator",
         "apply_word",
@@ -85,7 +84,6 @@ _EXPORTS = {
         "sort_coordinates",
         "reduce_class",
         "all_generators",
-        "orbit",
     ),
     "curves": (
         "is_minus_one_class",
@@ -93,6 +91,8 @@ _EXPORTS = {
         "decompose_inequality",
         "Decomposition",
         "MinusOneClass",
+        "OrbitResult",
+        "orbit",
     ),
     "polytopes": (
         "Halfspace",

@@ -46,19 +46,13 @@ from collections import Counter
 from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 
-from . import curves, nef, polytopes, verify
+from . import curves, nef, polytopes, serialize, verify, weyl
 from .lattice import LightConePosition, PicClass, _decimal, check_bound, pairing
-from .serialize import (
-    encode_cartan,
-    encode_class,
-    encode_ray,
-    encode_reduction,
-    encode_verdict,
-)
-from .weyl import ReductionResult, WeylWord, orbit, reduce_class
 
-# The builders are looked up when a command runs: importing cli runs
-# neither polytopes nor nef, so reduce and orbit never run them.
+# Siblings other than lattice are read through their lazy modules when a
+# command runs, the builders below too, so that each command runs only the
+# modules it calls: reduce runs weyl but not polytopes, and only the JSON
+# format runs serialize.
 _POLYTOPES = {
     "p_tilde": lambda n: polytopes.build_P_tilde(n),
     "p": lambda n: polytopes.build_P(n),
@@ -84,7 +78,7 @@ _POLYTOPES = {
 # the class cap: for large n the multisets grow without bound in the
 # degree (16,358 at n = 100, degree 24; 61,082 at degree 28).  The
 # orbit of the line class at n = 10 has 6,421 classes of degree <= 4
-# and 23,521 of degree <= 5; weyl.orbit stops counting once it passes
+# and 23,521 of degree <= 5; curves.orbit stops counting once it passes
 # the cap, so the class cap alone bounds its work.  A printed class
 # carries n + 1 integers, so past n = 10 _class_cap shrinks the caps of
 # curves and orbit by 11/(n + 1): unscaled, curves --n 4000 --max-degree
@@ -116,7 +110,7 @@ def _parse_vector(text: str, n: int) -> PicClass:
     return PicClass(n=n, coords=tuple([_decimal("coordinate", part) for part in parts]))
 
 
-def _format_word(w: WeylWord) -> str:
+def _format_word(w: weyl.WeylWord) -> str:
     """A reduction witness as text, read off its ints (WeylWord._ints)."""
     triples, sort = w._ints()
     sigmas = [f"sigma({i})" for i in range(max(sort, default=0) + 1)]  # one string per index
@@ -214,9 +208,9 @@ class _Output:
 
 def _cmd_reduce(args: argparse.Namespace, out: _Output) -> int:
     v = _parse_vector(args.vector, args.n)
-    result = reduce_class(v)
+    result = weyl.reduce_class(v)
     if args.format == "json":
-        out.json(encode_reduction(result))
+        out.json(serialize.encode_reduction(result))
     else:
         out.line(f"status: {result.status}")
         out.line(f"reduced: {_coords_str(result.reduced)}")
@@ -224,7 +218,7 @@ def _cmd_reduce(args: argparse.Namespace, out: _Output) -> int:
         out.line(f"iterations: {result.iterations}")
         if result.violated is not None:
             out.line(f"violated: {_coords_str(result.violated)}")
-    return 0 if result.status == ReductionResult.IN_CONE else 3
+    return 0 if result.status == result.IN_CONE else 3
 
 
 def _class_cap(cap: int, n: int) -> int:
@@ -251,7 +245,7 @@ def _cmd_curves(args: argparse.Namespace, out: _Output) -> int:
                 "n": args.n,
                 "max_degree": args.max_degree,
                 "count": len(classes),
-                "classes": (encode_class(c) for c in classes),
+                "classes": (serialize.encode_class(c) for c in classes),
             }
         )
     elif args.format == "csv":
@@ -276,7 +270,7 @@ def _build_polytope(args: argparse.Namespace) -> polytopes.ConePolytope:
 def _cmd_cartan(args: argparse.Namespace, out: _Output) -> int:
     matrix = polytopes.cartan_matrix(_build_polytope(args))
     if args.format == "json":
-        out.json(encode_cartan(matrix))
+        out.json(serialize.encode_cartan(matrix))
         return 0
     tokens = [[polytopes.render_cartan_entry(e) for e in row] for row in matrix]
     if args.format == "csv":
@@ -314,7 +308,7 @@ def _cmd_rays(args: argparse.Namespace, out: _Output) -> int:
                 "polytope": args.polytope,
                 "count": len(rays),
                 "boundary": tags.count(LightConePosition.BOUNDARY),
-                "rays": (encode_ray(r) for r in rays),
+                "rays": (serialize.encode_ray(r) for r in rays),
             }
         )
     elif args.format == "csv":
@@ -338,7 +332,7 @@ def _cmd_orbit(args: argparse.Namespace, out: _Output) -> int:
     if args.max_count is not None:
         check_bound("max_count", args.max_count, most=cap)  # orbit checks >= 1
     max_count = cap if args.max_count is None else args.max_count
-    result = orbit(v, args.max_degree, max_count=max_count)
+    result = curves.orbit(v, args.max_degree, max_count=max_count)
     if args.max_count is None and result.truncated:
         raise ValueError(
             f"the orbit within --max-degree {args.max_degree} has more than {cap} classes"
@@ -348,7 +342,7 @@ def _cmd_orbit(args: argparse.Namespace, out: _Output) -> int:
             {
                 "count": len(result.classes),
                 "truncated": result.truncated,
-                "classes": (encode_class(c) for c in result.classes),
+                "classes": (serialize.encode_class(c) for c in result.classes),
             }
         )
     elif args.format == "csv":
@@ -373,17 +367,17 @@ def _cmd_nef_test(args: argparse.Namespace, out: _Output) -> int:
     else:
         verdict = nef.is_nef_K_nonpositive(v)
     if args.format == "json":
-        out.json(encode_verdict(verdict))
+        out.json(serialize.encode_verdict(verdict))
     else:
         out.line(f"verdict: {verdict.verdict}")
         if verdict.method == nef.METHOD_REDUCTION:
             out.line(f"method: {verdict.method}")
         else:
             out.line(f"method: curve_check up to degree {verdict.max_degree}")
-        if isinstance(verdict.witness, WeylWord):
-            out.line(f"witness: {_format_word(verdict.witness)}")
-        elif isinstance(verdict.witness, PicClass):
+        if isinstance(verdict.witness, PicClass):
             out.line(f"witness: {_coords_str(verdict.witness)}")
+        elif verdict.witness is not None:  # a WeylWord: NefVerdict allows no other
+            out.line(f"witness: {_format_word(verdict.witness)}")
     return 0 if verdict.verdict == nef.NEF else 3
 
 

@@ -1,4 +1,4 @@
-"""(-1)-classes: predicate, enumeration, and inequality decomposition.
+"""(-1)-classes: predicate, enumeration, bounded group orbits, and decomposition.
 
 A (-1)-class is c with c^2 = -1 and c.K = -1.  Writing
 c = (d, -m_1, ..., -m_n) these conditions become the Diophantine system
@@ -16,7 +16,8 @@ classes goes one S_n orbit at a time through ``_orbits``, which ends
 where the classes end, and an orbit is the set of coordinate
 placements of its multiset.  ``_placements`` lists them by Knuth's
 next-permutation loop, and ``_orbit_size`` counts them as a product of
-binomials.
+binomials.  ``orbit`` walks the closure of any class under the Cremona
+group the same way, one representative per S_n orbit.
 
 ``decompose_inequality`` realizes each degree-d class as a sum of d-1
 "cubic" normals e_0 - e_i - e_j - e_k and one "conic" normal
@@ -28,10 +29,11 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterator
+from itertools import combinations_with_replacement, islice
 from math import comb, isqrt
 
 from . import _EXPORTS
-from .lattice import PicClass, Record, canonical_class, check_bound, pairing
+from .lattice import PicClass, Record, canonical_class, check_bound, check_class, pairing
 
 __all__ = [*_EXPORTS["curves"]]
 
@@ -168,6 +170,71 @@ def _count_minus_one(n: int, max_degree: int, limit: int) -> int:
         if total > limit:
             break
     return total
+
+
+class OrbitResult(Record):
+    """The sorted classes of a bounded orbit, and whether ``max_count`` cut it short."""
+
+    __slots__ = ("classes", "truncated")
+
+
+def orbit(v: PicClass, max_degree: int | None = None, *, max_count: int) -> OrbitResult:
+    """The closure of v under all generators, classes of degree above
+    ``max_degree`` (if given) left out: a union of S_n orbits, as
+    transpositions keep the degree.  It walks their representatives
+    (x_0, sorted tail) layer by layer, each layer sorted, applying phi
+    once per value triple a <= b <= c of the tail (x_0 gains s = x_0 +
+    a + b + c, and a, b, c lose s), and stops once the orbit sizes pass
+    the required ``max_count``: each representative adds a class, so
+    the walk ends even on an infinite closure.  ``truncated`` is set
+    exactly when the closure has more than ``max_count`` classes; the
+    result is then the whole orbits walked before and the
+    lexicographically first classes of the last one, ``max_count`` in
+    all.  A ``max_degree`` or ``max_count`` that is not an int (a bool
+    is not), or is below 0 or 1 respectively, raises ValueError.
+    """
+    if max_degree is not None:
+        check_bound("max_degree", max_degree, 0)
+    check_bound("max_count", max_count, 1)
+    check_class("v", v)
+    if max_degree is not None and v.coords[0] > max_degree:
+        return OrbitResult((), False)
+
+    layer = [(v.coords[0], *sorted(v.coords[1:]))]
+    seen = set(layer)
+    walked = []  # (x_0, the negated nonzero tail values) of each representative
+    count = 0
+    truncated = False
+    while layer and not truncated:
+        successors = set()
+        for x0, *tail in layer:
+            negated = tuple(-x for x in tail if x)
+            walked.append((x0, negated))
+            count += _orbit_size(negated, v.n)
+            truncated = count > max_count
+            if truncated:
+                break
+            counts = Counter(tail)
+            for a, b, c in combinations_with_replacement(sorted(counts), 3):
+                # the tail must hold a, b and c as three distinct entries
+                if (a == b and counts[a] < 2 + (b == c)) or (b == c and counts[c] < 2):
+                    continue
+                s = x0 + a + b + c
+                if max_degree is None or x0 + s <= max_degree:
+                    moved = tail.copy()
+                    for x in (a, b, c):
+                        moved.remove(x)
+                    successors.add((x0 + s, *sorted(moved + [a - s, b - s, c - s])))
+        layer = sorted(successors - seen)
+        seen.update(layer)
+    # an orbit's placements of the negated values, negated back, ascend
+    classes = (
+        PicClass._trusted(v.n, (x0, *[-x for x in p]))
+        for x0, negated in walked
+        for p in _placements(negated, v.n)
+    )
+    classes = islice(classes, max_count)
+    return OrbitResult(tuple(sorted(classes, key=lambda c: c.coords)), truncated)
 
 
 def _e0_minus(n: int, points: list[int]) -> PicClass:

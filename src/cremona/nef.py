@@ -24,9 +24,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from operator import le, mul
 
-from . import _EXPORTS, curves, polytopes
+from . import _EXPORTS, curves, polytopes, weyl
 from .lattice import PicClass, Record, check_bound, check_class, pairing, set_field
-from .weyl import WeylWord, apply_word, reduce_class
 
 __all__ = [*_EXPORTS["nef"], "METHOD_REDUCTION", "METHOD_CURVE_CHECK"]
 
@@ -56,11 +55,11 @@ class NefVerdict(Record):
     __slots__ = ("witness", "max_degree")
 
     def __init__(
-        self, witness: WeylWord | PicClass | None, max_degree: int | None = None
+        self, witness: weyl.WeylWord | PicClass | None, max_degree: int | None = None
     ) -> None:
         if max_degree is not None:
             check_bound("max_degree", max_degree, 0)
-        allowed = WeylWord if max_degree is None else type(None)
+        allowed = weyl.WeylWord if max_degree is None else type(None)
         if not isinstance(witness, (PicClass, allowed)):
             raise ValueError(
                 f"a verdict with max_degree={max_degree!r} cannot have the witness {witness!r}"
@@ -117,7 +116,7 @@ def is_nef_K_nonpositive(v: PicClass) -> NefVerdict:
     Reduces v by the group action; nef iff the reduction lands in the
     fundamental cone.  Raises KPositiveError when v.K > 0.
     """
-    result = reduce_class(v)
+    result = weyl.reduce_class(v)
     return NefVerdict(result.witness if result.violated is None else result.violated)
 
 
@@ -140,7 +139,7 @@ def check_certificate(v: PicClass, verdict: NefVerdict) -> bool:
     if verdict.verdict == NOT_NEF:
         return w.n == v.n and pairing(w, v) < 0 and (w == v or _effective(w))
     try:
-        moved = apply_word(w, v)
+        moved = weyl.apply_word(w, v)
     except ValueError:  # a generator out of range for v's n
         return False
     return _in_fundamental_cone(moved.coords)

@@ -22,7 +22,7 @@ import itertools
 from fractions import Fraction
 from math import gcd, isqrt
 
-from . import _EXPORTS
+from . import _EXPORTS, linalg
 from .lattice import (
     LightConePosition,
     PicClass,
@@ -37,7 +37,6 @@ from .lattice import (
     pairing,
     set_field,
 )
-from .linalg import solve_unique
 
 # Tuples here are built from lists, tuple([...]), not from generators.
 # CPython 3.11 grows a tuple built from an iterator by resizing it, and
@@ -863,7 +862,7 @@ def verify_region_R(n: int) -> RegionRReport:
         rhs = [cons[i][1] for i in triple]
         # never None: the ten determinants are 3, -3, 3, 1, 3 - n, n - 4,
         # -1, n, 1 - n and 1, none of them 0 for n >= 10
-        point = solve_unique(mat, rhs)
+        point = linalg.solve_unique(mat, rhs)
         feasible = all(
             sum(c * x for c, x in zip(coeffs, point)) >= r for coeffs, r in cons
         )

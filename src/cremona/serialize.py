@@ -37,9 +37,8 @@ from __future__ import annotations
 
 import re
 
-from . import nef, polytopes
+from . import nef, polytopes, weyl
 from .lattice import PicClass, _decimal, check_bound, pairing
-from .weyl import Generator, Phi, ReductionResult, Sigma, WeylWord, _reach
 
 __all__ = [
     "encode_int",
@@ -107,33 +106,33 @@ def decode_class(obj: dict) -> PicClass:
     return PicClass(n, tuple(coords))
 
 
-def _decode_generator(obj: dict) -> Generator:
+def _decode_generator(obj: dict) -> weyl.Generator:
     # Phi and Sigma refuse an index that is not an int themselves
     if isinstance(obj, dict) and len(obj) == 1:
         if "phi" in obj:
             idx = _field(obj, "generator", "phi", list)
             if len(idx) == 3:
-                return Phi(*idx)
+                return weyl.Phi(*idx)
         elif "sigma" in obj:
-            return Sigma(obj["sigma"])
+            return weyl.Sigma(obj["sigma"])
     raise ValueError(f"generator must be {{'phi': [i, j, k]}} or {{'sigma': i}}, got {obj!r}")
 
 
-def encode_word(w: WeylWord) -> list:
+def encode_word(w: weyl.WeylWord) -> list:
     ints = w._ints()
     if ints is None:
-        return [{"phi": [g.i, g.j, g.k]} if type(g) is Phi else {"sigma": g.i} for g in w.gens]
+        return [{"phi": [g.i, g.j, g.k]} if type(g) is weyl.Phi else {"sigma": g.i} for g in w.gens]
     triples, sort = ints
     return [{"phi": [i, j, k]} for i, j, k in triples] + [{"sigma": i} for i in sort]
 
 
-def decode_word(obj: list) -> WeylWord:
+def decode_word(obj: list) -> weyl.WeylWord:
     if not isinstance(obj, list):
         raise ValueError(f"word must be a JSON list, got {obj!r}")
-    return WeylWord(tuple(_decode_generator(g) for g in obj))
+    return weyl.WeylWord(tuple(_decode_generator(g) for g in obj))
 
 
-def encode_reduction(r: ReductionResult) -> dict:
+def encode_reduction(r: weyl.ReductionResult) -> dict:
     return {
         "status": r.status,
         "reduced": encode_class(r.reduced),
@@ -143,7 +142,7 @@ def encode_reduction(r: ReductionResult) -> dict:
     }
 
 
-def decode_reduction(obj: dict) -> ReductionResult:
+def decode_reduction(obj: dict) -> weyl.ReductionResult:
     reduced = decode_class(_field(obj, "reduction", "reduced", dict))
     witness = decode_word(_field(obj, "reduction", "witness", list))
     violated = _field(obj, "reduction", "violated", (dict, type(None)))
@@ -153,9 +152,9 @@ def decode_reduction(obj: dict) -> ReductionResult:
     if violated is not None and violated.n != n:
         raise ValueError(f"reduction 'violated' has n={violated.n}, but 'reduced' has n={n}")
     for g in witness:
-        if _reach(g) > n:
+        if weyl._reach(g) > n:
             raise ValueError(f"reduction 'witness' holds {g!r}, out of range for n={n}")
-    result = ReductionResult(reduced, witness, violated)
+    result = weyl.ReductionResult(reduced, witness, violated)
     _check_derived(obj, "reduction", result, {"status": str, "iterations": int})
     if nef._in_fundamental_cone(reduced.coords) != (violated is None):
         where = "outside" if violated is None else "in"
@@ -182,10 +181,10 @@ def encode_verdict(v: nef.NefVerdict) -> dict:
     )
     if v.witness is None:
         witness = None
-    elif isinstance(v.witness, WeylWord):
-        witness = encode_word(v.witness)
-    else:
+    elif isinstance(v.witness, PicClass):  # first: a curve check never runs weyl
         witness = encode_class(v.witness)
+    else:
+        witness = encode_word(v.witness)
     return {"verdict": v.verdict, "method": method, "witness": witness}
 
 

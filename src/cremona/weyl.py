@@ -1,4 +1,4 @@
-"""The Cremona group action on Z^{1,n}: generators, words, reduction, orbits.
+"""The Cremona group action on Z^{1,n}: generators, words and reduction.
 
 The group W is generated by the quadratic transformations phi_{ijk}
 (one for each triple of blown-up points) together with the coordinate
@@ -14,11 +14,10 @@ curve class proving the input is not nef; its docstring has the algorithm.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import combinations, combinations_with_replacement, islice
+from itertools import combinations
 
-from . import _EXPORTS, curves
+from . import _EXPORTS
 from .lattice import (
     PicClass, Record, _Private, as_tuple, canonical_class, check_bound, check_class, pairing, set_field
 )
@@ -380,68 +379,3 @@ def all_generators(n: int) -> list[Generator]:
     check_bound("n", n, 1)
     phis: list[Generator] = [Phi(*t) for t in combinations(range(1, n + 1), 3)]
     return phis + [Sigma(i) for i in range(1, n)]
-
-
-class OrbitResult(Record):
-    """The sorted classes of a bounded orbit, and whether ``max_count`` cut it short."""
-
-    __slots__ = ("classes", "truncated")
-
-
-def orbit(v: PicClass, max_degree: int | None = None, *, max_count: int) -> OrbitResult:
-    """The closure of v under all generators, classes of degree above
-    ``max_degree`` (if given) left out: a union of S_n orbits, as
-    transpositions keep the degree.  It walks their representatives
-    (x_0, sorted tail) layer by layer, each layer sorted, applying phi
-    once per value triple a <= b <= c of the tail (x_0 gains s = x_0 +
-    a + b + c, and a, b, c lose s), and stops once the orbit sizes pass
-    the required ``max_count``: each representative adds a class, so
-    the walk ends even on an infinite closure.  ``truncated`` is set
-    exactly when the closure has more than ``max_count`` classes; the
-    result is then the whole orbits walked before and the
-    lexicographically first classes of the last one, ``max_count`` in
-    all.  A ``max_degree`` or ``max_count`` that is not an int (a bool
-    is not), or is below 0 or 1 respectively, raises ValueError.
-    """
-    if max_degree is not None:
-        check_bound("max_degree", max_degree, 0)
-    check_bound("max_count", max_count, 1)
-    check_class("v", v)
-    if max_degree is not None and v.coords[0] > max_degree:
-        return OrbitResult((), False)
-
-    layer = [(v.coords[0], *sorted(v.coords[1:]))]
-    seen = set(layer)
-    walked = []  # (x_0, the negated nonzero tail values) of each representative
-    count = 0
-    truncated = False
-    while layer and not truncated:
-        successors = set()
-        for x0, *tail in layer:
-            negated = tuple(-x for x in tail if x)
-            walked.append((x0, negated))
-            count += curves._orbit_size(negated, v.n)
-            truncated = count > max_count
-            if truncated:
-                break
-            counts = Counter(tail)
-            for a, b, c in combinations_with_replacement(sorted(counts), 3):
-                # the tail must hold a, b and c as three distinct entries
-                if (a == b and counts[a] < 2 + (b == c)) or (b == c and counts[c] < 2):
-                    continue
-                s = x0 + a + b + c
-                if max_degree is None or x0 + s <= max_degree:
-                    moved = tail.copy()
-                    for x in (a, b, c):
-                        moved.remove(x)
-                    successors.add((x0 + s, *sorted(moved + [a - s, b - s, c - s])))
-        layer = sorted(successors - seen)
-        seen.update(layer)
-    # an orbit's placements of the negated values, negated back, ascend
-    classes = (
-        PicClass._trusted(v.n, (x0, *[-x for x in p]))
-        for x0, negated in walked
-        for p in curves._placements(negated, v.n)
-    )
-    classes = islice(classes, max_count)
-    return OrbitResult(tuple(sorted(classes, key=lambda c: c.coords)), truncated)

@@ -1,8 +1,9 @@
 """The public surface: every exported name resolves, and the names removed
-with the rational-arithmetic layer are neither exported nor present.  The
-package surface is the same as when every submodule ran at import, each
-CLI command runs only the submodules it uses, and every private helper
-has a caller in the package, not only in the tests."""
+with the rational-arithmetic layer, or moved from weyl to curves, are
+neither exported nor present where they were.  The package surface is the
+same as when every submodule ran at import, but for those moves, each CLI
+command runs only the submodules it uses, and every private helper has a
+caller in the package, not only in the tests."""
 
 import ast
 import doctest
@@ -30,6 +31,7 @@ REMOVED = {
     "cremona": ("RationalRay", "primitive"),
     "cremona.lattice": ("RationalRay", "primitive", "primitive_coords"),
     "cremona.linalg": ("rref", "rank", "kernel_basis"),
+    "cremona.weyl": ("orbit", "OrbitResult"),  # moved to curves
 }
 
 
@@ -41,6 +43,12 @@ def test_every_exported_name_resolves(name):
     assert len(set(exported)) == len(exported)
     for attr in exported:
         getattr(module, attr)
+
+
+def test_orbit_lives_in_curves():
+    # beside the S_n-orbit helpers it walks with, so that weyl needs no curves
+    assert cremona.curves.orbit is cremona.orbit
+    assert cremona.curves.OrbitResult is cremona.OrbitResult
 
 
 def test_the_modules_are_all_covered():
@@ -56,14 +64,15 @@ def test_removed_names_are_gone(name):
         assert not hasattr(module, attr)
 
 
-# __all__ as it was when the package imported every submodule eagerly
+# __all__ as it was when the package imported every submodule eagerly,
+# but for orbit and OrbitResult, which left weyl for curves
 ALL = [
     "PicClass", "LightConePosition", "pairing", "basis_vector", "canonical_class",
     "anticanonical_class", "degree", "light_cone_position", "Phi", "Sigma", "WeylWord",
-    "ReductionResult", "OrbitResult", "KPositiveError", "apply_generator", "apply_word",
-    "fixed_hyperplane_normal", "sort_coordinates", "reduce_class", "all_generators", "orbit",
+    "ReductionResult", "KPositiveError", "apply_generator", "apply_word",
+    "fixed_hyperplane_normal", "sort_coordinates", "reduce_class", "all_generators",
     "is_minus_one_class", "enumerate_minus_one", "decompose_inequality", "Decomposition",
-    "MinusOneClass", "Halfspace", "ConePolytope", "MembershipResult", "AngleClass",
+    "MinusOneClass", "OrbitResult", "orbit", "Halfspace", "ConePolytope", "MembershipResult", "AngleClass",
     "CartanEntry", "CoxeterCheck", "CoxeterDiagram", "DiagramEdge", "Ray",
     "VertexFormulaReport", "RegionRReport", "build_P_tilde", "build_P", "build_P_minus",
     "membership", "gram_matrix", "classify_angle", "cartan_matrix", "render_cartan_entry",
@@ -150,7 +159,7 @@ heavy = {"dataclasses", "inspect", "fractions", "decimal", "typing"}
 print(json.dumps(sorted(heavy & set(sys.modules))))
 print(json.dumps(sorted(name for name in sys.modules if name.startswith("cremona."))))
 """
-LEAN = ["__init__.py", "cli.py", "lattice.py", "serialize.py", "weyl.py"]
+LEAN = ["__init__.py", "cli.py", "lattice.py"]  # what importing cli runs
 VECTOR = "--vector=10,-3,-3,-3,-3,-2,-2,-1,-1,-1,0"
 
 
@@ -176,19 +185,37 @@ def heavy_modules(*argv: str) -> list[str]:
     return probe(*argv)[1]
 
 
-LEAN_COMMANDS = [
-    ("reduce", "--n", "10", VECTOR),
-    ("orbit", "--n", "6", "--vector", "0,0,0,0,0,0,1", "--max-degree", "2"),
-    ("nef-test", "--n", "10", VECTOR),
-]
+# Command lines without their --format: the package files each runs
+# besides LEAN, then each format it takes and the files that format adds.
+# region-r writes its JSON document without serialize.
+TEXT_JSON = {"text": [], "json": ["serialize.py"]}
+TEXT_JSON_CSV = {**TEXT_JSON, "csv": []}
+RUNS = {
+    "reduce": (("reduce", "--n", "10", VECTOR), ["weyl.py"], TEXT_JSON),
+    "nef-test": (("nef-test", "--n", "10", VECTOR), ["nef.py", "weyl.py"], TEXT_JSON),
+    # a curve check runs no weyl, whether it finds a violated class or none
+    "nef-test-curves-nef": (
+        ("nef-test", "--n", "10", VECTOR, "--method", "curves"), ["curves.py", "nef.py"],
+        TEXT_JSON),
+    "nef-test-curves-not-nef": (
+        ("nef-test", "--n", "10", "--vector=3" + ",-1" * 10, "--method", "curves"),
+        ["curves.py", "nef.py"], TEXT_JSON),
+    "orbit": (("orbit", "--n", "6", "--vector", "0,0,0,0,0,0,1", "--max-degree", "2"),
+              ["curves.py"], TEXT_JSON_CSV),
+    "curves": (("curves", "--n", "6", "--max-degree", "3"), ["curves.py"], TEXT_JSON_CSV),
+    "rays": (("rays", "--n", "12", "--polytope", "p_minus"), ["polytopes.py"], TEXT_JSON_CSV),
+    "cartan": (("cartan", "--n", "10", "--polytope", "p_minus"), ["polytopes.py"], TEXT_JSON_CSV),
+    "diagram": (("diagram", "--n", "13", "--polytope", "p_minus"), ["polytopes.py"],
+                {"text": [], "dot": []}),
+    "region-r": (("region-r", "--n", "10"), ["linalg.py", "polytopes.py"],
+                 {"text": [], "json": []}),
+}
+LEAN_COMMANDS = [RUNS[name][0] for name in ("reduce", "orbit", "nef-test")]
 OTHER_COMMANDS = [
-    ("rays", "--n", "12", "--polytope", "p_minus", "--format", "json"),
-    ("cartan", "--n", "10", "--polytope", "p_minus", "--format", "json"),
-    ("diagram", "--n", "13", "--polytope", "p_minus", "--format", "dot"),
-    ("region-r", "--n", "10", "--format", "json"),
-    ("curves", "--n", "6", "--max-degree", "3", "--format", "json"),
-    ("verify", "--suite", "quick"),
-]
+    (*RUNS[name][0], "--format", fmt)
+    for name, fmt in [("rays", "json"), ("cartan", "json"), ("diagram", "dot"),
+                      ("region-r", "json"), ("curves", "json")]
+] + [("verify", "--suite", "quick")]
 
 
 class TestStartUp:
@@ -207,17 +234,12 @@ class TestStartUp:
         nine = ["cli", "curves", "lattice", "linalg", "nef", "polytopes", "serialize", "verify", "weyl"]
         assert registered == [f"cremona.{name}" for name in nine]
 
-    @pytest.mark.parametrize("fmt", ["text", "json"])
-    def test_reduce_and_orbit_run_the_lean_modules(self, fmt):
-        # orbit adds curves, whose helpers size and list each S_n orbit
-        assert executed_modules("reduce", "--n", "10", VECTOR, "--format", fmt) == LEAN
-        orbit = ("orbit", "--n", "6", "--vector", "0,0,0,0,0,0,1", "--max-degree", "2")
-        assert executed_modules(*orbit, "--format", fmt) == sorted(LEAN + ["curves.py"])
-
-    @pytest.mark.parametrize("fmt", ["text", "json"])
-    def test_nef_test_adds_nef(self, fmt):
-        assert executed_modules("nef-test", "--n", "10", VECTOR, "--format", fmt) == sorted(
-            LEAN + ["nef.py"])
+    @pytest.mark.parametrize("name, fmt", [
+        (name, fmt) for name, (_, _, formats) in RUNS.items() for fmt in formats])
+    def test_each_command_runs_only_the_modules_it_calls(self, name, fmt):
+        argv, files, formats = RUNS[name]
+        want = sorted(LEAN + files + formats[fmt])
+        assert executed_modules(*argv, "--format", fmt) == want
 
     def test_verify_runs_every_module(self):
         executed = executed_modules("verify", "--suite", "quick")

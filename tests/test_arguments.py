@@ -21,7 +21,7 @@ import pytest
 
 import cremona
 from cremona import verify
-from cremona.curves import enumerate_minus_one
+from cremona.curves import enumerate_minus_one, orbit
 from cremona.lattice import (
     PicClass,
     anticanonical_class,
@@ -69,7 +69,6 @@ from cremona.weyl import (
     all_generators,
     apply_word,
     fixed_hyperplane_normal,
-    orbit,
     reduce_class,
     sort_coordinates,
 )

@@ -1,9 +1,9 @@
 """The S_n-orbit helpers of curves: ``_placements`` lists an orbit and
 ``_orbit_size`` counts it, for any multiset of nonzero integers, and the
 class cap that counts orbits answers at once however large n is.  The
-bounded group orbit, a walk over S_n-orbit representatives, against the
-reference search over every generator and against the (-1)-class
-enumeration."""
+bounded group orbit, a walk over S_n-orbit representatives: its bounds
+and small cases, and the walk against the reference search over every
+generator and against the (-1)-class enumeration."""
 
 import itertools
 import random
@@ -12,9 +12,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cremona.cli import CURVES_MAX_CLASSES
-from cremona.curves import _count_minus_one, _orbit_size, _placements, enumerate_minus_one
-from cremona.lattice import PicClass, basis_vector
-from cremona.weyl import orbit, reduce_class
+from cremona.curves import (
+    OrbitResult,
+    _count_minus_one,
+    _orbit_size,
+    _placements,
+    enumerate_minus_one,
+    orbit,
+)
+from cremona.lattice import PicClass, basis_vector, canonical_class, pairing
+from cremona.weyl import reduce_class
 from oracles import brute_force_minus_one, reference_orbit
 
 
@@ -57,6 +64,64 @@ class TestClassCapAtLargeN:
     # of tests/test_bounds.py
     def test_count_stops_at_once(self):
         assert _count_minus_one(149_999, 1, CURVES_MAX_CLASSES) > CURVES_MAX_CLASSES
+
+
+class TestOrbit:
+    def test_needs_a_bound(self):
+        with pytest.raises(TypeError):
+            orbit(basis_vector(4, 1))
+
+    def test_exceptional_orbit_is_the_lines(self):
+        # W(E_6) acts transitively on the 27 lines of the cubic surface,
+        # all of degree <= 2
+        result = orbit(basis_vector(6, 6), max_degree=2, max_count=100)
+        assert len(result.classes) == 27
+        assert not result.truncated
+        k = canonical_class(6)
+        for c in result.classes:
+            assert pairing(c, c) == -1 and pairing(c, k) == -1
+
+    def test_max_count_truncates_deterministically(self):
+        a = orbit(basis_vector(6, 6), max_count=10)
+        b = orbit(basis_vector(6, 6), max_count=10)
+        assert a == b
+        assert a.truncated and len(a.classes) == 10
+
+    @pytest.mark.parametrize("max_count", [0, -5])
+    def test_max_count_below_one_rejected(self, max_count):
+        with pytest.raises(ValueError, match=f"max_count must be >= 1, got {max_count}"):
+            orbit(basis_vector(9, 9), max_count=max_count)
+
+    @pytest.mark.parametrize("max_degree", [-1, -7])
+    def test_negative_max_degree_rejected(self, max_degree):
+        with pytest.raises(ValueError, match=f"max_degree must be >= 0, got {max_degree}"):
+            orbit(basis_vector(6, 6), max_degree=max_degree, max_count=1)
+        with pytest.raises(ValueError, match="max_degree must be >= 0"):
+            orbit(basis_vector(6, 6), max_degree=max_degree, max_count=10)
+
+    @pytest.mark.parametrize("max_degree", [2.5, 2.0, True])
+    def test_non_integer_max_degree_rejected(self, max_degree):
+        with pytest.raises(ValueError, match=f"max_degree must be an integer, got {max_degree!r}"):
+            orbit(basis_vector(6, 6), max_degree=max_degree, max_count=100)
+
+    @pytest.mark.parametrize("max_count", [True, 10.0])
+    def test_non_integer_max_count_rejected(self, max_count):
+        with pytest.raises(ValueError, match=f"max_count must be an integer, got {max_count!r}"):
+            orbit(basis_vector(6, 6), max_degree=2, max_count=max_count)
+
+    def test_max_count_one_keeps_the_start(self):
+        v = basis_vector(9, 9)
+        assert orbit(v, max_count=1) == OrbitResult((v,), True)
+
+    def test_degree_prune_excludes_high_degree_start(self):
+        v = PicClass(4, (5, -2, -2, -2, -2))
+        assert orbit(v, max_degree=4, max_count=1).classes == ()
+
+    def test_fixed_point_orbit(self):
+        k = canonical_class(5)
+        result = orbit(k, max_degree=0, max_count=100)
+        assert result.classes == (k,)
+        assert not result.truncated
 
 
 # a max_count that no closure walked here reaches
